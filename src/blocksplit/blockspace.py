@@ -17,16 +17,22 @@ from .errors import DimensionMismatch, UncoveredBlock
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Partition of R^d into contiguous blocks of the given sizes."""
+    """Partition of R^d into contiguous blocks; offsets and slices are cached."""
 
     block_dims: tuple[int, ...]
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.block_dims) == 0:
             raise DimensionMismatch("layout needs at least one block")
         if any(int(d) <= 0 for d in self.block_dims):
             raise DimensionMismatch(f"block dims must be positive, got {self.block_dims}")
-        object.__setattr__(self, "block_dims", tuple(int(d) for d in self.block_dims))
+        dims = tuple(int(d) for d in self.block_dims)
+        offsets = tuple(int(o) for o in np.cumsum((0,) + dims[:-1]))
+        object.__setattr__(self, "block_dims", dims)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "_slices", tuple(slice(o, o + d) for o, d in zip(offsets, dims)))
 
     @property
     def num_blocks(self) -> int:
@@ -36,19 +42,10 @@ class BlockLayout:
     def total_dim(self) -> int:
         return sum(self.block_dims)
 
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for d in self.block_dims:
-            out.append(acc)
-            acc += d
-        return tuple(out)
-
     def slice_of(self, j: int) -> slice:
         if not 0 <= j < self.num_blocks:
             raise DimensionMismatch(f"block index {j} out of range for {self.num_blocks} blocks")
-        off = self.offsets[j]
-        return slice(off, off + self.block_dims[j])
+        return self._slices[j]
 
     def check(self, x: np.ndarray) -> np.ndarray:
         """Validate the trailing axis of ``x`` against the layout."""
@@ -84,11 +81,6 @@ class BlockLayout:
                 f"expected {self.num_blocks} per-block values, got shape {per_block.shape}"
             )
         return np.repeat(per_block, self.block_dims)
-
-
-def embed_block(block_value: np.ndarray, j: int, base: np.ndarray, layout: BlockLayout) -> np.ndarray:
-    """Embed a block value into ``base`` at position j (copy, others kept)."""
-    return layout.embed(block_value, j, base)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockspace import block_probabilities
 from .config import ExperimentConfig, load_config
 from .errors import BlocksplitError, ConfigError, DegenerateSequence
 from .markov import (
@@ -98,7 +97,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
                 f"config.steps: {list(m.steps)} outside the admissible ranges {bounds.per_block} "
                 "(strict_steps is on)"
             )
-    p = block_probabilities(cfg.scheme, problem.layout)
+    p = m.probabilities
     target = problem.target_point
 
     def target_distance(states):

@@ -21,15 +21,6 @@ from .splitting import SplittingMap, apply_T, apply_full
 
 
 @dataclass
-class Chain:
-    """One particle: its state, selection stream, and id."""
-
-    state: np.ndarray
-    rng: np.random.Generator
-    id: int
-
-
-@dataclass
 class Ensemble:
     """N independent chains advanced in lockstep."""
 
@@ -47,10 +38,6 @@ class Ensemble:
     @property
     def num_chains(self) -> int:
         return self.states.shape[0]
-
-    @property
-    def chains(self) -> list[Chain]:
-        return [Chain(self.states[i], self.rngs[i], i) for i in range(self.num_chains)]
 
 
 def init_ensemble(
@@ -112,7 +99,10 @@ def empirical_residual_psi(ensemble: Ensemble, m: SplittingMap) -> float:
     In the consistent case this equals the certified upper bound on the
     invariant discrepancy of the empirical measure.
     """
-    r = ensemble.states - apply_full(m, ensemble.states)
+    return _rms(ensemble.states - apply_full(m, ensemble.states))
+
+
+def _rms(r: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum(r * r, axis=-1))))
 
 
@@ -165,13 +155,12 @@ def run(
         executor = ThreadPoolExecutor(max_workers=threads)
 
     def record_now(dw: float | None):
+        r = ensemble.states - apply_full(m, ensemble.states)
         records.append(
             DiagnosticRecord(
                 k=ensemble.k,
-                mean_residual=float(
-                    np.mean(np.linalg.norm(ensemble.states - apply_full(m, ensemble.states), axis=-1))
-                ),
-                psi_upper=empirical_residual_psi(ensemble, m),
+                mean_residual=float(np.mean(np.linalg.norm(r, axis=-1))),
+                psi_upper=_rms(r),
                 dw_step=dw,
                 d_target=None if target_distance is None else float(target_distance(ensemble.states)),
                 block_means=np.array(

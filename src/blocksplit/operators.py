@@ -48,11 +48,6 @@ class SmoothCoupling:
         if np.any(self.lipschitz < 0) or np.any(self.hypomono < 0):
             raise ValueError("lipschitz and hypomono constants must be nonnegative")
 
-    def partial_gradient(self, x: np.ndarray, j: int) -> np.ndarray:
-        if self.gradient is None:
-            raise EmptyResolvent("coupling has no gradient oracle")
-        return self.layout.block(self.gradient(self.layout.check(x)), j)
-
     @property
     def tau_max(self) -> float:
         return float(np.max(self.hypomono))
@@ -67,7 +62,8 @@ class BlockFunction:
     """One separable piece h_j with its proximal oracle.
 
     ``prox(v, lam)`` returns argmin_u h_j(u) + ||u - v||^2 / (2 lam),
-    vectorized over leading axes of ``v``.
+    vectorized over leading axes of ``v``: splitting maps batch the k blocks
+    sharing one oracle, step and dim into one call on ``v`` of shape (..., k, d).
     """
 
     prox: Callable[[np.ndarray, float], np.ndarray]

@@ -313,7 +313,10 @@ def quadratic_l1(
         raise NotPSD(f"Q has eigenvalue {eigs[0]:.3e} < 0")
     coupling = coupling_quadratic(layout, Q, b, convex=True)
     l1_weights = np.broadcast_to(np.asarray(l1_weights, dtype=float), (layout.num_blocks,))
-    term = SeparableTerm(layout, [h_l1(w) for w in l1_weights])
+    # one oracle per distinct weight, so equal-weight blocks share a batched prox
+    weights = l1_weights.tolist()
+    l1_terms = {w: h_l1(w) for w in weights}
+    term = SeparableTerm(layout, [l1_terms[w] for w in weights])
 
     Lmax = coupling.lipschitz_max
     step = 0.9 / Lmax if Lmax > 0 else 1.0
@@ -326,20 +329,10 @@ def quadratic_l1(
         region=Region(np.full(d, -5.0), np.full(d, 5.0)),
         convex=True,
         consistent=True,
-        metadata={"l1_weights": l1_weights.tolist()},
+        metadata={"l1_weights": weights},
     )
-    scheme = BlockSubsetScheme(
-        tuple((j,) for j in range(layout.num_blocks)),
-        tuple(1.0 / layout.num_blocks for _ in range(layout.num_blocks)),
-    )
-    forward = spec.build_map("fb", scheme)
-    x = np.zeros(d)
-    for _ in range(reference_iterations):
-        x_next = apply_full(forward, x)
-        if np.max(np.abs(x_next - x)) < 1e-15:
-            x = x_next
-            break
-        x = x_next
+    full_block = BlockSubsetScheme((tuple(range(layout.num_blocks)),), (1.0,))
+    x = deterministic_reference(spec.build_map("fb", full_block), np.zeros(d), reference_iterations)
     spec.fixed_points = x[None, :]
     spec.target_point = x
     _verify_declared_fixed_points(spec, "fb")

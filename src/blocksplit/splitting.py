@@ -6,11 +6,22 @@ in subset i, each computed from the unmodified input (all blocks of a
 subset see the same x).  The full-block map T1 updates every block and is
 the reference operator for residuals and certification regardless of
 whether the scheme contains the full subset.
+
+So each T_i is a block mask over T1, T_i x = where(mask_i, T1 x, x) bit for
+bit, and one routine serves T1 and every T_i.  Each map plans, once, the
+blocks that T1 and each outcome update, grouped by (prox oracle, step,
+block dim) with the group's coordinate columns.  Forward-backward takes
+one coupling gradient per call and one prox call per group on (x - t g)
+reshaped to (..., k, d).  Douglas-Rachford batches its reflection through
+h the same way but keeps one partial resolvent of f per block, as each
+block reads its own reflected point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +44,32 @@ from .operators import (
 FLAVORS = ("fb", "dr")
 
 
+class UpdateGroup(NamedTuple):
+    """Blocks updated by one batched prox call: same oracle, step and dim."""
+
+    blocks: tuple[int, ...]
+    cols: np.ndarray  # coordinate columns of the blocks, block after block
+    step: float
+    dim: int
+
+
+def _update_plan(layout: BlockLayout, term: SeparableTerm, steps: np.ndarray,
+                 blocks: Iterable[int]) -> tuple[UpdateGroup, ...]:
+    groups: dict[tuple, list[int]] = {}
+    for j in blocks:
+        key = (id(term.blocks[j].prox), float(steps[j]), layout.block_dims[j])
+        groups.setdefault(key, []).append(j)
+    return tuple(
+        UpdateGroup(
+            blocks=tuple(js),
+            cols=np.concatenate([np.arange(layout.offsets[j], layout.offsets[j] + dim) for j in js]),
+            step=step,
+            dim=dim,
+        )
+        for (_, step, dim), js in groups.items()
+    )
+
+
 @dataclass
 class SplittingMap:
     """Stochastic blockwise splitting operator family {T_i}."""
@@ -43,6 +80,9 @@ class SplittingMap:
     steps: np.ndarray
     scheme: BlockSubsetScheme
     layout: BlockLayout
+    full_plan: tuple[UpdateGroup, ...] = field(init=False, repr=False, compare=False)
+    outcome_plans: tuple[tuple[UpdateGroup, ...], ...] = field(init=False, repr=False,
+                                                                compare=False)
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -59,60 +99,48 @@ class SplittingMap:
             raise DimensionMismatch("scheme references blocks outside the layout")
         if self.flavor == "fb" and self.coupling.gradient is None:
             raise EmptyResolvent("forward-backward needs a coupling gradient oracle")
+        self.full_plan = _update_plan(self.layout, self.term, self.steps, range(m))
+        self.outcome_plans = tuple(
+            _update_plan(self.layout, self.term, self.steps, s) for s in self.scheme.subsets
+        )
 
-    @property
+    @cached_property
     def probabilities(self) -> BlockProbabilities:
+        """Per-block selection probabilities, built on first use and kept."""
         return block_probabilities(self.scheme, self.layout)
 
 
-def apply_fb_block(m: SplittingMap, j: int, x: np.ndarray) -> np.ndarray:
-    """Block j of the forward-backward update: prox after a partial gradient step."""
+def _apply_plan(m: SplittingMap, plan: tuple[UpdateGroup, ...], x: np.ndarray) -> np.ndarray:
+    """Update the planned blocks of x, every one from the unmodified x."""
     x = m.layout.check(x)
-    t = m.steps[j]
-    g = m.layout.block(m.coupling.gradient(x), j)
-    v = m.layout.block(x, j) - t * g
-    return resolvent_separable(m.term, j, v, t)
-
-
-def apply_dr_block(m: SplittingMap, j: int, x: np.ndarray) -> np.ndarray:
-    """Block j of the Douglas-Rachford update.
-
-    Reflects block j through h_j, resolves the partial linearization of f
-    at the reflected point, and averages the double reflection with x_j.
-    """
-    x = m.layout.check(x)
-    t = m.steps[j]
-    xj = m.layout.block(x, j)
-    yj = reflector(resolvent_separable(m.term, j, xj, t), xj)
-    y = m.layout.embed(yj, j, x)
-    u = resolvent_partial_smooth(m.coupling, j, y, t)
-    return 0.5 * (reflector(u, yj) + xj)
-
-
-def _block_update(m: SplittingMap, j: int, x: np.ndarray) -> np.ndarray:
-    if m.flavor == "fb":
-        return apply_fb_block(m, j, x)
-    return apply_dr_block(m, j, x)
+    out = np.array(x, copy=True)
+    g = m.coupling.gradient(x) if m.flavor == "fb" else None
+    for grp in plan:
+        xg = x[..., grp.cols]
+        v = xg if g is None else xg - grp.step * g[..., grp.cols]
+        shape = x.shape[:-1] + (len(grp.blocks), grp.dim)
+        resolved = resolvent_separable(m.term, grp.blocks[0], v.reshape(shape), grp.step)
+        if g is not None:
+            out[..., grp.cols] = resolved.reshape(xg.shape)
+            continue
+        reflected = reflector(resolved, xg.reshape(shape))
+        for a, j in enumerate(grp.blocks):
+            sl, yj = m.layout.slice_of(j), reflected[..., a, :]
+            u = resolvent_partial_smooth(m.coupling, j, m.layout.embed(yj, j, x), grp.step)
+            out[..., sl] = 0.5 * (reflector(u, yj) + x[..., sl])
+    return out
 
 
 def apply_T(m: SplittingMap, i: int, x: np.ndarray) -> np.ndarray:
     """Apply outcome i: update the blocks of subset i, keep the rest."""
     if not 0 <= i < m.scheme.num_outcomes:
         raise DimensionMismatch(f"outcome {i} out of range for {m.scheme.num_outcomes} subsets")
-    x = m.layout.check(x)
-    out = np.array(x, copy=True)
-    for j in m.scheme.subsets[i]:
-        out[..., m.layout.slice_of(j)] = _block_update(m, j, x)
-    return out
+    return _apply_plan(m, m.outcome_plans[i], x)
 
 
 def apply_full(m: SplittingMap, x: np.ndarray) -> np.ndarray:
     """The full-block map T1: every block updated from the same input."""
-    x = m.layout.check(x)
-    out = np.array(x, copy=True)
-    for j in range(m.layout.num_blocks):
-        out[..., m.layout.slice_of(j)] = _block_update(m, j, x)
-    return out
+    return _apply_plan(m, m.full_plan, x)
 
 
 def transport_discrepancy(x, y, Tx, Ty) -> float | np.ndarray:

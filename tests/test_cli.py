@@ -246,6 +246,16 @@ def test_cli_transport(tmp_path, capsys):
     assert (tmp_path / "plan.csv").exists()
 
 
+@pytest.mark.parametrize("steps", [[-0.2, 0.2], [0.0, 0.2]])
+def test_cli_nonpositive_steps_exit_2(tmp_path, capsys, steps):
+    doc = run_config(tmp_path)
+    doc["steps"] = steps
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.steps:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -113,7 +113,7 @@ def test_partial_resolvent_defining_equation():
         for j in (0, 1):
             y = resolvent_partial_smooth(c, j, x, lam)
             xmod = c.layout.embed(y, j, x)
-            resid = y + lam * c.partial_gradient(xmod, j) - c.layout.block(x, j)
+            resid = y + lam * c.layout.block(c.gradient(xmod), j) - c.layout.block(x, j)
             assert np.max(np.abs(resid)) < 1e-12
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from blocksplit.blockspace import BlockLayout, BlockProbabilities, BlockSubsetScheme
 from blocksplit.errors import DimensionMismatch, EmptyResolvent
@@ -11,11 +11,17 @@ from blocksplit.operators import (
     SmoothCoupling,
     coupling_diagonal_indicator,
     coupling_diagonal_sqdist,
+    coupling_quadratic,
+    h_indicator_ball,
+    h_indicator_box,
     h_indicator_point,
+    h_l1,
     h_quadratic,
     h_zero,
+    reflector,
+    resolvent_partial_smooth,
 )
-from blocksplit.problems import counterexample2d, feasibility, make_set
+from blocksplit.problems import counterexample2d, feasibility, make_set, quadratic_l1
 from blocksplit.splitting import (
     RegularityConstants,
     SplittingMap,
@@ -130,6 +136,116 @@ def test_splitting_map_validation():
     bad_scheme = BlockSubsetScheme(((0,), (7,)), (0.5, 0.5))
     with pytest.raises(DimensionMismatch):
         SplittingMap("fb", prob.coupling, prob.term, np.array([0.1, 0.1]), bad_scheme, layout)
+
+
+# ---------------------------------------------------------------------------
+# One operator core: outcome maps are block masks over T1, and the batched
+# update plan reproduces the one-block-at-a-time definition bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _random_map(dims, flavor, seed):
+    """Quadratic coupling with a mix of shared and private separable oracles."""
+    rng = np.random.default_rng(seed)
+    layout = BlockLayout(tuple(dims))
+    d = layout.total_dim
+    A = rng.normal(size=(d + 1, d))
+    coupling = coupling_quadratic(layout, A.T @ A / d, rng.normal(size=d))
+    shared = [h_l1(0.3), h_indicator_ball(0.0, 1.0), h_indicator_box(-0.5, 0.5)]
+    private = [lambda: h_l1(0.1), h_zero, lambda: h_quadratic(0.7)]
+    blocks = [shared[k] if k < 3 else private[k - 3]()
+              for k in rng.integers(0, 6, size=layout.num_blocks)]
+    term = SeparableTerm(layout, blocks)
+    steps = rng.choice([0.1, 0.25], size=layout.num_blocks)
+    subsets = [tuple(np.flatnonzero(rng.random(layout.num_blocks) < 0.5)) or (0,)
+               for _ in range(3)]
+    subsets.append(tuple(range(layout.num_blocks)))
+    scheme = BlockSubsetScheme(tuple(subsets), (0.25, 0.25, 0.25, 0.25))
+    return SplittingMap(flavor, coupling, term, steps, scheme, layout)
+
+
+def _points(m, batch, seed):
+    shape = (m.layout.total_dim,) if batch == 0 else (batch, m.layout.total_dim)
+    return np.random.default_rng(seed + 1).normal(scale=2.0, size=shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    st.sampled_from(["fb", "dr"]),
+    st.integers(0, 3),
+    st.integers(0, 2**31 - 1),
+)
+def test_outcome_map_is_block_mask_over_full_map(dims, flavor, batch, seed):
+    m = _random_map(dims, flavor, seed)
+    x = _points(m, batch, seed)
+    full = apply_full(m, x)
+    for i, subset in enumerate(m.scheme.subsets):
+        mask = np.repeat(np.isin(np.arange(m.layout.num_blocks), subset), m.layout.block_dims)
+        assert apply_T(m, i, x).tobytes() == np.where(mask, full, x).tobytes()
+
+
+def _fb_reference(m, x):
+    """FB by its definition: one gradient and one prox per block."""
+    out = np.array(x, copy=True)
+    for j in range(m.layout.num_blocks):
+        sl, t = m.layout.slice_of(j), m.steps[j]
+        g = m.coupling.gradient(x)[..., sl]
+        out[..., sl] = m.term.blocks[j].prox(x[..., sl] - t * g, float(t))
+    return out
+
+
+def _dr_reference(m, x):
+    """DR by its definition: reflect, partial resolvent, average, block by block."""
+    out = np.array(x, copy=True)
+    for j in range(m.layout.num_blocks):
+        sl, t = m.layout.slice_of(j), m.steps[j]
+        xj = x[..., sl]
+        yj = reflector(m.term.blocks[j].prox(xj, float(t)), xj)
+        u = resolvent_partial_smooth(m.coupling, j, m.layout.embed(yj, j, x), t)
+        out[..., sl] = 0.5 * (reflector(u, yj) + xj)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    st.sampled_from(["fb", "dr"]),
+    st.integers(0, 3),
+    st.integers(0, 2**31 - 1),
+)
+def test_full_map_matches_blockwise_reference(dims, flavor, batch, seed):
+    m = _random_map(dims, flavor, seed)
+    x = _points(m, batch, seed)
+    reference = _fb_reference if flavor == "fb" else _dr_reference
+    assert apply_full(m, x).tobytes() == reference(m, x).tobytes()
+
+
+def test_lasso_plan_groups_by_weight_and_step():
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(8, 6))
+    prob = quadratic_l1(A.T @ A / 8, -A.T @ rng.normal(size=8),
+                        np.array([0.2, 0.2, 0.05, 0.2, 0.05, 0.2]))
+    steps = np.array([0.1, 0.1, 0.1, 0.05, 0.05, 0.1])
+    m = prob.build_map("fb", BlockSubsetScheme(((0, 1, 2), (3, 4, 5)), (0.5, 0.5)), steps)
+    assert sorted(g.blocks for g in m.full_plan) == [(0, 1, 5), (2,), (3,), (4,)]
+    x = rng.normal(size=(5, 6))
+    assert apply_full(m, x).tobytes() == _fb_reference(m, x).tobytes()
+    assert apply_full(m, x[0]).tobytes() == _fb_reference(m, x[0]).tobytes()
+
+
+def test_ball_and_box_plan_splits_on_dim():
+    layout = BlockLayout((2, 3, 2, 3, 1))
+    ball, box = h_indicator_ball(0.0, 0.8), h_indicator_box(-0.3, 0.4)
+    term = SeparableTerm(layout, [ball, ball, ball, box, box])
+    rng = np.random.default_rng(6)
+    A = rng.normal(size=(12, 11))
+    coupling = coupling_quadratic(layout, A.T @ A / 11)
+    scheme = BlockSubsetScheme(((0, 1, 2, 3, 4),), (1.0,))
+    m = SplittingMap("fb", coupling, term, np.full(5, 0.2), scheme, layout)
+    assert sorted(g.blocks for g in m.full_plan) == [(0, 2), (1,), (3,), (4,)]
+    x = rng.normal(scale=2.0, size=(9, 11))
+    assert apply_full(m, x).tobytes() == _fb_reference(m, x).tobytes()
 
 
 # ---------------------------------------------------------------------------
