@@ -205,6 +205,19 @@ def sample_subset(scheme: BlockSubsetScheme, rng: np.random.Generator) -> int:
     return int(np.searchsorted(scheme._cum, u, side="right").clip(0, scheme.num_outcomes - 1))
 
 
+def sample_subsets(scheme: BlockSubsetScheme, rngs, steps: int) -> np.ndarray:
+    """Outcome table (steps, N): column c holds ``steps`` draws from ``rngs[c]``.
+
+    ``rng.random(steps)`` yields the same doubles as ``steps`` scalar calls,
+    so the table equals ``steps`` rounds of :func:`sample_subset` per chain
+    bit for bit, and leaves every generator in the same state.
+    """
+    u = np.empty((steps, len(rngs)))
+    for c, rng in enumerate(rngs):
+        u[:, c] = rng.random(steps)
+    return np.searchsorted(scheme._cum, u, side="right").clip(0, scheme.num_outcomes - 1)
+
+
 def chain_rng(master_seed: int, chain_id: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for one chain.
 

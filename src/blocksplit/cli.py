@@ -61,6 +61,9 @@ def _out_dir(cfg_dir: str | None, cli_dir: str | None) -> Path:
 
 def _build(cfg: ExperimentConfig):
     problem = cfg.build_problem()
+    num_blocks = problem.layout.num_blocks
+    if cfg.steps is not None and len(cfg.steps) not in (1, num_blocks):
+        raise ConfigError(f"config.steps: expected 1 or {num_blocks} values, got {len(cfg.steps)}")
     m = problem.build_map(cfg.flavor, cfg.scheme, cfg.steps)
     return problem, m
 
@@ -120,7 +123,6 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
         dw_step_every=cfg.run.dw_step_every,
         target_distance=None if target is None else target_distance,
         step_distance=step_distance if cfg.run.dw_step_every > 0 else None,
-        threads=cfg.threads,
     )
     elapsed = time.time() - t0
 
@@ -308,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=config_required, help="experiment config JSON")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed (uint64)")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=None, help="worker threads across chains")
+        sp.add_argument("--threads", type=int, default=None,
+                        help="unused; accepted for compatibility")
 
     sp_run = sub.add_parser("run", help="simulate a particle ensemble")
     common(sp_run)

@@ -102,7 +102,7 @@ class ExperimentConfig:
     scheme: BlockSubsetScheme
     steps: np.ndarray | None
     seed: int
-    threads: int = 1
+    threads: int = 1  # schema v1 key, validated; it has no effect
     output_dir: str | None = None
     run: RunSection | None = None
     certify: CertifySection | None = None

@@ -23,6 +23,15 @@ class InnerSolveDiverged(BlocksplitError):
     """The inner fixed-point solve did not reach tolerance."""
 
 
+class Diverged(BlocksplitError):
+    """A chain's state became non-finite; names the iteration and the chain."""
+
+    def __init__(self, k: int, chain: int):
+        super().__init__(f"run diverged: chain {chain} has a non-finite state at k={k}")
+        self.k = k
+        self.chain = chain
+
+
 class NotPSD(BlocksplitError):
     """A matrix declared convex/PSD fails the eigenvalue check."""
 

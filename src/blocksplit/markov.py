@@ -4,6 +4,14 @@ Each chain owns two generator streams derived from (master_seed, chain_id):
 stream 0 draws the initial state, stream 1 drives the subset draws, so the
 initial ensemble is independent of every selection and the whole run is
 reproducible bitwise from (config, seed).
+
+Every block of a drawn subset is updated from the same input, so one step
+of the whole ensemble is x+ = where(mask_xi, T1 x, x) over a single
+full-block evaluation T1 x (random sweeping).  ``run`` makes that the only
+operator work per step: the T1 x behind the residual columns at step k is
+the update of step k + 1.  Subset draws are prefetched per chain, DRAW_BLOCK
+steps at a time, as one outcome table; the stepping is serial and vectorized
+across chains, with no worker threads.
 """
 
 from __future__ import annotations
@@ -15,9 +23,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blockspace import chain_rng, sample_subset
-from .errors import DimensionMismatch
-from .splitting import SplittingMap, apply_T, apply_full
+from .blockspace import chain_rng, sample_subsets
+from .errors import DimensionMismatch, Diverged
+from .splitting import SplittingMap, apply_full
+
+# Steps of subset draws prefetched per chain at a time.  Results do not
+# depend on it; it only bounds the outcome table at (DRAW_BLOCK, N).
+DRAW_BLOCK = 256
 
 
 @dataclass
@@ -65,31 +77,20 @@ def init_ensemble(
     return Ensemble(states=states, rngs=rngs, master_seed=master_seed)
 
 
-def sbi_step(ensemble: Ensemble, m: SplittingMap, executor=None, num_chunks: int = 1) -> None:
+def sbi_step(ensemble: Ensemble, m: SplittingMap, outcomes=None, full=None) -> None:
     """Advance every chain by one random blockwise update, in place.
 
-    Chains drawing the same subset are updated as one batched call; each
-    chain's draw comes from its own stream, so the result is independent of
-    the grouping and of how many worker threads process the chunks.
+    Chain c takes the blocks of subset ``outcomes[c]`` from ``full``, the
+    full-block map T1 of the current states, and keeps its other blocks:
+    x+ = where(mask, T1 x, x).  ``run`` passes its prefetched draws and the
+    T1 x its diagnostics already evaluated.  Called bare, each chain draws
+    one outcome from its own stream and T1 is evaluated here.
     """
-    draws = np.fromiter(
-        (sample_subset(m.scheme, rng) for rng in ensemble.rngs),
-        dtype=np.int64,
-        count=ensemble.num_chains,
-    )
-
-    def advance(rows: np.ndarray) -> None:
-        for i in range(m.scheme.num_outcomes):
-            sel = rows[draws[rows] == i]
-            if sel.size == 0:
-                continue
-            ensemble.states[sel] = apply_T(m, i, ensemble.states[sel])
-
-    if executor is None or num_chunks <= 1:
-        advance(np.arange(ensemble.num_chains))
-    else:
-        chunks = np.array_split(np.arange(ensemble.num_chains), num_chunks)
-        list(executor.map(advance, [c for c in chunks if c.size]))
+    if outcomes is None:
+        outcomes = sample_subsets(m.scheme, ensemble.rngs, 1)[0]
+    if full is None:
+        full = apply_full(m, ensemble.states)
+    np.copyto(ensemble.states, full, where=m.outcome_masks[outcomes])
     ensemble.k += 1
 
 
@@ -132,7 +133,6 @@ def run(
     dw_step_every: int = 0,
     target_distance: Callable[[np.ndarray], float] | None = None,
     step_distance: Callable[[np.ndarray, np.ndarray], float] | None = None,
-    threads: int = 1,
 ) -> RunResult:
     """Advance the ensemble K iterations, recording diagnostics each step.
 
@@ -140,22 +140,29 @@ def run(
     ``dw_step_every`` > 0 evaluates ``step_distance`` between consecutive
     clouds on that stride (an exact transport solve, so it costs).
     ``target_distance`` maps a cloud to its distance from the declared
-    target and fills the d_target column.  ``threads`` > 1 splits the
-    ensemble across a thread pool; results are bitwise independent of the
-    thread count because every chain owns its streams.
+    target and fills the d_target column.
+
+    Each step evaluates T1 once: the residual diagnostics of step k compute
+    T1 x, and :func:`sbi_step` reuses it as the update of step k + 1.  The
+    draws come from :func:`sample_subsets` in blocks of DRAW_BLOCK steps,
+    never past K, so every chain's stream ends where K single draws leave
+    it and the result does not depend on the block size.  A non-finite
+    state raises Diverged with k and the first such chain; the
+    floating-point warnings on the way there are silenced, as the error
+    reports them.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
     records: list[DiagnosticRecord] = []
     snapshots: dict[int, np.ndarray] = {}
-    executor = None
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    block = DRAW_BLOCK
 
-        executor = ThreadPoolExecutor(max_workers=threads)
-
-    def record_now(dw: float | None):
-        r = ensemble.states - apply_full(m, ensemble.states)
+    def record_now(dw: float | None) -> np.ndarray:
+        finite = np.isfinite(ensemble.states).all(axis=-1)
+        if not finite.all():
+            raise Diverged(ensemble.k, int(np.argmin(finite)))
+        full = apply_full(m, ensemble.states)
+        r = ensemble.states - full
         records.append(
             DiagnosticRecord(
                 k=ensemble.k,
@@ -168,27 +175,27 @@ def run(
                 ),
             )
         )
+        return full
 
     def want_snapshot(k: int) -> bool:
         if snapshot_every <= 0:
             return k == 0 or k == iterations
         return k == 0 or k == iterations or k % snapshot_every == 0
 
-    try:
-        record_now(None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = record_now(None)
         if want_snapshot(0):
             snapshots[0] = ensemble.states.copy()
         for step in range(iterations):
+            if step % block == 0:
+                draws = sample_subsets(m.scheme, ensemble.rngs, min(block, iterations - step))
             want_dw = dw_step_every > 0 and step_distance is not None and (step + 1) % dw_step_every == 0
             prev = ensemble.states.copy() if want_dw else None
-            sbi_step(ensemble, m, executor=executor, num_chunks=threads)
+            sbi_step(ensemble, m, draws[step % block], full)
             dw = float(step_distance(prev, ensemble.states)) if want_dw else None
-            record_now(dw)
+            full = record_now(dw)
             if want_snapshot(ensemble.k):
                 snapshots[ensemble.k] = ensemble.states.copy()
-    finally:
-        if executor is not None:
-            executor.shutdown()
     return RunResult(records=records, snapshots=snapshots)
 
 

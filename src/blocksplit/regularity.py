@@ -20,8 +20,7 @@ from .splitting import (
     SplittingMap,
     apply_T,
     apply_full,
-    expected_weighted_psi,
-    expected_weighted_sq_distance,
+    expected_weighted_terms,
     transport_discrepancy,
 )
 
@@ -201,8 +200,8 @@ def certify_aafne_in_expectation(
     w = (1.0 - alpha) / alpha
 
     def margin_batch(x, y):
-        lhs = expected_weighted_sq_distance(m, x, y)
-        rhs = (1.0 + violation) * weighted_sq(x - y, p) - w * expected_weighted_psi(m, x, y)
+        lhs, psi = expected_weighted_terms(m, x, y)
+        rhs = (1.0 + violation) * weighted_sq(x - y, p) - w * psi
         return lhs - rhs
 
     margins = np.atleast_1d(margin_batch(xs, ys))
@@ -317,9 +316,8 @@ def verify_expectation_identities(
     def sq(a):
         return np.sum(a * a, axis=-1)
 
-    lhs1 = expected_weighted_sq_distance(m, xs, ys)
+    lhs1, lhs2 = expected_weighted_terms(m, xs, ys)
     rhs1 = sq(T1x - T1y) - sq(xs - ys) + weighted_sq(xs - ys, p)
-    lhs2 = expected_weighted_psi(m, xs, ys)
     rhs2 = sq((xs - T1x) - (ys - T1y))
     dev = float(max(np.max(np.abs(lhs1 - rhs1)), np.max(np.abs(lhs2 - rhs2))))
     worst = int(np.argmax(np.maximum(np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2))))

@@ -109,6 +109,15 @@ class SplittingMap:
         """Per-block selection probabilities, built on first use and kept."""
         return block_probabilities(self.scheme, self.layout)
 
+    @cached_property
+    def outcome_masks(self) -> np.ndarray:
+        """(num_outcomes, dim) booleans: the coordinates outcome i updates."""
+        masks = np.zeros((self.scheme.num_outcomes, self.layout.total_dim), dtype=bool)
+        for mask, plan in zip(masks, self.outcome_plans):
+            for grp in plan:
+                mask[grp.cols] = True
+        return masks
+
 
 def _apply_plan(m: SplittingMap, plan: tuple[UpdateGroup, ...], x: np.ndarray) -> np.ndarray:
     """Update the planned blocks of x, every one from the unmodified x."""
@@ -218,20 +227,26 @@ def expectation_constants(c: RegularityConstants, p: BlockProbabilities) -> Regu
     return RegularityConstants(c.alpha, p.p_max * c.violation)
 
 
+def expected_weighted_terms(m: SplittingMap, x: np.ndarray, y: np.ndarray):
+    """(E ||T_xi x - T_xi y||_p^2, E psi_p(x, y, T_xi x, T_xi y)) in one pass.
+
+    Both are exact finite sums over the scheme, each outcome map evaluated
+    once on x and once on y.
+    """
+    p = m.probabilities
+    sq_total = psi_total = 0.0
+    for i, q in enumerate(m.scheme.probs):
+        Tx, Ty = apply_T(m, i, x), apply_T(m, i, y)
+        sq_total = sq_total + q * weighted_sq(Tx - Ty, p)
+        psi_total = psi_total + q * weighted_transport_discrepancy(x, y, Tx, Ty, p)
+    return sq_total, psi_total
+
+
 def expected_weighted_sq_distance(m: SplittingMap, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """E ||T_xi x - T_xi y||_p^2 as the exact finite sum over the scheme."""
-    p = m.probabilities
-    total = 0.0
-    for i, q in enumerate(m.scheme.probs):
-        total = total + q * weighted_sq(apply_T(m, i, x) - apply_T(m, i, y), p)
-    return total
+    return expected_weighted_terms(m, x, y)[0]
 
 
 def expected_weighted_psi(m: SplittingMap, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """E psi_p(x, y, T_xi x, T_xi y) as the exact finite sum over the scheme."""
-    p = m.probabilities
-    total = 0.0
-    for i, q in enumerate(m.scheme.probs):
-        Tx, Ty = apply_T(m, i, x), apply_T(m, i, y)
-        total = total + q * weighted_transport_discrepancy(x, y, Tx, Ty, p)
-    return total
+    return expected_weighted_terms(m, x, y)[1]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from blocksplit.blockspace import (
     BlockLayout,
@@ -11,6 +11,7 @@ from blocksplit.blockspace import (
     block_probabilities,
     chain_rng,
     sample_subset,
+    sample_subsets,
     weighted_norm,
     weighted_sq,
 )
@@ -143,6 +144,27 @@ def test_sample_subset_distribution():
     draws = np.array([sample_subset(scheme, rng) for _ in range(20000)])
     freqs = np.bincount(draws, minlength=3) / draws.size
     np.testing.assert_allclose(freqs, [0.2, 0.3, 0.5], atol=0.02)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]), min_size=1, max_size=6).filter(any),
+    st.integers(1, 7),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_sample_subsets_matches_repeated_sample_subset(weights, num_chains, steps, seed):
+    # zero weights give empty cumulative steps that searchsorted must skip
+    probs = tuple(w / sum(weights) for w in weights)
+    scheme = BlockSubsetScheme(tuple((j,) for j in range(len(weights))), probs)
+    table_rngs = [chain_rng(seed, c, 1) for c in range(num_chains)]
+    single_rngs = [chain_rng(seed, c, 1) for c in range(num_chains)]
+    table = sample_subsets(scheme, table_rngs, steps)
+    expected = [[sample_subset(scheme, rng) for rng in single_rngs] for _ in range(steps)]
+    assert table.shape == (steps, num_chains)
+    np.testing.assert_array_equal(table, expected)
+    for a, b in zip(table_rngs, single_rngs):
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_chain_rng_streams_are_independent_and_reproducible():

@@ -256,6 +256,25 @@ def test_cli_nonpositive_steps_exit_2(tmp_path, capsys, steps):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_cli_steps_wrong_length_exit_2(tmp_path, capsys):
+    doc = run_config(tmp_path)
+    doc["steps"] = [0.2, 0.2, 0.2]
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config.steps: expected 1 or 2 values, got 3\n"
+
+
+def test_cli_divergent_run_exit_2(tmp_path, capsys):
+    doc = run_config(tmp_path, num_chains=50, iterations=1000, snapshot_every=0, dw_step_every=0)
+    doc["steps"] = [5, 5]
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    out, err = capsys.readouterr()
+    assert "run complete" not in out
+    assert err.startswith("error: run diverged: chain ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -1,10 +1,14 @@
 """Ensemble simulation, diagnostics, and run file formats."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from blocksplit import markov
 from blocksplit.blockspace import BlockSubsetScheme
-from blocksplit.errors import DimensionMismatch
+from blocksplit.errors import DimensionMismatch, Diverged
 from blocksplit.markov import (
     DiagnosticRecord,
     empirical_residual_psi,
@@ -65,19 +69,6 @@ def test_sbi_step_matches_manual_replay():
     assert e.k == 5
 
 
-def test_sbi_step_thread_count_invariance():
-    from concurrent.futures import ThreadPoolExecutor
-
-    m = _map()
-    e1 = init_ensemble(m, uniform_box_sampler([-2, -2], [2, 2]), 20, master_seed=5)
-    e2 = init_ensemble(m, uniform_box_sampler([-2, -2], [2, 2]), 20, master_seed=5)
-    with ThreadPoolExecutor(max_workers=4) as ex:
-        for _ in range(10):
-            sbi_step(e1, m)
-            sbi_step(e2, m, executor=ex, num_chunks=4)
-    np.testing.assert_array_equal(e1.states, e2.states)
-
-
 def test_empirical_residual_psi_hand_value():
     m = _map()
     e = init_ensemble(m, point_sampler(np.array([1.0, 2.0])), 3, master_seed=0)
@@ -116,15 +107,68 @@ def test_run_distance_callbacks():
     assert all(r.d_target is not None for r in result.records)
 
 
-def test_run_threads_match_serial():
-    m = _map()
-    e1 = init_ensemble(m, uniform_box_sampler([-1, -1], [1, 1]), 30, master_seed=3)
-    e2 = init_ensemble(m, uniform_box_sampler([-1, -1], [1, 1]), 30, master_seed=3)
-    r1 = run(e1, m, 15)
-    r2 = run(e2, m, 15, threads=3)
-    np.testing.assert_array_equal(e1.states, e2.states)
-    for a, b in zip(r1.records, r2.records):
-        assert a.mean_residual == b.mean_residual
+SUBSETS = ((0,), (1,), (0, 1))
+run_settings = settings(max_examples=25, deadline=None)
+scheme_weights = st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]), min_size=3, max_size=3).filter(any)
+
+
+def _random_map(weights):
+    scheme = BlockSubsetScheme(SUBSETS, tuple(w / sum(weights) for w in weights))
+    return counterexample2d(0.25).build_map("fb", scheme)
+
+
+def _ensemble(m, num_chains, seed):
+    return init_ensemble(m, uniform_box_sampler([-2, -2], [2, 2]), num_chains, master_seed=seed)
+
+
+def _stream_states(e):
+    return [rng.bit_generator.state for rng in e.rngs]
+
+
+@run_settings
+@given(scheme_weights, st.integers(1, 9), st.integers(0, 12), st.integers(0, 12),
+       st.sampled_from([1, 3, 256]), st.integers(0, 2**32 - 1))
+def test_run_in_two_parts_matches_one_run(weights, num_chains, k1, k2, block, seed):
+    # a prefetch that overshoots its run would move the streams of the next
+    m = _random_map(weights)
+    e, e2 = _ensemble(m, num_chains, seed), _ensemble(m, num_chains, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(markov, "DRAW_BLOCK", block)
+        run(e, m, k1)
+        run(e, m, k2)
+        run(e2, m, k1 + k2)
+    assert e.states.tobytes() == e2.states.tobytes()
+    assert _stream_states(e) == _stream_states(e2)
+    assert e.k == e2.k == k1 + k2
+
+
+@run_settings
+@given(scheme_weights, st.integers(1, 9), st.integers(0, 20), st.integers(0, 2**32 - 1))
+def test_run_invariant_to_draw_block(weights, num_chains, iterations, seed):
+    m = _random_map(weights)
+    runs = []
+    for block in (1, 3, markov.DRAW_BLOCK):
+        e = _ensemble(m, num_chains, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(markov, "DRAW_BLOCK", block)
+            result = run(e, m, iterations)
+        runs.append((e.states.tobytes(), _stream_states(e),
+                     [(r.mean_residual, r.psi_upper) for r in result.records]))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_run_raises_diverged_at_first_nonfinite_state():
+    m = counterexample2d(0.25).build_map("fb", SINGLETONS, [5.0, 5.0])
+    e = init_ensemble(m, uniform_box_sampler([-2, -2], [2, 2]), 50, master_seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error replaces numpy's overflow warnings
+        with pytest.raises(Diverged) as info:
+            run(e, m, 1000)
+    err = info.value
+    assert 0 < err.k == e.k < 1000
+    finite = np.isfinite(e.states).all(axis=-1)
+    assert not finite[err.chain] and finite[: err.chain].all()
+    assert f"k={err.k}" in str(err) and f"chain {err.chain}" in str(err)
 
 
 def test_trajectory_csv_round_trip(tmp_path):
