@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, RateSection, load_config
 from .errors import BlocksplitError, ConfigError, DegenerateSequence
 from .markov import (
     init_ensemble,
@@ -59,6 +59,21 @@ def _out_dir(cfg_dir: str | None, cli_dir: str | None) -> Path:
     return out
 
 
+def _write_report(path: Path, doc: dict) -> None:
+    """Write strict JSON: NaN and infinities become null; finite floats round-trip exactly."""
+    doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, allow_nan=False)
+
+
+def _read_input(reader, path):
+    """Read an input file; malformed content is a usage error naming the file."""
+    try:
+        return reader(path)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
 def _build(cfg: ExperimentConfig):
     problem = cfg.build_problem()
     num_blocks = problem.layout.num_blocks
@@ -72,8 +87,6 @@ def _init_sampler(cfg: ExperimentConfig, problem):
     init = cfg.run.init
     kind = init["kind"]
     if kind == "point":
-        if "x" not in init:
-            raise ConfigError("config.run.init.x: required for point init")
         x = np.asarray(init["x"], dtype=float)
         if x.shape != (problem.layout.total_dim,):
             raise ConfigError(
@@ -81,10 +94,7 @@ def _init_sampler(cfg: ExperimentConfig, problem):
             )
         return point_sampler(x)
     if kind == "uniform_box":
-        for key in ("lo", "hi"):
-            if key not in init:
-                raise ConfigError(f"config.run.init.{key}: required for uniform_box init")
-        return uniform_box_sampler(np.asarray(init["lo"], float), np.asarray(init["hi"], float))
+        return uniform_box_sampler(init["lo"], init["hi"])
     return uniform_box_sampler(problem.region.lo, problem.region.hi)
 
 
@@ -97,7 +107,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
         bounds = gd_step_bound(m.coupling, 0.5)
         if not bounds.admits(m.steps):
             raise ConfigError(
-                f"config.steps: {list(m.steps)} outside the admissible ranges {bounds.per_block} "
+                f"config.steps: {m.steps.tolist()} outside the admissible ranges {bounds.per_block} "
                 "(strict_steps is on)"
             )
     p = m.probabilities
@@ -162,8 +172,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
             "final_measure": "final_measure.csv",
         },
     }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    _write_report(out_dir / "summary.json", summary)
     print(f"run complete: k={result.records[-1].k} chains={cfg.run.num_chains} "
           f"psi_upper={result.records[-1].psi_upper:.6e} out={out_dir}")
     return 0
@@ -184,12 +193,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     if c.property_name == "pointwise_aafne":
         if c.target["kind"] == "subset":
-            idx = int(c.target["index"])
-            if idx >= cfg.scheme.num_outcomes:
-                raise ConfigError(
-                    f"config.certify.target.index: {idx} out of range for "
-                    f"{cfg.scheme.num_outcomes} subsets"
-                )
+            idx = c.target["index"]
             T = lambda x: apply_T(m, idx, x)
         else:
             T = lambda x: apply_full(m, x)
@@ -215,8 +219,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
         report = verify_expectation_identities(m, region, c.num_pairs, cfg.seed, tolerance=1e-9)
 
     doc = {"config": cfg.resolved(), "seed": cfg.seed, "report": report.to_dict()}
-    with open(out_dir / "certify_report.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
+    _write_report(out_dir / "certify_report.json", doc)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} {report.property_name}: margin={report.margin:.6e} "
           f"tol={report.tolerance:.1e} samples={report.num_samples}")
@@ -225,9 +228,9 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     """Check a distance trajectory; exit 1 when a requested check fails."""
-    cols = read_trajectory_csv(args.trajectory)
-    rate_cfg = cfg.rate if cfg is not None and cfg.rate is not None else None
-    column = args.column or (rate_cfg.column if rate_cfg else "d_target")
+    cols = _read_input(read_trajectory_csv, args.trajectory)
+    rate_cfg = (cfg.rate if cfg is not None else None) or RateSection()
+    column = args.column or rate_cfg.column
     if column not in cols:
         raise ConfigError(f"rate.column: trajectory has no column {column!r}; "
                           f"available: {sorted(cols)}")
@@ -238,8 +241,7 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
 
     report = RateReport(details={"column": column, "trajectory": str(args.trajectory),
                                  "num_entries": int(d.shape[0])})
-    fejer_tol = rate_cfg.fejer_tol_rel if rate_cfg else 1e-3
-    report.fejer = check_fejer(d, tol_rel=fejer_tol)
+    report.fejer = check_fejer(d, tol_rel=rate_cfg.fejer_tol_rel)
     try:
         report.fit = fit_linear_rate(d)
     except DegenerateSequence:
@@ -249,13 +251,12 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     if dw is not None:
         dw = dw[~np.isnan(dw)]
         if dw.shape[0] >= 4:
-            tail_tol = rate_cfg.tail_tol if rate_cfg else 1e-3
-            report.asymptotic = check_asymptotic_regularity(dw, tail_tol=tail_tol)
+            report.asymptotic = check_asymptotic_regularity(dw, tail_tol=rate_cfg.tail_tol)
 
     gauge_params = None
     if args.kappa is not None:
         gauge_params = {"kappa": args.kappa, "tau": args.tau, "epsilon": args.epsilon}
-    elif rate_cfg is not None and rate_cfg.gauge is not None:
+    elif rate_cfg.gauge is not None:
         gauge_params = rate_cfg.gauge
     if gauge_params is not None:
         if gauge_params.get("tau") is None:
@@ -266,8 +267,7 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
         report.details["gauge_factor"] = gauge.factor
 
     doc = {"config": None if cfg is None else cfg.resolved(), "report": report.to_dict()}
-    with open(out_dir / "rate_report.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
+    _write_report(out_dir / "rate_report.json", doc)
 
     checks = {"fejer": report.fejer.passed}
     if report.gauge is not None:
@@ -283,15 +283,16 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
 
 def cmd_transport(args, out_dir: Path) -> int:
     """Exact weighted W2 distance between two measure files."""
-    mu = read_measure(args.measures[0])
-    nu = read_measure(args.measures[1])
-    if args.probs is not None:
-        probs = np.array([float(v) for v in args.probs.split(",")])
-    else:
-        probs = np.ones(mu.layout.num_blocks)
+    mu = _read_input(read_measure, args.measures[0])
+    nu = _read_input(read_measure, args.measures[1])
     from .blockspace import BlockProbabilities
 
-    p = BlockProbabilities(probs, mu.layout)
+    try:
+        probs = (np.ones(mu.layout.num_blocks) if args.probs is None
+                 else np.array([float(v) for v in args.probs.split(",")]))
+        p = BlockProbabilities(probs, mu.layout)
+    except ValueError as e:
+        raise ConfigError(f"--probs: {e}") from e
     d, plan = wasserstein2_weighted(mu, nu, p)
     print(format(d, ".17g"))
     if args.plan is not None:
@@ -351,12 +352,8 @@ def main(argv=None) -> int:
                 cfg.threads = args.threads
         out_dir = _out_dir(cfg.output_dir if cfg is not None else None, getattr(args, "out", None))
         if args.command == "run":
-            if cfg is None:
-                raise ConfigError("--config: required")
             return cmd_run(cfg, out_dir)
         if args.command == "certify":
-            if cfg is None:
-                raise ConfigError("--config: required")
             return cmd_certify(cfg, out_dir)
         if args.command == "rate":
             return cmd_rate(args, cfg, out_dir)

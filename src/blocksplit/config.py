@@ -8,7 +8,7 @@ Block indices in subsets are 0-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -53,6 +53,12 @@ def _as_float(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {v!r}")
     return float(v)
+
+
+def _as_bool(v, where: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{where}: expected true or false, got {v!r}")
+    return v
 
 
 def _as_vector(v, where: str) -> np.ndarray:
@@ -127,14 +133,7 @@ class ExperimentConfig:
             "output_dir": self.output_dir,
         }
         if self.run is not None:
-            out["run"] = {
-                "num_chains": self.run.num_chains,
-                "iterations": self.run.iterations,
-                "snapshot_every": self.run.snapshot_every,
-                "dw_step_every": self.run.dw_step_every,
-                "init": self.run.init,
-                "strict_steps": self.run.strict_steps,
-            }
+            out["run"] = asdict(self.run)
         if self.certify is not None:
             c = self.certify
             out["certify"] = {
@@ -149,19 +148,17 @@ class ExperimentConfig:
                 "residual_threshold": c.residual_threshold,
             }
         if self.rate is not None:
-            out["rate"] = {
-                "column": self.rate.column,
-                "gauge": self.rate.gauge,
-                "fejer_tol_rel": self.rate.fejer_tol_rel,
-                "tail_tol": self.rate.tail_tol,
-            }
+            out["rate"] = asdict(self.rate)
         return out
 
 
 def build_problem(problem_id: str, params: dict) -> ProblemSpec:
     if problem_id == "counterexample2d":
         t = _as_float(params.get("t", 0.25), "problem.params.t")
-        return counterexample2d(t)
+        try:
+            return counterexample2d(t)
+        except ValueError as e:
+            raise ConfigError(f"problem.params.t: {e}") from e
     if problem_id == "feasibility":
         raw_sets = _require(params, "sets", "problem.params")
         if not isinstance(raw_sets, list) or len(raw_sets) < 2:
@@ -183,12 +180,17 @@ def build_problem(problem_id: str, params: dict) -> ProblemSpec:
             )
         return feasibility(sets, coupling)
     if problem_id == "quadratic_l1":
-        Q = _require(params, "Q", "problem.params")
+        try:
+            Q = np.asarray(_require(params, "Q", "problem.params"), dtype=float)
+        except ValueError as e:
+            raise ConfigError(f"problem.params.Q: {e}") from e
         b = _as_vector(_require(params, "b", "problem.params"), "problem.params.b")
         w = _as_vector(_require(params, "l1_weights", "problem.params"), "problem.params.l1_weights")
         bd = params.get("block_dims")
-        return quadratic_l1(np.asarray(Q, dtype=float), b, w,
-                            None if bd is None else tuple(int(x) for x in bd))
+        try:
+            return quadratic_l1(Q, b, w, None if bd is None else tuple(int(x) for x in bd))
+        except ValueError as e:
+            raise ConfigError(f"problem.params: {e}") from e
     raise ConfigError(f"problem.id: unknown problem {problem_id!r}")
 
 
@@ -263,13 +265,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"config.run.init.kind: expected region, point, or uniform_box, got {init['kind']!r}"
             )
+        if init["kind"] == "point":
+            _as_vector(_require(init, "x", "config.run.init"), "config.run.init.x")
+        elif init["kind"] == "uniform_box":
+            _parse_region(init, "config.run.init")
         run_sec = RunSection(
             num_chains=_as_int(_require(r, "num_chains", "config.run"), "config.run.num_chains", 1),
             iterations=_as_int(_require(r, "iterations", "config.run"), "config.run.iterations", 0),
             snapshot_every=_as_int(r.get("snapshot_every", 0), "config.run.snapshot_every", 0),
             dw_step_every=_as_int(r.get("dw_step_every", 0), "config.run.dw_step_every", 0),
             init=init,
-            strict_steps=bool(r.get("strict_steps", False)),
+            strict_steps=_as_bool(r.get("strict_steps", False), "config.run.strict_steps"),
         )
 
     certify_sec = None
@@ -286,16 +292,22 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not isinstance(target, dict) or target.get("kind") not in ("full", "subset"):
             raise ConfigError("config.certify.target: expected kind 'full' or 'subset'")
         if target["kind"] == "subset":
-            _as_int(_require(target, "index", "config.certify.target"), "config.certify.target.index", 0)
+            idx = _as_int(_require(target, "index", "config.certify.target"), "config.certify.target.index", 0)
+            if idx >= scheme.num_outcomes:
+                raise ConfigError(f"config.certify.target.index: {idx} out of range for "
+                                  f"{scheme.num_outcomes} subsets")
+        alpha = _as_float(c.get("alpha", 0.5), "config.certify.alpha")
+        if not 0 < alpha < 1:
+            raise ConfigError(f"config.certify.alpha: must lie in (0, 1), got {alpha}")
         certify_sec = CertifySection(
             property_name=prop,
             target=target,
-            alpha=_as_float(c.get("alpha", 0.5), "config.certify.alpha"),
+            alpha=alpha,
             violation=_as_float(c.get("violation", 0.0), "config.certify.violation"),
             num_pairs=_as_int(c.get("num_pairs", 10_000), "config.certify.num_pairs", 1),
             region=None if "region" not in c else _parse_region(c["region"], "config.certify.region"),
             tolerance=_as_float(c.get("tolerance", 1e-10), "config.certify.tolerance"),
-            adversarial=bool(c.get("adversarial", True)),
+            adversarial=_as_bool(c.get("adversarial", True), "config.certify.adversarial"),
             residual_threshold=_as_float(c.get("residual_threshold", 1e-8), "config.certify.residual_threshold"),
         )
 

@@ -61,7 +61,10 @@ def init_ensemble(
     """Draw N i.i.d. initial states, one init stream per chain.
 
     Chain i's initial draw uses stream (master_seed, i, 0) and its subset
-    draws use (master_seed, i, 1); adding chains never perturbs existing ones.
+    draws use (master_seed, i, 1), so adding chains leaves the existing
+    chains' initial states and draw streams unchanged.  Their trajectories
+    can still move in the last bits: a quadratic coupling's BLAS gradient
+    rounds a row differently in a batch with another row count.
     """
     if num_chains <= 0:
         raise ValueError(f"need at least one chain, got {num_chains}")

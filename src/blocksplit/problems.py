@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockspace import BlockLayout, BlockSubsetScheme
-from .errors import DimensionMismatch, NotPSD, UnsupportedSet
+from .errors import DimensionMismatch, UnsupportedSet
 from .operators import (
     BlockFunction,
     SeparableTerm,
@@ -28,7 +28,7 @@ from .operators import (
     h_zero,
 )
 from .regularity import Region
-from .splitting import SplittingMap, apply_T, apply_full
+from .splitting import SplittingMap, apply_full
 
 
 @dataclass
@@ -304,13 +304,12 @@ def quadratic_l1(
     """
     Q = np.asarray(Q, dtype=float)
     b = np.asarray(b, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError(f"Q must be a square matrix, got shape {Q.shape}")
     d = Q.shape[0]
     layout = BlockLayout(block_dims if block_dims is not None else (1,) * d)
     if layout.total_dim != d:
         raise DimensionMismatch(f"block dims {layout.block_dims} do not sum to {d}")
-    eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    if eigs[0] < -1e-12:
-        raise NotPSD(f"Q has eigenvalue {eigs[0]:.3e} < 0")
     coupling = coupling_quadratic(layout, Q, b, convex=True)
     l1_weights = np.broadcast_to(np.asarray(l1_weights, dtype=float), (layout.num_blocks,))
     # one oracle per distinct weight, so equal-weight blocks share a batched prox
@@ -360,7 +359,8 @@ def recurrent_reference(
     """Enumerate the reachable dynamics from an anchor and weight its states.
 
     Breadth-first closure of {T_i} starting at ``anchor``, deduplicating
-    states within ``match_tol``.  The closure must be finite (up to the
+    states within ``match_tol``; a state's images are masks over one T1 of
+    the state.  The closure must be finite (up to the
     tolerance); exceeding ``max_states`` raises.  The exact transition
     chain on the enumerated states is then solved for its stationary
     distribution, restricted to the recurrent support.  Returns
@@ -380,8 +380,10 @@ def recurrent_reference(
         nxt = []
         for idx in frontier:
             outs = []
-            for i, q in enumerate(m.scheme.probs):
-                img = apply_T(m, i, states[idx])
+            x = states[idx]
+            full = apply_full(m, x)
+            for mask, q in zip(m.outcome_masks, m.scheme.probs):
+                img = np.where(mask, full, x)
                 j = find(img)
                 if j is None:
                     if len(states) >= max_states:

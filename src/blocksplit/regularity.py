@@ -4,7 +4,9 @@ Each certifier samples pairs from a box region, evaluates the defining
 inequality of the property, and reports the worst signed margin together
 with the pair achieving it.  Positive margin above tolerance means the
 property fails and the witness replays the violation.  Expectations over
-the subset scheme are exact finite sums, never Monte Carlo.
+the subset scheme are exact finite sums, never Monte Carlo, over the
+masked route where(mask_i, T1 x, x); only ``verify_expectation_identities``
+sums over the reference route ``apply_T``, so its sides never share a T1.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .splitting import (
     apply_full,
     expected_weighted_terms,
     transport_discrepancy,
+    weighted_transport_discrepancy,
 )
 
 
@@ -118,6 +121,44 @@ def _coordinate_refine(
     return x, y, best
 
 
+def _sq(a):
+    return np.sum(a * a, axis=-1)
+
+
+def _certify_pairs(name, margin_batch, spawn_key, region, alpha, violation, num_pairs, seed,
+                   tolerance, adversarial, refine_steps, **details) -> CertificationReport:
+    """Worst margin over sampled pairs, sharpened by coordinate search on request.
+
+    ``margin_batch`` maps (n, dim) batches of x and y to n margins; the
+    search evaluates it on one-pair batches.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(spawn_key,)))
+    xs = region.sample(rng, num_pairs)
+    ys = region.sample(rng, num_pairs)
+    margins = margin_batch(xs, ys)
+    worst = int(np.argmax(margins))
+    wx, wy, wm = xs[worst], ys[worst], float(margins[worst])
+
+    if adversarial:
+        def margin_one(x, y):
+            return float(margin_batch(x[None, :], y[None, :])[0])
+
+        wx, wy, wm = _coordinate_refine(margin_one, wx, wy, region, steps=refine_steps)
+
+    return CertificationReport(
+        property_name=name,
+        alpha=alpha,
+        violation=violation,
+        num_samples=num_pairs,
+        margin=wm,
+        tolerance=tolerance,
+        passed=bool(wm <= tolerance),
+        witness_x=wx,
+        witness_y=wy,
+        details={"adversarial": adversarial, "seed": int(seed), **details},
+    )
+
+
 def certify_pointwise_aafne(
     T: Callable[[np.ndarray], np.ndarray],
     region: Region,
@@ -138,41 +179,14 @@ def certify_pointwise_aafne(
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(0,)))
-    xs = region.sample(rng, num_pairs)
-    ys = region.sample(rng, num_pairs)
-    Tx, Ty = T(xs), T(ys)
     w = (1.0 - alpha) / alpha
 
-    def sq(a):
-        return np.sum(a * a, axis=-1)
+    def margin_batch(x, y):
+        Tx, Ty = T(x), T(y)
+        return _sq(Tx - Ty) - (1.0 + violation) * _sq(x - y) + w * transport_discrepancy(x, y, Tx, Ty)
 
-    margins = sq(Tx - Ty) - (1.0 + violation) * sq(xs - ys) + w * transport_discrepancy(xs, ys, Tx, Ty)
-    worst = int(np.argmax(margins))
-    wx, wy, wm = xs[worst], ys[worst], float(margins[worst])
-
-    if adversarial:
-        def margin_one(x, y):
-            Tx1, Ty1 = T(x), T(y)
-            return float(
-                sq(Tx1 - Ty1) - (1.0 + violation) * sq(x - y)
-                + w * transport_discrepancy(x, y, Tx1, Ty1)
-            )
-
-        wx, wy, wm = _coordinate_refine(margin_one, wx, wy, region, steps=refine_steps)
-
-    return CertificationReport(
-        property_name="pointwise_aafne",
-        alpha=alpha,
-        violation=violation,
-        num_samples=num_pairs,
-        margin=wm,
-        tolerance=tolerance,
-        passed=bool(wm <= tolerance),
-        witness_x=wx,
-        witness_y=wy,
-        details={"adversarial": adversarial, "seed": int(seed)},
-    )
+    return _certify_pairs("pointwise_aafne", margin_batch, 0, region, alpha, violation, num_pairs,
+                          seed, tolerance, adversarial, refine_steps)
 
 
 def certify_aafne_in_expectation(
@@ -194,38 +208,14 @@ def certify_aafne_in_expectation(
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     p = m.probabilities
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(1,)))
-    xs = region.sample(rng, num_pairs)
-    ys = region.sample(rng, num_pairs)
     w = (1.0 - alpha) / alpha
 
     def margin_batch(x, y):
         lhs, psi = expected_weighted_terms(m, x, y)
-        rhs = (1.0 + violation) * weighted_sq(x - y, p) - w * psi
-        return lhs - rhs
+        return lhs - ((1.0 + violation) * weighted_sq(x - y, p) - w * psi)
 
-    margins = np.atleast_1d(margin_batch(xs, ys))
-    worst = int(np.argmax(margins))
-    wx, wy, wm = xs[worst], ys[worst], float(margins[worst])
-
-    if adversarial:
-        def margin_one(x, y):
-            return float(margin_batch(x[None, :], y[None, :])[0])
-
-        wx, wy, wm = _coordinate_refine(margin_one, wx, wy, region, steps=refine_steps)
-
-    return CertificationReport(
-        property_name="aafne_in_expectation",
-        alpha=alpha,
-        violation=violation,
-        num_samples=num_pairs,
-        margin=wm,
-        tolerance=tolerance,
-        passed=bool(wm <= tolerance),
-        witness_x=wx,
-        witness_y=wy,
-        details={"adversarial": adversarial, "seed": int(seed), "p_max": p.p_max},
-    )
+    return _certify_pairs("aafne_in_expectation", margin_batch, 1, region, alpha, violation,
+                          num_pairs, seed, tolerance, adversarial, refine_steps, p_max=p.p_max)
 
 
 def certify_paracontraction_in_expectation(
@@ -246,9 +236,10 @@ def certify_paracontraction_in_expectation(
     degenerates to equality.
     """
     c_points = np.atleast_2d(np.asarray(c_points, dtype=float))
-    for z in c_points:
-        for i in range(m.scheme.num_outcomes):
-            r = float(np.linalg.norm(z - apply_T(m, i, z)))
+    masks = m.outcome_masks
+    for z, T1z in zip(c_points, apply_full(m, c_points)):
+        for i, mask in enumerate(masks):
+            r = float(np.linalg.norm(z - np.where(mask, T1z, z)))
             if r > fixed_point_tolerance:
                 raise InvalidFixedPoints(
                     f"declared point {z} moves by {r:.3e} under outcome {i}"
@@ -264,11 +255,13 @@ def certify_paracontraction_in_expectation(
     worst_margin = -np.inf
     wx = wz = None
     if num_eligible:
-        Ti_x = [apply_T(m, i, xs_el) for i in range(m.scheme.num_outcomes)]
+        # T1 of the eligible batch itself: the coupling gradient's BLAS
+        # product rounds a row differently in a batch of another size
+        T1x = apply_full(m, xs_el)
         for z in c_points:
             expected = 0.0
-            for q, Tx in zip(m.scheme.probs, Ti_x):
-                expected = expected + q * weighted_norm(Tx - z, p)
+            for q, mask in zip(m.scheme.probs, masks):
+                expected = expected + q * weighted_norm(np.where(mask, T1x, xs_el) - z, p)
             margins = expected - weighted_norm(xs_el - z, p)
             idx = int(np.argmax(margins))
             if margins[idx] > worst_margin:
@@ -305,20 +298,22 @@ def verify_expectation_identities(
 
     E||T_xi x - T_xi y||_p^2 = ||T1 x - T1 y||^2 - ||x-y||^2 + ||x-y||_p^2
     and E psi_p = ||(x - T1 x) - (y - T1 y)||^2, evaluated exactly; reports
-    the largest absolute deviation across both.
+    the largest absolute deviation across both.  The left-hand sides sum
+    over the reference route ``apply_T``, the right-hand sides read T1, so
+    the two sides never share an evaluation.
     """
     p = m.probabilities
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(3,)))
     xs = region.sample(rng, num_pairs)
     ys = region.sample(rng, num_pairs)
     T1x, T1y = apply_full(m, xs), apply_full(m, ys)
-
-    def sq(a):
-        return np.sum(a * a, axis=-1)
-
-    lhs1, lhs2 = expected_weighted_terms(m, xs, ys)
-    rhs1 = sq(T1x - T1y) - sq(xs - ys) + weighted_sq(xs - ys, p)
-    rhs2 = sq((xs - T1x) - (ys - T1y))
+    lhs1 = lhs2 = 0.0
+    for i, q in enumerate(m.scheme.probs):
+        Tx, Ty = apply_T(m, i, xs), apply_T(m, i, ys)
+        lhs1 = lhs1 + q * weighted_sq(Tx - Ty, p)
+        lhs2 = lhs2 + q * weighted_transport_discrepancy(xs, ys, Tx, Ty, p)
+    rhs1 = _sq(T1x - T1y) - _sq(xs - ys) + weighted_sq(xs - ys, p)
+    rhs2 = _sq((xs - T1x) - (ys - T1y))
     dev = float(max(np.max(np.abs(lhs1 - rhs1)), np.max(np.abs(lhs2 - rhs2))))
     worst = int(np.argmax(np.maximum(np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2))))
     return CertificationReport(

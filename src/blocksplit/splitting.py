@@ -8,8 +8,12 @@ the reference operator for residuals and certification regardless of
 whether the scheme contains the full subset.
 
 So each T_i is a block mask over T1, T_i x = where(mask_i, T1 x, x) bit for
-bit, and one routine serves T1 and every T_i.  Each map plans, once, the
-blocks that T1 and each outcome update, grouped by (prox oracle, step,
+bit.  The package evaluates outcome maps by that masked route: one
+``apply_full`` per input, masked by ``outcome_masks``.  ``apply_T`` runs
+outcome i's own update plan; it is the reference route, for checks that
+must not read T1 and for certifying one outcome map alone.
+
+A plan lists the blocks a map updates, grouped by (prox oracle, step,
 block dim) with the group's coordinate columns.  Forward-backward takes
 one coupling gradient per call and one prox call per group on (x - t g)
 reshaped to (..., k, d).  Douglas-Rachford batches its reflection through
@@ -81,8 +85,6 @@ class SplittingMap:
     scheme: BlockSubsetScheme
     layout: BlockLayout
     full_plan: tuple[UpdateGroup, ...] = field(init=False, repr=False, compare=False)
-    outcome_plans: tuple[tuple[UpdateGroup, ...], ...] = field(init=False, repr=False,
-                                                                compare=False)
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -100,9 +102,6 @@ class SplittingMap:
         if self.flavor == "fb" and self.coupling.gradient is None:
             raise EmptyResolvent("forward-backward needs a coupling gradient oracle")
         self.full_plan = _update_plan(self.layout, self.term, self.steps, range(m))
-        self.outcome_plans = tuple(
-            _update_plan(self.layout, self.term, self.steps, s) for s in self.scheme.subsets
-        )
 
     @cached_property
     def probabilities(self) -> BlockProbabilities:
@@ -113,10 +112,16 @@ class SplittingMap:
     def outcome_masks(self) -> np.ndarray:
         """(num_outcomes, dim) booleans: the coordinates outcome i updates."""
         masks = np.zeros((self.scheme.num_outcomes, self.layout.total_dim), dtype=bool)
-        for mask, plan in zip(masks, self.outcome_plans):
-            for grp in plan:
-                mask[grp.cols] = True
+        for mask, subset in zip(masks, self.scheme.subsets):
+            for j in subset:
+                mask[self.layout.slice_of(j)] = True
         return masks
+
+    @cached_property
+    def outcome_plans(self) -> tuple[tuple[UpdateGroup, ...], ...]:
+        """One update plan per outcome, for the reference route ``apply_T`` only."""
+        return tuple(_update_plan(self.layout, self.term, self.steps, s)
+                     for s in self.scheme.subsets)
 
 
 def _apply_plan(m: SplittingMap, plan: tuple[UpdateGroup, ...], x: np.ndarray) -> np.ndarray:
@@ -141,7 +146,10 @@ def _apply_plan(m: SplittingMap, plan: tuple[UpdateGroup, ...], x: np.ndarray) -
 
 
 def apply_T(m: SplittingMap, i: int, x: np.ndarray) -> np.ndarray:
-    """Apply outcome i: update the blocks of subset i, keep the rest."""
+    """Apply outcome i by its own plan: update subset i's blocks, keep the rest.
+
+    The reference route; elsewhere outcome i is where(outcome_masks[i], T1 x, x).
+    """
     if not 0 <= i < m.scheme.num_outcomes:
         raise DimensionMismatch(f"outcome {i} out of range for {m.scheme.num_outcomes} subsets")
     return _apply_plan(m, m.outcome_plans[i], x)
@@ -230,23 +238,15 @@ def expectation_constants(c: RegularityConstants, p: BlockProbabilities) -> Regu
 def expected_weighted_terms(m: SplittingMap, x: np.ndarray, y: np.ndarray):
     """(E ||T_xi x - T_xi y||_p^2, E psi_p(x, y, T_xi x, T_xi y)) in one pass.
 
-    Both are exact finite sums over the scheme, each outcome map evaluated
-    once on x and once on y.
+    Both are exact finite sums over the scheme, masked over one T1 x and one
+    T1 y: each outcome's images are formed one outcome at a time, never as a
+    table over all outcomes.
     """
     p = m.probabilities
+    T1x, T1y = apply_full(m, x), apply_full(m, y)
     sq_total = psi_total = 0.0
-    for i, q in enumerate(m.scheme.probs):
-        Tx, Ty = apply_T(m, i, x), apply_T(m, i, y)
+    for mask, q in zip(m.outcome_masks, m.scheme.probs):
+        Tx, Ty = np.where(mask, T1x, x), np.where(mask, T1y, y)
         sq_total = sq_total + q * weighted_sq(Tx - Ty, p)
         psi_total = psi_total + q * weighted_transport_discrepancy(x, y, Tx, Ty, p)
     return sq_total, psi_total
-
-
-def expected_weighted_sq_distance(m: SplittingMap, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-    """E ||T_xi x - T_xi y||_p^2 as the exact finite sum over the scheme."""
-    return expected_weighted_terms(m, x, y)[0]
-
-
-def expected_weighted_psi(m: SplittingMap, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-    """E psi_p(x, y, T_xi x, T_xi y) as the exact finite sum over the scheme."""
-    return expected_weighted_terms(m, x, y)[1]

@@ -121,21 +121,14 @@ def wasserstein2_weighted(
 
     n, mth = mu.num_points, nu.num_points
     # marginal constraints as a sparse equality system; drop the final
-    # (redundant) row for numerical hygiene
-    rows_idx, cols_idx, data = [], [], []
-    for a in range(n):
-        for bidx in range(mth):
-            var = a * mth + bidx
-            rows_idx.append(a)
-            cols_idx.append(var)
-            data.append(1.0)
-    for bidx in range(mth):
-        for a in range(n):
-            var = a * mth + bidx
-            rows_idx.append(n + bidx)
-            cols_idx.append(var)
-            data.append(1.0)
-    A_eq = coo_matrix((data, (rows_idx, cols_idx)), shape=(n + mth, n * mth)).tocsr()[:-1]
+    # (redundant) row for numerical hygiene.  Variable a * mth + b ships
+    # from source a to target b; source rows list it by a, target rows by b.
+    var = np.arange(n * mth)
+    by_target = var.reshape(n, mth).T.ravel()
+    rows_idx = np.concatenate([var // mth, n + by_target % mth])
+    cols_idx = np.concatenate([var, by_target])
+    A_eq = coo_matrix((np.ones(2 * n * mth), (rows_idx, cols_idx)),
+                      shape=(n + mth, n * mth)).tocsr()[:-1]
     rhs = np.concatenate([mu.weights, nu.weights])[:-1]
     res = linprog(C.reshape(-1), A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs")
     if res.status != 0:

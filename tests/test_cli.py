@@ -58,6 +58,10 @@ def test_parse_config_happy_path():
         {"certify": {"property": "pointwise_aafne", "target": {"kind": "sideways"}}},
         {"rate": {"gauge": {"kind": "tabulated"}}},
         {"problem": {"id": "unknown_problem"}},
+        {"run": {"num_chains": 5, "iterations": 5, "strict_steps": "no"}},
+        {"run": {"num_chains": 5, "iterations": 5, "strict_steps": 1}},
+        {"certify": {"property": "aafne_in_expectation", "adversarial": "false"}},
+        {"certify": {"property": "pointwise_aafne", "target": {"kind": "subset", "index": 2}}},
     ],
 )
 def test_parse_config_rejects(mutation):
@@ -159,7 +163,7 @@ def test_cli_run_strict_steps_gate(tmp_path, capsys):
     doc = run_config(tmp_path, strict_steps=True)
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", path]) == 2
-    assert "config.steps" in capsys.readouterr().err
+    assert "config error: config.steps: [0.25, 0.25] outside" in capsys.readouterr().err
     doc["steps"] = [0.1, 0.1]
     path = write_config(tmp_path, doc, "ok.json")
     assert main(["run", "--config", path]) == 0
@@ -281,3 +285,87 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     doc = base_config()  # no run section
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
     assert "config.run" in capsys.readouterr().err
+
+
+MEASURE_HEADER = '{"block_dims": [1, 1], "dim": 2, "n": 2, "version": 1}\n'
+GOOD_MEASURE = MEASURE_HEADER + "0.5,0,0\n0.5,1,1\n"
+
+
+def _config_case(command, **overrides):
+    def build(tmp_path):
+        doc = base_config(output_dir=str(tmp_path / "o"), **overrides)
+        return [command, "--config", write_config(tmp_path, doc)]
+    return build
+
+
+def _file_case(name, body, argv):
+    """``argv(bad, good)`` is the command line around the malformed file."""
+    def build(tmp_path):
+        bad, good = tmp_path / name, tmp_path / "good.csv"
+        bad.write_text(body)
+        good.write_text(GOOD_MEASURE)
+        return argv(str(bad), str(good))
+    return build
+
+
+def _quadratic(Q):
+    return {"id": "quadratic_l1", "params": {"Q": Q, "b": [0.0, 0.0], "l1_weights": [0.1, 0.1]}}
+
+
+SMALL_RUN = {"num_chains": 4, "iterations": 3}
+BAD_INPUTS = [
+    ("t_negative", "problem.params.t",
+     _config_case("run", problem={"id": "counterexample2d", "params": {"t": -1}}, run=SMALL_RUN)),
+    ("alpha_above_one", "config.certify.alpha",
+     _config_case("certify", certify={"property": "aafne_in_expectation", "alpha": 1.5})),
+    ("Q_not_symmetric", "problem.params: Q must be symmetric",
+     _config_case("run", problem=_quadratic([[1.0, 2.0], [0.0, 1.0]]), run=SMALL_RUN)),
+    ("Q_3x2", "problem.params: Q must be a square matrix",
+     _config_case("run", problem=_quadratic([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), run=SMALL_RUN)),
+    ("Q_text", "problem.params.Q",
+     _config_case("run", problem=_quadratic("abc"), run=SMALL_RUN)),
+    ("box_lo_above_hi", "config.run.init",
+     _config_case("run", run=dict(SMALL_RUN, init={"kind": "uniform_box", "lo": [1.0, 1.0],
+                                                   "hi": [0.0, 0.0]}))),
+    ("probs_text", "--probs",
+     _file_case("m.csv", GOOD_MEASURE,
+                lambda bad, good: ["transport", bad, good, "--probs", "0.5,abc"])),
+    ("weights_sum_125", "w125.csv",
+     _file_case("w125.csv", MEASURE_HEADER + "62.5,0,0\n62.5,1,1\n",
+                lambda bad, good: ["transport", bad, good])),
+    ("measure_text_row", "text.csv",
+     _file_case("text.csv", MEASURE_HEADER + "0.5,0,0\n0.5,x,1\n",
+                lambda bad, good: ["transport", good, bad])),
+    ("trajectory_text_cell", "traj.csv",
+     _file_case("traj.csv", "k,mean_residual,psi_upper,dw_step,d_target\n0,1,1,,1\n1,0.5,abc,,0.5\n",
+                lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+]
+
+
+@pytest.mark.parametrize("needle, build", [c[1:] for c in BAD_INPUTS],
+                         ids=[c[0] for c in BAD_INPUTS])
+def test_cli_bad_input_exit_2_one_line(tmp_path, capsys, needle, build):
+    assert main(build(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert needle in err
+
+
+def test_cli_certify_report_is_strict_json(tmp_path, capsys):
+    # no sample clears the threshold, so the margin is undefined (NaN)
+    doc = base_config(
+        certify={"property": "paracontraction_in_expectation", "num_pairs": 50,
+                 "residual_threshold": 1e9},
+        output_dir=str(tmp_path / "o"),
+    )
+    assert main(["certify", "--config", write_config(tmp_path, doc)]) == 1
+    assert "margin=nan" in capsys.readouterr().out
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (tmp_path / "o" / "certify_report.json").read_text()
+    report = json.loads(text, parse_constant=refuse)["report"]
+    assert report["margin"] is None
+    assert report["details"]["num_eligible"] == 0

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from blocksplit.blockspace import BlockSubsetScheme
+from blocksplit.blockspace import BlockSubsetScheme, weighted_norm, weighted_sq
 from blocksplit.errors import InvalidFixedPoints
-from blocksplit.problems import counterexample2d
+from blocksplit.problems import counterexample2d, feasibility, make_set, quadratic_l1
 from blocksplit.regularity import (
     Region,
     certify_aafne_in_expectation,
@@ -13,7 +13,13 @@ from blocksplit.regularity import (
     certify_pointwise_aafne,
     verify_expectation_identities,
 )
-from blocksplit.splitting import apply_T, transport_discrepancy
+from blocksplit.splitting import (
+    apply_T,
+    apply_full,
+    expected_weighted_terms,
+    transport_discrepancy,
+    weighted_transport_discrepancy,
+)
 
 SINGLETONS = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
 
@@ -149,3 +155,58 @@ def test_report_to_dict_is_json_ready():
     region = Region(np.array([-1.0]), np.array([1.0]))
     report = certify_pointwise_aafne(lambda x: 0.5 * x, region, 0.5, 0.0, 50, seed=10)
     json.dumps(report.to_dict())
+
+
+OVERLAP2 = BlockSubsetScheme(((0,), (1,), (0, 1)), (0.3, 0.3, 0.4))
+
+
+def _lasso():
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(6, 4))
+    return quadratic_l1(A.T @ A / 6, -A.T @ rng.normal(size=6), np.full(4, 0.1))
+
+
+@pytest.mark.parametrize(
+    "problem, flavor, scheme",
+    [
+        (counterexample2d(0.25), "fb", OVERLAP2),
+        (counterexample2d(0.25), "dr", OVERLAP2),
+        (feasibility([make_set("ball", center=[0.0, 0.0], radius=1.0),
+                      make_set("box", lo=[0.5, -3.0], hi=[3.0, 3.0])]), "dr", OVERLAP2),
+        (feasibility([make_set("ball", center=[0.0, 0.0], radius=1.0),
+                      make_set("box", lo=[0.5, -3.0], hi=[3.0, 3.0])]), "fb", SINGLETONS),
+        (_lasso(), "fb", BlockSubsetScheme(((0, 1), (1, 2, 3), (3,), (0, 1, 2, 3)),
+                                           (0.25, 0.25, 0.2, 0.3))),
+    ],
+)
+def test_masked_route_matches_per_outcome_sums_bitwise(problem, flavor, scheme):
+    # the certifiers mask one T1 per batch; summing each outcome's own
+    # apply_T must give the same bits
+    m = problem.build_map(flavor, scheme)
+    p = m.probabilities
+    region = problem.region
+    rng = np.random.default_rng(12)
+    x, y = region.sample(rng, 40), region.sample(rng, 40)
+    sq = psi = 0.0
+    for i, q in enumerate(m.scheme.probs):
+        Tx, Ty = apply_T(m, i, x), apply_T(m, i, y)
+        sq = sq + q * weighted_sq(Tx - Ty, p)
+        psi = psi + q * weighted_transport_discrepancy(x, y, Tx, Ty, p)
+    masked_sq, masked_psi = expected_weighted_terms(m, x, y)
+    assert masked_sq.tobytes() == sq.tobytes()
+    assert masked_psi.tobytes() == psi.tobytes()
+
+    # paracontraction: replay the certifier's samples and take the worst
+    # margin over per-outcome sums
+    seed, n = 13, 300
+    report = certify_paracontraction_in_expectation(m, problem.fixed_points, region, n, seed)
+    xs = region.sample(np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,))), n)
+    xs = xs[np.linalg.norm(xs - apply_full(m, xs), axis=-1) > 1e-8]
+    worst = -np.inf
+    for z in problem.fixed_points:
+        expected = 0.0
+        for i, q in enumerate(m.scheme.probs):
+            expected = expected + q * weighted_norm(apply_T(m, i, xs) - z, p)
+        worst = max(worst, float(np.max(expected - weighted_norm(xs - z, p))))
+    assert report.details["num_eligible"] == xs.shape[0] > 0
+    assert np.float64(report.margin).tobytes() == np.float64(worst).tobytes()

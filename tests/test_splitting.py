@@ -29,8 +29,7 @@ from blocksplit.splitting import (
     apply_full,
     composite_constants,
     expectation_constants,
-    expected_weighted_psi,
-    expected_weighted_sq_distance,
+    expected_weighted_terms,
     transport_discrepancy,
     transport_discrepancy_six_term,
     weighted_transport_discrepancy,
@@ -295,7 +294,7 @@ def test_expectation_identity_sq_distance():
 
     for _ in range(50):
         x, y = rng.normal(size=2), rng.normal(size=2)
-        lhs = expected_weighted_sq_distance(m, x, y)
+        lhs = expected_weighted_terms(m, x, y)[0]
         T1x, T1y = apply_full(m, x), apply_full(m, y)
         d1 = T1x - T1y
         d0 = x - y
@@ -308,7 +307,7 @@ def test_expectation_identity_psi():
     rng = np.random.default_rng(2)
     for _ in range(50):
         x, y = rng.normal(size=2), rng.normal(size=2)
-        lhs = expected_weighted_psi(m, x, y)
+        lhs = expected_weighted_terms(m, x, y)[1]
         T1x, T1y = apply_full(m, x), apply_full(m, y)
         rhs = transport_discrepancy(x, y, T1x, T1y)
         assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -325,10 +324,9 @@ def test_expectation_identities_uneven_scheme():
     x, y = rng.normal(size=2), rng.normal(size=2)
     T1x, T1y = apply_full(m, x), apply_full(m, y)
     d1, d0 = T1x - T1y, x - y
-    lhs1 = expected_weighted_sq_distance(m, x, y)
+    lhs1, lhs2 = expected_weighted_terms(m, x, y)
     rhs1 = float(d1 @ d1) - float(d0 @ d0) + weighted_sq(d0, p)
     assert lhs1 == pytest.approx(rhs1, abs=1e-9)
-    lhs2 = expected_weighted_psi(m, x, y)
     assert lhs2 == pytest.approx(transport_discrepancy(x, y, T1x, T1y), abs=1e-9)
 
 

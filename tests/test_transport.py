@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocksplit.blockspace import BlockLayout, BlockProbabilities, BlockSubsetScheme
 from blocksplit.errors import DimensionMismatch, SolverFailure
@@ -124,6 +125,44 @@ def test_w2_symmetry_and_identity():
     assert d1 == pytest.approx(d2, abs=1e-12)
     d0, _ = wasserstein2_weighted(mu, mu, p)
     assert d0 == pytest.approx(0.0, abs=1e-12)
+
+
+def _random_cloud(rng, n, layout, equal_weights):
+    support = rng.normal(scale=2.0, size=(n, layout.total_dim))
+    if equal_weights:
+        return DiscreteMeasure.empirical(support, layout)
+    w = rng.uniform(0.2, 1.0, size=n)
+    w /= w.sum()
+    w[-1] = 1.0 - w[:-1].sum()
+    return DiscreteMeasure(support, w, layout)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.booleans(),
+    st.integers(1, 5),
+    st.lists(st.integers(1, 2), min_size=1, max_size=3),
+)
+def test_w2_metric_properties_on_random_clouds(seed, balanced, n, dims):
+    # balanced: equal-size equal-weight clouds, the assignment route;
+    # otherwise random weights and sizes, the LP route
+    rng = np.random.default_rng(seed)
+    layout = BlockLayout(tuple(dims))
+    p = BlockProbabilities(rng.uniform(0.2, 1.0, size=layout.num_blocks), layout)
+    sizes = (n, n, n) if balanced else tuple(int(k) for k in rng.integers(1, 6, size=3))
+    mu, nu, rho = (_random_cloud(rng, k, layout, balanced) for k in sizes)
+
+    def w2(a, b):
+        return wasserstein2_weighted(a, b, p)[0]
+
+    # the LP's optimal value is exact to the solver's tolerance, and W2 is
+    # its square root
+    tol, slack = (1e-12, 1e-12) if balanced else (1e-8, 1e-6)
+    assert w2(mu, mu) ** 2 <= tol
+    d_mn, d_nm = w2(mu, nu), w2(nu, mu)
+    assert abs(d_mn**2 - d_nm**2) <= tol * (1.0 + d_mn**2)
+    assert w2(mu, rho) <= d_mn + w2(nu, rho) + slack
 
 
 def test_coupling_plan_marginal_validation():
