@@ -238,6 +238,9 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     d = d[~np.isnan(d)]
     if d.shape[0] < 2:
         raise ConfigError(f"rate.column: column {column!r} has fewer than two usable entries")
+    if np.any(d < 0):
+        raise ConfigError(f"rate.column: column {column!r} holds a negative distance "
+                          f"{float(d[d < 0][0])!r}; distances must be nonnegative")
 
     report = RateReport(details={"column": column, "trajectory": str(args.trajectory),
                                  "num_entries": int(d.shape[0])})

@@ -239,7 +239,7 @@ def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
-        raise ValueError(f"{path} is empty")
+        raise ValueError("file is empty")
     header, body = rows[0], rows[1:]
     cols: dict[str, np.ndarray] = {}
     for idx, name in enumerate(header):

@@ -4,6 +4,11 @@ Costs are squared selection-weighted norms: block j's coordinates carry
 weight 1/p_j.  Balanced equal-weight clouds go through an assignment
 solve; everything else through an exact transport LP.  Both routes are
 exact up to solver tolerance, no entropic smoothing anywhere.
+
+scipy is imported inside the functions that use it, not with this module:
+the CLI loads it on the first W2 solve (the ``transport`` command, or
+``run`` with ``dw_step_every > 0``), and commands that never solve a
+transport problem do not load it at all.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix
 
 from .blockspace import BlockLayout, BlockProbabilities, weighted_sq
 from .errors import DimensionMismatch, SolverFailure
@@ -81,12 +84,33 @@ def _scaled_coords(x: np.ndarray, p: BlockProbabilities) -> np.ndarray:
     return x * np.sqrt(p.coordinate_inverse())
 
 
+def _sq_distances(x: np.ndarray, y: np.ndarray, p: BlockProbabilities) -> np.ndarray:
+    """Pairwise squared weighted distances between the rows of x and y."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(_scaled_coords(x, p), _scaled_coords(y, p), "sqeuclidean")
+
+
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: BlockProbabilities) -> np.ndarray:
     """Pairwise squared weighted distances between supports."""
-    a = _scaled_coords(mu.support, p)
-    b = _scaled_coords(nu.support, p)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+    return _sq_distances(mu.support, nu.support, p)
+
+
+# The two solvers stay module-level names, which wasserstein2_weighted looks
+# up at call time (so a profiler can wrap them, as bench/tracing.py does);
+# each imports scipy.optimize only when it is called.
+def linear_sum_assignment(cost: np.ndarray):
+    """Optimal assignment for a square cost matrix (scipy.optimize)."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
+
+
+def linprog(c: np.ndarray, **kwargs):
+    """Linear program min c.x (scipy.optimize.linprog)."""
+    from scipy.optimize import linprog as solve
+
+    return solve(c, **kwargs)
 
 
 def _is_balanced(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
@@ -118,6 +142,8 @@ def wasserstein2_weighted(
         plan[rows, cols] = 1.0 / n
         val = float(C[rows, cols].sum() / n)
         return float(np.sqrt(max(val, 0.0))), CouplingPlan(plan, mu, nu)
+
+    from scipy.sparse import coo_matrix
 
     n, mth = mu.num_points, nu.num_points
     # marginal constraints as a sparse equality system; drop the final
@@ -159,10 +185,7 @@ def distance_to_set_mixture(
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise DimensionMismatch(f"points must be (k, dim), got {points.shape}")
-    a = _scaled_coords(mu.support, p)
-    b = _scaled_coords(points, p)
-    diff = a[:, None, :] - b[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1).min(axis=1)
+    d2 = _sq_distances(mu.support, points, p).min(axis=1)
     return float(np.sqrt(np.sum(mu.weights * d2)))
 
 

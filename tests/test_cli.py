@@ -1,6 +1,11 @@
 """Config validation and the four CLI commands end to end."""
 
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +344,12 @@ BAD_INPUTS = [
     ("trajectory_text_cell", "traj.csv",
      _file_case("traj.csv", "k,mean_residual,psi_upper,dw_step,d_target\n0,1,1,,1\n1,0.5,abc,,0.5\n",
                 lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    ("trajectory_empty", "empty.csv: file is empty",
+     _file_case("empty.csv", "",
+                lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    ("trajectory_negative_distance", "column 'd_target' holds a negative distance -0.5",
+     _file_case("neg.csv", "k,mean_residual,psi_upper,dw_step,d_target\n0,1,1,,1\n1,0.5,0.5,,-0.5\n",
+                lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
 ]
 
 
@@ -349,7 +360,49 @@ def test_cli_bad_input_exit_2_one_line(tmp_path, capsys, needle, build):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert needle in err
+    assert err.count(needle) == 1
+
+
+IMPORT_GUARD = """
+import sys
+from blocksplit.cli import main
+
+config, out, mu, nu = sys.argv[1:]
+assert main(["run", "--config", config, "--out", out]) == 0
+assert main(["certify", "--config", config, "--out", out]) == 0
+assert main(["rate", "--trajectory", out + "/trajectory.csv", "--out", out]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+assert not loaded, f"run/certify/rate loaded {len(loaded)} scipy modules: {loaded[:5]}"
+print("transport:")
+assert main(["transport", mu, nu]) == 0
+"""
+
+
+def test_cli_loads_scipy_only_for_a_transport_solve(tmp_path):
+    # scipy is a large import; only an exact W2 solve may pay for it
+    doc = run_config(tmp_path, num_chains=8, iterations=10, snapshot_every=0, dw_step_every=0)
+    doc["certify"] = {"property": "aafne_in_expectation", "alpha": 2.0 / 3.0, "num_pairs": 20}
+    a = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
+    b = np.array([[0.5, 1.0], [2.0, 2.0], [-1.0, 0.0]])
+    header = '{"block_dims": [1, 1], "dim": 2, "n": 3, "version": 1}\n'
+    for name, pts in (("mu.csv", a), ("nu.csv", b)):
+        rows = "".join(f"{1 / 3!r},{x!r},{y!r}\n" for x, y in pts.tolist())
+        (tmp_path / name).write_text(header + rows)
+    expected = min(
+        np.sqrt(np.mean(np.sum((a - b[list(perm)]) ** 2, axis=1)))
+        for perm in itertools.permutations(range(3))
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, write_config(tmp_path, doc), str(tmp_path / "out"),
+         str(tmp_path / "mu.csv"), str(tmp_path / "nu.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    printed = proc.stdout.split("transport:\n")[1]
+    assert float(printed) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cli_certify_report_is_strict_json(tmp_path, capsys):
