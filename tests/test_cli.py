@@ -341,6 +341,21 @@ BAD_INPUTS = [
     ("measure_text_row", "text.csv",
      _file_case("text.csv", MEASURE_HEADER + "0.5,0,0\n0.5,x,1\n",
                 lambda bad, good: ["transport", good, bad])),
+    ("measure_header_without_n", "no_n.csv: measure header lacks 'n'",
+     _file_case("no_n.csv", '{"block_dims": [1, 1], "dim": 2, "version": 1}\n0.5,0,0\n0.5,1,1\n',
+                lambda bad, good: ["transport", bad, good])),
+    ("measure_header_without_dim", "no_dim.csv: measure header lacks 'dim'",
+     _file_case("no_dim.csv", '{"block_dims": [1, 1], "n": 2, "version": 1}\n0.5,0,0\n0.5,1,1\n',
+                lambda bad, good: ["transport", good, bad])),
+    ("measure_header_n_mismatch", "n3.csv: measure body (2, 2) does not match header",
+     _file_case("n3.csv", MEASURE_HEADER.replace('"n": 2', '"n": 3') + "0.5,0,0\n0.5,1,1\n",
+                lambda bad, good: ["transport", good, bad])),
+    ("measure_nan_coordinate", "nan.csv: support must be finite",
+     _file_case("nan.csv", MEASURE_HEADER + "0.5,nan,0\n0.5,1,1\n",
+                lambda bad, good: ["transport", bad, good])),
+    ("measure_inf_coordinate", "inf.csv: support must be finite",
+     _file_case("inf.csv", MEASURE_HEADER + "0.5,0,0\n0.5,1,inf\n",
+                lambda bad, good: ["transport", good, bad])),
     ("trajectory_text_cell", "traj.csv",
      _file_case("traj.csv", "k,mean_residual,psi_upper,dw_step,d_target\n0,1,1,,1\n1,0.5,abc,,0.5\n",
                 lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),

@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linprog
 
+from blocksplit import transport
 from blocksplit.blockspace import BlockLayout, BlockProbabilities, BlockSubsetScheme
 from blocksplit.errors import DimensionMismatch, SolverFailure
 from blocksplit.problems import counterexample2d
@@ -44,6 +46,14 @@ def test_measure_validation():
         DiscreteMeasure(np.zeros((3, 2)), np.array([0.5, 0.5, 0.5]), layout)
     with pytest.raises(DimensionMismatch):
         DiscreteMeasure(np.zeros((3, 5)), np.full(3, 1 / 3), layout)
+    for bad in (np.nan, np.inf, -np.inf):
+        support = np.zeros((3, 2))
+        support[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure(support, np.full(3, 1 / 3), layout)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"weights sum to {bad!r}"):
+            DiscreteMeasure(np.zeros((3, 2)), np.array([0.5, 0.5, bad]), layout)
 
 
 def test_cost_matrix_hand_value():
@@ -140,29 +150,115 @@ def _random_cloud(rng, n, layout, equal_weights):
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 2**31 - 1),
-    st.booleans(),
+    st.sampled_from(["balanced", "equal_weight", "weighted"]),
     st.integers(1, 5),
     st.lists(st.integers(1, 2), min_size=1, max_size=3),
 )
-def test_w2_metric_properties_on_random_clouds(seed, balanced, n, dims):
-    # balanced: equal-size equal-weight clouds, the assignment route;
-    # otherwise random weights and sizes, the LP route
+def test_w2_metric_properties_on_random_clouds(seed, kind, n, dims):
+    # balanced: equal-size equal-weight clouds; equal_weight: equal weights at
+    # random sizes, both the assignment route; weighted: random weights and
+    # sizes, the LP route
     rng = np.random.default_rng(seed)
     layout = BlockLayout(tuple(dims))
     p = BlockProbabilities(rng.uniform(0.2, 1.0, size=layout.num_blocks), layout)
-    sizes = (n, n, n) if balanced else tuple(int(k) for k in rng.integers(1, 6, size=3))
-    mu, nu, rho = (_random_cloud(rng, k, layout, balanced) for k in sizes)
+    sizes = (n, n, n) if kind == "balanced" else tuple(int(k) for k in rng.integers(1, 6, size=3))
+    mu, nu, rho = (_random_cloud(rng, k, layout, kind != "weighted") for k in sizes)
 
     def w2(a, b):
         return wasserstein2_weighted(a, b, p)[0]
 
     # the LP's optimal value is exact to the solver's tolerance, and W2 is
     # its square root
-    tol, slack = (1e-12, 1e-12) if balanced else (1e-8, 1e-6)
+    tol, slack = (1e-8, 1e-6) if kind == "weighted" else (1e-12, 1e-12)
     assert w2(mu, mu) ** 2 <= tol
     d_mn, d_nm = w2(mu, nu), w2(nu, mu)
     assert abs(d_mn**2 - d_nm**2) <= tol * (1.0 + d_mn**2)
     assert w2(mu, rho) <= d_mn + w2(nu, rho) + slack
+
+
+def _lp_w2(mu, nu, p):
+    """Weighted W2 from a dense n x m transport LP, solved directly by scipy."""
+    C = cost_matrix(mu, nu, p)
+    n, m = C.shape
+    A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+    b_eq = np.concatenate([mu.weights, nu.weights])
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return float(np.sqrt(max(res.fun, 0.0)))
+
+
+def _forbid(monkeypatch, solver):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"transport.{solver} must not be called on this route")
+    monkeypatch.setattr(transport, solver, refuse)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.lists(st.integers(1, 2), min_size=1, max_size=3),
+)
+@example(seed=1, n=7, m=12, dims=[1, 2])  # coprime: L = 84
+@example(seed=2, n=4, m=12, dims=[2])  # divisor: L = 12
+@example(seed=3, n=12, m=1, dims=[1, 1])
+def test_w2_replicated_assignment_matches_lp(seed, n, m, dims):
+    # equal-weight clouds of any sizes under the cap take one assignment on
+    # lcm(n, m) atoms; its value must be the n x m LP optimum
+    rng = np.random.default_rng(seed)
+    layout = BlockLayout(tuple(dims))
+    p = BlockProbabilities(rng.uniform(0.2, 1.0, size=layout.num_blocks), layout)
+    mu = _random_cloud(rng, n, layout, True)
+    nu = _random_cloud(rng, m, layout, True)
+    d, plan = wasserstein2_weighted(mu, nu, p)
+    d_lp = _lp_w2(mu, nu, p)
+    assert abs(d - d_lp) <= 1e-12 * d_lp + 1e-15
+    np.testing.assert_allclose(plan.matrix.sum(axis=1), mu.weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(plan.matrix.sum(axis=0), nu.weights, rtol=0, atol=1e-12)
+    assert np.all(plan.matrix >= 0)
+    cost = float(np.sum(plan.matrix * cost_matrix(mu, nu, p)))
+    assert cost == pytest.approx(d * d, rel=1e-12, abs=1e-15)
+
+
+def test_w2_route_follows_weights_and_replication_cap(monkeypatch):
+    rng = np.random.default_rng(12)
+    layout = BlockLayout((1, 2))
+    p = BlockProbabilities(np.array([0.4, 0.9]), layout)
+    mu = _random_cloud(rng, 6, layout, True)
+    nu = _random_cloud(rng, 4, layout, True)  # L = 12
+    d_lp = _lp_w2(mu, nu, p)
+
+    monkeypatch.setattr(transport, "ASSIGN_MAX_ATOMS", 12)
+    with monkeypatch.context() as mp:
+        _forbid(mp, "linprog")
+        d_assign, _ = wasserstein2_weighted(mu, nu, p)
+    assert d_assign == pytest.approx(d_lp, rel=1e-12)
+
+    # one atom above the cap: the LP route, same distance
+    monkeypatch.setattr(transport, "ASSIGN_MAX_ATOMS", 11)
+    with monkeypatch.context() as mp:
+        _forbid(mp, "linear_sum_assignment")
+        d_above, plan = wasserstein2_weighted(mu, nu, p)
+    assert d_above == pytest.approx(d_lp, rel=1e-8)
+    np.testing.assert_allclose(plan.matrix.sum(axis=0), nu.weights, atol=1e-10)
+
+    # equal sizes replicate nothing and take the assignment at any cap
+    monkeypatch.setattr(transport, "ASSIGN_MAX_ATOMS", 1)
+    nu6 = _random_cloud(rng, 6, layout, True)
+    with monkeypatch.context() as mp:
+        _forbid(mp, "linprog")
+        d_square, _ = wasserstein2_weighted(mu, nu6, p)
+    assert d_square == pytest.approx(_lp_w2(mu, nu6, p), rel=1e-12)
+
+    # randomly weighted clouds take the LP under any cap
+    monkeypatch.setattr(transport, "ASSIGN_MAX_ATOMS", 10**6)
+    _forbid(monkeypatch, "linear_sum_assignment")
+    for size_mu, size_nu in ((6, 4), (5, 5)):
+        a = _random_cloud(rng, size_mu, layout, False)
+        b = _random_cloud(rng, size_nu, layout, False)
+        d_w, _ = wasserstein2_weighted(a, b, p)
+        assert d_w == pytest.approx(_lp_w2(a, b, p), rel=1e-8)
 
 
 def test_coupling_plan_marginal_validation():
