@@ -166,11 +166,12 @@ def run(
             raise Diverged(ensemble.k, int(np.argmin(finite)))
         full = apply_full(m, ensemble.states)
         r = ensemble.states - full
+        sq = np.sum(r * r, axis=-1)  # squared residual per chain
         records.append(
             DiagnosticRecord(
                 k=ensemble.k,
-                mean_residual=float(np.mean(np.linalg.norm(r, axis=-1))),
-                psi_upper=_rms(r),
+                mean_residual=float(np.mean(np.sqrt(sq))),
+                psi_upper=float(np.sqrt(np.mean(sq))),
                 dw_step=dw,
                 d_target=None if target_distance is None else float(target_distance(ensemble.states)),
                 block_means=np.array(

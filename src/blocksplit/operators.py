@@ -27,9 +27,11 @@ class SmoothCoupling:
     ``hypomono[j]`` bounds how far the block-j partial functions sit from
     monotone (0 for convex f).  ``hessian_block`` returns the constant
     block-diagonal Hessian piece for quadratics, enabling closed-form
-    partial resolvents.  ``partial_resolvent`` overrides the smooth inner
-    solve entirely (used by the diagonal-indicator coupling, which has no
-    gradient and only supports reflection-based updates).
+    partial resolvents: a Douglas-Rachford map then takes one gradient per
+    call and solves every block of an update group in one batch.
+    ``partial_resolvent`` overrides the smooth inner solve entirely (used by
+    the diagonal-indicator coupling, which has no gradient and only
+    supports reflection-based updates).
     """
 
     layout: BlockLayout
@@ -452,8 +454,10 @@ def coupling_diagonal_indicator(layout: BlockLayout, agreement_tol: float = 1e-9
     """Indicator of the diagonal, for reflection-based updates only.
 
     The block-j partial resolvent forces block j to the common value of the
-    remaining blocks; it is empty when those blocks disagree.  There is no
-    gradient oracle, so forward-backward flavors must reject this coupling.
+    remaining blocks; it is empty when those blocks disagree, and the error
+    names block j and the first disagreeing batch row (in a run, the chain).
+    There is no gradient oracle, so forward-backward flavors must reject
+    this coupling.
     """
     dims = set(layout.block_dims)
     if len(dims) != 1:
@@ -466,10 +470,13 @@ def coupling_diagonal_indicator(layout: BlockLayout, agreement_tol: float = 1e-9
         others = np.delete(blocks, j, axis=-2)
         ref = others[..., 0, :]
         if others.shape[-2] > 1:
-            spread = np.max(np.abs(others - ref[..., None, :]))
-            if spread > agreement_tol:
+            spread = np.max(np.abs(others - ref[..., None, :]), axis=(-2, -1)).reshape(-1)
+            bad = np.flatnonzero(spread > agreement_tol)
+            if bad.size:
+                row = int(bad[0])
                 raise EmptyResolvent(
-                    f"remaining blocks disagree by {spread:.3e}; diagonal partial resolvent empty"
+                    f"diagonal partial resolvent of block {j} empty at batch row {row}: "
+                    f"remaining blocks disagree by {spread[row]:.3e}"
                 )
         return ref.copy()
 

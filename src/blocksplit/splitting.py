@@ -16,16 +16,23 @@ must not read T1 and for certifying one outcome map alone.
 A plan lists the blocks a map updates, grouped by (prox oracle, step,
 block dim) with the group's coordinate columns.  Forward-backward takes
 one coupling gradient per call and one prox call per group on (x - t g)
-reshaped to (..., k, d).  Douglas-Rachford batches its reflection through
-h the same way but keeps one partial resolvent of f per block, as each
-block reads its own reflected point.
+reshaped to (..., k, d).  Douglas-Rachford batches its reflection
+r = 2 prox(x) - x through h the same way.  When the coupling has a constant
+block Hessian A_jj (``hessian_block``) and no ``partial_resolvent``
+override, it also takes one gradient g per call: the gradient at x with
+block j replaced by y is g_j + A_jj (y - x_j), so the partial resolvent
+solves in closed form, y = (I + t A_jj)^-1 (r_j - t (g_j - A_jj x_j)), and
+the plan holds each group's stacked A_jj and (I + t A_jj)^-1.  Two kinds
+of coupling still take one ``resolvent_partial_smooth`` call per block:
+an override such as ``coupling_diagonal_indicator``, and a gradient-only
+coupling without ``hessian_block`` (its fixed-point inner solve).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -55,23 +62,32 @@ class UpdateGroup(NamedTuple):
     cols: np.ndarray  # coordinate columns of the blocks, block after block
     step: float
     dim: int
+    # closed-form Douglas-Rachford only: stacked (k, d, d) A_jj and (I + step A_jj)^-1
+    hessian: np.ndarray | None = None
+    inverse: np.ndarray | None = None
 
 
 def _update_plan(layout: BlockLayout, term: SeparableTerm, steps: np.ndarray,
-                 blocks: Iterable[int]) -> tuple[UpdateGroup, ...]:
+                 blocks: Iterable[int],
+                 hessian_block: Callable[[int], np.ndarray] | None = None) -> tuple[UpdateGroup, ...]:
     groups: dict[tuple, list[int]] = {}
     for j in blocks:
         key = (id(term.blocks[j].prox), float(steps[j]), layout.block_dims[j])
         groups.setdefault(key, []).append(j)
-    return tuple(
-        UpdateGroup(
-            blocks=tuple(js),
-            cols=np.concatenate([np.arange(layout.offsets[j], layout.offsets[j] + dim) for j in js]),
-            step=step,
-            dim=dim,
-        )
-        for (_, step, dim), js in groups.items()
-    )
+    plan = []
+    for (_, step, dim), js in groups.items():
+        hessian = inverse = None
+        if hessian_block is not None:
+            hessian = np.stack([np.asarray(hessian_block(j), dtype=float) for j in js])
+            inverse = np.linalg.inv(np.eye(dim) + step * hessian)
+        cols = np.concatenate([np.arange(layout.offsets[j], layout.offsets[j] + dim) for j in js])
+        plan.append(UpdateGroup(tuple(js), cols, step, dim, hessian, inverse))
+    return tuple(plan)
+
+
+def _matvec(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(k, d, d) matrices times (..., k, d) vectors, one product per block."""
+    return (stack @ v[..., None])[..., 0]
 
 
 @dataclass
@@ -85,6 +101,7 @@ class SplittingMap:
     scheme: BlockSubsetScheme
     layout: BlockLayout
     full_plan: tuple[UpdateGroup, ...] = field(init=False, repr=False, compare=False)
+    one_gradient: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -101,7 +118,17 @@ class SplittingMap:
             raise DimensionMismatch("scheme references blocks outside the layout")
         if self.flavor == "fb" and self.coupling.gradient is None:
             raise EmptyResolvent("forward-backward needs a coupling gradient oracle")
-        self.full_plan = _update_plan(self.layout, self.term, self.steps, range(m))
+        # one gradient per call: FB, and DR whose partial resolvents solve in closed form
+        c = self.coupling
+        self.one_gradient = self.flavor == "fb" or (
+            c.gradient is not None and c.hessian_block is not None and c.partial_resolvent is None
+        )
+        self.full_plan = self._plan(range(m))
+
+    def _plan(self, blocks: Iterable[int]) -> tuple[UpdateGroup, ...]:
+        closed_form = self.flavor == "dr" and self.one_gradient
+        return _update_plan(self.layout, self.term, self.steps, blocks,
+                            self.coupling.hessian_block if closed_form else None)
 
     @cached_property
     def probabilities(self) -> BlockProbabilities:
@@ -120,24 +147,29 @@ class SplittingMap:
     @cached_property
     def outcome_plans(self) -> tuple[tuple[UpdateGroup, ...], ...]:
         """One update plan per outcome, for the reference route ``apply_T`` only."""
-        return tuple(_update_plan(self.layout, self.term, self.steps, s)
-                     for s in self.scheme.subsets)
+        return tuple(self._plan(s) for s in self.scheme.subsets)
 
 
 def _apply_plan(m: SplittingMap, plan: tuple[UpdateGroup, ...], x: np.ndarray) -> np.ndarray:
     """Update the planned blocks of x, every one from the unmodified x."""
     x = m.layout.check(x)
     out = np.array(x, copy=True)
-    g = m.coupling.gradient(x) if m.flavor == "fb" else None
+    g = m.coupling.gradient(x) if m.one_gradient else None
     for grp in plan:
         xg = x[..., grp.cols]
-        v = xg if g is None else xg - grp.step * g[..., grp.cols]
         shape = x.shape[:-1] + (len(grp.blocks), grp.dim)
-        resolved = resolvent_separable(m.term, grp.blocks[0], v.reshape(shape), grp.step)
-        if g is not None:
+        if m.flavor == "fb":
+            v = xg - grp.step * g[..., grp.cols]
+            resolved = resolvent_separable(m.term, grp.blocks[0], v.reshape(shape), grp.step)
             out[..., grp.cols] = resolved.reshape(xg.shape)
             continue
-        reflected = reflector(resolved, xg.reshape(shape))
+        xb = xg.reshape(shape)
+        reflected = reflector(resolvent_separable(m.term, grp.blocks[0], xb, grp.step), xb)
+        if grp.inverse is not None:
+            gb = g[..., grp.cols].reshape(shape)
+            y = _matvec(grp.inverse, reflected - grp.step * (gb - _matvec(grp.hessian, xb)))
+            out[..., grp.cols] = (0.5 * (reflector(y, reflected) + xb)).reshape(xg.shape)
+            continue
         for a, j in enumerate(grp.blocks):
             sl, yj = m.layout.slice_of(j), reflected[..., a, :]
             u = resolvent_partial_smooth(m.coupling, j, m.layout.embed(yj, j, x), grp.step)

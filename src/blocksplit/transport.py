@@ -254,7 +254,16 @@ def read_measure(path) -> DiscreteMeasure:
     for key in ("n", "dim"):
         if key not in header:
             raise ValueError(f"measure header lacks {key!r}")
-    layout = BlockLayout(tuple(header["block_dims"]))
+    dims = header["block_dims"]
+    if not (isinstance(dims, list) and dims
+            and all(type(v) is int and v > 0 for v in dims)):
+        raise ValueError(f"measure header block_dims must be a non-empty list of "
+                         f"positive integers, got {dims!r}")
+    layout = BlockLayout(tuple(dims))
+    for line, r in enumerate(rows, start=2):
+        if len(r) != 1 + layout.total_dim:
+            raise ValueError(f"line {line} has {len(r)} fields, expected "
+                             f"{1 + layout.total_dim} (a weight and {layout.total_dim} coordinates)")
     weights = np.array([float(r[0]) for r in rows])
     support = np.array([[float(v) for v in r[1:]] for r in rows])
     if support.size == 0:

@@ -255,6 +255,24 @@ def test_cli_transport(tmp_path, capsys):
     assert (tmp_path / "plan.csv").exists()
 
 
+def test_cli_diagonal_indicator_names_block_and_chain(tmp_path, capsys):
+    # three point sets never agree, so the hard diagonal coupling has no partial resolvent
+    doc = run_config(tmp_path, num_chains=60, iterations=5, snapshot_every=0, dw_step_every=0)
+    doc.update(
+        problem={"id": "feasibility", "params": {"coupling": "indicator", "sets": [
+            {"kind": "point", "point": p} for p in ([0.0, 0.0], [2.0, 0.0], [1.0, 1.0])]}},
+        flavor="dr",
+        scheme={"subsets": [[0], [1], [2]], "probs": [0.4, 0.3, 0.3]},
+        steps=[1.0],
+    )
+    doc["run"]["init"] = {"kind": "uniform_box", "lo": [-2.0] * 6, "hi": [2.0] * 6}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: diagonal partial resolvent")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.count("block 0 empty at batch row 0: remaining blocks disagree by") == 1
+
+
 @pytest.mark.parametrize("steps", [[-0.2, 0.2], [0.0, 0.2]])
 def test_cli_nonpositive_steps_exit_2(tmp_path, capsys, steps):
     doc = run_config(tmp_path)
@@ -350,6 +368,15 @@ BAD_INPUTS = [
     ("measure_header_n_mismatch", "n3.csv: measure body (2, 2) does not match header",
      _file_case("n3.csv", MEASURE_HEADER.replace('"n": 2', '"n": 3') + "0.5,0,0\n0.5,1,1\n",
                 lambda bad, good: ["transport", good, bad])),
+    ("block_dims_int", "dims_int.csv: measure header block_dims must be",
+     _file_case("dims_int.csv", MEASURE_HEADER.replace("[1, 1]", "3") + "0.5,0,0\n0.5,1,1\n",
+                lambda bad, good: ["transport", good, bad])),
+    ("block_dims_zero", "dims_zero.csv: measure header block_dims must be",
+     _file_case("dims_zero.csv", MEASURE_HEADER.replace("[1, 1]", "[0]") + "0.5,0,0\n0.5,1,1\n",
+                lambda bad, good: ["transport", bad, good])),
+    ("measure_blank_row", "blank.csv: line 3 has 0 fields, expected 3",
+     _file_case("blank.csv", MEASURE_HEADER + "0.5,0,0\n\n0.5,1,1\n",
+                lambda bad, good: ["transport", bad, good])),
     ("measure_nan_coordinate", "nan.csv: support must be finite",
      _file_case("nan.csv", MEASURE_HEADER + "0.5,nan,0\n0.5,1,1\n",
                 lambda bad, good: ["transport", bad, good])),

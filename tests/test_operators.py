@@ -360,6 +360,14 @@ def test_coupling_diagonal_indicator_disagreement_raises():
         resolvent_partial_smooth(c, 0, x, 1.0)
 
 
+def test_coupling_diagonal_indicator_names_first_disagreeing_row():
+    c = coupling_diagonal_indicator(BlockLayout((1, 1, 1)))
+    x = np.array([[5.0, 1.0, 1.0], [0.0, 2.0, 2.0], [0.0, 1.0, 3.0], [0.0, 0.0, 9.0]])
+    np.testing.assert_array_equal(resolvent_partial_smooth(c, 0, x[:2], 1.0), [[1.0], [2.0]])
+    with pytest.raises(EmptyResolvent, match=r"block 0 empty at batch row 2: .* by 2\.000e\+00"):
+        resolvent_partial_smooth(c, 0, x, 1.0)
+
+
 def test_coupling_diagonal_requires_equal_blocks():
     with pytest.raises(DimensionMismatch):
         coupling_diagonal_sqdist(BlockLayout((1, 2)))

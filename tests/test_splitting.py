@@ -21,6 +21,7 @@ from blocksplit.operators import (
     reflector,
     resolvent_partial_smooth,
 )
+from blocksplit import splitting
 from blocksplit.problems import counterexample2d, feasibility, make_set, quadratic_l1
 from blocksplit.splitting import (
     RegularityConstants,
@@ -214,10 +215,67 @@ def _dr_reference(m, x):
     st.integers(0, 2**31 - 1),
 )
 def test_full_map_matches_blockwise_reference(dims, flavor, batch, seed):
+    # FB is the reference arithmetic; closed-form DR multiplies by a stored
+    # (I + t A_jj)^-1 where the reference solves, so it agrees to roundoff
     m = _random_map(dims, flavor, seed)
     x = _points(m, batch, seed)
-    reference = _fb_reference if flavor == "fb" else _dr_reference
-    assert apply_full(m, x).tobytes() == reference(m, x).tobytes()
+    full = apply_full(m, x)
+    if flavor == "fb":
+        assert full.tobytes() == _fb_reference(m, x).tobytes()
+        return
+    scale = max(1.0, np.max(np.abs(x)), np.max(np.abs(full)))
+    assert np.max(np.abs(full - _dr_reference(m, x))) <= 1e-14 * scale
+
+
+def _gradient_only(layout, seed):
+    """f(x) = sum_i log cosh((Bx)_i) with ||B|| = 1/2: a gradient and no hessian_block."""
+    B = np.random.default_rng(seed).normal(size=(layout.total_dim, layout.total_dim))
+    B /= 2.0 * np.linalg.norm(B, 2)
+    return SmoothCoupling(layout, gradient=lambda x: np.tanh(x @ B.T) @ B,
+                          lipschitz=0.25, hypomono=0.0, convex=True)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["indicator", "gradient_only"])
+@pytest.mark.parametrize("seed", range(6))
+def test_dr_per_block_route_matches_reference_bitwise(monkeypatch, kind, seed):
+    # an override or a coupling without hessian_block keeps one partial resolvent per block
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    layout = BlockLayout((d, d))
+    coupling = (coupling_diagonal_indicator(layout) if kind == "indicator"
+                else _gradient_only(layout, seed))
+    term = SeparableTerm(layout, [h_indicator_ball(0.0, 1.0), h_l1(0.2)])
+    m = SplittingMap("dr", coupling, term, rng.choice([0.5, 1.0], size=2), SINGLETONS, layout)
+    x = rng.normal(scale=2.0, size=(int(rng.integers(1, 5)), 2 * d))
+    assert not m.one_gradient and all(g.inverse is None for g in m.full_plan)
+    reference = _dr_reference(m, x)
+    calls = _count_calls(monkeypatch, splitting, "resolvent_partial_smooth")
+    assert apply_full(m, x).tobytes() == reference.tobytes()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("flavor", ["fb", "dr"])
+def test_quadratic_coupling_takes_one_gradient_per_call(monkeypatch, flavor):
+    m = _random_map([2, 1, 3, 1, 2], flavor, 5)
+    gradients = _count_calls(monkeypatch, m.coupling, "gradient")
+    partials = _count_calls(monkeypatch, splitting, "resolvent_partial_smooth")
+    x = _points(m, 4, 5)
+    apply_full(m, x)
+    assert len(gradients) == 1
+    apply_T(m, 0, x[0])
+    assert len(gradients) == 2 and not partials
 
 
 def test_lasso_plan_groups_by_weight_and_step():
