@@ -17,11 +17,16 @@ from .errors import DimensionMismatch, UncoveredBlock
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Partition of R^d into contiguous blocks; offsets and slices are cached."""
+    """Partition of R^d into contiguous blocks; offsets, slices and dim groups are cached."""
 
     block_dims: tuple[int, ...]
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
+    # one (blocks, columns) pair per distinct block dim d: the indices of the
+    # k blocks of dim d and their (k, d) coordinate columns
+    _dim_groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.block_dims) == 0:
@@ -33,6 +38,11 @@ class BlockLayout:
         object.__setattr__(self, "block_dims", dims)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "_slices", tuple(slice(o, o + d) for o, d in zip(offsets, dims)))
+        groups = []
+        for d in sorted(set(dims)):
+            blocks = np.array([j for j, dj in enumerate(dims) if dj == d])
+            groups.append((blocks, np.array(offsets)[blocks, None] + np.arange(d)))
+        object.__setattr__(self, "_dim_groups", tuple(groups))
 
     @property
     def num_blocks(self) -> int:
@@ -59,6 +69,27 @@ class BlockLayout:
     def block(self, x: np.ndarray, j: int) -> np.ndarray:
         """View of block j along the trailing axis."""
         return x[..., self.slice_of(j)]
+
+    def block_means(self, x: np.ndarray) -> np.ndarray:
+        """Mean of each block's entries over all rows of a 2-D ``x``, shape (m,).
+
+        One reduction per distinct block dim d: the k blocks of dim d are
+        gathered as a contiguous (k, N*d) array, one row per block in
+        (row, coordinate) order, and summed along its rows.  That is the
+        pairwise sum np.mean takes over one block's N*d values, so each
+        entry equals np.mean(self.block(x, j)) bitwise while N*d is at most
+        numpy's buffer size (8192 values), and at any N for a block of dim 1
+        or a block spanning all of x.  On a larger strided block of dim >= 2,
+        np.mean sums buffer-sized chunks in sequence instead, and the two
+        can differ in the last bit.
+        """
+        n = x.shape[0]
+        out = np.empty(self.num_blocks)
+        for blocks, cols in self._dim_groups:
+            k, d = cols.shape
+            rows = x[:, cols].transpose(1, 0, 2).reshape(k, n * d)
+            out[blocks] = rows.sum(axis=1) / (n * d)
+        return out
 
     def embed(self, block_value: np.ndarray, j: int, base: np.ndarray) -> np.ndarray:
         """Copy of ``base`` with block j replaced by ``block_value``."""

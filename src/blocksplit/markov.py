@@ -11,7 +11,9 @@ full-block evaluation T1 x (random sweeping).  ``run`` makes that the only
 operator work per step: the T1 x behind the residual columns at step k is
 the update of step k + 1.  Subset draws are prefetched per chain, DRAW_BLOCK
 steps at a time, as one outcome table; the stepping is serial and vectorized
-across chains, with no worker threads.
+across chains, with no worker threads.  The per-record block means are one
+reduction per distinct block dim (:meth:`BlockLayout.block_means`), and the
+file writers format one CSV row per ``%`` operation.
 """
 
 from __future__ import annotations
@@ -103,11 +105,14 @@ def empirical_residual_psi(ensemble: Ensemble, m: SplittingMap) -> float:
     In the consistent case this equals the certified upper bound on the
     invariant discrepancy of the empirical measure.
     """
-    return _rms(ensemble.states - apply_full(m, ensemble.states))
+    sq = squared_residuals(ensemble.states, apply_full(m, ensemble.states))
+    return float(np.sqrt(np.mean(sq)))
 
 
-def _rms(r: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.sum(r * r, axis=-1))))
+def squared_residuals(states: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Squared full-block residual ||x - T1 x||^2 of each chain."""
+    r = states - full
+    return np.sum(r * r, axis=-1)
 
 
 @dataclass
@@ -165,8 +170,7 @@ def run(
         if not finite.all():
             raise Diverged(ensemble.k, int(np.argmin(finite)))
         full = apply_full(m, ensemble.states)
-        r = ensemble.states - full
-        sq = np.sum(r * r, axis=-1)  # squared residual per chain
+        sq = squared_residuals(ensemble.states, full)
         records.append(
             DiagnosticRecord(
                 k=ensemble.k,
@@ -174,9 +178,7 @@ def run(
                 psi_upper=float(np.sqrt(np.mean(sq))),
                 dw_step=dw,
                 d_target=None if target_distance is None else float(target_distance(ensemble.states)),
-                block_means=np.array(
-                    [np.mean(m.layout.block(ensemble.states, j)) for j in range(m.layout.num_blocks)]
-                ),
+                block_means=m.layout.block_means(ensemble.states),
             )
         )
         return full
@@ -207,13 +209,15 @@ def run(
 # File formats.  Trajectory: plain CSV, floats at 17 significant digits, no
 # timestamps, so identical (config, seed) runs produce identical bytes.
 # Snapshot: one JSON header line, then one CSV row of coordinates per chain.
+# Rows are formatted by hand with the bytes csv.writer would write: "%.17g"
+# floats (the text of format(v, ".17g")), comma separated, "\r\n" row ends;
+# no field of a number needs quoting.  An empty trajectory cell marks a value
+# that was not computed.
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float | None) -> str:
-    if v is None:
-        return ""
-    return format(float(v), ".17g")
+def _cell(v: float | None) -> str:
+    return "" if v is None else "%.17g" % v
 
 
 def trajectory_header(num_blocks: int) -> list[str]:
@@ -224,15 +228,16 @@ def trajectory_header(num_blocks: int) -> list[str]:
 
 def write_trajectory_csv(path, records: Sequence[DiagnosticRecord]) -> None:
     """Write diagnostics as CSV; empty cells mark values not computed."""
+    num_blocks = len(records[0].block_means) if records else 0
+    row = "%d,%.17g,%.17g,%s,%s" + ",%.17g" * num_blocks + "\r\n"
+    lines = [",".join(trajectory_header(num_blocks)) + "\r\n"]
+    lines += [
+        row % (r.k, r.mean_residual, r.psi_upper, _cell(r.dw_step), _cell(r.d_target),
+               *r.block_means.tolist())
+        for r in records
+    ]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        num_blocks = len(records[0].block_means) if records else 0
-        w.writerow(trajectory_header(num_blocks))
-        for r in records:
-            w.writerow(
-                [r.k, _fmt(r.mean_residual), _fmt(r.psi_upper), _fmt(r.dw_step), _fmt(r.d_target)]
-                + [_fmt(v) for v in r.block_means]
-            )
+        fh.write("".join(lines))
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
@@ -253,11 +258,15 @@ def write_snapshot(path, states: np.ndarray, k: int, seed: int) -> None:
     """Particle dump: JSON header line (n, dim, k, seed), then CSV rows."""
     states = np.asarray(states, dtype=float)
     header = {"n": int(states.shape[0]), "dim": int(states.shape[1]), "k": int(k), "seed": int(seed)}
+    write_table(path, header, states)
+
+
+def write_table(path, header: dict, rows: np.ndarray) -> None:
+    """JSON header line, then one CSV row of "%.17g" floats per row of a 2-D array."""
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        w = csv.writer(fh)
-        for row in states:
-            w.writerow([_fmt(v) for v in row])
+        fh.write("".join([row % tuple(r) for r in rows.tolist()]))
 
 
 def read_snapshot(path) -> tuple[dict, np.ndarray]:

@@ -307,7 +307,6 @@ class RateReport:
     gauge: CheckResult | None = None
     asymptotic: AsymptoticRegularityResult | None = None
     fit: RateFit | None = None
-    kappa_hat: float | None = None
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -316,6 +315,5 @@ class RateReport:
             "gauge": None if self.gauge is None else self.gauge.to_dict(),
             "asymptotic": None if self.asymptotic is None else self.asymptotic.to_dict(),
             "fit": None if self.fit is None else self.fit.to_dict(),
-            "kappa_hat": self.kappa_hat,
             "details": self.details,
         }

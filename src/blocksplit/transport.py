@@ -24,6 +24,7 @@ import numpy as np
 
 from .blockspace import BlockLayout, BlockProbabilities, weighted_sq
 from .errors import DimensionMismatch, SolverFailure
+from .markov import squared_residuals, write_table
 from .splitting import SplittingMap, apply_full
 
 # Largest replicated size L = lcm(n, m) that two equal-weight clouds of
@@ -215,8 +216,8 @@ def invariant_discrepancy_consistent(mu: DiscreteMeasure, m: SplittingMap) -> fl
     the full-block residual is exactly the expected squared weighted
     one-step displacement.
     """
-    r = mu.support - apply_full(m, mu.support)
-    return float(np.sqrt(np.sum(mu.weights * np.sum(r * r, axis=-1))))
+    sq = squared_residuals(mu.support, apply_full(m, mu.support))
+    return float(np.sqrt(np.sum(mu.weights * sq)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +233,7 @@ def write_measure(path, mu: DiscreteMeasure) -> None:
         "dim": int(mu.layout.total_dim),
         "block_dims": list(mu.layout.block_dims),
     }
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        w = csv.writer(fh)
-        for wt, row in zip(mu.weights, mu.support):
-            w.writerow([format(float(wt), ".17g")] + [format(float(v), ".17g") for v in row])
+    write_table(path, header, np.column_stack((mu.weights, mu.support)))
 
 
 def read_measure(path) -> DiscreteMeasure:

@@ -160,6 +160,10 @@ def test_cli_run_identical_bytes_same_seed(tmp_path):
     assert (tmp_path / "a" / "final_measure.csv").read_bytes() == (
         tmp_path / "b" / "final_measure.csv"
     ).read_bytes()
+    snapshots = sorted(p.name for p in (tmp_path / "a").glob("snapshot_*.csv"))
+    assert snapshots and snapshots == sorted(p.name for p in (tmp_path / "b").glob("snapshot_*.csv"))
+    for name in snapshots:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_cli_run_strict_steps_gate(tmp_path, capsys):
@@ -226,6 +230,7 @@ def test_cli_rate(tmp_path, capsys):
     report = json.loads((tmp_path / "rate" / "rate_report.json").read_text())
     assert report["report"]["fejer"]["passed"] is True
     assert report["report"]["fit"]["c_hat"] < 1.0
+    assert "kappa_hat" not in report["report"]
     capsys.readouterr()
     # an inadmissible column name is a usage error
     assert main(["rate", "--trajectory", traj, "--column", "nope",

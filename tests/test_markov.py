@@ -1,13 +1,15 @@
 """Ensemble simulation, diagnostics, and run file formats."""
 
+import csv
+import io
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blocksplit import markov
-from blocksplit.blockspace import BlockSubsetScheme
+from blocksplit.blockspace import BlockLayout, BlockSubsetScheme
 from blocksplit.errors import DimensionMismatch, Diverged
 from blocksplit.markov import (
     DiagnosticRecord,
@@ -18,12 +20,15 @@ from blocksplit.markov import (
     read_trajectory_csv,
     run,
     sbi_step,
+    trajectory_header,
     uniform_box_sampler,
     write_snapshot,
     write_trajectory_csv,
 )
+from blocksplit.operators import SeparableTerm, coupling_quadratic, h_l1
 from blocksplit.problems import counterexample2d
-from blocksplit.splitting import apply_T, apply_full
+from blocksplit.splitting import SplittingMap, apply_T, apply_full
+from blocksplit.transport import DiscreteMeasure, write_measure
 
 SINGLETONS = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
 
@@ -155,6 +160,147 @@ def test_run_invariant_to_draw_block(weights, num_chains, iterations, seed):
         runs.append((e.states.tobytes(), _stream_states(e),
                      [(r.mean_residual, r.psi_upper) for r in result.records]))
     assert runs[0] == runs[1] == runs[2]
+
+
+def _reference_block_means(layout, states):
+    # one np.mean per block view: the independent route
+    return np.array([np.mean(layout.block(states, j)) for j in range(layout.num_blocks)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=12),
+       st.integers(1, 1500), st.integers(0, 2**32 - 1))
+@example([2, 1, 2, 1], 129, 0)
+@example([3, 1, 3], 1500, 1)
+@example([1], 1, 2)
+def test_block_means_match_per_block_mean_bitwise(dims, num_chains, seed):
+    # interleaved dims make a dim group's columns non-contiguous; chain counts
+    # cross numpy's pairwise-summation thresholds at 8 and 128 values, and
+    # N*d stays within the 8192 values where block_means promises equal bits
+    layout = BlockLayout(tuple(dims))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-8, 8, size=layout.total_dim)
+    states = rng.normal(size=(num_chains, layout.total_dim)) * scale
+    got = layout.block_means(states)
+    assert got.tobytes() == _reference_block_means(layout, states).tobytes()
+
+
+def _mixed_dim_map(seed=0):
+    layout = BlockLayout((2, 1, 2, 1))
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(7, 6))
+    coupling = coupling_quadratic(layout, A.T @ A / 6, rng.normal(size=6))
+    term = SeparableTerm(layout, [h_l1(0.1) for _ in range(4)])
+    scheme = BlockSubsetScheme(((0,), (1, 2), (3,), (0, 1, 2, 3)), (0.25, 0.25, 0.25, 0.25))
+    return SplittingMap("fb", coupling, term, np.full(4, 0.1), scheme, layout)
+
+
+def test_run_writes_reference_block_means_bitwise(tmp_path):
+    m = _mixed_dim_map()
+    e = init_ensemble(m, uniform_box_sampler([-3.0] * 6, [3.0] * 6), 37, master_seed=5)
+    result = run(e, m, 12, snapshot_every=1)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, result.records)
+    cols = read_trajectory_csv(path)
+    for r in result.records:
+        want = _reference_block_means(m.layout, result.snapshots[r.k])
+        assert r.block_means.tobytes() == want.tobytes()
+        written = np.array([cols[f"block{j}_mean"][r.k] for j in range(4)])
+        assert written.tobytes() == want.tobytes()
+
+
+def test_writers_pinned_bytes(tmp_path):
+    third = 1.0 / 3.0
+    records = [
+        DiagnosticRecord(0, third, 2.0, None, None, np.array([np.nan, -0.0])),
+        DiagnosticRecord(1, 5e-324, np.inf, 0.25, -np.inf, np.array([1e300, -1.5])),
+    ]
+    write_trajectory_csv(tmp_path / "t.csv", records)
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"k,mean_residual,psi_upper,dw_step,d_target,block0_mean,block1_mean\r\n"
+        b"0,0.33333333333333331,2,,,nan,-0\r\n"
+        b"1,4.9406564584124654e-324,inf,0.25,-inf,1.0000000000000001e+300,-1.5\r\n"
+    )
+    write_snapshot(tmp_path / "s.csv", np.array([[third, -0.0], [np.nan, -np.inf]]), k=3, seed=9)
+    assert (tmp_path / "s.csv").read_bytes() == (
+        b'{"dim": 2, "k": 3, "n": 2, "seed": 9}\n'
+        b"0.33333333333333331,-0\r\n"
+        b"nan,-inf\r\n"
+    )
+    write_snapshot(tmp_path / "s0.csv", np.empty((0, 3)), k=0, seed=1)
+    assert (tmp_path / "s0.csv").read_bytes() == b'{"dim": 3, "k": 0, "n": 0, "seed": 1}\n'
+    layout = BlockLayout((1, 1))
+    mu = DiscreteMeasure(np.array([[5e-324, -0.0], [third, 2.0]]), np.array([0.25, 0.75]), layout)
+    write_measure(tmp_path / "m.csv", mu)
+    assert (tmp_path / "m.csv").read_bytes() == (
+        b'{"block_dims": [1, 1], "dim": 2, "n": 2, "version": 1}\n'
+        b"0.25,4.9406564584124654e-324,-0\r\n"
+        b"0.75,0.33333333333333331,2\r\n"
+    )
+    # DiscreteMeasure refuses an empty support (its weights cannot sum to 1),
+    # so the empty body is pinned on an instance built around that check
+    empty = object.__new__(DiscreteMeasure)
+    empty.support, empty.weights, empty.layout = np.empty((0, 2)), np.empty(0), layout
+    write_measure(tmp_path / "m0.csv", empty)
+    assert (tmp_path / "m0.csv").read_bytes() == (
+        b'{"block_dims": [1, 1], "dim": 2, "n": 0, "version": 1}\n'
+    )
+
+
+def _reference_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, (int, str)):
+        return v
+    return format(float(v), ".17g")
+
+
+def _csv_reference(first_line, rows):
+    # the independent route: csv.writer over format(v, ".17g") cells
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    for row in rows:
+        w.writerow([_reference_cell(v) for v in row])
+    return (first_line + buf.getvalue()).encode()
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
+finite_float = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_writers_match_csv_writer_reference(tmp_path_factory, width, data):
+    tmp = tmp_path_factory.mktemp("w")
+    cells = st.lists(any_float, min_size=width, max_size=width)
+    rows = data.draw(st.lists(cells, max_size=6))
+    optional = st.one_of(st.none(), any_float)
+    records = [
+        DiagnosticRecord(k, data.draw(any_float), data.draw(any_float), data.draw(optional),
+                         data.draw(optional), np.array(row, dtype=float).reshape(width))
+        for k, row in enumerate(rows)
+    ]
+    write_trajectory_csv(tmp / "t.csv", records)
+    want = _csv_reference("", [trajectory_header(width if records else 0)] + [
+        [r.k, r.mean_residual, r.psi_upper, r.dw_step, r.d_target, *r.block_means] for r in records
+    ])
+    assert (tmp / "t.csv").read_bytes() == want
+
+    states = np.array(rows, dtype=float).reshape(len(rows), width)
+    write_snapshot(tmp / "s.csv", states, k=len(rows), seed=width)
+    header = '{"dim": %d, "k": %d, "n": %d, "seed": %d}\n' % (width, len(rows), len(rows), width)
+    assert (tmp / "s.csv").read_bytes() == _csv_reference(header, rows)
+
+    support = data.draw(st.lists(st.lists(finite_float, min_size=width, max_size=width),
+                                 min_size=1, max_size=6))
+    raw = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(support),
+                                      max_size=len(support))))
+    mu = DiscreteMeasure(np.array(support), raw / raw.sum(), BlockLayout((1,) * width))
+    write_measure(tmp / "m.csv", mu)
+    header = '{"block_dims": %s, "dim": %d, "n": %d, "version": 1}\n' % (
+        [1] * width, width, len(support))
+    want = _csv_reference(header, [[w, *row] for w, row in zip(mu.weights, support)])
+    assert (tmp / "m.csv").read_bytes() == want
 
 
 def test_run_raises_diverged_at_first_nonfinite_state():
