@@ -141,8 +141,9 @@ class BlockSubsetScheme:
             raise UncoveredBlock("empty subset in scheme")
         if any(q < 0 for q in probs):
             raise ValueError(f"negative probability in {probs}")
+        # a NaN or infinite probability makes the sum NaN or infinite, which fails here
         total = sum(probs)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "subsets", subsets)
         object.__setattr__(self, "probs", probs)
@@ -173,6 +174,8 @@ class BlockProbabilities:
             raise DimensionMismatch(
                 f"expected {self.layout.num_blocks} block probabilities, got shape {probs.shape}"
             )
+        if not np.isfinite(probs).all():
+            raise ValueError(f"block probabilities must be finite, got {probs}")
         if np.any(probs <= 0):
             raise UncoveredBlock(f"nonpositive block probability in {probs}")
         if np.any(probs > 1 + 1e-12):

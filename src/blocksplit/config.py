@@ -244,8 +244,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     steps = doc.get("steps")
     steps_arr = None if steps is None else _as_vector(steps, "config.steps")
-    if steps_arr is not None and not np.all(steps_arr > 0):
-        raise ConfigError(f"config.steps: every step must be positive, got {steps}")
+    if steps_arr is not None and not np.all(np.isfinite(steps_arr) & (steps_arr > 0)):
+        raise ConfigError(f"config.steps: every step must be finite and positive, got {steps}")
 
     seed = _as_int(_require(doc, "seed", "config"), "config.seed", minimum=0)
     threads = _as_int(doc.get("threads", 1), "config.threads", minimum=1)

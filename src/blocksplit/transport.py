@@ -4,8 +4,11 @@ Costs are squared selection-weighted norms: block j's coordinates carry
 weight 1/p_j.  Two equal-weight clouds of sizes n and m are one assignment
 problem on L = lcm(n, m) replicated atoms, solved as such while L is at
 most ASSIGN_MAX_ATOMS (or n == m); every other pair of measures goes
-through an exact transport LP.  Both routes are exact up to solver
-tolerance, no entropic smoothing anywhere.
+through the transport LP.  The LP is solved on a small support of candidate
+pairs, grown by pricing until its duals leave none of the n x m pairs with a
+negative reduced cost, which certifies the plan optimal for the full LP.
+Both routes are exact up to solver tolerance, no entropic smoothing
+anywhere.
 
 scipy is imported inside the functions that use it, not with this module:
 the CLI loads it on the first W2 solve (the ``transport`` command, or
@@ -29,13 +32,15 @@ from .splitting import SplittingMap, apply_full
 
 # Largest replicated size L = lcm(n, m) that two equal-weight clouds of
 # different sizes solve as one L x L assignment; the gathered cost takes
-# 8 L^2 bytes (32 MB at 2000).  Measured on one core of a Xeon host with one
-# BLAS thread, on 2-d Gaussian clouds: at L = 1000-2000 the assignment took
-# 0.2-4.1 s and 86-121 MB peak RSS where the LP took 0.1-156 s and 91-852 MB.
-# It lost only on lopsided pairs (2000 vs 10 points: 3.8 s vs 0.8 s).  That
-# loss grows with L while the LP stays small, so the cap stays at 2000 though
-# the balanced 700 vs 500 points (L = 3500) still won, 15 s and 187 MB
-# against 21 s and 416 MB.  Equal sizes replicate nothing and take the
+# 8 L^2 bytes (32 MB at 2000).  Set against the dense n x m LP, measured on
+# one core of a Xeon host with one BLAS thread, on 2-d Gaussian clouds: at
+# L = 1000-2000 the assignment took 0.2-4.1 s and 86-121 MB peak RSS where
+# that LP took 0.1-156 s and 91-852 MB.  It lost only on lopsided pairs
+# (2000 vs 10 points: 3.8 s vs 0.8 s).  That loss grows with L while the LP
+# stays small, so the cap stays at 2000 though the balanced 700 vs 500
+# points (L = 3500) still won, 15 s and 187 MB against 21 s and 416 MB.
+# The restricted LP solves that pair in 8.6 s and 112 MB (one core of a
+# 2-core Xeon host, one BLAS thread), so the cap is due a re-measurement.  Equal sizes replicate nothing and take the
 # assignment at any size.
 ASSIGN_MAX_ATOMS = 2000
 
@@ -115,8 +120,8 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: BlockProbabilities)
     return _sq_distances(mu.support, nu.support, p)
 
 
-# The two solvers stay module-level names, which wasserstein2_weighted looks
-# up at call time (so a profiler can wrap them, as bench/tracing.py does);
+# The two solvers stay module-level names, which the W2 routes look up at
+# call time (so a profiler can wrap them, as bench/tracing.py does);
 # each imports scipy.optimize only when it is called.
 def linear_sum_assignment(cost: np.ndarray):
     """Optimal assignment for a square cost matrix (scipy.optimize)."""
@@ -136,6 +141,82 @@ def _is_uniform(mu: DiscreteMeasure) -> bool:
     return bool(np.allclose(mu.weights, 1.0 / mu.num_points, rtol=0, atol=1e-12))
 
 
+# The restricted LP starts from each atom's CANDIDATES cheapest partners
+# (per row and per column of the cost) and each pricing round adds each
+# row's and column's PRICED most negative reduced costs.
+CANDIDATES = 5
+PRICED = 3
+
+
+def _smallest_per_line(M: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices of the k smallest entries of every row and every column of M."""
+    n, m = M.shape
+    kr, kc = min(k, m), min(k, n)
+    in_rows = np.argpartition(M, kr - 1, axis=1)[:, :kr] + m * np.arange(n)[:, None]
+    in_cols = m * np.argpartition(M, kc - 1, axis=0)[:kc, :] + np.arange(m)
+    return np.concatenate([in_rows.ravel(), in_cols.ravel()])
+
+
+def _northwest_corner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat indices of the n + m - 1 pairs of the north-west-corner plan of a, b.
+
+    The staircase walks from (0, 0) to (n - 1, m - 1), stepping to the next
+    row when the row's cumulative weight runs out first and to the next
+    column otherwise, so it carries a feasible plan for these marginals.
+    """
+    n, m = a.size, b.size
+    breaks = np.concatenate([np.cumsum(b)[:-1], np.cumsum(a)[:-1]])
+    down = np.argsort(breaks, kind="stable") >= m - 1
+    rows = np.concatenate([[0], np.cumsum(down)])
+    cols = np.concatenate([[0], np.cumsum(~down)])
+    return rows * m + cols
+
+
+def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Optimal n x m plan of the transport LP, solved on a priced sparse support.
+
+    Each round solves the LP restricted to a candidate set of pairs, which
+    always holds the north-west-corner staircase and so stays feasible, and
+    prices every pair with the round's duals u, v: R = C - u - v.  Pairs
+    outside the set with R < -1e-12 max(1, max C) join it, a few per row and
+    column; when there are none, the duals certify the restricted plan
+    optimal over all n x m pairs.  Every round adds a pair, so the loop ends at
+    the latest on the dense LP.
+    """
+    from scipy.sparse import csr_matrix
+
+    n, m = C.shape
+    tol = 1e-12 * max(1.0, float(C.max()))
+    cost = C.ravel()
+    inset = np.zeros(n * m, dtype=bool)
+    inset[_smallest_per_line(C, CANDIDATES)] = True
+    inset[_northwest_corner(a, b)] = True
+    # marginal constraints: source rows, then target rows; the final
+    # (redundant) row is dropped for numerical hygiene and has dual 0
+    rhs = np.concatenate([a, b])[:-1]
+    while True:
+        var = np.flatnonzero(inset)
+        src, dst = np.divmod(var, m)
+        k = var.size
+        rows, cols = np.concatenate([src, n + dst]), np.tile(np.arange(k), 2)
+        A_eq = csr_matrix((np.ones(2 * k), (rows, cols)), shape=(n + m, k))[:-1]
+        res = linprog(cost[var], A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs")
+        if res.status != 0:
+            raise SolverFailure(f"transport LP failed with status {res.status}: {res.message}")
+        y = np.append(res.eqlin.marginals, 0.0)
+        if not np.isfinite(y).all():
+            raise SolverFailure("transport LP returned non-finite duals")
+        R = C - y[:n, None] - y[None, n:]
+        R.ravel()[inset] = np.inf
+        if not R.min() < -tol:
+            break
+        new = _smallest_per_line(R, PRICED)
+        inset[new[R.ravel()[new] < -tol]] = True
+    plan = np.zeros(n * m)
+    plan[var] = res.x
+    return plan.reshape(n, m)
+
+
 def wasserstein2_weighted(
     mu: DiscreteMeasure, nu: DiscreteMeasure, p: BlockProbabilities
 ) -> tuple[float, CouplingPlan]:
@@ -147,8 +228,9 @@ def wasserstein2_weighted(
     integral vertices, so the optimal assignment is an optimal plan; it is
     folded back to n x m at weight 1/L per matched pair.  That route is taken
     when n == m or L <= ASSIGN_MAX_ATOMS; every other pair of measures solves
-    the transport LP to optimality.  Raises SolverFailure if the underlying
-    solver reports anything but success.
+    the transport LP to optimality, on a priced sparse support of pairs whose
+    duals are checked against all n x m pairs (see _transport_lp).  Raises
+    SolverFailure if the underlying solver reports anything but success.
     """
     if mu.layout.block_dims != nu.layout.block_dims:
         raise DimensionMismatch("measures live on different layouts")
@@ -164,22 +246,7 @@ def wasserstein2_weighted(
         np.add.at(plan, (rows // rep_mu, cols // rep_nu), 1.0 / L)
         return float(np.sqrt(max(val, 0.0))), CouplingPlan(plan, mu, nu)
 
-    from scipy.sparse import coo_matrix
-
-    # marginal constraints as a sparse equality system; drop the final
-    # (redundant) row for numerical hygiene.  Variable a * mth + b ships
-    # from source a to target b; source rows list it by a, target rows by b.
-    var = np.arange(n * mth)
-    by_target = var.reshape(n, mth).T.ravel()
-    rows_idx = np.concatenate([var // mth, n + by_target % mth])
-    cols_idx = np.concatenate([var, by_target])
-    A_eq = coo_matrix((np.ones(2 * n * mth), (rows_idx, cols_idx)),
-                      shape=(n + mth, n * mth)).tocsr()[:-1]
-    rhs = np.concatenate([mu.weights, nu.weights])[:-1]
-    res = linprog(C.reshape(-1), A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise SolverFailure(f"transport LP failed with status {res.status}: {res.message}")
-    plan = res.x.reshape(n, mth)
+    plan = _transport_lp(C, mu.weights, nu.weights)
     # clean tiny negatives from the solver before validating marginals
     plan = np.where(np.abs(plan) < 1e-14, 0.0, plan)
     val = float(np.sum(plan * C))

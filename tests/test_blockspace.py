@@ -72,6 +72,11 @@ def test_scheme_validation():
         BlockSubsetScheme(((0,), ()), (0.5, 0.5))
     with pytest.raises(DimensionMismatch):
         BlockSubsetScheme(((0,),), (0.5, 0.5))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sum to"):
+            BlockSubsetScheme(((0,), (1,)), (bad, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            BlockProbabilities(np.array([bad, 0.5]), BlockLayout((1, 1)))
 
 
 def test_scheme_normalizes_subsets():

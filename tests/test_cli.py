@@ -355,6 +355,14 @@ BAD_INPUTS = [
     ("box_lo_above_hi", "config.run.init",
      _config_case("run", run=dict(SMALL_RUN, init={"kind": "uniform_box", "lo": [1.0, 1.0],
                                                    "hi": [0.0, 0.0]}))),
+    ("scheme_probs_nan", "config.scheme: probabilities sum to nan",
+     _config_case("run", scheme={"subsets": [[0], [1]], "probs": [float("nan"), 1.0]},
+                  run=SMALL_RUN)),
+    ("steps_inf", "config.steps: every step must be finite and positive",
+     _config_case("certify", steps=[float("inf"), 0.2])),
+    ("transport_probs_nan", "--probs: block probabilities must be finite",
+     _file_case("m.csv", GOOD_MEASURE,
+                lambda bad, good: ["transport", bad, good, "--probs", "nan,0.5"])),
     ("probs_text", "--probs",
      _file_case("m.csv", GOOD_MEASURE,
                 lambda bad, good: ["transport", bad, good, "--probs", "0.5,abc"])),

@@ -261,6 +261,149 @@ def test_w2_route_follows_weights_and_replication_cap(monkeypatch):
         assert d_w == pytest.approx(_lp_w2(a, b, p), rel=1e-8)
 
 
+def _weighted_cloud(rng, n, layout, zero_frac, duplicates):
+    """Random weights, some of them zero; with duplicates, a third of the atoms sit on atom 0."""
+    support = rng.normal(scale=2.0, size=(n, layout.total_dim))
+    if duplicates:
+        support[1 : 1 + n // 3] = support[0]
+    w = rng.uniform(0.2, 1.0, size=n)
+    w[rng.random(n) < zero_frac] = 0.0
+    if not w.any():
+        w[rng.integers(n)] = 1.0
+    return DiscreteMeasure(support, w / w.sum(), layout)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.sampled_from([0.0, 0.3]),
+    st.booleans(),
+    st.booleans(),
+)
+@example(seed=1, n=1, m=40, zero_frac=0.3, duplicates=False, identical=False)
+@example(seed=2, n=40, m=1, zero_frac=0.0, duplicates=True, identical=False)
+@example(seed=3, n=40, m=40, zero_frac=0.3, duplicates=True, identical=True)
+def test_w2_restricted_lp_matches_dense_lp(seed, n, m, zero_frac, duplicates, identical):
+    rng = np.random.default_rng(seed)
+    layout = BlockLayout((1, 2))
+    p = BlockProbabilities(rng.uniform(0.2, 1.0, size=2), layout)
+    mu = _weighted_cloud(rng, n, layout, zero_frac, duplicates)
+    nu = mu if identical else _weighted_cloud(rng, m, layout, zero_frac, duplicates)
+    d, plan = wasserstein2_weighted(mu, nu, p)
+    d_lp = _lp_w2(mu, nu, p)
+    assert abs(d - d_lp) <= 1e-12 * d_lp + 1e-15
+    np.testing.assert_allclose(plan.matrix.sum(axis=1), mu.weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(plan.matrix.sum(axis=0), nu.weights, rtol=0, atol=1e-12)
+    assert np.all(plan.matrix >= 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 30), st.integers(1, 30))
+def test_northwest_corner_staircase_is_feasible(seed, n, m):
+    rng = np.random.default_rng(seed)
+    layout = BlockLayout((1,))
+    a = _weighted_cloud(rng, n, layout, 0.3, False).weights
+    b = _weighted_cloud(rng, m, layout, 0.3, False).weights
+    pairs = transport._northwest_corner(a, b)
+    rows, cols = np.divmod(pairs, m)
+    assert pairs.size == n + m - 1 == np.unique(pairs).size
+    assert (rows[0], cols[0], rows[-1], cols[-1]) == (0, 0, n - 1, m - 1)
+    assert np.all(np.diff(rows) + np.diff(cols) == 1)
+    # the marginals have a plan on the staircase alone
+    A_eq = np.vstack([np.eye(n)[rows].T, np.eye(m)[cols].T])
+    res = linprog(np.zeros(pairs.size), A_eq=A_eq, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+
+
+def _spy_linprog(monkeypatch):
+    """Record the size and result of every transport.linprog call."""
+    calls = []
+    forward = transport.linprog
+
+    def spy(c, **kwargs):
+        res = forward(c, **kwargs)
+        calls.append((c.size, res))
+        return res
+
+    monkeypatch.setattr(transport, "linprog", spy)
+    return calls
+
+
+def _lp_instance(seed, zero_frac=0.0, duplicates=False):
+    """A 60 x 50 weighted pair, which takes the LP route in several rounds."""
+    rng = np.random.default_rng(seed)
+    layout = BlockLayout((1, 2))
+    p = BlockProbabilities(np.array([0.4, 0.9]), layout)
+    mu = _weighted_cloud(rng, 60, layout, zero_frac, duplicates)
+    return mu, _weighted_cloud(rng, 50, layout, zero_frac, duplicates), p
+
+
+def test_w2_lp_solves_restricted_rounds_through_module_linprog(monkeypatch):
+    import scipy.optimize
+
+    mu, nu, p = _lp_instance(14)
+    d_dense = _lp_w2(mu, nu, p)
+    scipy_solves = []
+    scipy_linprog = scipy.optimize.linprog
+
+    def counted(c, **kwargs):
+        scipy_solves.append(c.size)
+        return scipy_linprog(c, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    calls = _spy_linprog(monkeypatch)
+    d, _ = wasserstein2_weighted(mu, nu, p)
+    sizes = [size for size, _ in calls]
+    # every scipy solve went through the module global a profiler wraps
+    assert sizes and scipy_solves == sizes
+    assert sizes[0] < 60 * 50
+    # every round adds at least one pair to the support
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    assert d == pytest.approx(d_dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, zero_frac, duplicates", [(14, 0.0, False), (15, 0.3, True)])
+def test_w2_lp_duals_certify_every_pair(monkeypatch, seed, zero_frac, duplicates):
+    mu, nu, p = _lp_instance(seed, zero_frac, duplicates)
+    calls = _spy_linprog(monkeypatch)
+    d, _ = wasserstein2_weighted(mu, nu, p)
+    C = cost_matrix(mu, nu, p)
+    y = np.append(calls[-1][1].eqlin.marginals, 0.0)
+    u, v = y[:60], y[60:]
+    # dual feasible on all n x m pairs, not only on the restricted support ...
+    assert (C - u[:, None] - v[None, :]).min() >= -1e-12 * max(1.0, C.max())
+    # ... and the dual objective equals the plan's cost: the plan is optimal
+    assert mu.weights @ u + nu.weights @ v == pytest.approx(d * d, rel=1e-12)
+
+
+def test_w2_lp_failure_on_any_round_raises(monkeypatch):
+    mu, nu, p = _lp_instance(16)
+    with monkeypatch.context() as mp:
+        calls = _spy_linprog(mp)
+        wasserstein2_weighted(mu, nu, p)
+        rounds = len(calls)
+    assert rounds >= 2
+    forward = transport.linprog
+    for fail_at in range(rounds):
+        seen = []
+
+        def failing(c, **kwargs):
+            res = forward(c, **kwargs)
+            if len(seen) == fail_at:
+                res.status, res.message = 2, "injected failure"
+            seen.append(c.size)
+            return res
+
+        with monkeypatch.context() as mp:
+            mp.setattr(transport, "linprog", failing)
+            with pytest.raises(SolverFailure, match="status 2: injected failure"):
+                wasserstein2_weighted(mu, nu, p)
+        assert len(seen) == fail_at + 1
+
+
 def test_coupling_plan_marginal_validation():
     layout, _ = _unit_p(1, dims=(1,))
     mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]), layout)
