@@ -294,7 +294,7 @@ def cmd_transport(args, out_dir: Path) -> int:
         probs = (np.ones(mu.layout.num_blocks) if args.probs is None
                  else np.array([float(v) for v in args.probs.split(",")]))
         p = BlockProbabilities(probs, mu.layout)
-    except ValueError as e:
+    except (BlocksplitError, ValueError) as e:
         raise ConfigError(f"--probs: {e}") from e
     d, plan = wasserstein2_weighted(mu, nu, p)
     print(format(d, ".17g"))

@@ -299,14 +299,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
         alpha = _as_float(c.get("alpha", 0.5), "config.certify.alpha")
         if not 0 < alpha < 1:
             raise ConfigError(f"config.certify.alpha: must lie in (0, 1), got {alpha}")
+        violation = _as_float(c.get("violation", 0.0), "config.certify.violation")
+        if not (np.isfinite(violation) and violation >= 0):
+            raise ConfigError(f"config.certify.violation: must be finite and nonnegative, got {violation}")
+        tolerance = _as_float(c.get("tolerance", 1e-10), "config.certify.tolerance")
+        if not np.isfinite(tolerance):
+            raise ConfigError(f"config.certify.tolerance: must be finite, got {tolerance}")
         certify_sec = CertifySection(
             property_name=prop,
             target=target,
             alpha=alpha,
-            violation=_as_float(c.get("violation", 0.0), "config.certify.violation"),
+            violation=violation,
             num_pairs=_as_int(c.get("num_pairs", 10_000), "config.certify.num_pairs", 1),
             region=None if "region" not in c else _parse_region(c["region"], "config.certify.region"),
-            tolerance=_as_float(c.get("tolerance", 1e-10), "config.certify.tolerance"),
+            tolerance=tolerance,
             adversarial=_as_bool(c.get("adversarial", True), "config.certify.adversarial"),
             residual_threshold=_as_float(c.get("residual_threshold", 1e-8), "config.certify.residual_threshold"),
         )

@@ -247,11 +247,10 @@ def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     if not rows:
         raise ValueError("file is empty")
     header, body = rows[0], rows[1:]
-    cols: dict[str, np.ndarray] = {}
-    for idx, name in enumerate(header):
-        vals = [row[idx] if idx < len(row) else "" for row in body]
-        cols[name] = np.array([float(v) if v != "" else np.nan for v in vals])
-    return cols
+    width = len(header)
+    cells = [[v or "nan" for v in row[:width]] + ["nan"] * (width - len(row)) for row in body]
+    table = np.array(cells, dtype=float).reshape(len(body), width)
+    return dict(zip(header, np.ascontiguousarray(table.T)))
 
 
 def write_snapshot(path, states: np.ndarray, k: int, seed: int) -> None:
@@ -274,7 +273,7 @@ def read_snapshot(path) -> tuple[dict, np.ndarray]:
     with open(path, newline="") as fh:
         header = json.loads(fh.readline())
         rows = list(csv.reader(fh))
-    states = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    states = np.array(rows, dtype=float)
     if states.size == 0:
         states = states.reshape(0, header.get("dim", 0))
     if states.shape != (header["n"], header["dim"]):

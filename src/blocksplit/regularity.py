@@ -4,9 +4,13 @@ Each certifier samples pairs from a box region, evaluates the defining
 inequality of the property, and reports the worst signed margin together
 with the pair achieving it.  Positive margin above tolerance means the
 property fails and the witness replays the violation.  Expectations over
-the subset scheme are exact finite sums, never Monte Carlo, over the
-masked route where(mask_i, T1 x, x); only ``verify_expectation_identities``
-sums over the reference route ``apply_T``, so its sides never share a T1.
+the subset scheme are exact, never Monte Carlo.  The squared weighted terms
+of ``certify_aafne_in_expectation`` take the closed form over one T1
+evaluation of the stacked pair batch (``expected_weighted_terms``).  The
+paracontraction norms are not squared and have no closed form, so that
+certifier sums over the masked route where(mask_i, T1 x, x).
+``verify_expectation_identities`` checks the closed form against sums over
+the reference route ``apply_T``, so its two sides never share a T1.
 """
 
 from __future__ import annotations
@@ -203,7 +207,8 @@ def certify_aafne_in_expectation(
     """Test the selection-weighted expectation inequality over the scheme.
 
     E||T_xi x - T_xi y||_p^2 <= (1+eps)||x-y||_p^2 - ((1-a)/a) E psi_p, with
-    the expectation evaluated exactly as the finite sum over subsets.
+    both expectations exact: the closed form of ``expected_weighted_terms``,
+    one ``apply_full`` per margin batch whatever the number of subsets.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
@@ -299,21 +304,20 @@ def verify_expectation_identities(
     E||T_xi x - T_xi y||_p^2 = ||T1 x - T1 y||^2 - ||x-y||^2 + ||x-y||_p^2
     and E psi_p = ||(x - T1 x) - (y - T1 y)||^2, evaluated exactly; reports
     the largest absolute deviation across both.  The left-hand sides sum
-    over the reference route ``apply_T``, the right-hand sides read T1, so
-    the two sides never share an evaluation.
+    over the reference route ``apply_T``; the right-hand sides are the
+    closed form ``expected_weighted_terms`` that the expectation certifier
+    reads, so the two sides never share an evaluation.
     """
     p = m.probabilities
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(3,)))
     xs = region.sample(rng, num_pairs)
     ys = region.sample(rng, num_pairs)
-    T1x, T1y = apply_full(m, xs), apply_full(m, ys)
     lhs1 = lhs2 = 0.0
     for i, q in enumerate(m.scheme.probs):
         Tx, Ty = apply_T(m, i, xs), apply_T(m, i, ys)
         lhs1 = lhs1 + q * weighted_sq(Tx - Ty, p)
         lhs2 = lhs2 + q * weighted_transport_discrepancy(xs, ys, Tx, Ty, p)
-    rhs1 = _sq(T1x - T1y) - _sq(xs - ys) + weighted_sq(xs - ys, p)
-    rhs2 = _sq((xs - T1x) - (ys - T1y))
+    rhs1, rhs2 = expected_weighted_terms(m, xs, ys)
     dev = float(max(np.max(np.abs(lhs1 - rhs1)), np.max(np.abs(lhs2 - rhs2))))
     worst = int(np.argmax(np.maximum(np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2))))
     return CertificationReport(

@@ -11,7 +11,9 @@ So each T_i is a block mask over T1, T_i x = where(mask_i, T1 x, x) bit for
 bit.  The package evaluates outcome maps by that masked route: one
 ``apply_full`` per input, masked by ``outcome_masks``.  ``apply_T`` runs
 outcome i's own update plan; it is the reference route, for checks that
-must not read T1 and for certifying one outcome map alone.
+must not read T1 and for certifying one outcome map alone.  Expectations
+over the scheme in the selection-weighted norm need no outcome map at all:
+they collapse onto T1 in closed form (``expected_weighted_terms``).
 
 A plan lists the blocks a map updates, grouped by (prox oracle, step,
 block dim) with the group's coordinate columns.  Forward-backward takes
@@ -268,17 +270,23 @@ def expectation_constants(c: RegularityConstants, p: BlockProbabilities) -> Regu
 
 
 def expected_weighted_terms(m: SplittingMap, x: np.ndarray, y: np.ndarray):
-    """(E ||T_xi x - T_xi y||_p^2, E psi_p(x, y, T_xi x, T_xi y)) in one pass.
+    """(E ||T_xi x - T_xi y||_p^2, E psi_p(x, y, T_xi x, T_xi y)) in closed form.
 
-    Both are exact finite sums over the scheme, masked over one T1 x and one
-    T1 y: each outcome's images are formed one outcome at a time, never as a
-    table over all outcomes.
+    Block j is updated with probability p_j and the p-norm weighs it by
+    1/p_j, so both exact expectations over the scheme collapse onto T1:
+
+        E ||T_xi x - T_xi y||_p^2 = ||T1 x - T1 y||^2 + ||x - y||_p^2 - ||x - y||^2,
+        E psi_p = ||(x - T1 x) - (y - T1 y)||^2.
+
+    One ``apply_full`` on the stacked batch (x; y) gives T1 x and T1 y.  The
+    first sum is taken as ||T1 x - T1 y||^2 + sum_j (1/p_j - 1) ||x_j - y_j||^2,
+    whose terms are all nonnegative, so nothing cancels.  The cost does not
+    depend on the number of outcomes.
     """
-    p = m.probabilities
-    T1x, T1y = apply_full(m, x), apply_full(m, y)
-    sq_total = psi_total = 0.0
-    for mask, q in zip(m.outcome_masks, m.scheme.probs):
-        Tx, Ty = np.where(mask, T1x, x), np.where(mask, T1y, y)
-        sq_total = sq_total + q * weighted_sq(Tx - Ty, p)
-        psi_total = psi_total + q * weighted_transport_discrepancy(x, y, Tx, Ty, p)
-    return sq_total, psi_total
+    x, y = np.broadcast_arrays(m.layout.check(x), m.layout.check(y))
+    stacked = np.stack((x, y))
+    T1x, T1y = apply_full(m, stacked.reshape(-1, x.shape[-1])).reshape(stacked.shape)
+    d0, d1 = x - y, T1x - T1y
+    sq = np.sum(d1 * d1 + (m.probabilities.coordinate_inverse() - 1.0) * d0 * d0, axis=-1)
+    psi = transport_discrepancy(x, y, T1x, T1y)
+    return (float(sq) if np.ndim(sq) == 0 else sq), psi

@@ -328,10 +328,8 @@ def read_measure(path) -> DiscreteMeasure:
         if len(r) != 1 + layout.total_dim:
             raise ValueError(f"line {line} has {len(r)} fields, expected "
                              f"{1 + layout.total_dim} (a weight and {layout.total_dim} coordinates)")
-    weights = np.array([float(r[0]) for r in rows])
-    support = np.array([[float(v) for v in r[1:]] for r in rows])
-    if support.size == 0:
-        support = support.reshape(0, layout.total_dim)
+    body = np.array(rows, dtype=float).reshape(len(rows), 1 + layout.total_dim)
+    weights, support = np.ascontiguousarray(body[:, 0]), np.ascontiguousarray(body[:, 1:])
     if support.shape != (header["n"], header["dim"]):
         raise ValueError(f"measure body {support.shape} does not match header {header}")
     return DiscreteMeasure(support, weights, layout)

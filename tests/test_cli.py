@@ -363,6 +363,27 @@ BAD_INPUTS = [
     ("transport_probs_nan", "--probs: block probabilities must be finite",
      _file_case("m.csv", GOOD_MEASURE,
                 lambda bad, good: ["transport", bad, good, "--probs", "nan,0.5"])),
+    ("transport_probs_zero", "--probs: nonpositive block probability",
+     _file_case("m.csv", GOOD_MEASURE,
+                lambda bad, good: ["transport", bad, good, "--probs", "0,1"])),
+    ("transport_probs_count", "--probs: expected 2 block probabilities",
+     _file_case("m.csv", GOOD_MEASURE,
+                lambda bad, good: ["transport", bad, good, "--probs", "0.5"])),
+    ("violation_nan", "config.certify.violation: must be finite and nonnegative",
+     _config_case("certify", certify={"property": "aafne_in_expectation", "alpha": 0.5,
+                                      "violation": float("nan")})),
+    ("violation_inf", "config.certify.violation: must be finite and nonnegative",
+     _config_case("certify", certify={"property": "aafne_in_expectation", "alpha": 0.5,
+                                      "violation": float("inf")})),
+    ("violation_negative", "config.certify.violation: must be finite and nonnegative",
+     _config_case("certify", certify={"property": "aafne_in_expectation", "alpha": 0.5,
+                                      "violation": -0.1})),
+    ("tolerance_nan", "config.certify.tolerance: must be finite",
+     _config_case("certify", certify={"property": "aafne_in_expectation", "alpha": 0.5,
+                                      "tolerance": float("nan")})),
+    ("tolerance_inf", "config.certify.tolerance: must be finite",
+     _config_case("certify", certify={"property": "aafne_in_expectation", "alpha": 0.5,
+                                      "tolerance": float("inf")})),
     ("probs_text", "--probs",
      _file_case("m.csv", GOOD_MEASURE,
                 lambda bad, good: ["transport", bad, good, "--probs", "0.5,abc"])),

@@ -28,7 +28,7 @@ from blocksplit.markov import (
 from blocksplit.operators import SeparableTerm, coupling_quadratic, h_l1
 from blocksplit.problems import counterexample2d
 from blocksplit.splitting import SplittingMap, apply_T, apply_full
-from blocksplit.transport import DiscreteMeasure, write_measure
+from blocksplit.transport import DiscreteMeasure, read_measure, write_measure
 
 SINGLETONS = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
 
@@ -365,6 +365,58 @@ def test_snapshot_detects_corruption(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop one row
     with pytest.raises(DimensionMismatch):
         read_snapshot(path)
+
+
+# Every double the %.17g writers can emit, with the edge cases drawn often.
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1.7976931348623157e308, float("inf"), float("-inf"), float("nan")])
+ANY_FLOAT = st.floats(width=64) | EDGE_FLOATS
+FINITE_FLOAT = st.floats(width=64, allow_nan=False, allow_infinity=False) | EDGE_FLOATS.filter(np.isfinite)
+
+
+def _cells_by_float(path):
+    """The body of a written file (after its header line) parsed cell by cell with
+    float(); empty cells are NaN."""
+    with open(path, newline="") as fh:
+        fh.readline()
+        rows = list(csv.reader(fh))
+    return [[float(v) if v != "" else np.nan for v in row] for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 4), st.data())
+def test_readers_parse_bit_for_bit_like_float(tmp_path_factory, n, d, data):
+    # each reader parses its body in one numpy call; the values must be
+    # the bits float() gives for every cell the writers produce
+    tmp = tmp_path_factory.mktemp("readers")
+    grid = st.lists(st.lists(ANY_FLOAT, min_size=d, max_size=d), min_size=n, max_size=n)
+
+    states = np.array(data.draw(grid), dtype=float).reshape(n, d)
+    write_snapshot(tmp / "snap.csv", states, k=0, seed=0)
+    want = np.array(_cells_by_float(tmp / "snap.csv"), dtype=float).reshape(n, d)
+    assert read_snapshot(tmp / "snap.csv")[1].tobytes() == want.tobytes()
+
+    optional = st.none() | ANY_FLOAT
+    records = [DiagnosticRecord(k, data.draw(ANY_FLOAT), data.draw(ANY_FLOAT), data.draw(optional),
+                                data.draw(optional), np.array(row)) for k, row in enumerate(states)]
+    write_trajectory_csv(tmp / "traj.csv", records)
+    cols = read_trajectory_csv(tmp / "traj.csv")
+    rows = _cells_by_float(tmp / "traj.csv")
+    header = trajectory_header(d if n else 0)
+    assert list(cols) == header
+    for idx, name in enumerate(header):
+        want = np.array([row[idx] for row in rows], dtype=float)
+        assert cols[name].tobytes() == want.tobytes()
+
+    if n:
+        support = np.array(data.draw(st.lists(st.lists(FINITE_FLOAT, min_size=d, max_size=d),
+                                              min_size=n, max_size=n)))
+        weights = np.full(n, 1.0 / n)
+        write_measure(tmp / "mu.csv", DiscreteMeasure(support, weights, BlockLayout((1,) * d)))
+        mu = read_measure(tmp / "mu.csv")
+        want = np.array(_cells_by_float(tmp / "mu.csv"), dtype=float)
+        assert mu.weights.tobytes() == want[:, 0].tobytes()
+        assert mu.support.tobytes() == want[:, 1:].tobytes()
 
 
 def test_samplers():

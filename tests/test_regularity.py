@@ -180,8 +180,9 @@ def _lasso():
     ],
 )
 def test_masked_route_matches_per_outcome_sums_bitwise(problem, flavor, scheme):
-    # the certifiers mask one T1 per batch; summing each outcome's own
-    # apply_T must give the same bits
+    # the expectation certifier reads the closed form over one T1 of the
+    # stacked pair batch; summing each outcome's own apply_T on x and on y
+    # agrees with it to roundoff
     m = problem.build_map(flavor, scheme)
     p = m.probabilities
     region = problem.region
@@ -192,12 +193,12 @@ def test_masked_route_matches_per_outcome_sums_bitwise(problem, flavor, scheme):
         Tx, Ty = apply_T(m, i, x), apply_T(m, i, y)
         sq = sq + q * weighted_sq(Tx - Ty, p)
         psi = psi + q * weighted_transport_discrepancy(x, y, Tx, Ty, p)
-    masked_sq, masked_psi = expected_weighted_terms(m, x, y)
-    assert masked_sq.tobytes() == sq.tobytes()
-    assert masked_psi.tobytes() == psi.tobytes()
+    closed_sq, closed_psi = expected_weighted_terms(m, x, y)
+    assert np.all(np.abs(closed_sq - sq) <= 1e-12 * np.maximum(1.0, np.abs(sq)))
+    assert np.all(np.abs(closed_psi - psi) <= 1e-12 * np.maximum(1.0, np.abs(psi)))
 
-    # paracontraction: replay the certifier's samples and take the worst
-    # margin over per-outcome sums
+    # paracontraction keeps the masked route, so it stays bitwise: replay
+    # the certifier's samples and take the worst margin over per-outcome sums
     seed, n = 13, 300
     report = certify_paracontraction_in_expectation(m, problem.fixed_points, region, n, seed)
     xs = region.sample(np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,))), n)
@@ -210,3 +211,37 @@ def test_masked_route_matches_per_outcome_sums_bitwise(problem, flavor, scheme):
         worst = max(worst, float(np.max(expected - weighted_norm(xs - z, p))))
     assert report.details["num_eligible"] == xs.shape[0] > 0
     assert np.float64(report.margin).tobytes() == np.float64(worst).tobytes()
+
+
+@pytest.mark.parametrize("adversarial", [False, True])
+def test_expectation_certifier_takes_one_full_map_per_margin_batch(monkeypatch, adversarial):
+    # the closed form reads T1 of the stacked (x; y) batch once, whatever
+    # the number of outcomes, and never runs an outcome map
+    from blocksplit import regularity, splitting
+
+    scheme = BlockSubsetScheme(((0, 1), (1, 2, 3), (3,), (0, 1, 2, 3)), (0.25, 0.25, 0.2, 0.3))
+    problem = _lasso()
+    m = problem.build_map("fb", scheme)
+    calls = {"apply_full": 0, "batches": 0}
+    full, terms = splitting.apply_full, regularity.expected_weighted_terms
+
+    def counted_full(*args):
+        calls["apply_full"] += 1
+        return full(*args)
+
+    def counted_terms(*args):
+        calls["batches"] += 1
+        return terms(*args)
+
+    def refuse(*args):
+        raise AssertionError("apply_T called")
+
+    monkeypatch.setattr(splitting, "apply_full", counted_full)
+    monkeypatch.setattr(splitting, "apply_T", refuse)
+    monkeypatch.setattr(regularity, "apply_T", refuse)
+    monkeypatch.setattr(regularity, "expected_weighted_terms", counted_terms)
+    report = certify_aafne_in_expectation(m, problem.region, 2.0 / 3.0, 0.0, 200, seed=14,
+                                          adversarial=adversarial, refine_steps=3)
+    assert report.passed
+    assert calls["apply_full"] == calls["batches"]
+    assert calls["batches"] > 1 if adversarial else calls["batches"] == 1

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st, target
 
-from blocksplit.blockspace import BlockLayout, BlockProbabilities, BlockSubsetScheme
+from blocksplit.blockspace import BlockLayout, BlockProbabilities, BlockSubsetScheme, weighted_sq
 from blocksplit.errors import DimensionMismatch, EmptyResolvent
 from blocksplit.operators import (
     SeparableTerm,
@@ -344,20 +344,38 @@ def test_weighted_transport_discrepancy():
 # ---------------------------------------------------------------------------
 
 
+def _per_outcome_sums(m, x, y):
+    """Both scheme expectations summed outcome by outcome over the reference route apply_T.
+
+    Each outcome map runs on the stacked batch (x; y), the batch that
+    expected_weighted_terms hands to T1: a row's rounding may depend on its
+    batch (BLAS row grouping, the batch-wide stop of an inner fixed-point
+    solve), and that is not what the comparison is about.
+    """
+    p = m.probabilities
+    stacked = np.stack((x, y))
+    sq = psi = 0.0
+    for i, q in enumerate(m.scheme.probs):
+        Tx, Ty = apply_T(m, i, stacked.reshape(-1, x.shape[-1])).reshape(stacked.shape)
+        sq = sq + q * weighted_sq(Tx - Ty, p)
+        psi = psi + q * weighted_transport_discrepancy(x, y, Tx, Ty, p)
+    return sq, psi
+
+
+def _identity_rhs(m, x, y):
+    """Right-hand sides of both identities, read off T1 by their textbook formulas."""
+    T1x, T1y = apply_full(m, x), apply_full(m, y)
+    d1, d0 = T1x - T1y, x - y
+    rhs_sq = float(d1 @ d1) - float(d0 @ d0) + weighted_sq(d0, m.probabilities)
+    return rhs_sq, transport_discrepancy(x, y, T1x, T1y)
+
+
 def test_expectation_identity_sq_distance():
     m = _fb_pair()
-    p = m.probabilities
     rng = np.random.default_rng(1)
-    from blocksplit.blockspace import weighted_sq
-
     for _ in range(50):
         x, y = rng.normal(size=2), rng.normal(size=2)
-        lhs = expected_weighted_terms(m, x, y)[0]
-        T1x, T1y = apply_full(m, x), apply_full(m, y)
-        d1 = T1x - T1y
-        d0 = x - y
-        rhs = float(d1 @ d1) - float(d0 @ d0) + weighted_sq(d0, p)
-        assert lhs == pytest.approx(rhs, abs=1e-9)
+        assert _per_outcome_sums(m, x, y)[0] == pytest.approx(_identity_rhs(m, x, y)[0], abs=1e-9)
 
 
 def test_expectation_identity_psi():
@@ -365,27 +383,93 @@ def test_expectation_identity_psi():
     rng = np.random.default_rng(2)
     for _ in range(50):
         x, y = rng.normal(size=2), rng.normal(size=2)
-        lhs = expected_weighted_terms(m, x, y)[1]
-        T1x, T1y = apply_full(m, x), apply_full(m, y)
-        rhs = transport_discrepancy(x, y, T1x, T1y)
-        assert lhs == pytest.approx(rhs, abs=1e-9)
+        assert _per_outcome_sums(m, x, y)[1] == pytest.approx(_identity_rhs(m, x, y)[1], abs=1e-9)
 
 
 def test_expectation_identities_uneven_scheme():
     # identities hold for any scheme, not only uniform singletons
     scheme = BlockSubsetScheme(((0,), (1,), (0, 1)), (0.2, 0.3, 0.5))
     m = counterexample2d(0.2).build_map("fb", scheme)
-    p = m.probabilities
     rng = np.random.default_rng(3)
-    from blocksplit.blockspace import weighted_sq
-
     x, y = rng.normal(size=2), rng.normal(size=2)
-    T1x, T1y = apply_full(m, x), apply_full(m, y)
-    d1, d0 = T1x - T1y, x - y
-    lhs1, lhs2 = expected_weighted_terms(m, x, y)
-    rhs1 = float(d1 @ d1) - float(d0 @ d0) + weighted_sq(d0, p)
+    lhs1, lhs2 = _per_outcome_sums(m, x, y)
+    rhs1, rhs2 = _identity_rhs(m, x, y)
     assert lhs1 == pytest.approx(rhs1, abs=1e-9)
-    assert lhs2 == pytest.approx(transport_discrepancy(x, y, T1x, T1y), abs=1e-9)
+    assert lhs2 == pytest.approx(rhs2, abs=1e-9)
+
+
+def _gallery():
+    """Map sources: every gallery problem, and a gradient-only coupling on mixed block dims.
+
+    Each entry is (layout, build), where build(scheme, flavor) returns the SplittingMap.
+    """
+    rng = np.random.default_rng(21)
+    A = rng.normal(size=(7, 5))
+    lasso = quadratic_l1(A.T @ A / 7, -A.T @ rng.normal(size=7), np.array([0.1, 0.3, 0.1]),
+                         block_dims=(2, 1, 2), reference_iterations=2000)
+    ball_box = feasibility([make_set("ball", center=[0.0, 0.0], radius=1.0),
+                            make_set("box", lo=[0.5, -3.0], hi=[3.0, 3.0])])
+    three = feasibility([make_set("point", point=[2.0, 0.0]),
+                         make_set("ball", center=[0.0, 1.0], radius=1.5),
+                         make_set("box", lo=[-1.0, -1.0], hi=[1.0, 0.5])])
+    problems = [counterexample2d(0.2), counterexample2d(0.45), lasso, ball_box, three]
+    sources = [(prob.layout, lambda scheme, flavor, prob=prob: prob.build_map(flavor, scheme))
+               for prob in problems]
+
+    def gradient_only(scheme, flavor, layout=BlockLayout((2, 1, 2))):
+        term = SeparableTerm(layout, [h_indicator_ball(0.0, 1.0), h_l1(0.2), h_zero()])
+        return SplittingMap(flavor, _gradient_only(layout, 22), term, np.array([0.5, 1.0, 0.5]),
+                            scheme, layout)
+
+    sources.append((BlockLayout((2, 1, 2)), gradient_only))
+    return sources
+
+
+GALLERY = _gallery()
+
+
+def _random_scheme(num_blocks, rng):
+    """Overlapping random subsets covering every block, with uneven probabilities."""
+    subsets = [tuple(np.flatnonzero(rng.random(num_blocks) < 0.5)) or (int(rng.integers(num_blocks)),)
+               for _ in range(int(rng.integers(1, 5)))]
+    covered = set().union(*subsets)
+    if len(covered) < num_blocks:
+        subsets.append(tuple(j for j in range(num_blocks) if j not in covered))
+    probs = rng.uniform(0.05, 1.0, size=len(subsets))
+    probs /= probs.sum()
+    probs[-1] = 1.0 - probs[:-1].sum()
+    return BlockSubsetScheme(tuple(subsets), tuple(probs.tolist()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, len(GALLERY)),
+    st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    st.sampled_from(["fb", "dr"]),
+    st.integers(0, 3),
+    st.integers(0, 2**31 - 1),
+)
+def test_closed_form_expectations_match_per_outcome_sums(source, dims, flavor, batch, seed):
+    # source == len(GALLERY): a random quadratic map with mixed block dims
+    rng = np.random.default_rng(seed)
+    if source == len(GALLERY):
+        m = _random_map(dims, flavor, seed)
+        m = SplittingMap(flavor, m.coupling, m.term, m.steps,
+                         _random_scheme(m.layout.num_blocks, rng), m.layout)
+    else:
+        layout, build = GALLERY[source]
+        m = build(_random_scheme(layout.num_blocks, rng), flavor)
+    x, y = _points(m, batch, seed), _points(m, batch, seed + 7)
+    closed = expected_weighted_terms(m, x, y)
+    reference = _per_outcome_sums(m, x, y)
+    worst = 0.0
+    for got, want in zip(closed, reference):
+        assert np.shape(got) == np.shape(want)
+        worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))))
+    note(f"relative deviation {worst:.3e}")
+    # --hypothesis-show-statistics reports the largest deviation seen
+    target(worst, label="relative deviation of the closed form")
+    assert worst <= 1e-12
 
 
 # ---------------------------------------------------------------------------
