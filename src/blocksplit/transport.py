@@ -7,7 +7,9 @@ most ASSIGN_MAX_ATOMS (or n == m); every other pair of measures goes
 through the transport LP.  The LP is solved on a small support of candidate
 pairs, grown by pricing until its duals leave none of the n x m pairs with a
 negative reduced cost, which certifies the plan optimal for the full LP.
-Both routes are exact up to solver tolerance, no entropic smoothing
+All pricing rounds of one LP share one HiGHS model, which each round
+extends by the newly priced pairs and re-solves from the last optimal
+basis.  Both routes are exact up to solver tolerance, no entropic smoothing
 anywhere.
 
 scipy is imported inside the functions that use it, not with this module:
@@ -32,16 +34,27 @@ from .splitting import SplittingMap, apply_full
 
 # Largest replicated size L = lcm(n, m) that two equal-weight clouds of
 # different sizes solve as one L x L assignment; the gathered cost takes
-# 8 L^2 bytes (32 MB at 2000).  Set against the dense n x m LP, measured on
-# one core of a Xeon host with one BLAS thread, on 2-d Gaussian clouds: at
-# L = 1000-2000 the assignment took 0.2-4.1 s and 86-121 MB peak RSS where
-# that LP took 0.1-156 s and 91-852 MB.  It lost only on lopsided pairs
-# (2000 vs 10 points: 3.8 s vs 0.8 s).  That loss grows with L while the LP
-# stays small, so the cap stays at 2000 though the balanced 700 vs 500
-# points (L = 3500) still won, 15 s and 187 MB against 21 s and 416 MB.
-# The restricted LP solves that pair in 8.6 s and 112 MB (one core of a
-# 2-core Xeon host, one BLAS thread), so the cap is due a re-measurement.  Equal sizes replicate nothing and take the
-# assignment at any size.
+# 8 L^2 bytes (32 MB at 2000).  Set against the warm-started LP on Gaussian
+# clouds in d dimensions, best process time of up to three solves (cost
+# matrix included) on one core of a 2-core Xeon host, one BLAS thread:
+#
+#     n x m, d          L     warm LP   assignment
+#     150 x 300, 50     300   0.072 s   0.013 s
+#     300 x 200, 2      600   0.135 s   0.088 s
+#     800 x 100, 2      800   0.426 s   0.206 s
+#     1000 x 500, 2    1000   1.487 s   0.449 s
+#     250 x 200, 2     1000   0.162 s   0.491 s
+#     1200 x 100, 2    1200   0.790 s   0.704 s
+#     600 x 400, 2     1200   0.761 s   0.893 s
+#     1500 x 500, 2    1500   2.570 s   1.482 s
+#     500 x 300, 2     1500   0.438 s   1.600 s
+#     2000 x 1000, 2   2000   7.330 s   3.954 s
+#     2000 x 10, 2     2000   0.423 s   3.127 s
+#
+# (one solve each for the rows with n >= 1500).  The LP wins on most pairs
+# from L = 1000 up, but at every L measured it loses where n = L and m is
+# large, since it prices all n m pairs; so the cap stays at 2000.  Equal
+# sizes replicate nothing and take the assignment at any size.
 ASSIGN_MAX_ATOMS = 2000
 
 
@@ -120,9 +133,9 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: BlockProbabilities)
     return _sq_distances(mu.support, nu.support, p)
 
 
-# The two solvers stay module-level names, which the W2 routes look up at
-# call time (so a profiler can wrap them, as bench/tracing.py does);
-# each imports scipy.optimize only when it is called.
+# The two solver calls stay module-level names, which the W2 routes look up
+# at call time (so a profiler can wrap them, as bench/tracing.py does);
+# scipy.optimize is imported only when a solve needs it.
 def linear_sum_assignment(cost: np.ndarray):
     """Optimal assignment for a square cost matrix (scipy.optimize)."""
     from scipy.optimize import linear_sum_assignment as solve
@@ -130,11 +143,16 @@ def linear_sum_assignment(cost: np.ndarray):
     return solve(cost)
 
 
-def linprog(c: np.ndarray, **kwargs):
-    """Linear program min c.x (scipy.optimize.linprog)."""
-    from scipy.optimize import linprog as solve
+def linprog(h):
+    """One solve of the transport LP's persistent HiGHS model h.
 
-    return solve(c, **kwargs)
+    Runs h from its current basis and returns (model status, solution).
+    This is the LP's only solve route; it stays a module-level name so
+    that each pricing round is one call a profiler can wrap, as
+    bench/tracing.py does for the transport.lp span.
+    """
+    h.run()
+    return h.getModelStatus(), h.getSolution()
 
 
 def _is_uniform(mu: DiscreteMeasure) -> bool:
@@ -182,28 +200,36 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     column; when there are none, the duals certify the restricted plan
     optimal over all n x m pairs.  Every round adds a pair, so the loop ends at
     the latest on the dense LP.
+
+    All rounds share one HiGHS model: its marginal rows are added once and
+    each round appends only the newly priced pairs as columns.  Appending
+    columns keeps the last optimal basis, so every round after the first
+    resumes from the previous optimum instead of solving from scratch.
     """
-    from scipy.sparse import csr_matrix
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
     n, m = C.shape
     tol = 1e-12 * max(1.0, float(C.max()))
     cost = C.ravel()
-    inset = np.zeros(n * m, dtype=bool)
-    inset[_smallest_per_line(C, CANDIDATES)] = True
-    inset[_northwest_corner(a, b)] = True
+    h = _Highs()
+    h.setOptionValue("output_flag", False)
     # marginal constraints: source rows, then target rows; the final
     # (redundant) row is dropped for numerical hygiene and has dual 0
     rhs = np.concatenate([a, b])[:-1]
+    h.addRows(n + m - 1, rhs, rhs, 0, [], [], [])
+    inset = np.zeros(n * m, dtype=bool)
+    cols = []  # per round, the flat pair indices of the columns it added
+    new = np.concatenate([_smallest_per_line(C, CANDIDATES), _northwest_corner(a, b)])
     while True:
-        var = np.flatnonzero(inset)
-        src, dst = np.divmod(var, m)
-        k = var.size
-        rows, cols = np.concatenate([src, n + dst]), np.tile(np.arange(k), 2)
-        A_eq = csr_matrix((np.ones(2 * k), (rows, cols)), shape=(n + m, k))[:-1]
-        res = linprog(cost[var], A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs")
-        if res.status != 0:
-            raise SolverFailure(f"transport LP failed with status {res.status}: {res.message}")
-        y = np.append(res.eqlin.marginals, 0.0)
+        new = np.unique(new)
+        inset[new] = True
+        cols.append(new)
+        _add_pair_columns(h, new, cost[new], n, m)
+        status, sol = linprog(h)
+        if status != HighsModelStatus.kOptimal:
+            raise SolverFailure(
+                f"transport LP failed with status {h.modelStatusToString(status)}")
+        y = np.append(sol.row_dual, 0.0)
         if not np.isfinite(y).all():
             raise SolverFailure("transport LP returned non-finite duals")
         R = C - y[:n, None] - y[None, n:]
@@ -211,10 +237,25 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if not R.min() < -tol:
             break
         new = _smallest_per_line(R, PRICED)
-        inset[new[R.ravel()[new] < -tol]] = True
+        new = new[R.ravel()[new] < -tol]
     plan = np.zeros(n * m)
-    plan[var] = res.x
+    plan[np.concatenate(cols)] = sol.col_value
     return plan.reshape(n, m)
+
+
+def _add_pair_columns(h, pairs: np.ndarray, cost: np.ndarray, n: int, m: int) -> None:
+    """Append one column per flat pair index to the HiGHS model h.
+
+    Pair (i, j) has a 1 in source row i and in target row n + j, except
+    that the dropped last target row (j = m - 1) takes no entry.
+    """
+    src, dst = np.divmod(pairs, m)
+    index = np.column_stack([src, n + dst])
+    kept = np.column_stack([np.ones(pairs.size, dtype=bool), dst < m - 1])
+    starts = np.concatenate([[0], np.cumsum(kept.sum(axis=1))[:-1]])
+    index = index[kept].astype(np.int32)
+    h.addCols(pairs.size, cost, np.zeros(pairs.size), np.full(pairs.size, np.inf),
+              index.size, starts.astype(np.int32), index, np.ones(index.size))
 
 
 def wasserstein2_weighted(

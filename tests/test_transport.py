@@ -1,6 +1,7 @@
 """Exact weighted transport distances, dual solver routes, measure files."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -319,17 +320,35 @@ def test_northwest_corner_staircase_is_feasible(seed, n, m):
 
 
 def _spy_linprog(monkeypatch):
-    """Record the size and result of every transport.linprog call."""
+    """Record the model columns, status and solution at every transport.linprog call."""
     calls = []
     forward = transport.linprog
 
-    def spy(c, **kwargs):
-        res = forward(c, **kwargs)
-        calls.append((c.size, res))
-        return res
+    def spy(h):
+        status, sol = forward(h)
+        k = h.getNumCol()
+        _, starts, index, _ = h.getColsEntries(k, np.arange(k, dtype=np.int32))
+        calls.append(SimpleNamespace(
+            starts=starts, index=index, cost=np.array(h.getLp().col_cost_), status=status,
+            row_dual=np.array(sol.row_dual), col_value=np.array(sol.col_value)))
+        return status, sol
 
     monkeypatch.setattr(transport, "linprog", spy)
     return calls
+
+
+def _column_pairs(call, n, m):
+    """Flat (i, j) pair index of every model column, read back from its entries.
+
+    A column holds source row i and target row n + j, or only row i when j is
+    the last target, whose redundant row the model leaves out.
+    """
+    ends = np.append(call.starts[1:], call.index.size)
+    assert np.all(ends - call.starts >= 1) and np.all(ends - call.starts <= 2)
+    src = call.index[call.starts]
+    dst = np.where(ends - call.starts == 2, call.index[ends - 1] - n, m - 1)
+    assert np.all(src < n) and np.all((dst >= 0) & (dst < m))
+    return src * m + dst
 
 
 def _lp_instance(seed, zero_frac=0.0, duplicates=False):
@@ -342,26 +361,32 @@ def _lp_instance(seed, zero_frac=0.0, duplicates=False):
 
 
 def test_w2_lp_solves_restricted_rounds_through_module_linprog(monkeypatch):
-    import scipy.optimize
+    from scipy.optimize._highspy import _core
 
     mu, nu, p = _lp_instance(14)
     d_dense = _lp_w2(mu, nu, p)
-    scipy_solves = []
-    scipy_linprog = scipy.optimize.linprog
+    C = cost_matrix(mu, nu, p).ravel()
+    runs = []
 
-    def counted(c, **kwargs):
-        scipy_solves.append(c.size)
-        return scipy_linprog(c, **kwargs)
+    class Counted(_core._Highs):
+        def run(self):
+            runs.append(self.getNumCol())
+            return super().run()
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(_core, "_Highs", Counted)
     calls = _spy_linprog(monkeypatch)
     d, _ = wasserstein2_weighted(mu, nu, p)
-    sizes = [size for size, _ in calls]
-    # every scipy solve went through the module global a profiler wraps
-    assert sizes and scipy_solves == sizes
+    sizes = [call.starts.size for call in calls]
+    # every HiGHS solve went through the module global a profiler wraps
+    assert sizes and runs == sizes
     assert sizes[0] < 60 * 50
-    # every round adds at least one pair to the support
+    # every round adds at least one pair to the one model ...
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    for call in calls:
+        pairs = _column_pairs(call, 60, 50)
+        # ... never a pair it already holds, and each column costs its pair
+        assert np.unique(pairs).size == pairs.size
+        np.testing.assert_array_equal(call.cost, C[pairs])
     assert d == pytest.approx(d_dense, rel=1e-12)
 
 
@@ -371,7 +396,7 @@ def test_w2_lp_duals_certify_every_pair(monkeypatch, seed, zero_frac, duplicates
     calls = _spy_linprog(monkeypatch)
     d, _ = wasserstein2_weighted(mu, nu, p)
     C = cost_matrix(mu, nu, p)
-    y = np.append(calls[-1][1].eqlin.marginals, 0.0)
+    y = np.append(calls[-1].row_dual, 0.0)
     u, v = y[:60], y[60:]
     # dual feasible on all n x m pairs, not only on the restricted support ...
     assert (C - u[:, None] - v[None, :]).min() >= -1e-12 * max(1.0, C.max())
@@ -380,6 +405,8 @@ def test_w2_lp_duals_certify_every_pair(monkeypatch, seed, zero_frac, duplicates
 
 
 def test_w2_lp_failure_on_any_round_raises(monkeypatch):
+    from scipy.optimize._highspy._core import HighsModelStatus
+
     mu, nu, p = _lp_instance(16)
     with monkeypatch.context() as mp:
         calls = _spy_linprog(mp)
@@ -387,21 +414,87 @@ def test_w2_lp_failure_on_any_round_raises(monkeypatch):
         rounds = len(calls)
     assert rounds >= 2
     forward = transport.linprog
-    for fail_at in range(rounds):
+    nan_duals = SimpleNamespace(row_dual=[np.nan] * 109, col_value=[])
+    for fail_at, (bad, match) in itertools.product(range(rounds), [
+            ("status", "status Infeasible"), ("duals", "non-finite duals")]):
         seen = []
 
-        def failing(c, **kwargs):
-            res = forward(c, **kwargs)
+        def failing(h):
+            status, sol = forward(h)
             if len(seen) == fail_at:
-                res.status, res.message = 2, "injected failure"
-            seen.append(c.size)
-            return res
+                status, sol = ((HighsModelStatus.kInfeasible, sol) if bad == "status"
+                               else (status, nan_duals))
+            seen.append(h.getNumCol())
+            return status, sol
 
         with monkeypatch.context() as mp:
             mp.setattr(transport, "linprog", failing)
-            with pytest.raises(SolverFailure, match="status 2: injected failure"):
+            with pytest.raises(SolverFailure, match=match):
                 wasserstein2_weighted(mu, nu, p)
         assert len(seen) == fail_at + 1
+
+
+def test_highs_model_api_solves_a_two_by_two_transport_lp():
+    # _transport_lp drives scipy's private HiGHS binding directly; this pins
+    # the calls it makes, so a scipy that moves or changes them fails here
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+    a, b = np.array([0.5, 0.5]), np.array([0.3, 0.7])
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rhs = np.concatenate([a, b])[:-1]  # the last target row is redundant
+    h = _Highs()
+    h.setOptionValue("output_flag", False)
+    h.addRows(3, rhs, rhs, 0, [], [], [])
+    # columns (0,0), (0,1), (1,0), (1,1); target row 1 is the dropped one
+    starts = np.array([0, 2, 3, 5], dtype=np.int32)
+    index = np.array([0, 2, 0, 1, 2, 1], dtype=np.int32)
+    h.addCols(4, C.ravel(), np.zeros(4), np.full(4, np.inf), 6, starts, index, np.ones(6))
+    h.run()
+    assert h.getModelStatus() == HighsModelStatus.kOptimal
+    assert h.modelStatusToString(h.getModelStatus()) == "Optimal"
+    sol = h.getSolution()
+    # the unique optimum ships as much as it can along the zero-cost diagonal
+    np.testing.assert_allclose(sol.col_value, [0.3, 0.2, 0.0, 0.5], rtol=0, atol=1e-12)
+    A_eq = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0]], dtype=float)
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs")
+    np.testing.assert_allclose(sol.row_dual, res.eqlin.marginals, rtol=0, atol=1e-12)
+
+
+def test_w2_lp_accepts_tiny_negative_weights():
+    # DiscreteMeasure accepts weights down to -1e-15; on the LP route such a
+    # weight is a negative right-hand side of its marginal row
+    rng = np.random.default_rng(17)
+    layout = BlockLayout((1, 2))
+    p = BlockProbabilities(np.array([0.4, 0.9]), layout)
+    mu = _weighted_cloud(rng, 30, layout, 0.0, False)
+    nu = _weighted_cloud(rng, 20, layout, 0.0, False)
+    for measure, at in ((mu, 3), (nu, 5)):
+        w = measure.weights
+        w[-1] += w[at] + 1e-16
+        w[at] = -1e-16
+    mu, nu = (DiscreteMeasure(q.support, q.weights, layout) for q in (mu, nu))
+    d, plan = wasserstein2_weighted(mu, nu, p)
+    d_lp = _lp_w2(mu, nu, p)
+    assert abs(d - d_lp) <= 1e-12 * d_lp + 1e-15
+    np.testing.assert_allclose(plan.matrix.sum(axis=1), mu.weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(plan.matrix.sum(axis=0), nu.weights, rtol=0, atol=1e-12)
+
+
+def test_cli_transport_lp_failure_exits_2_one_line(tmp_path, monkeypatch, capsys):
+    from scipy.optimize._highspy._core import HighsModelStatus
+
+    from blocksplit.cli import main
+
+    mu, nu, _ = _lp_instance(18)
+    paths = [tmp_path / "mu.csv", tmp_path / "nu.csv"]
+    for path, measure in zip(paths, (mu, nu)):
+        write_measure(path, measure)
+    monkeypatch.setattr(transport, "linprog",
+                        lambda h: (HighsModelStatus.kSolveError, None))
+    assert main(["transport"] + [str(path) for path in paths]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "transport LP failed with status Solve error" in err
 
 
 def test_coupling_plan_marginal_validation():
