@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -59,11 +60,22 @@ def _out_dir(cfg_dir: str | None, cli_dir: str | None) -> Path:
     return out
 
 
+def _finite_or_null(v):
+    """A copy of a JSON-able value with NaN and infinities replaced by None."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return v
+
+
 def _write_report(path: Path, doc: dict) -> None:
     """Write strict JSON: NaN and infinities become null; finite floats round-trip exactly."""
-    doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
+    text = json.dumps(_finite_or_null(doc), indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
+        fh.write(text)
 
 
 def _read_input(reader, path):

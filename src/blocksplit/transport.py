@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockspace import BlockLayout, BlockProbabilities, weighted_sq
-from .errors import DimensionMismatch, SolverFailure
+from .errors import BlocksplitError, DimensionMismatch, SolverFailure
 from .markov import squared_residuals, write_table
 from .splitting import SplittingMap, apply_full
 
@@ -271,11 +271,18 @@ def wasserstein2_weighted(
     when n == m or L <= ASSIGN_MAX_ATOMS; every other pair of measures solves
     the transport LP to optimality, on a priced sparse support of pairs whose
     duals are checked against all n x m pairs (see _transport_lp).  Raises
-    SolverFailure if the underlying solver reports anything but success.
+    BlocksplitError when a squared weighted distance overflows (finite
+    supports far enough apart), and SolverFailure if the underlying solver
+    reports anything but success.
     """
     if mu.layout.block_dims != nu.layout.block_dims:
         raise DimensionMismatch("measures live on different layouts")
     C = cost_matrix(mu, nu, p)
+    if not C.max() < np.inf:  # also false for NaN, from overflowing scaled coordinates
+        raise BlocksplitError(
+            "transport cost is not finite: squared weighted distances between the "
+            "supports overflow float64"
+        )
     n, mth = mu.num_points, nu.num_points
     L = math.lcm(n, mth)
     if (n == mth or L <= ASSIGN_MAX_ATOMS) and _is_uniform(mu) and _is_uniform(nu):

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blocksplit.cli import main
+from blocksplit.cli import _write_report, main
 from blocksplit.config import build_problem, load_config, parse_config
 from blocksplit.errors import ConfigError
 
@@ -426,15 +427,28 @@ BAD_INPUTS = [
     ("trajectory_negative_distance", "column 'd_target' holds a negative distance -0.5",
      _file_case("neg.csv", "k,mean_residual,psi_upper,dw_step,d_target\n0,1,1,,1\n1,0.5,0.5,,-0.5\n",
                 lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    # finite coordinates whose squared weighted distances overflow: a solver
+    # error, not a config error; the first two take the assignment route,
+    # the third the LP route
+    ("transport_cost_overflow_equal_weights", "squared weighted distances between the supports overflow",
+     _file_case("big.csv", MEASURE_HEADER + "0.5,1e200,0\n0.5,1,1\n",
+                lambda bad, good: ["transport", bad, good]), "error: "),
+    ("run_dw_step_cost_overflow", "squared weighted distances between the supports overflow",
+     _config_case("run", run=dict(SMALL_RUN, dw_step_every=1,
+                                  init={"kind": "point", "x": [1e200, 0.0]})), "error: "),
+    ("transport_cost_overflow_weighted", "squared weighted distances between the supports overflow",
+     _file_case("big.csv", MEASURE_HEADER + "0.3,1e200,0\n0.7,1,1\n",
+                lambda bad, good: ["transport", bad, good]), "error: "),
 ]
 
 
-@pytest.mark.parametrize("needle, build", [c[1:] for c in BAD_INPUTS],
+@pytest.mark.parametrize("needle, build, prefix",
+                         [(c[1], c[2], c[3] if len(c) > 3 else "config error: ") for c in BAD_INPUTS],
                          ids=[c[0] for c in BAD_INPUTS])
-def test_cli_bad_input_exit_2_one_line(tmp_path, capsys, needle, build):
+def test_cli_bad_input_exit_2_one_line(tmp_path, capsys, needle, build, prefix):
     assert main(build(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ")
+    assert err.startswith(prefix)
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.count(needle) == 1
 
@@ -498,3 +512,51 @@ def test_cli_certify_report_is_strict_json(tmp_path, capsys):
     report = json.loads(text, parse_constant=refuse)["report"]
     assert report["margin"] is None
     assert report["details"]["num_eligible"] == 0
+
+
+def _two_pass_report(path, doc):
+    """The strict-JSON writer as it was: dump, parse back with constants as
+    null, then dump again with indent=2."""
+    doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, allow_nan=False)
+
+
+REPORT_DOC = {
+    "margin": float("nan"),
+    "bounds": (float("inf"), -float("inf"), -0.0, 0.1, 1e-310, 1.7976931348623157e308),
+    3: {"nested": [[1, 2.5, (float("nan"), "x")], [], ()], -1: None},
+    "flags": [True, False, None],
+    "Q": np.linspace(-1.0, 1.0, 12).reshape(3, 4).tolist(),
+    "np_float": np.float64("inf"),
+}
+
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5))
+json_docs = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        # int and text keys never stringify to the same key
+        st.dictionaries(st.one_of(st.integers(), st.text(alphabet="abc", max_size=3)),
+                        inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def test_write_report_matches_the_two_pass_writer_bytes(tmp_path):
+    _write_report(tmp_path / "new.json", REPORT_DOC)
+    _two_pass_report(tmp_path / "old.json", REPORT_DOC)
+    new = (tmp_path / "new.json").read_bytes()
+    assert new == (tmp_path / "old.json").read_bytes()
+    assert b"NaN" not in new and b"Infinity" not in new and b"-0.0" in new
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=3), json_docs, max_size=4))
+def test_write_report_matches_the_two_pass_writer_on_random_docs(tmp_path_factory, doc):
+    out = tmp_path_factory.mktemp("report")
+    _write_report(out / "new.json", doc)
+    _two_pass_report(out / "old.json", doc)
+    assert (out / "new.json").read_bytes() == (out / "old.json").read_bytes()

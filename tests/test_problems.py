@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from blocksplit import problems
 from blocksplit.blockspace import BlockLayout, BlockSubsetScheme
 from blocksplit.errors import DimensionMismatch, NotPSD, UnsupportedSet
 from blocksplit.operators import BlockFunction, SeparableTerm, coupling_zero
@@ -152,6 +154,77 @@ def test_quadratic_l1_separable_reference():
     # block 0: min x^2 - 2x + 0.5|x| -> 0.75; block 1: min y^2/2 + 0.5|y| -> 0
     prob = quadratic_l1(np.diag([2.0, 1.0]), np.array([-2.0, 0.0]), np.array([0.5, 0.5]))
     np.testing.assert_allclose(prob.target_point, [0.75, 0.0], atol=1e-12)
+
+
+def _lasso(seed, rows, block_dims, weight_range=(0.05, 0.4)):
+    """Q = A'A / rows, b = -A'y / rows: rank min(rows, d), b in the range of Q,
+    so the objective is bounded below; one l1 weight per block."""
+    rng = np.random.default_rng(seed)
+    d = sum(block_dims)
+    A = rng.normal(size=(rows, d))
+    y = rng.normal(size=rows)
+    Q = A.T @ A / rows
+    Q = 0.5 * (Q + Q.T)
+    b = -A.T @ y / rows
+    w = rng.uniform(*weight_range, size=len(block_dims))
+    return Q, b, w
+
+
+def _full_block_map(prob):
+    scheme = BlockSubsetScheme((tuple(range(prob.layout.num_blocks)),), (1.0,))
+    return prob.build_map("fb", scheme)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    st.integers(1, 8),
+)
+def test_quadratic_l1_target_meets_kkt_and_is_a_t1_fixed_point(seed, block_dims, rows):
+    # rows < sum(block_dims) makes Q rank deficient
+    Q, b, w_block = _lasso(seed, rows, tuple(block_dims))
+    prob = quadratic_l1(Q, b, w_block, tuple(block_dims))
+    x = prob.target_point
+    w = np.repeat(w_block, block_dims)
+    g = Q @ x + b
+    scale = max(1.0, np.abs(b).max(), w.max(), np.abs(Q).max() * np.abs(x).sum())
+    on = x != 0
+    # stationarity on the support, subgradient bound off it
+    assert np.all(np.abs(g[on] + w[on] * np.sign(x[on])) <= 1e-10 * scale)
+    assert np.all(np.abs(g[~on]) <= w[~on] + 1e-10 * scale)
+    assert np.max(np.abs(apply_full(_full_block_map(prob), x) - x)) < 1e-15
+
+
+def test_quadratic_l1_falls_back_to_the_plain_run_bit_for_bit(monkeypatch):
+    Q, b, w = _lasso(11, 6, (2, 1, 2))
+    solved = quadratic_l1(Q, b, w, (2, 1, 2)).target_point
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    prob = quadratic_l1(Q, b, w, (2, 1, 2), reference_iterations=20_000)
+    plain = deterministic_reference(_full_block_map(prob), np.zeros(5), 20_000)
+    assert prob.target_point.tobytes() == plain.tobytes()
+    # the two routes meet the same stop rule at the same minimizer
+    np.testing.assert_allclose(prob.target_point, solved, rtol=0, atol=1e-12)
+
+
+def test_quadratic_l1_build_stops_at_the_identified_support(monkeypatch):
+    # a well-conditioned instance (cond(Q) about 15): the plain run makes 412
+    # T1 evaluations; the build makes 12, as the first candidate (after 10
+    # steps) passes its check
+    Q, b, w = _lasso(1, 20, (1,) * 10, weight_range=(0.1, 0.1))
+    calls = []
+    counted = lambda m, x: calls.append(1) or apply_full(m, x)
+    monkeypatch.setattr(problems, "apply_full", counted)
+    prob = quadratic_l1(Q, b, w)
+    assert len(calls) <= 150
+    del calls[:]
+    plain = deterministic_reference(_full_block_map(prob), np.zeros(10))
+    assert len(calls) > 300
+    np.testing.assert_allclose(prob.target_point, plain, rtol=0, atol=1e-12)
 
 
 def test_quadratic_l1_rejects_indefinite():
