@@ -19,25 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, RateSection, load_config
-from .errors import BlocksplitError, ConfigError, DegenerateSequence
+from .errors import BlocksplitError, ConfigError
 from .markov import (
     init_ensemble,
     point_sampler,
     read_trajectory_csv,
     run as run_ensemble,
+    trajectory_columns,
     uniform_box_sampler,
     write_snapshot,
     write_trajectory_csv,
 )
 from .operators import gd_step_bound
-from .rates import (
-    RateReport,
-    check_asymptotic_regularity,
-    check_fejer,
-    check_gauge_monotone,
-    fit_linear_rate,
-    theta_linear,
-)
+from .rates import check_trajectory
 from .regularity import (
     certify_aafne_in_expectation,
     certify_paracontraction_in_expectation,
@@ -149,22 +143,21 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     elapsed = time.time() - t0
 
     traj_path = out_dir / "trajectory.csv"
+
+    # rate's checks under the config's rate section; none where rate would
+    # refuse the column, as d_target is empty without a target
+    rate_cfg = cfg.rate or RateSection()
+    try:
+        verdicts = check_trajectory(trajectory_columns(result.records), rate_cfg.column,
+                                    str(traj_path), rate_cfg.fejer_tol_rel, rate_cfg.tail_tol,
+                                    rate_cfg.gauge).to_dict()
+    except ConfigError:
+        verdicts = None
+
     write_trajectory_csv(traj_path, result.records)
     for k, states in sorted(result.snapshots.items()):
         write_snapshot(out_dir / f"snapshot_{k:06d}.csv", states, k, cfg.seed)
     write_measure(out_dir / "final_measure.csv", DiscreteMeasure.empirical(ensemble.states, problem.layout))
-
-    verdicts = {}
-    d_target = np.array([r.d_target for r in result.records], dtype=float) if target is not None else None
-    if d_target is not None and d_target.shape[0] >= 2:
-        verdicts["fejer_d_target"] = check_fejer(d_target).to_dict()
-        try:
-            verdicts["linear_rate_d_target"] = fit_linear_rate(d_target).to_dict()
-        except DegenerateSequence as e:
-            verdicts["linear_rate_d_target"] = {"error": str(e)}
-    dw = np.array([r.dw_step for r in result.records if r.dw_step is not None], dtype=float)
-    if dw.shape[0] >= 4:
-        verdicts["asymptotic_regularity_dw"] = check_asymptotic_regularity(dw).to_dict()
 
     summary = {
         "config": cfg.resolved(),
@@ -242,45 +235,11 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     """Check a distance trajectory; exit 1 when a requested check fails."""
     cols = _read_input(read_trajectory_csv, args.trajectory)
     rate_cfg = (cfg.rate if cfg is not None else None) or RateSection()
-    column = args.column or rate_cfg.column
-    if column not in cols:
-        raise ConfigError(f"rate.column: trajectory has no column {column!r}; "
-                          f"available: {sorted(cols)}")
-    d = cols[column]
-    d = d[~np.isnan(d)]
-    if d.shape[0] < 2:
-        raise ConfigError(f"rate.column: column {column!r} has fewer than two usable entries")
-    if np.any(d < 0):
-        raise ConfigError(f"rate.column: column {column!r} holds a negative distance "
-                          f"{float(d[d < 0][0])!r}; distances must be nonnegative")
-
-    report = RateReport(details={"column": column, "trajectory": str(args.trajectory),
-                                 "num_entries": int(d.shape[0])})
-    report.fejer = check_fejer(d, tol_rel=rate_cfg.fejer_tol_rel)
-    try:
-        report.fit = fit_linear_rate(d)
-    except DegenerateSequence:
-        report.fit = None
-
-    dw = cols.get("dw_step")
-    if dw is not None:
-        dw = dw[~np.isnan(dw)]
-        if dw.shape[0] >= 4:
-            report.asymptotic = check_asymptotic_regularity(dw, tail_tol=rate_cfg.tail_tol)
-
-    gauge_params = None
+    gauge = rate_cfg.gauge
     if args.kappa is not None:
-        gauge_params = {"kappa": args.kappa, "tau": args.tau, "epsilon": args.epsilon}
-    elif rate_cfg.gauge is not None:
-        gauge_params = rate_cfg.gauge
-    if gauge_params is not None:
-        if gauge_params.get("tau") is None:
-            raise ConfigError("rate.gauge.tau: required alongside kappa")
-        gauge = theta_linear(float(gauge_params["kappa"]), float(gauge_params["tau"]),
-                             float(gauge_params.get("epsilon", 0.0) or 0.0))
-        report.gauge = check_gauge_monotone(d, gauge, tol_rel=1e-3)
-        report.details["gauge_factor"] = gauge.factor
-
+        gauge = {"kappa": args.kappa, "tau": args.tau, "epsilon": args.epsilon}
+    report = check_trajectory(cols, args.column or rate_cfg.column, str(args.trajectory),
+                              rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, gauge)
     doc = {"config": None if cfg is None else cfg.resolved(), "report": report.to_dict()}
     _write_report(out_dir / "rate_report.json", doc)
 

@@ -19,15 +19,15 @@ class EmptyResolvent(BlocksplitError):
     """The requested resolvent has empty value at this point."""
 
 
-class InnerSolveDiverged(BlocksplitError):
-    """The inner fixed-point solve did not reach tolerance."""
-
-
 class Diverged(BlocksplitError):
-    """A chain's state became non-finite; names the iteration and the chain."""
+    """A run went non-finite; names the iteration and what went non-finite.
 
-    def __init__(self, k: int, chain: int):
-        super().__init__(f"run diverged: chain {chain} has a non-finite state at k={k}")
+    ``chain`` is the first chain with a non-finite state, or None when the
+    states stayed finite but a recorded diagnostic did not.
+    """
+
+    def __init__(self, k: int, what: str, chain: int | None = None):
+        super().__init__(f"run diverged: {what} at k={k}")
         self.k = k
         self.chain = chain
 

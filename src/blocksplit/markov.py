@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -155,9 +156,11 @@ def run(
     draws come from :func:`sample_subsets` in blocks of DRAW_BLOCK steps,
     never past K, so every chain's stream ends where K single draws leave
     it and the result does not depend on the block size.  A non-finite
-    state raises Diverged with k and the first such chain; the
-    floating-point warnings on the way there are silenced, as the error
-    reports them.
+    state raises Diverged with k and the first such chain.  States that
+    stay finite can still overflow a diagnostic: after the last step, a
+    non-finite residual or distance raises Diverged naming the first such
+    column and its k.  The floating-point warnings on the way are
+    silenced, as the error reports them.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
@@ -168,7 +171,8 @@ def run(
     def record_now(dw: float | None) -> np.ndarray:
         finite = np.isfinite(ensemble.states).all(axis=-1)
         if not finite.all():
-            raise Diverged(ensemble.k, int(np.argmin(finite)))
+            chain = int(np.argmin(finite))
+            raise Diverged(ensemble.k, f"chain {chain} has a non-finite state", chain)
         full = apply_full(m, ensemble.states)
         sq = squared_residuals(ensemble.states, full)
         records.append(
@@ -202,6 +206,11 @@ def run(
             full = record_now(dw)
             if want_snapshot(ensemble.k):
                 snapshots[ensemble.k] = ensemble.states.copy()
+    for r in records:
+        for name in ("mean_residual", "psi_upper", "dw_step", "d_target"):
+            v = getattr(r, name)
+            if v is not None and not math.isfinite(v):
+                raise Diverged(r.k, f"{name} is {v}")
     return RunResult(records=records, snapshots=snapshots)
 
 
@@ -238,6 +247,16 @@ def write_trajectory_csv(path, records: Sequence[DiagnosticRecord]) -> None:
     ]
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))
+
+
+def trajectory_columns(records: Sequence[DiagnosticRecord]) -> dict[str, np.ndarray]:
+    """The columns ``read_trajectory_csv`` returns for these records, without the file."""
+    num_blocks = len(records[0].block_means) if records else 0
+    header = trajectory_header(num_blocks)
+    cols = {name: np.array([getattr(r, name) for r in records], dtype=float) for name in header[:5]}
+    means = np.array([r.block_means for r in records], dtype=float).reshape(len(records), num_blocks)
+    cols.update(zip(header[5:], np.ascontiguousarray(means.T)))
+    return cols
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:

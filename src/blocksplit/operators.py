@@ -8,13 +8,13 @@ trailing axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .blockspace import BlockLayout
-from .errors import DimensionMismatch, EmptyResolvent, InnerSolveDiverged, NotPSD
+from .errors import DimensionMismatch, EmptyResolvent, NotPSD
 
 
 @dataclass
@@ -25,13 +25,18 @@ class SmoothCoupling:
     gradient Lipschitz constant: on any pair,
     sum_j ||grad_j f(x) - grad_j f(y)||^2 <= sum_j L_j^2 ||x_j - y_j||^2.
     ``hypomono[j]`` bounds how far the block-j partial functions sit from
-    monotone (0 for convex f).  ``hessian_block`` returns the constant
-    block-diagonal Hessian piece for quadratics, enabling closed-form
-    partial resolvents: a Douglas-Rachford map then takes one gradient per
-    call and solves every block of an update group in one batch.
-    ``partial_resolvent`` overrides the smooth inner solve entirely (used by
-    the diagonal-indicator coupling, which has no gradient and only
-    supports reflection-based updates).
+    monotone (0 for convex f).
+
+    Douglas-Rachford takes a coupling of one of two kinds.  A quadratic
+    coupling has a ``gradient`` and a ``hessian_block`` returning the
+    constant block-diagonal Hessian piece A_jj, so its partial resolvents
+    solve in closed form.  Any other coupling supplies a
+    ``partial_resolvent(x, r, blocks, lam)`` override, called once per
+    update group: ``x`` is the input (..., dim), ``r`` holds the group's
+    k blocks (..., k, d) and ``blocks`` their indices; row a of the
+    (..., k, d) result is the block-``blocks[a]`` partial resolvent at x
+    with that block replaced by ``r[..., a, :]``.  The diagonal-indicator
+    coupling is of this kind; it has no gradient.
     """
 
     layout: BlockLayout
@@ -41,7 +46,8 @@ class SmoothCoupling:
     convex: bool
     value: Callable[[np.ndarray], np.ndarray] | None = None
     hessian_block: Callable[[int], np.ndarray] | None = None
-    partial_resolvent: Callable[[np.ndarray, int, float], np.ndarray] | None = None
+    partial_resolvent: Callable[[np.ndarray, np.ndarray, tuple[int, ...], float],
+                                np.ndarray] | None = None
 
     def __post_init__(self):
         m = self.layout.num_blocks
@@ -112,54 +118,30 @@ def reflector(resolved: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 2.0 * resolved - x
 
 
-def resolvent_partial_smooth(
-    coupling: SmoothCoupling,
-    j: int,
-    x: np.ndarray,
-    lam: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
+def resolvent_partial_smooth(coupling: SmoothCoupling, j: int, x: np.ndarray, lam: float) -> np.ndarray:
     """Resolvent of the block-j partial linearization of f.
 
-    Solves y + lam * grad_j f(x with block j replaced by y) = x_j for y.
-    Quadratic couplings (constant block Hessian) solve in closed form;
-    otherwise a fixed-point iteration runs until the residual drops below
-    ``tol`` (absolute, per batch element) and raises InnerSolveDiverged
-    after ``max_iter`` sweeps.
+    Solves y + lam * grad_j f(x with block j replaced by y) = x_j for y, by
+    the coupling's ``partial_resolvent`` override at r = x_j, or in closed
+    form from a constant block Hessian.  Raises EmptyResolvent for a
+    coupling with neither.
     """
     if lam <= 0:
         raise ValueError(f"step must be positive, got {lam}")
     x = coupling.layout.check(x)
-    if coupling.partial_resolvent is not None:
-        return coupling.partial_resolvent(x, j, float(lam))
-    if coupling.gradient is None:
-        raise EmptyResolvent("coupling has neither gradient nor partial resolvent oracle")
     sl = coupling.layout.slice_of(j)
     xj = x[..., sl]
+    if coupling.partial_resolvent is not None:
+        return coupling.partial_resolvent(x, xj[..., None, :], (j,), float(lam))[..., 0, :]
+    if coupling.gradient is None or coupling.hessian_block is None:
+        raise EmptyResolvent("partial resolvent needs a gradient with hessian_block, "
+                             "or a partial_resolvent override")
+    # grad_j at the modified point is gj + A_jj (y - x_j) exactly
     gj = coupling.layout.block(coupling.gradient(x), j)
-
-    if coupling.hessian_block is not None:
-        # grad_j at the modified point is gj + A_jj (y - x_j) exactly
-        A = np.asarray(coupling.hessian_block(j), dtype=float)
-        d = coupling.layout.block_dims[j]
-        M = np.eye(d) + lam * A
-        rhs = xj - lam * (gj - xj @ A.T)
-        y = np.linalg.solve(M, rhs[..., None])[..., 0] if rhs.ndim > 1 else np.linalg.solve(M, rhs)
-        return y
-
-    y = np.array(xj, copy=True)
-    xmod = np.array(x, copy=True)
-    for _ in range(max_iter):
-        xmod[..., sl] = y
-        g = coupling.layout.block(coupling.gradient(xmod), j)
-        eq_resid = np.max(np.linalg.norm(y + lam * g - xj, axis=-1))
-        if eq_resid <= tol:
-            return y
-        y = xj - lam * g
-    raise InnerSolveDiverged(
-        f"partial resolvent fixed point on block {j} not within {tol} after {max_iter} iterations"
-    )
+    A = np.asarray(coupling.hessian_block(j), dtype=float)
+    M = np.eye(coupling.layout.block_dims[j]) + lam * A
+    rhs = xj - lam * (gj - xj @ A.T)
+    return np.linalg.solve(M, rhs[..., None])[..., 0] if rhs.ndim > 1 else np.linalg.solve(M, rhs)
 
 
 def gradient_descent_map(coupling: SmoothCoupling, steps: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -454,10 +436,11 @@ def coupling_diagonal_indicator(layout: BlockLayout, agreement_tol: float = 1e-9
     """Indicator of the diagonal, for reflection-based updates only.
 
     The block-j partial resolvent forces block j to the common value of the
-    remaining blocks; it is empty when those blocks disagree, and the error
-    names block j and the first disagreeing batch row (in a run, the chain).
-    There is no gradient oracle, so forward-backward flavors must reject
-    this coupling.
+    remaining blocks; it is empty when those blocks disagree.  The override
+    takes a whole update group and checks its blocks in group order; the
+    error names the first block with a disagreeing batch row, and its first
+    such row (in a run, the chain).  There is no gradient oracle, so
+    forward-backward flavors must reject this coupling.
     """
     dims = set(layout.block_dims)
     if len(dims) != 1:
@@ -465,20 +448,23 @@ def coupling_diagonal_indicator(layout: BlockLayout, agreement_tol: float = 1e-9
     m = layout.num_blocks
     d = layout.block_dims[0]
 
-    def partial_resolvent(x, j, lam):
-        blocks = x.reshape(x.shape[:-1] + (m, d))
-        others = np.delete(blocks, j, axis=-2)
-        ref = others[..., 0, :]
-        if others.shape[-2] > 1:
-            spread = np.max(np.abs(others - ref[..., None, :]), axis=(-2, -1)).reshape(-1)
-            bad = np.flatnonzero(spread > agreement_tol)
-            if bad.size:
-                row = int(bad[0])
-                raise EmptyResolvent(
-                    f"diagonal partial resolvent of block {j} empty at batch row {row}: "
-                    f"remaining blocks disagree by {spread[row]:.3e}"
-                )
-        return ref.copy()
+    def partial_resolvent(x, r, blocks, lam):
+        xb = x.reshape(x.shape[:-1] + (m, d))
+        js = np.asarray(blocks)
+        # block j takes the first other block; the rest must agree with it
+        ref = xb[..., np.where(js == 0, 1, 0), :]
+        others = np.arange(m) != js[:, None]  # (k, m)
+        gap = np.abs(xb[..., None, :, :] - ref[..., :, None, :]).max(axis=-1)  # (..., k, m)
+        spread = np.where(others, gap, 0.0).max(axis=-1).reshape(-1, len(js))
+        bad = spread > agreement_tol
+        if bad.any():
+            a = int(np.flatnonzero(bad.any(axis=0))[0])
+            row = int(np.flatnonzero(bad[:, a])[0])
+            raise EmptyResolvent(
+                f"diagonal partial resolvent of block {js[a]} empty at batch row {row}: "
+                f"remaining blocks disagree by {spread[row, a]:.3e}"
+            )
+        return ref
 
     return SmoothCoupling(
         layout=layout,

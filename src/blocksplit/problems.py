@@ -399,75 +399,6 @@ def _support_reference(m: SplittingMap, Q: np.ndarray, b: np.ndarray, w: np.ndar
     return x
 
 
-def recurrent_reference(
-    m: SplittingMap,
-    anchor: np.ndarray,
-    match_tol: float = 1e-9,
-    max_states: int = 4096,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Enumerate the reachable dynamics from an anchor and weight its states.
-
-    Breadth-first closure of {T_i} starting at ``anchor``, deduplicating
-    states within ``match_tol``; a state's images are masks over one T1 of
-    the state.  The closure must be finite (up to the
-    tolerance); exceeding ``max_states`` raises.  The exact transition
-    chain on the enumerated states is then solved for its stationary
-    distribution, restricted to the recurrent support.  Returns
-    (states, weights).
-    """
-    states: list[np.ndarray] = [np.asarray(anchor, dtype=float)]
-
-    def find(x) -> int | None:
-        for idx, s in enumerate(states):
-            if np.linalg.norm(x - s) <= match_tol:
-                return idx
-        return None
-
-    transitions: dict[int, list[tuple[int, float]]] = {}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            outs = []
-            x = states[idx]
-            full = apply_full(m, x)
-            for mask, q in zip(m.outcome_masks, m.scheme.probs):
-                img = np.where(mask, full, x)
-                j = find(img)
-                if j is None:
-                    if len(states) >= max_states:
-                        raise UnsupportedSet(
-                            f"reachable closure exceeds {max_states} states; dynamics not finite "
-                            f"at tolerance {match_tol}"
-                        )
-                    states.append(img)
-                    j = len(states) - 1
-                    nxt.append(j)
-                outs.append((j, q))
-            transitions[idx] = outs
-        frontier = nxt
-
-    n = len(states)
-    P = np.zeros((n, n))
-    for idx, outs in transitions.items():
-        for j, q in outs:
-            P[idx, j] += q
-    # stationary weights by power iteration from the anchor's occupation
-    pi = np.zeros(n)
-    pi[0] = 1.0
-    for _ in range(200_000):
-        nxt = pi @ P
-        if np.max(np.abs(nxt - pi)) < 1e-15:
-            pi = nxt
-            break
-        pi = nxt
-    keep = pi > 1e-12
-    support = np.stack([states[idx] for idx in np.nonzero(keep)[0]])
-    weights = pi[keep]
-    weights = weights / weights.sum()
-    return support, weights
-
-
 PROBLEM_GALLERY = {
     "counterexample2d": counterexample2d,
     "feasibility": feasibility,

@@ -15,6 +15,7 @@ import numpy as np
 
 from .blockspace import BlockProbabilities, weighted_norm
 from .errors import (
+    ConfigError,
     DegenerateSequence,
     DimensionMismatch,
     InadmissibleGauge,
@@ -317,3 +318,61 @@ class RateReport:
             "fit": None if self.fit is None else self.fit.to_dict(),
             "details": self.details,
         }
+
+
+def check_trajectory(
+    cols: dict[str, np.ndarray],
+    column: str,
+    source: str,
+    fejer_tol_rel: float,
+    tail_tol: float,
+    gauge: dict | None,
+) -> RateReport:
+    """Every check of a trajectory: the rate command's and the run summary's verdicts.
+
+    ``cols`` maps column names to values, NaN where a cell is empty, as
+    ``read_trajectory_csv`` returns them; ``source`` names the trajectory
+    in the report.  The distances are the non-empty cells of ``column``.
+    They get Fejer monotonicity with ``fejer_tol_rel``, a linear-rate fit
+    when at least five are positive, and, when ``gauge`` gives kappa, tau
+    and an optional epsilon, the linear gauge check.  ``dw_step``, when it
+    has four entries or more, gets asymptotic regularity with ``tail_tol``.
+    A missing column, fewer than two distances, or a non-finite or
+    negative one raise ConfigError.
+    """
+    if column not in cols:
+        raise ConfigError(f"rate.column: trajectory has no column {column!r}; "
+                          f"available: {sorted(cols)}")
+    d = cols[column]
+    d = d[~np.isnan(d)]
+    if d.shape[0] < 2:
+        raise ConfigError(f"rate.column: column {column!r} has fewer than two usable entries")
+    if not np.isfinite(d).all():
+        raise ConfigError(f"rate.column: column {column!r} holds a non-finite distance "
+                          f"{float(d[~np.isfinite(d)][0])!r}; distances must be finite")
+    if np.any(d < 0):
+        raise ConfigError(f"rate.column: column {column!r} holds a negative distance "
+                          f"{float(d[d < 0][0])!r}; distances must be nonnegative")
+
+    report = RateReport(details={"column": column, "trajectory": source,
+                                 "num_entries": int(d.shape[0])})
+    report.fejer = check_fejer(d, tol_rel=fejer_tol_rel)
+    try:
+        report.fit = fit_linear_rate(d)
+    except DegenerateSequence:
+        report.fit = None
+
+    dw = cols.get("dw_step")
+    if dw is not None:
+        dw = dw[~np.isnan(dw)]
+        if dw.shape[0] >= 4:
+            report.asymptotic = check_asymptotic_regularity(dw, tail_tol=tail_tol)
+
+    if gauge is not None:
+        if gauge.get("tau") is None:
+            raise ConfigError("rate.gauge.tau: required alongside kappa")
+        spec = theta_linear(float(gauge["kappa"]), float(gauge["tau"]),
+                            float(gauge.get("epsilon", 0.0) or 0.0))
+        report.gauge = check_gauge_monotone(d, spec, tol_rel=1e-3)
+        report.details["gauge_factor"] = spec.factor
+    return report

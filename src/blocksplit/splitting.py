@@ -19,15 +19,19 @@ A plan lists the blocks a map updates, grouped by (prox oracle, step,
 block dim) with the group's coordinate columns.  Forward-backward takes
 one coupling gradient per call and one prox call per group on (x - t g)
 reshaped to (..., k, d).  Douglas-Rachford batches its reflection
-r = 2 prox(x) - x through h the same way.  When the coupling has a constant
-block Hessian A_jj (``hessian_block``) and no ``partial_resolvent``
-override, it also takes one gradient g per call: the gradient at x with
-block j replaced by y is g_j + A_jj (y - x_j), so the partial resolvent
-solves in closed form, y = (I + t A_jj)^-1 (r_j - t (g_j - A_jj x_j)), and
-the plan holds each group's stacked A_jj and (I + t A_jj)^-1.  Two kinds
-of coupling still take one ``resolvent_partial_smooth`` call per block:
-an override such as ``coupling_diagonal_indicator``, and a gradient-only
-coupling without ``hessian_block`` (its fixed-point inner solve).
+r = 2 prox(x) - x through h the same way, then takes each group's partial
+resolvents in one step, by one of two kinds of coupling:
+
+- a constant block Hessian A_jj (``hessian_block``): one gradient g per
+  call, since the gradient at x with block j replaced by y is
+  g_j + A_jj (y - x_j), so y = (I + t A_jj)^-1 (r_j - t (g_j - A_jj x_j))
+  in closed form, with each group's stacked A_jj and (I + t A_jj)^-1 in
+  the plan;
+- a ``partial_resolvent(x, r, blocks, t)`` override, such as
+  ``coupling_diagonal_indicator``: one call per group on r of shape
+  (..., k, d), returning (..., k, d).
+
+A coupling of neither kind has no Douglas-Rachford map.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .operators import (
     SeparableTerm,
     SmoothCoupling,
     reflector,
-    resolvent_partial_smooth,
     resolvent_separable,
 )
 
@@ -103,7 +106,6 @@ class SplittingMap:
     scheme: BlockSubsetScheme
     layout: BlockLayout
     full_plan: tuple[UpdateGroup, ...] = field(init=False, repr=False, compare=False)
-    one_gradient: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -118,17 +120,17 @@ class SplittingMap:
             raise DimensionMismatch("term layout differs from map layout")
         if self.scheme.max_block_index() >= m:
             raise DimensionMismatch("scheme references blocks outside the layout")
-        if self.flavor == "fb" and self.coupling.gradient is None:
-            raise EmptyResolvent("forward-backward needs a coupling gradient oracle")
-        # one gradient per call: FB, and DR whose partial resolvents solve in closed form
         c = self.coupling
-        self.one_gradient = self.flavor == "fb" or (
-            c.gradient is not None and c.hessian_block is not None and c.partial_resolvent is None
-        )
+        if self.flavor == "fb" and c.gradient is None:
+            raise EmptyResolvent("forward-backward needs a coupling gradient oracle")
+        if self.flavor == "dr" and c.partial_resolvent is None and (
+                c.gradient is None or c.hessian_block is None):
+            raise EmptyResolvent("Douglas-Rachford needs a coupling with a gradient and "
+                                 "hessian_block, or a partial_resolvent override")
         self.full_plan = self._plan(range(m))
 
     def _plan(self, blocks: Iterable[int]) -> tuple[UpdateGroup, ...]:
-        closed_form = self.flavor == "dr" and self.one_gradient
+        closed_form = self.flavor == "dr" and self.coupling.partial_resolvent is None
         return _update_plan(self.layout, self.term, self.steps, blocks,
                             self.coupling.hessian_block if closed_form else None)
 
@@ -156,7 +158,8 @@ def _apply_plan(m: SplittingMap, plan: tuple[UpdateGroup, ...], x: np.ndarray) -
     """Update the planned blocks of x, every one from the unmodified x."""
     x = m.layout.check(x)
     out = np.array(x, copy=True)
-    g = m.coupling.gradient(x) if m.one_gradient else None
+    override = m.coupling.partial_resolvent if m.flavor == "dr" else None
+    g = m.coupling.gradient(x) if override is None else None
     for grp in plan:
         xg = x[..., grp.cols]
         shape = x.shape[:-1] + (len(grp.blocks), grp.dim)
@@ -167,15 +170,12 @@ def _apply_plan(m: SplittingMap, plan: tuple[UpdateGroup, ...], x: np.ndarray) -
             continue
         xb = xg.reshape(shape)
         reflected = reflector(resolvent_separable(m.term, grp.blocks[0], xb, grp.step), xb)
-        if grp.inverse is not None:
+        if override is not None:
+            y = override(x, reflected, grp.blocks, grp.step)
+        else:
             gb = g[..., grp.cols].reshape(shape)
             y = _matvec(grp.inverse, reflected - grp.step * (gb - _matvec(grp.hessian, xb)))
-            out[..., grp.cols] = (0.5 * (reflector(y, reflected) + xb)).reshape(xg.shape)
-            continue
-        for a, j in enumerate(grp.blocks):
-            sl, yj = m.layout.slice_of(j), reflected[..., a, :]
-            u = resolvent_partial_smooth(m.coupling, j, m.layout.embed(yj, j, x), grp.step)
-            out[..., sl] = 0.5 * (reflector(u, yj) + x[..., sl])
+        out[..., grp.cols] = (0.5 * (reflector(y, reflected) + xb)).reshape(xg.shape)
     return out
 
 

@@ -37,7 +37,6 @@ from blocksplit.problems import (
     counterexample2d,
     deterministic_reference,
     feasibility,
-    recurrent_reference,
 )
 from blocksplit.rates import (
     GaugeSpec,
@@ -257,21 +256,23 @@ def test_06_inconsistent_feasibility_ensemble_matches_enumerated_reference():
     prob = feasibility(sets, coupling_kind="sqdist")
     m = prob.build_map("dr", SINGLETONS, steps=(1.0, 1.0))
     p = block_probabilities(SINGLETONS, prob.layout)
-    # the reference is enumerated from the dynamics, not assumed: here the
-    # recurrent class is the single product state whose two blocks carry the
-    # pair of mutually nearest points
-    anchor = deterministic_reference(m, np.zeros(prob.layout.total_dim))
-    support, weights = recurrent_reference(m, anchor)
-    assert abs(weights.sum() - 1.0) <= 1e-12
-    reference = DiscreteMeasure(support, weights, prob.layout)
+    # the reference is verified on the dynamics, not assumed: the T1 fixed
+    # point z is fixed by every outcome's own update, so the one-atom measure
+    # at z is invariant; its two blocks carry the pair of mutually nearest
+    # points
+    z = deterministic_reference(m, np.zeros(prob.layout.total_dim))
+    for i in range(m.scheme.num_outcomes):
+        np.testing.assert_allclose(apply_T(m, i, z), z, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(z, [2.0 / 3.0, 0.0, 4.0 / 3.0, 0.0], rtol=0, atol=1e-12)
+    reference = DiscreteMeasure(z[None, :], np.ones(1), prob.layout)
     ensemble = init_ensemble(m, uniform_box_sampler(prob.region.lo, prob.region.hi),
                              1000, master_seed=4242)
     run(ensemble, m, 2000)
     empirical = DiscreteMeasure.empirical(ensemble.states, prob.layout)
     d, _ = wasserstein2_weighted(empirical, reference, p)
     assert d <= 0.05
-    _accept(6, f"long-run ensemble is {d:.3e} from the {len(weights)}-state "
-               f"enumerated reference (bound 0.05)")
+    _accept(6, f"long-run ensemble is {d:.3e} from the verified common fixed point "
+               f"(bound 0.05)")
 
 
 def test_07_composite_constants_match_closed_forms():

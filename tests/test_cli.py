@@ -138,7 +138,7 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 7
     assert summary["config"]["problem"]["id"] == "counterexample2d"
-    assert summary["verdicts"]["fejer_d_target"]["passed"] is True
+    assert summary["verdicts"]["fejer"]["passed"] is True
     assert "run complete" in capsys.readouterr().out
 
 
@@ -236,6 +236,23 @@ def test_cli_rate(tmp_path, capsys):
     # an inadmissible column name is a usage error
     assert main(["rate", "--trajectory", traj, "--column", "nope",
                  "--out", str(tmp_path / "rate")]) == 2
+
+
+def test_cli_run_verdicts_are_the_rate_checks(tmp_path, capsys):
+    # summary.json holds rate's checks under the config's rate section: this
+    # run's d_target falls by at least 5.9% a step, so Fejer passes at the
+    # default tolerance 1e-3 and fails when each step must fall by 10%
+    doc = run_config(tmp_path)
+    doc["rate"] = {"fejer_tol_rel": -0.1, "gauge": {"kind": "linear", "kappa": 5.0, "tau": 1.0}}
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path]) == 0
+    out = tmp_path / "out"
+    assert main(["rate", "--config", path, "--trajectory", str(out / "trajectory.csv")]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    report = json.loads((out / "rate_report.json").read_text())
+    assert summary["verdicts"] == report["report"]
+    assert summary["verdicts"]["fejer"]["passed"] is False
+    assert summary["verdicts"]["gauge"] is not None
 
 
 def test_cli_rate_gauge_failure_exit_code(tmp_path, capsys):
@@ -427,6 +444,13 @@ BAD_INPUTS = [
     ("trajectory_negative_distance", "column 'd_target' holds a negative distance -0.5",
      _file_case("neg.csv", "k,mean_residual,psi_upper,dw_step,d_target\n0,1,1,,1\n1,0.5,0.5,,-0.5\n",
                 lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    ("trajectory_infinite_distance", "column 'd_target' holds a non-finite distance inf",
+     _file_case("inf.csv", "k,mean_residual,psi_upper,dw_step,d_target\n0,inf,inf,,inf\n1,inf,inf,,inf\n",
+                lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    # finite states whose squared residuals overflow: the run is divergent
+    ("run_residual_overflow", "run diverged: mean_residual is inf at k=0",
+     _config_case("run", run=dict(SMALL_RUN, init={"kind": "point", "x": [1e200, 0.0]})),
+     "error: "),
     # finite coordinates whose squared weighted distances overflow: a solver
     # error, not a config error; the first two take the assignment route,
     # the third the LP route

@@ -20,6 +20,7 @@ from blocksplit.markov import (
     read_trajectory_csv,
     run,
     sbi_step,
+    trajectory_columns,
     trajectory_header,
     uniform_box_sampler,
     write_snapshot,
@@ -317,6 +318,18 @@ def test_run_raises_diverged_at_first_nonfinite_state():
     assert f"k={err.k}" in str(err) and f"chain {err.chain}" in str(err)
 
 
+def test_run_raises_diverged_on_a_non_finite_diagnostic():
+    # the states stay finite, but their squared residuals overflow from the start
+    m = counterexample2d(0.25).build_map("fb", SINGLETONS, [0.25, 0.25])
+    e = init_ensemble(m, point_sampler([1e200, 0.0]), 4, master_seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged, match=r"^run diverged: mean_residual is inf at k=0$") as info:
+            run(e, m, 3)
+    assert info.value.k == 0 and info.value.chain is None
+    assert np.isfinite(e.states).all()
+
+
 def test_trajectory_csv_round_trip(tmp_path):
     records = [
         DiagnosticRecord(0, 1.0, 2.0, None, 0.5, np.array([0.1, 0.2])),
@@ -331,6 +344,11 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert cols["dw_step"][1] == pytest.approx(0.25)
     np.testing.assert_allclose(cols["block0_mean"], [0.1, 0.05])
     np.testing.assert_allclose(cols["block1_mean"], [0.2, 0.1])
+    # the in-memory columns are the file's, bit for bit
+    mem = trajectory_columns(records)
+    assert list(mem) == list(cols)
+    for name in cols:
+        assert mem[name].tobytes() == cols[name].tobytes(), name
 
 
 def test_trajectory_csv_no_timestamp_and_full_precision(tmp_path):

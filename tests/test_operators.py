@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from blocksplit.blockspace import BlockLayout
-from blocksplit.errors import (
-    DimensionMismatch,
-    EmptyResolvent,
-    InnerSolveDiverged,
-    NotPSD,
-)
+from blocksplit.blockspace import BlockLayout, BlockSubsetScheme
+from blocksplit.errors import DimensionMismatch, EmptyResolvent, NotPSD
 from blocksplit.operators import (
     SeparableTerm,
     SmoothCoupling,
@@ -31,6 +26,7 @@ from blocksplit.operators import (
     resolvent_partial_smooth,
     resolvent_separable,
 )
+from blocksplit.splitting import SplittingMap
 
 
 # ---------------------------------------------------------------------------
@@ -126,37 +122,20 @@ def test_partial_resolvent_batch_matches_loop():
         np.testing.assert_allclose(batch[i], single, atol=1e-14)
 
 
-def test_partial_resolvent_iterative_path():
-    # hide the Hessian so the fixed-point path runs; same defining equation
+def test_gradient_only_coupling_has_no_partial_resolvent():
+    # a coupling with a gradient but neither hessian_block nor an override
+    # has no Douglas-Rachford route: the operator and the map both refuse it
     layout = BlockLayout((1, 1))
-    Q = np.array([[1.0, 0.3], [0.3, 1.0]])
-    c = coupling_quadratic(layout, Q)
-    c_no_hess = SmoothCoupling(
-        layout=layout,
-        gradient=c.gradient,
-        lipschitz=c.lipschitz,
-        hypomono=c.hypomono,
-        convex=True,
-    )
-    x = np.array([1.0, -2.0])
-    lam = 0.5
-    expected = resolvent_partial_smooth(c, 0, x, lam)
-    got = resolvent_partial_smooth(c_no_hess, 0, x, lam, tol=1e-12)
-    np.testing.assert_allclose(got, expected, atol=1e-10)
-
-
-def test_partial_resolvent_iterative_divergence_raises():
-    # lam * L > 1 makes the plain fixed-point iteration diverge
-    layout = BlockLayout((1,))
-    c = SmoothCoupling(
-        layout=layout,
-        gradient=lambda x: 10.0 * x,
-        lipschitz=np.array([10.0]),
-        hypomono=np.array([0.0]),
-        convex=True,
-    )
-    with pytest.raises(InnerSolveDiverged):
-        resolvent_partial_smooth(c, 0, np.array([1.0]), 1.0, max_iter=30)
+    c = coupling_quadratic(layout, np.array([[1.0, 0.3], [0.3, 1.0]]))
+    gradient_only = SmoothCoupling(layout=layout, gradient=c.gradient, lipschitz=c.lipschitz,
+                                   hypomono=c.hypomono, convex=True)
+    with pytest.raises(EmptyResolvent):
+        resolvent_partial_smooth(gradient_only, 0, np.array([1.0, -2.0]), 0.5)
+    term = SeparableTerm(layout, [h_zero(), h_zero()])
+    scheme = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
+    with pytest.raises(EmptyResolvent, match="Douglas-Rachford needs"):
+        SplittingMap("dr", gradient_only, term, 0.5, scheme, layout)
+    SplittingMap("fb", gradient_only, term, 0.5, scheme, layout)
 
 
 def test_partial_resolvent_rejects_nonpositive_step():

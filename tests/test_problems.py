@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blocksplit import problems
-from blocksplit.blockspace import BlockLayout, BlockSubsetScheme
+from blocksplit.blockspace import BlockSubsetScheme
 from blocksplit.errors import DimensionMismatch, NotPSD, UnsupportedSet
-from blocksplit.operators import BlockFunction, SeparableTerm, coupling_zero
 from blocksplit.problems import (
     PROBLEM_GALLERY,
     ConvexSet,
@@ -16,9 +15,8 @@ from blocksplit.problems import (
     feasibility,
     make_set,
     quadratic_l1,
-    recurrent_reference,
 )
-from blocksplit.splitting import SplittingMap, apply_full
+from blocksplit.splitting import apply_T, apply_full
 
 SINGLETONS = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
 
@@ -238,20 +236,7 @@ def test_deterministic_reference_counterexample():
     np.testing.assert_allclose(ref, [0.0, 0.0], atol=1e-12)
 
 
-def test_recurrent_reference_absorbing_point_indicators():
-    # f = 0, h_j = indicator of a point: every path is absorbed at omega
-    from blocksplit.operators import h_indicator_point
-
-    layout = BlockLayout((1, 1))
-    term = SeparableTerm(layout, [h_indicator_point([1.0]), h_indicator_point([2.0])])
-    m = SplittingMap("fb", coupling_zero(layout), term, np.array([0.5, 0.5]), SINGLETONS, layout)
-    support, weights = recurrent_reference(m, np.array([0.0, 0.0]))
-    assert support.shape == (1, 2)
-    np.testing.assert_allclose(support[0], [1.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(weights, [1.0])
-
-
-def test_recurrent_reference_dr_sqdist_collapses_to_common_fixed_point():
+def test_dr_sqdist_reference_is_fixed_by_every_outcome():
     # inconsistent feasibility with the smooth coupling still has a single
     # common fixed point (2c, 0, 2 - 2c, 0), c = t/(t+2)
     prob = feasibility(
@@ -259,14 +244,7 @@ def test_recurrent_reference_dr_sqdist_collapses_to_common_fixed_point():
         coupling_kind="sqdist",
     )
     m = prob.build_map("dr", SINGLETONS, steps=np.array([1.0, 1.0]))
-    anchor = deterministic_reference(m, np.zeros(4), iterations=5_000)
-    support, weights = recurrent_reference(m, anchor)
-    assert support.shape == (1, 4)
-    np.testing.assert_allclose(support[0], [2.0 / 3.0, 0.0, 4.0 / 3.0, 0.0], atol=1e-9)
-    np.testing.assert_allclose(weights, [1.0])
-
-
-def test_recurrent_reference_rejects_infinite_closure():
-    m = counterexample2d(0.25).build_map("fb", SINGLETONS)
-    with pytest.raises(UnsupportedSet):
-        recurrent_reference(m, np.array([1.0, 1.0]), max_states=64)
+    z = deterministic_reference(m, np.zeros(4), iterations=5_000)
+    np.testing.assert_allclose(z, [2.0 / 3.0, 0.0, 4.0 / 3.0, 0.0], atol=1e-9)
+    for i in range(m.scheme.num_outcomes):
+        np.testing.assert_allclose(apply_T(m, i, z), z, rtol=0, atol=1e-15)

@@ -21,7 +21,6 @@ from blocksplit.operators import (
     reflector,
     resolvent_partial_smooth,
 )
-from blocksplit import splitting
 from blocksplit.problems import counterexample2d, feasibility, make_set, quadratic_l1
 from blocksplit.splitting import (
     RegularityConstants,
@@ -250,32 +249,65 @@ def _count_calls(monkeypatch, owner, name):
 @pytest.mark.parametrize("kind", ["indicator", "gradient_only"])
 @pytest.mark.parametrize("seed", range(6))
 def test_dr_per_block_route_matches_reference_bitwise(monkeypatch, kind, seed):
-    # an override or a coupling without hessian_block keeps one partial resolvent per block
+    # an override takes one call per update group and matches the per-block
+    # definition bit for bit; a coupling without hessian_block has no DR map
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 4))
     layout = BlockLayout((d, d))
-    coupling = (coupling_diagonal_indicator(layout) if kind == "indicator"
-                else _gradient_only(layout, seed))
     term = SeparableTerm(layout, [h_indicator_ball(0.0, 1.0), h_l1(0.2)])
-    m = SplittingMap("dr", coupling, term, rng.choice([0.5, 1.0], size=2), SINGLETONS, layout)
+    steps = rng.choice([0.5, 1.0], size=2)
     x = rng.normal(scale=2.0, size=(int(rng.integers(1, 5)), 2 * d))
-    assert not m.one_gradient and all(g.inverse is None for g in m.full_plan)
+    if kind == "gradient_only":
+        coupling = _gradient_only(layout, seed)
+        with pytest.raises(EmptyResolvent):
+            resolvent_partial_smooth(coupling, 0, x, 0.5)
+        with pytest.raises(EmptyResolvent, match="Douglas-Rachford needs"):
+            SplittingMap("dr", coupling, term, steps, SINGLETONS, layout)
+        return
+    m = SplittingMap("dr", coupling_diagonal_indicator(layout), term, steps, SINGLETONS, layout)
+    assert all(g.inverse is None for g in m.full_plan)
     reference = _dr_reference(m, x)
-    calls = _count_calls(monkeypatch, splitting, "resolvent_partial_smooth")
+    calls = _count_calls(monkeypatch, m.coupling, "partial_resolvent")
+    assert apply_full(m, x).tobytes() == reference.tobytes()
+    assert len(calls) == len(m.full_plan) == 2
+
+
+def test_dr_indicator_override_takes_a_group_of_shared_oracle_blocks(monkeypatch):
+    # blocks 0-2 share one ball oracle and step, so they form one group of k = 3
+    d = 2
+    layout = BlockLayout((d,) * 4)
+    ball = h_indicator_ball(0.0, 1.0)
+    term = SeparableTerm(layout, [ball, ball, ball, h_l1(0.2)])
+    scheme = BlockSubsetScheme(((0, 1, 2), (3,), (0, 3)), (0.4, 0.3, 0.3))
+    m = SplittingMap("dr", coupling_diagonal_indicator(layout), term, 0.7, scheme, layout)
+    assert [g.blocks for g in m.full_plan] == [(0, 1, 2), (3,)]
+    # the diagonal plus noise below the agreement tolerance, so every block
+    # has a partial resolvent and the block each one copies shows in the bits
+    rng = np.random.default_rng(8)
+    x = np.tile(rng.normal(scale=2.0, size=(5, 1, d)), (1, 4, 1)).reshape(5, 4 * d)
+    x += rng.uniform(-1e-10, 1e-10, size=x.shape)
+    # block j copies the first block other than j
+    xb = x.reshape(5, 4, d)
+    resolved = m.coupling.partial_resolvent(x, xb[:, :3], (0, 1, 2), 0.7)
+    assert resolved.tobytes() == xb[:, [1, 0, 0]].tobytes()
+    reference = _dr_reference(m, x)
+    calls = _count_calls(monkeypatch, m.coupling, "partial_resolvent")
     assert apply_full(m, x).tobytes() == reference.tobytes()
     assert len(calls) == 2
+    mask = np.repeat(np.isin(np.arange(4), (0, 1, 2)), d)
+    assert apply_T(m, 0, x).tobytes() == np.where(mask, reference, x).tobytes()
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("flavor", ["fb", "dr"])
 def test_quadratic_coupling_takes_one_gradient_per_call(monkeypatch, flavor):
     m = _random_map([2, 1, 3, 1, 2], flavor, 5)
     gradients = _count_calls(monkeypatch, m.coupling, "gradient")
-    partials = _count_calls(monkeypatch, splitting, "resolvent_partial_smooth")
     x = _points(m, 4, 5)
     apply_full(m, x)
     assert len(gradients) == 1
     apply_T(m, 0, x[0])
-    assert len(gradients) == 2 and not partials
+    assert len(gradients) == 2
 
 
 def test_lasso_plan_groups_by_weight_and_step():
@@ -401,7 +433,9 @@ def test_expectation_identities_uneven_scheme():
 def _gallery():
     """Map sources: every gallery problem, and a gradient-only coupling on mixed block dims.
 
-    Each entry is (layout, build), where build(scheme, flavor) returns the SplittingMap.
+    Each entry is (layout, build), where build(scheme, flavor) returns the
+    SplittingMap.  The gradient-only coupling has no Douglas-Rachford map,
+    so its source builds forward-backward whatever the flavor.
     """
     rng = np.random.default_rng(21)
     A = rng.normal(size=(7, 5))
@@ -418,7 +452,7 @@ def _gallery():
 
     def gradient_only(scheme, flavor, layout=BlockLayout((2, 1, 2))):
         term = SeparableTerm(layout, [h_indicator_ball(0.0, 1.0), h_l1(0.2), h_zero()])
-        return SplittingMap(flavor, _gradient_only(layout, 22), term, np.array([0.5, 1.0, 0.5]),
+        return SplittingMap("fb", _gradient_only(layout, 22), term, np.array([0.5, 1.0, 0.5]),
                             scheme, layout)
 
     sources.append((BlockLayout((2, 1, 2)), gradient_only))
