@@ -360,9 +360,20 @@ def deterministic_reference(m: SplittingMap, x0: np.ndarray, iterations: int = 1
     for _ in range(iterations):
         x_next = apply_full(m, x)
         if _settled(x_next, x, tol):
-            return x_next
+            return _settled_point(m, x, x_next, tol)
         x = x_next
     return x
+
+
+def _settled_point(m: SplittingMap, x: np.ndarray, x_next: np.ndarray,
+                   tol: float = REFERENCE_TOL) -> np.ndarray:
+    """x_next = T1(x) if one more T1 step from it passes the stop rule, else x.
+
+    The stop rule has passed from x, so the point returned is one that T1
+    moves by less than tol in every coordinate.  Near |x| >= 4 one ulp is
+    close to tol, and x_next can itself move by two ulps.
+    """
+    return x_next if _settled(apply_full(m, x_next), x_next, tol) else x
 
 
 def _support_reference(m: SplittingMap, Q: np.ndarray, b: np.ndarray, w: np.ndarray,
@@ -374,15 +385,16 @@ def _support_reference(m: SplittingMap, Q: np.ndarray, b: np.ndarray, w: np.ndar
     solves Q_SS z_S = -(b_S + w_S s) with z = 0 off S.  Every
     ACTIVE_SET_EVERY steps that candidate is built from the current iterate;
     it is kept only if one T1 step from it passes the stop rule, and then
-    its T1 image is returned.  A singular Q_SS, a non-finite candidate or a
-    failed check leave the run untouched, so with every candidate rejected
-    the result is deterministic_reference's, bit for bit.
+    _settled_point picks its T1 image or the candidate itself.  A singular
+    Q_SS, a non-finite candidate or a failed check leave the run untouched,
+    so with every candidate rejected the result is deterministic_reference's,
+    bit for bit.
     """
     x = np.zeros(Q.shape[0])
     for step in range(1, iterations + 1):
         x_next = apply_full(m, x)
         if _settled(x_next, x):
-            return x_next
+            return _settled_point(m, x, x_next)
         x = x_next
         if step % ACTIVE_SET_EVERY:
             continue
@@ -395,7 +407,7 @@ def _support_reference(m: SplittingMap, Q: np.ndarray, b: np.ndarray, w: np.ndar
         if np.isfinite(z).all():
             z_next = apply_full(m, z)
             if _settled(z_next, z):
-                return z_next
+                return _settled_point(m, z, z_next)
     return x
 
 
