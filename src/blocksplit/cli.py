@@ -48,12 +48,6 @@ from .transport import (
 )
 
 
-def _out_dir(cfg_dir: str | None, cli_dir: str | None) -> Path:
-    out = Path(cli_dir if cli_dir is not None else (cfg_dir or "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _finite_or_null(v):
     """A copy of a JSON-able value with NaN and infinities replaced by None."""
     if isinstance(v, float):
@@ -154,9 +148,10 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     except ConfigError:
         verdicts = None
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj_path, result.records)
     for k, states in sorted(result.snapshots.items()):
-        write_snapshot(out_dir / f"snapshot_{k:06d}.csv", states, k, cfg.seed)
+        write_snapshot(out_dir / f"snapshot_{k:06d}.csv", states, problem.layout)
     write_measure(out_dir / "final_measure.csv", DiscreteMeasure.empirical(ensemble.states, problem.layout))
 
     summary = {
@@ -224,6 +219,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
         report = verify_expectation_identities(m, region, c.num_pairs, cfg.seed, tolerance=1e-9)
 
     doc = {"config": cfg.resolved(), "seed": cfg.seed, "report": report.to_dict()}
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "certify_report.json", doc)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} {report.property_name}: margin={report.margin:.6e} "
@@ -233,14 +229,19 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     """Check a distance trajectory; exit 1 when a requested check fails."""
-    cols = _read_input(read_trajectory_csv, args.trajectory)
     rate_cfg = (cfg.rate if cfg is not None else None) or RateSection()
     gauge = rate_cfg.gauge
     if args.kappa is not None:
+        if args.tau is None:
+            raise ConfigError("--tau: required alongside --kappa")
         gauge = {"kappa": args.kappa, "tau": args.tau, "epsilon": args.epsilon}
+    elif args.tau is not None or args.epsilon is not None:
+        raise ConfigError(f"{'--tau' if args.tau is not None else '--epsilon'}: needs --kappa")
+    cols = _read_input(read_trajectory_csv, args.trajectory)
     report = check_trajectory(cols, args.column or rate_cfg.column, str(args.trajectory),
                               rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, gauge)
     doc = {"config": None if cfg is None else cfg.resolved(), "report": report.to_dict()}
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "rate_report.json", doc)
 
     checks = {"fejer": report.fejer.passed}
@@ -255,7 +256,7 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     return 0 if all(checks.values()) else 1
 
 
-def cmd_transport(args, out_dir: Path) -> int:
+def cmd_transport(args) -> int:
     """Exact weighted W2 distance between two measure files."""
     mu = _read_input(read_measure, args.measures[0])
     nu = _read_input(read_measure, args.measures[1])
@@ -285,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=config_required, help="experiment config JSON")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed (uint64)")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="unused; accepted for compatibility")
 
     sp_run = sub.add_parser("run", help="simulate a particle ensemble")
     common(sp_run)
@@ -298,14 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp_rate.add_argument("--column", default=None, help="distance column (default d_target)")
     sp_rate.add_argument("--kappa", type=float, default=None, help="linear gauge modulus")
     sp_rate.add_argument("--tau", type=float, default=None, help="gauge transport coefficient")
-    sp_rate.add_argument("--epsilon", type=float, default=0.0, help="gauge violation")
+    sp_rate.add_argument("--epsilon", type=float, default=None, help="gauge violation (default 0)")
     sp_tr = sub.add_parser("transport", help="distance between two measure files")
     sp_tr.add_argument("measures", nargs=2, help="two measure files")
     sp_tr.add_argument("--probs", default=None, help="comma-separated block probabilities")
     sp_tr.add_argument("--plan", default=None, help="write the optimal plan to this CSV")
-    sp_tr.add_argument("--out", default=None, help="output directory")
-    sp_tr.add_argument("--seed", type=int, default=None, help="unused; accepted for uniformity")
-    sp_tr.add_argument("--threads", type=int, default=None, help="unused; accepted for uniformity")
     return parser
 
 
@@ -313,25 +309,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "transport":
+            return cmd_transport(args)
         cfg = None
-        if getattr(args, "config", None) is not None:
+        if args.config is not None:
             cfg = load_config(args.config)
             if args.seed is not None:
                 if args.seed < 0:
                     raise ConfigError("--seed: must be nonnegative")
                 cfg.seed = args.seed
-            if args.threads is not None:
-                if args.threads < 1:
-                    raise ConfigError("--threads: must be at least 1")
-                cfg.threads = args.threads
-        out_dir = _out_dir(cfg.output_dir if cfg is not None else None, getattr(args, "out", None))
+        # created by each command just before its first write
+        out_dir = Path(args.out if args.out is not None
+                       else (cfg.output_dir if cfg is not None else None) or ".")
         if args.command == "run":
             return cmd_run(cfg, out_dir)
         if args.command == "certify":
             return cmd_certify(cfg, out_dir)
-        if args.command == "rate":
-            return cmd_rate(args, cfg, out_dir)
-        return cmd_transport(args, out_dir)
+        return cmd_rate(args, cfg, out_dir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

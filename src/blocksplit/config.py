@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .blockspace import BlockSubsetScheme
-from .errors import ConfigError
+from .errors import ConfigError, InadmissibleGauge
 from .problems import (
     PROBLEM_GALLERY,
     ProblemSpec,
@@ -23,6 +23,7 @@ from .problems import (
     make_set,
     quadratic_l1,
 )
+from .rates import theta_linear
 from .regularity import Region
 
 SCHEMA_VERSION = 1
@@ -108,7 +109,6 @@ class ExperimentConfig:
     scheme: BlockSubsetScheme
     steps: np.ndarray | None
     seed: int
-    threads: int = 1  # schema v1 key, validated; it has no effect
     output_dir: str | None = None
     run: RunSection | None = None
     certify: CertifySection | None = None
@@ -129,7 +129,6 @@ class ExperimentConfig:
             },
             "steps": None if self.steps is None else [float(t) for t in self.steps],
             "seed": self.seed,
-            "threads": self.threads,
             "output_dir": self.output_dir,
         }
         if self.run is not None:
@@ -248,7 +247,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"config.steps: every step must be finite and positive, got {steps}")
 
     seed = _as_int(_require(doc, "seed", "config"), "config.seed", minimum=0)
-    threads = _as_int(doc.get("threads", 1), "config.threads", minimum=1)
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("config.output_dir: expected a string path")
@@ -326,8 +324,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if gauge is not None:
             if not isinstance(gauge, dict) or gauge.get("kind") != "linear":
                 raise ConfigError("config.rate.gauge: only {'kind': 'linear', kappa, tau, epsilon} supported")
-            for key in ("kappa", "tau"):
-                _as_float(_require(gauge, key, "config.rate.gauge"), f"config.rate.gauge.{key}")
+            kappa, tau = (_as_float(_require(gauge, key, "config.rate.gauge"), f"config.rate.gauge.{key}")
+                          for key in ("kappa", "tau"))
+            epsilon = gauge.get("epsilon")
+            epsilon = 0.0 if epsilon is None else _as_float(epsilon, "config.rate.gauge.epsilon")
+            try:  # the admissible window, and epsilon >= 0
+                theta_linear(kappa, tau, epsilon)
+            except InadmissibleGauge as e:
+                raise ConfigError(f"config.rate.gauge: {e}") from e
         rate_sec = RateSection(
             column=str(r.get("column", "d_target")),
             gauge=gauge,
@@ -342,7 +346,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         scheme=scheme,
         steps=steps_arr,
         seed=seed,
-        threads=threads,
         output_dir=output_dir,
         run=run_sec,
         certify=certify_sec,

@@ -11,24 +11,26 @@ full-block evaluation T1 x (random sweeping).  ``run`` makes that the only
 operator work per step: the T1 x behind the residual columns at step k is
 the update of step k + 1.  Subset draws are prefetched per chain, DRAW_BLOCK
 steps at a time, as one outcome table; the stepping is serial and vectorized
-across chains, with no worker threads.  The per-record block means are one
+across chains, in one process.  The per-record block means are one
 reduction per distinct block dim (:meth:`BlockLayout.block_means`), and the
-file writers format one CSV row per ``%`` operation.
+trajectory writer formats one CSV row per ``%`` operation.  A snapshot of
+the ensemble is written as the measure file of its equal-weight cloud, the
+format of every point cloud the package writes.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .blockspace import chain_rng, sample_subsets
+from .blockspace import BlockLayout, chain_rng, sample_subsets
 from .errors import DimensionMismatch, Diverged
-from .splitting import SplittingMap, apply_full
+from .splitting import SplittingMap, apply_full, squared_residuals
+from .transport import DiscreteMeasure, write_measure
 
 # Steps of subset draws prefetched per chain at a time.  Results do not
 # depend on it; it only bounds the outcome table at (DRAW_BLOCK, N).
@@ -108,12 +110,6 @@ def empirical_residual_psi(ensemble: Ensemble, m: SplittingMap) -> float:
     """
     sq = squared_residuals(ensemble.states, apply_full(m, ensemble.states))
     return float(np.sqrt(np.mean(sq)))
-
-
-def squared_residuals(states: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Squared full-block residual ||x - T1 x||^2 of each chain."""
-    r = states - full
-    return np.sum(r * r, axis=-1)
 
 
 @dataclass
@@ -217,7 +213,8 @@ def run(
 # ---------------------------------------------------------------------------
 # File formats.  Trajectory: plain CSV, floats at 17 significant digits, no
 # timestamps, so identical (config, seed) runs produce identical bytes.
-# Snapshot: one JSON header line, then one CSV row of coordinates per chain.
+# Snapshot: the measure file of the ensemble's equal-weight cloud, the format
+# of final_measure.csv, which ``transport.read_measure`` reads back.
 # Rows are formatted by hand with the bytes csv.writer would write: "%.17g"
 # floats (the text of format(v, ".17g")), comma separated, "\r\n" row ends;
 # no field of a number needs quoting.  An empty trajectory cell marks a value
@@ -272,34 +269,9 @@ def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     return dict(zip(header, np.ascontiguousarray(table.T)))
 
 
-def write_snapshot(path, states: np.ndarray, k: int, seed: int) -> None:
-    """Particle dump: JSON header line (n, dim, k, seed), then CSV rows."""
-    states = np.asarray(states, dtype=float)
-    header = {"n": int(states.shape[0]), "dim": int(states.shape[1]), "k": int(k), "seed": int(seed)}
-    write_table(path, header, states)
-
-
-def write_table(path, header: dict, rows: np.ndarray) -> None:
-    """JSON header line, then one CSV row of "%.17g" floats per row of a 2-D array."""
-    row = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write("".join([row % tuple(r) for r in rows.tolist()]))
-
-
-def read_snapshot(path) -> tuple[dict, np.ndarray]:
-    """Read a snapshot file back as (header, states)."""
-    with open(path, newline="") as fh:
-        header = json.loads(fh.readline())
-        rows = list(csv.reader(fh))
-    states = np.array(rows, dtype=float)
-    if states.size == 0:
-        states = states.reshape(0, header.get("dim", 0))
-    if states.shape != (header["n"], header["dim"]):
-        raise DimensionMismatch(
-            f"snapshot body shape {states.shape} does not match header {header}"
-        )
-    return header, states
+def write_snapshot(path, states: np.ndarray, layout: BlockLayout) -> None:
+    """Write an ensemble as its equal-weight measure file (see ``write_measure``)."""
+    write_measure(path, DiscreteMeasure.empirical(states, layout))
 
 
 def point_sampler(x0) -> Callable[[np.random.Generator], np.ndarray]:

@@ -252,17 +252,14 @@ def certify_paracontraction_in_expectation(
     p = m.probabilities
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(2,)))
     xs = region.sample(rng, num_samples)
-    residuals = np.linalg.norm(xs - apply_full(m, xs), axis=-1)
-    eligible = residuals > residual_threshold
+    full = apply_full(m, xs)
+    eligible = np.linalg.norm(xs - full, axis=-1) > residual_threshold
     num_eligible = int(np.count_nonzero(eligible))
-    xs_el = xs[eligible]
+    xs_el, T1x = xs[eligible], full[eligible]
 
     worst_margin = -np.inf
     wx = wz = None
     if num_eligible:
-        # T1 of the eligible batch itself: the coupling gradient's BLAS
-        # product rounds a row differently in a batch of another size
-        T1x = apply_full(m, xs_el)
         for z in c_points:
             expected = 0.0
             for q, mask in zip(m.scheme.probs, masks):

@@ -194,6 +194,12 @@ def apply_full(m: SplittingMap, x: np.ndarray) -> np.ndarray:
     return _apply_plan(m, m.full_plan, x)
 
 
+def squared_residuals(states: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Squared full-block residual ||x - T1 x||^2 of each row, given full = T1 x."""
+    r = states - full
+    return np.sum(r * r, axis=-1)
+
+
 def transport_discrepancy(x, y, Tx, Ty) -> float | np.ndarray:
     """Squared difference of displacements, ||(x - Tx) - (y - Ty)||^2.
 

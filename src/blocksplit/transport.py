@@ -29,8 +29,7 @@ import numpy as np
 
 from .blockspace import BlockLayout, BlockProbabilities, weighted_sq
 from .errors import BlocksplitError, DimensionMismatch, SolverFailure
-from .markov import squared_residuals, write_table
-from .splitting import SplittingMap, apply_full
+from .splitting import SplittingMap, apply_full, squared_residuals
 
 # Largest replicated size L = lcm(n, m) that two equal-weight clouds of
 # different sizes solve as one L x L assignment; the gathered cost takes
@@ -213,6 +212,9 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cost = C.ravel()
     h = _Highs()
     h.setOptionValue("output_flag", False)
+    # HiGHS's default 1e-7 lets a marginal row end up to 1e-7 off its weight;
+    # 1e-10 is its tightest setting and the plan check's bound
+    h.setOptionValue("primal_feasibility_tolerance", 1e-10)
     # marginal constraints: source rows, then target rows; the final
     # (redundant) row is dropped for numerical hygiene and has dual 0
     rhs = np.concatenate([a, b])[:-1]
@@ -337,7 +339,8 @@ def invariant_discrepancy_consistent(mu: DiscreteMeasure, m: SplittingMap) -> fl
 
 # ---------------------------------------------------------------------------
 # Measure files: JSON header line, then one CSV row per atom
-# (weight, coordinates...).
+# (weight, coordinates...), "%.17g" floats, "\r\n" row ends.  Every point
+# cloud the package writes (final measures and run snapshots) is one.
 # ---------------------------------------------------------------------------
 
 
@@ -348,7 +351,11 @@ def write_measure(path, mu: DiscreteMeasure) -> None:
         "dim": int(mu.layout.total_dim),
         "block_dims": list(mu.layout.block_dims),
     }
-    write_table(path, header, np.column_stack((mu.weights, mu.support)))
+    row = "%.17g" + ",%.17g" * mu.layout.total_dim + "\r\n"
+    rows = np.column_stack((mu.weights, mu.support)).tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write("".join([row % tuple(r) for r in rows]))
 
 
 def read_measure(path) -> DiscreteMeasure:
@@ -360,8 +367,7 @@ def read_measure(path) -> DiscreteMeasure:
         rows = list(csv.reader(fh))
     if not isinstance(header, dict) or "block_dims" not in header:
         raise DimensionMismatch(
-            f"{path}: header {header!r} is not a measure header (missing block_dims); "
-            "snapshot files carry raw states, not measures"
+            f"{path}: header {header!r} is not a measure header (missing block_dims)"
         )
     for key in ("n", "dim"):
         if key not in header:

@@ -45,7 +45,6 @@ def test_parse_config_happy_path():
     assert cfg.problem_id == "counterexample2d"
     assert cfg.flavor == "fb"
     assert cfg.seed == 7
-    assert cfg.threads == 1
     assert cfg.scheme.subsets == ((0,), (1,))
     np.testing.assert_allclose(cfg.steps, [0.25, 0.25])
 
@@ -57,7 +56,6 @@ def test_parse_config_happy_path():
         {"flavor": "admm"},
         {"scheme": {"subsets": [[0]], "probs": [0.5]}},
         {"seed": -1},
-        {"threads": 0},
         {"run": {"num_chains": 0, "iterations": 5}},
         {"run": {"num_chains": 5, "iterations": 5, "init": {"kind": "gaussian"}}},
         {"certify": {"property": "magic"}},
@@ -68,6 +66,8 @@ def test_parse_config_happy_path():
         {"run": {"num_chains": 5, "iterations": 5, "strict_steps": 1}},
         {"certify": {"property": "aafne_in_expectation", "adversarial": "false"}},
         {"certify": {"property": "pointwise_aafne", "target": {"kind": "subset", "index": 2}}},
+        {"rate": {"gauge": {"kind": "linear", "kappa": 0.5, "tau": 1.0}}},
+        {"rate": {"gauge": {"kind": "linear", "kappa": 5.0, "tau": 1.0, "epsilon": "x"}}},
     ],
 )
 def test_parse_config_rejects(mutation):
@@ -278,6 +278,23 @@ def test_cli_transport(tmp_path, capsys):
     assert (tmp_path / "plan.csv").exists()
 
 
+def test_cli_snapshots_are_measure_files(tmp_path, capsys):
+    # every point cloud run writes is a measure file: transport reads the
+    # snapshots, and the last one is final_measure.csv byte for byte
+    path = write_config(tmp_path, run_config(tmp_path, dw_step_every=0))
+    assert main(["run", "--config", path]) == 0
+    out = tmp_path / "out"
+    first, last, final = (str(out / name) for name in
+                          ("snapshot_000000.csv", "snapshot_000030.csv", "final_measure.csv"))
+    assert (out / "snapshot_000030.csv").read_bytes() == (out / "final_measure.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["transport", first, final]) == 0
+    d = float(capsys.readouterr().out)
+    assert np.isfinite(d) and d > 0
+    assert main(["transport", last, final]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_cli_diagonal_indicator_names_block_and_chain(tmp_path, capsys):
     # three point sets never agree, so the hard diagonal coupling has no partial resolvent
     doc = run_config(tmp_path, num_chains=60, iterations=5, snapshot_every=0, dw_step_every=0)
@@ -322,7 +339,7 @@ def test_cli_divergent_run_exit_2(tmp_path, capsys):
     assert "run complete" not in out
     assert err.startswith("error: run diverged: chain ")
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert not (tmp_path / "out" / "summary.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
@@ -359,6 +376,7 @@ def _quadratic(Q):
 
 
 SMALL_RUN = {"num_chains": 4, "iterations": 3}
+GOOD_TRAJECTORY = "k,mean_residual,psi_upper,dw_step,d_target\n0,1,1,,1\n1,0.5,0.5,,0.5\n"
 BAD_INPUTS = [
     ("t_negative", "problem.params.t",
      _config_case("run", problem={"id": "counterexample2d", "params": {"t": -1}}, run=SMALL_RUN)),
@@ -447,6 +465,24 @@ BAD_INPUTS = [
     ("trajectory_infinite_distance", "column 'd_target' holds a non-finite distance inf",
      _file_case("inf.csv", "k,mean_residual,psi_upper,dw_step,d_target\n0,inf,inf,,inf\n1,inf,inf,,inf\n",
                 lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    # the gauge is checked with the config, before the run simulates
+    ("gauge_inadmissible", "config.rate.gauge: kappa=0.5 gives factor^2=-3",
+     _config_case("run", rate={"gauge": {"kind": "linear", "kappa": 0.5, "tau": 1.0}},
+                  run=SMALL_RUN)),
+    ("gauge_epsilon_text", "config.rate.gauge.epsilon: expected a number, got 'x'",
+     _config_case("run", rate={"gauge": {"kind": "linear", "kappa": 5.0, "tau": 1.0,
+                                         "epsilon": "x"}}, run=SMALL_RUN)),
+    ("rate_tau_without_kappa", "--tau: needs --kappa",
+     _file_case("traj.csv", GOOD_TRAJECTORY,
+                lambda traj, good: ["rate", "--trajectory", traj, "--tau", "3", "--out", traj + ".out"])),
+    ("rate_epsilon_without_kappa", "--epsilon: needs --kappa",
+     _file_case("traj.csv", GOOD_TRAJECTORY,
+                lambda traj, good: ["rate", "--trajectory", traj, "--epsilon", "0.1",
+                                    "--out", traj + ".out"])),
+    ("rate_kappa_without_tau", "--tau: required alongside --kappa",
+     _file_case("traj.csv", GOOD_TRAJECTORY,
+                lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "2",
+                                    "--out", traj + ".out"])),
     # finite states whose squared residuals overflow: the run is divergent
     ("run_residual_overflow", "run diverged: mean_residual is inf at k=0",
      _config_case("run", run=dict(SMALL_RUN, init={"kind": "point", "x": [1e200, 0.0]})),
@@ -475,6 +511,8 @@ def test_cli_bad_input_exit_2_one_line(tmp_path, capsys, needle, build, prefix):
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.count(needle) == 1
+    # nothing was written, not even the output directory
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
 
 
 IMPORT_GUARD = """

@@ -10,13 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from blocksplit import markov
 from blocksplit.blockspace import BlockLayout, BlockSubsetScheme
-from blocksplit.errors import DimensionMismatch, Diverged
+from blocksplit.errors import Diverged
 from blocksplit.markov import (
     DiagnosticRecord,
     empirical_residual_psi,
     init_ensemble,
     point_sampler,
-    read_snapshot,
     read_trajectory_csv,
     run,
     sbi_step,
@@ -222,14 +221,6 @@ def test_writers_pinned_bytes(tmp_path):
         b"0,0.33333333333333331,2,,,nan,-0\r\n"
         b"1,4.9406564584124654e-324,inf,0.25,-inf,1.0000000000000001e+300,-1.5\r\n"
     )
-    write_snapshot(tmp_path / "s.csv", np.array([[third, -0.0], [np.nan, -np.inf]]), k=3, seed=9)
-    assert (tmp_path / "s.csv").read_bytes() == (
-        b'{"dim": 2, "k": 3, "n": 2, "seed": 9}\n'
-        b"0.33333333333333331,-0\r\n"
-        b"nan,-inf\r\n"
-    )
-    write_snapshot(tmp_path / "s0.csv", np.empty((0, 3)), k=0, seed=1)
-    assert (tmp_path / "s0.csv").read_bytes() == b'{"dim": 3, "k": 0, "n": 0, "seed": 1}\n'
     layout = BlockLayout((1, 1))
     mu = DiscreteMeasure(np.array([[5e-324, -0.0], [third, 2.0]]), np.array([0.25, 0.75]), layout)
     write_measure(tmp_path / "m.csv", mu)
@@ -286,11 +277,6 @@ def test_writers_match_csv_writer_reference(tmp_path_factory, width, data):
         [r.k, r.mean_residual, r.psi_upper, r.dw_step, r.d_target, *r.block_means] for r in records
     ])
     assert (tmp / "t.csv").read_bytes() == want
-
-    states = np.array(rows, dtype=float).reshape(len(rows), width)
-    write_snapshot(tmp / "s.csv", states, k=len(rows), seed=width)
-    header = '{"dim": %d, "k": %d, "n": %d, "seed": %d}\n' % (width, len(rows), len(rows), width)
-    assert (tmp / "s.csv").read_bytes() == _csv_reference(header, rows)
 
     support = data.draw(st.lists(st.lists(finite_float, min_size=width, max_size=width),
                                  min_size=1, max_size=6))
@@ -365,24 +351,26 @@ def test_trajectory_csv_no_timestamp_and_full_precision(tmp_path):
 
 
 def test_snapshot_round_trip(tmp_path):
+    # a snapshot is the measure file of the equal-weight cloud
     states = np.random.default_rng(0).normal(size=(5, 3))
+    layout = BlockLayout((1, 2))
     path = tmp_path / "snap.csv"
-    write_snapshot(path, states, k=12, seed=99)
-    header, loaded = read_snapshot(path)
-    assert header["k"] == 12
-    assert header["seed"] == 99
-    assert header["n"] == 5
-    np.testing.assert_array_equal(loaded, states)
+    write_snapshot(path, states, layout)
+    mu = read_measure(path)
+    assert mu.layout == layout
+    assert mu.support.tobytes() == states.tobytes()
+    assert mu.weights.tobytes() == np.full(5, 0.2).tobytes()
+    write_measure(tmp_path / "m.csv", DiscreteMeasure.empirical(states, layout))
+    assert path.read_bytes() == (tmp_path / "m.csv").read_bytes()
 
 
 def test_snapshot_detects_corruption(tmp_path):
-    states = np.zeros((2, 2))
     path = tmp_path / "snap.csv"
-    write_snapshot(path, states, k=0, seed=0)
+    write_snapshot(path, np.zeros((2, 2)), BlockLayout((1, 1)))
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop one row
-    with pytest.raises(DimensionMismatch):
-        read_snapshot(path)
+    with pytest.raises(ValueError, match=r"measure body \(1, 2\) does not match header"):
+        read_measure(path)
 
 
 # Every double the %.17g writers can emit, with the edge cases drawn often.
@@ -410,10 +398,6 @@ def test_readers_parse_bit_for_bit_like_float(tmp_path_factory, n, d, data):
     grid = st.lists(st.lists(ANY_FLOAT, min_size=d, max_size=d), min_size=n, max_size=n)
 
     states = np.array(data.draw(grid), dtype=float).reshape(n, d)
-    write_snapshot(tmp / "snap.csv", states, k=0, seed=0)
-    want = np.array(_cells_by_float(tmp / "snap.csv"), dtype=float).reshape(n, d)
-    assert read_snapshot(tmp / "snap.csv")[1].tobytes() == want.tobytes()
-
     optional = st.none() | ANY_FLOAT
     records = [DiagnosticRecord(k, data.draw(ANY_FLOAT), data.draw(ANY_FLOAT), data.draw(optional),
                                 data.draw(optional), np.array(row)) for k, row in enumerate(states)]

@@ -178,12 +178,18 @@ def test_w2_metric_properties_on_random_clouds(seed, kind, n, dims):
 
 
 def _lp_w2(mu, nu, p):
-    """Weighted W2 from a dense n x m transport LP, solved directly by scipy."""
+    """Weighted W2 from a dense n x m transport LP, solved directly by scipy.
+
+    At HiGHS's default primal feasibility tolerance, 1e-7, a marginal can end
+    that far off its weight and the distance some 1e-7 off, so it is solved
+    at the tightest one, 1e-10.
+    """
     C = cost_matrix(mu, nu, p)
     n, m = C.shape
     A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
     b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
     assert res.status == 0
     return float(np.sqrt(max(res.fun, 0.0)))
 
@@ -286,6 +292,8 @@ def _weighted_cloud(rng, n, layout, zero_frac, duplicates):
 @example(seed=1, n=1, m=40, zero_frac=0.3, duplicates=False, identical=False)
 @example(seed=2, n=40, m=1, zero_frac=0.0, duplicates=True, identical=False)
 @example(seed=3, n=40, m=40, zero_frac=0.3, duplicates=True, identical=True)
+# at HiGHS's default feasibility tolerance a target marginal ends 8.1e-8 off
+@example(seed=102668276, n=14, m=24, zero_frac=0.3, duplicates=False, identical=False)
 def test_w2_restricted_lp_matches_dense_lp(seed, n, m, zero_frac, duplicates, identical):
     rng = np.random.default_rng(seed)
     layout = BlockLayout((1, 2))
