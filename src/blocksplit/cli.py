@@ -25,7 +25,6 @@ from .markov import (
     point_sampler,
     read_trajectory_csv,
     run as run_ensemble,
-    trajectory_columns,
     uniform_box_sampler,
     write_snapshot,
     write_trajectory_csv,
@@ -39,13 +38,7 @@ from .regularity import (
     verify_expectation_identities,
 )
 from .splitting import apply_T, apply_full
-from .transport import (
-    DiscreteMeasure,
-    distance_to_point_mass,
-    read_measure,
-    wasserstein2_weighted,
-    write_measure,
-)
+from .transport import DiscreteMeasure, read_measure, wasserstein2_weighted, write_measure
 
 
 def _finite_or_null(v):
@@ -110,19 +103,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
                 f"config.steps: {m.steps.tolist()} outside the admissible ranges {bounds.per_block} "
                 "(strict_steps is on)"
             )
-    p = m.probabilities
-    target = problem.target_point
-
-    def target_distance(states):
-        return distance_to_point_mass(DiscreteMeasure.empirical(states, problem.layout), target, p)
-
-    def step_distance(a, b):
-        return wasserstein2_weighted(
-            DiscreteMeasure.empirical(a, problem.layout),
-            DiscreteMeasure.empirical(b, problem.layout),
-            p,
-        )[0]
-
+    m.probabilities  # refuses a block never selected: the W2 metric weighs block j by 1/p_j
     t0 = time.time()
     ensemble = init_ensemble(m, _init_sampler(cfg, problem), cfg.run.num_chains, cfg.seed)
     result = run_ensemble(
@@ -131,10 +112,10 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
         cfg.run.iterations,
         snapshot_every=cfg.run.snapshot_every,
         dw_step_every=cfg.run.dw_step_every,
-        target_distance=None if target is None else target_distance,
-        step_distance=step_distance if cfg.run.dw_step_every > 0 else None,
+        target=problem.target_point,
     )
     elapsed = time.time() - t0
+    traj = result.trajectory
 
     traj_path = out_dir / "trajectory.csv"
 
@@ -142,28 +123,29 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     # refuse the column, as d_target is empty without a target
     rate_cfg = cfg.rate or RateSection()
     try:
-        verdicts = check_trajectory(trajectory_columns(result.records), rate_cfg.column,
+        verdicts = check_trajectory(traj, rate_cfg.column,
                                     str(traj_path), rate_cfg.fejer_tol_rel, rate_cfg.tail_tol,
                                     rate_cfg.gauge).to_dict()
     except ConfigError:
         verdicts = None
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj_path, result.records)
+    write_trajectory_csv(traj_path, traj)
     for k, states in sorted(result.snapshots.items()):
         write_snapshot(out_dir / f"snapshot_{k:06d}.csv", states, problem.layout)
     write_measure(out_dir / "final_measure.csv", DiscreteMeasure.empirical(ensemble.states, problem.layout))
 
+    final_k = int(traj["k"][-1])
     summary = {
         "config": cfg.resolved(),
         "seed": cfg.seed,
         "elapsed_seconds": elapsed,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "final": {
-            "k": result.records[-1].k,
-            "mean_residual": result.records[-1].mean_residual,
-            "psi_upper": result.records[-1].psi_upper,
-            "d_target": result.records[-1].d_target,
+            "k": final_k,
+            "mean_residual": float(traj["mean_residual"][-1]),
+            "psi_upper": float(traj["psi_upper"][-1]),
+            "d_target": float(traj["d_target"][-1]),
         },
         "verdicts": verdicts,
         "outputs": {
@@ -173,8 +155,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
         },
     }
     _write_report(out_dir / "summary.json", summary)
-    print(f"run complete: k={result.records[-1].k} chains={cfg.run.num_chains} "
-          f"psi_upper={result.records[-1].psi_upper:.6e} out={out_dir}")
+    print(f"run complete: k={final_k} chains={cfg.run.num_chains} "
+          f"psi_upper={traj['psi_upper'][-1]:.6e} out={out_dir}")
     return 0
 
 
@@ -216,7 +198,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
             residual_threshold=c.residual_threshold,
         )
     else:
-        report = verify_expectation_identities(m, region, c.num_pairs, cfg.seed, tolerance=1e-9)
+        report = verify_expectation_identities(m, region, c.num_pairs, cfg.seed, tolerance=c.tolerance)
 
     doc = {"config": cfg.resolved(), "seed": cfg.seed, "report": report.to_dict()}
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -284,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, config_required=True):
         sp.add_argument("--config", required=config_required, help="experiment config JSON")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed (uint64)")
         sp.add_argument("--out", default=None, help="output directory")
 
     sp_run = sub.add_parser("run", help="simulate a particle ensemble")
-    common(sp_run)
     sp_cert = sub.add_parser("certify", help="certify a regularity property")
-    common(sp_cert)
+    for sp in (sp_run, sp_cert):
+        common(sp)
+        sp.add_argument("--seed", type=int, default=None, help="override the config seed (uint64)")
     sp_rate = sub.add_parser("rate", help="check a distance trajectory against gauges")
     common(sp_rate, config_required=False)
     sp_rate.add_argument("--trajectory", required=True, help="trajectory CSV from a run")
@@ -314,10 +296,12 @@ def main(argv=None) -> int:
         cfg = None
         if args.config is not None:
             cfg = load_config(args.config)
-            if args.seed is not None:
-                if args.seed < 0:
+            # rate draws no random numbers, so it takes no --seed
+            seed = getattr(args, "seed", None)
+            if seed is not None:
+                if seed < 0:
                     raise ConfigError("--seed: must be nonnegative")
-                cfg.seed = args.seed
+                cfg.seed = seed
         # created by each command just before its first write
         out_dir = Path(args.out if args.out is not None
                        else (cfg.output_dir if cfg is not None else None) or ".")

@@ -11,11 +11,15 @@ full-block evaluation T1 x (random sweeping).  ``run`` makes that the only
 operator work per step: the T1 x behind the residual columns at step k is
 the update of step k + 1.  Subset draws are prefetched per chain, DRAW_BLOCK
 steps at a time, as one outcome table; the stepping is serial and vectorized
-across chains, in one process.  The per-record block means are one
-reduction per distinct block dim (:meth:`BlockLayout.block_means`), and the
-trajectory writer formats one CSV row per ``%`` operation.  A snapshot of
-the ensemble is written as the measure file of its equal-weight cloud, the
-format of every point cloud the package writes.
+across chains, in one process.  ``run`` computes both distance columns
+itself (``d_target`` to the target's point mass, ``dw_step`` between
+consecutive clouds) and returns its trajectory as the columns
+``read_trajectory_csv`` reads back, so a run checks the values ``rate``
+does.  The per-row block means are one reduction per distinct block dim
+(:meth:`BlockLayout.block_means`), and the trajectory writer formats one
+CSV row per ``%`` operation.  A snapshot of the ensemble is written as the
+measure file of its equal-weight cloud, the format of every point cloud
+the package writes.
 """
 
 from __future__ import annotations
@@ -23,14 +27,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .blockspace import BlockLayout, chain_rng, sample_subsets
 from .errors import DimensionMismatch, Diverged
 from .splitting import SplittingMap, apply_full, squared_residuals
-from .transport import DiscreteMeasure, write_measure
+from .transport import DiscreteMeasure, distance_to_point_mass, wasserstein2_weighted, write_measure
 
 # Steps of subset draws prefetched per chain at a time.  Results do not
 # depend on it; it only bounds the outcome table at (DRAW_BLOCK, N).
@@ -113,20 +117,10 @@ def empirical_residual_psi(ensemble: Ensemble, m: SplittingMap) -> float:
 
 
 @dataclass
-class DiagnosticRecord:
-    """Per-iteration summary row of a run."""
-
-    k: int
-    mean_residual: float
-    psi_upper: float
-    dw_step: float | None
-    d_target: float | None
-    block_means: np.ndarray
-
-
-@dataclass
 class RunResult:
-    records: list[DiagnosticRecord]
+    """A run's trajectory columns (see ``read_trajectory_csv``) and its snapshots."""
+
+    trajectory: dict[str, np.ndarray]
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
 
 
@@ -136,16 +130,18 @@ def run(
     iterations: int,
     snapshot_every: int = 0,
     dw_step_every: int = 0,
-    target_distance: Callable[[np.ndarray], float] | None = None,
-    step_distance: Callable[[np.ndarray, np.ndarray], float] | None = None,
+    target: np.ndarray | None = None,
 ) -> RunResult:
     """Advance the ensemble K iterations, recording diagnostics each step.
 
-    ``snapshot_every`` > 0 stores particle copies at k = 0, multiples, and K.
-    ``dw_step_every`` > 0 evaluates ``step_distance`` between consecutive
-    clouds on that stride (an exact transport solve, so it costs).
-    ``target_distance`` maps a cloud to its distance from the declared
-    target and fills the d_target column.
+    The trajectory holds one row per k = 0..K, in the columns
+    ``read_trajectory_csv`` returns for the written file, NaN where a value
+    was not computed.  ``d_target`` is the weighted W2 distance from the
+    ensemble's cloud to the point mass at ``target`` (closed form), NaN
+    without a target.  ``dw_step_every`` > 0 fills ``dw_step`` on that
+    stride with the exact weighted W2 distance between consecutive clouds,
+    one transport solve per entry.  ``snapshot_every`` > 0 stores particle
+    copies at k = 0, multiples, and K.
 
     Each step evaluates T1 once: the residual diagnostics of step k compute
     T1 x, and :func:`sbi_step` reuses it as the update of step k + 1.  The
@@ -160,27 +156,24 @@ def run(
     """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
-    records: list[DiagnosticRecord] = []
+    layout = m.layout
+    rows: list[tuple] = []  # (k, mean_residual, psi_upper, dw_step, d_target), None: not computed
+    means: list[np.ndarray] = []
     snapshots: dict[int, np.ndarray] = {}
     block = DRAW_BLOCK
 
     def record_now(dw: float | None) -> np.ndarray:
-        finite = np.isfinite(ensemble.states).all(axis=-1)
+        states = ensemble.states
+        finite = np.isfinite(states).all(axis=-1)
         if not finite.all():
             chain = int(np.argmin(finite))
             raise Diverged(ensemble.k, f"chain {chain} has a non-finite state", chain)
-        full = apply_full(m, ensemble.states)
-        sq = squared_residuals(ensemble.states, full)
-        records.append(
-            DiagnosticRecord(
-                k=ensemble.k,
-                mean_residual=float(np.mean(np.sqrt(sq))),
-                psi_upper=float(np.sqrt(np.mean(sq))),
-                dw_step=dw,
-                d_target=None if target_distance is None else float(target_distance(ensemble.states)),
-                block_means=m.layout.block_means(ensemble.states),
-            )
-        )
+        full = apply_full(m, states)
+        sq = squared_residuals(states, full)
+        d = None if target is None else distance_to_point_mass(
+            DiscreteMeasure.empirical(states, layout), target, m.probabilities)
+        rows.append((ensemble.k, float(np.mean(np.sqrt(sq))), float(np.sqrt(np.mean(sq))), dw, d))
+        means.append(layout.block_means(states))
         return full
 
     def want_snapshot(k: int) -> bool:
@@ -195,19 +188,26 @@ def run(
         for step in range(iterations):
             if step % block == 0:
                 draws = sample_subsets(m.scheme, ensemble.rngs, min(block, iterations - step))
-            want_dw = dw_step_every > 0 and step_distance is not None and (step + 1) % dw_step_every == 0
+            want_dw = dw_step_every > 0 and (step + 1) % dw_step_every == 0
             prev = ensemble.states.copy() if want_dw else None
             sbi_step(ensemble, m, draws[step % block], full)
-            dw = float(step_distance(prev, ensemble.states)) if want_dw else None
+            dw = None
+            if want_dw:
+                dw = wasserstein2_weighted(DiscreteMeasure.empirical(prev, layout),
+                                           DiscreteMeasure.empirical(ensemble.states, layout),
+                                           m.probabilities)[0]
             full = record_now(dw)
             if want_snapshot(ensemble.k):
                 snapshots[ensemble.k] = ensemble.states.copy()
-    for r in records:
-        for name in ("mean_residual", "psi_upper", "dw_step", "d_target"):
-            v = getattr(r, name)
+    header = trajectory_header(layout.num_blocks)
+    for row in rows:
+        for name, v in zip(header[1:5], row[1:]):
             if v is not None and not math.isfinite(v):
-                raise Diverged(r.k, f"{name} is {v}")
-    return RunResult(records=records, snapshots=snapshots)
+                raise Diverged(row[0], f"{name} is {v}")
+    table = np.array([[np.nan if v is None else v for v in row] for row in rows], dtype=float)
+    table = np.hstack([table, np.array(means)])
+    return RunResult(trajectory=dict(zip(header, np.ascontiguousarray(table.T))),
+                     snapshots=snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +218,12 @@ def run(
 # Rows are formatted by hand with the bytes csv.writer would write: "%.17g"
 # floats (the text of format(v, ".17g")), comma separated, "\r\n" row ends;
 # no field of a number needs quoting.  An empty trajectory cell marks a value
-# that was not computed.
+# that was not computed, NaN in the columns.
 # ---------------------------------------------------------------------------
 
 
-def _cell(v: float | None) -> str:
-    return "" if v is None else "%.17g" % v
+def _cell(v: float) -> str:
+    return "" if math.isnan(v) else "%.17g" % v
 
 
 def trajectory_header(num_blocks: int) -> list[str]:
@@ -232,28 +232,16 @@ def trajectory_header(num_blocks: int) -> list[str]:
     ]
 
 
-def write_trajectory_csv(path, records: Sequence[DiagnosticRecord]) -> None:
-    """Write diagnostics as CSV; empty cells mark values not computed."""
-    num_blocks = len(records[0].block_means) if records else 0
-    row = "%d,%.17g,%.17g,%s,%s" + ",%.17g" * num_blocks + "\r\n"
-    lines = [",".join(trajectory_header(num_blocks)) + "\r\n"]
-    lines += [
-        row % (r.k, r.mean_residual, r.psi_upper, _cell(r.dw_step), _cell(r.d_target),
-               *r.block_means.tolist())
-        for r in records
-    ]
+def write_trajectory_csv(path, trajectory: dict[str, np.ndarray]) -> None:
+    """Write trajectory columns as CSV; a NaN dw_step or d_target is an empty cell."""
+    header = trajectory_header(len(trajectory) - 5)
+    table = np.column_stack([trajectory[name] for name in header])
+    row = "%d,%.17g,%.17g,%s,%s" + ",%.17g" * (len(header) - 5) + "\r\n"
+    lines = [",".join(header) + "\r\n"]
+    lines += [row % (k, res, psi, _cell(dw), _cell(d), *block_means)
+              for k, res, psi, dw, d, *block_means in table.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))
-
-
-def trajectory_columns(records: Sequence[DiagnosticRecord]) -> dict[str, np.ndarray]:
-    """The columns ``read_trajectory_csv`` returns for these records, without the file."""
-    num_blocks = len(records[0].block_means) if records else 0
-    header = trajectory_header(num_blocks)
-    cols = {name: np.array([getattr(r, name) for r in records], dtype=float) for name in header[:5]}
-    means = np.array([r.block_means for r in records], dtype=float).reshape(len(records), num_blocks)
-    cols.update(zip(header[5:], np.ascontiguousarray(means.T)))
-    return cols
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:

@@ -316,16 +316,6 @@ def h_indicator_ball(center, radius: float) -> BlockFunction:
     return BlockFunction(prox=prox, tau=0.0, convex=True, kind="indicator_ball")
 
 
-SEPARABLE_GALLERY: dict[str, Callable[..., BlockFunction]] = {
-    "zero": h_zero,
-    "quadratic": h_quadratic,
-    "l1": h_l1,
-    "indicator_box": h_indicator_box,
-    "indicator_point": h_indicator_point,
-    "indicator_ball": h_indicator_ball,
-}
-
-
 # ---------------------------------------------------------------------------
 # Coupling gallery.
 # ---------------------------------------------------------------------------

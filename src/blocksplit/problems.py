@@ -376,6 +376,45 @@ def _settled_point(m: SplittingMap, x: np.ndarray, x_next: np.ndarray,
     return x_next if _settled(apply_full(m, x_next), x_next, tol) else x
 
 
+def _support_candidate(Q: np.ndarray, b: np.ndarray, w: np.ndarray,
+                       x: np.ndarray) -> np.ndarray | None:
+    """The point that solves the stationarity equations on the support and signs of x.
+
+    On the support S with signs s the candidate solves
+    Q_SS z_S = -(b_S + w_S s), with z = 0 off S.  When np.linalg.solve finds
+    Q_SS singular, the objective restricted to the orthant of s is linear
+    along a null vector v of Q_SS (Q is PSD, so Q_SS v = 0), with slope
+    (b_S + w_S s)'v.  The point moves along v, in the direction that does
+    not raise the objective, until its first coordinate reaches zero; that
+    coordinate leaves S, and the equations are solved again on the smaller
+    support.  None when no coordinate reaches zero in that direction.
+    """
+    S = np.flatnonzero(x)
+    signs = np.sign(x)
+    point = x.copy()
+    while S.size:
+        rhs = -(b[S] + w[S] * signs[S])
+        Q_SS = Q[np.ix_(S, S)]
+        try:
+            z = np.zeros_like(x)
+            z[S] = np.linalg.solve(Q_SS, rhs)
+            return z
+        except np.linalg.LinAlgError:
+            pass
+        v = np.linalg.eigh(Q_SS)[1][:, 0]
+        if rhs @ v < 0:
+            v = -v
+        toward = v * point[S] < 0
+        if not toward.any():
+            return None
+        t = np.where(toward, -point[S] / np.where(toward, v, 1.0), np.inf)
+        j = int(np.argmin(t))
+        point[S] += t[j] * v
+        point[S[j]] = 0.0
+        S = np.delete(S, j)
+    return np.zeros_like(x)
+
+
 def _support_reference(m: SplittingMap, Q: np.ndarray, b: np.ndarray, w: np.ndarray,
                        iterations: int) -> np.ndarray:
     """deterministic_reference from 0 for x'Qx/2 + b'x + sum_i w_i |x_i|, cut short.
@@ -383,12 +422,12 @@ def _support_reference(m: SplittingMap, Q: np.ndarray, b: np.ndarray, w: np.ndar
     Forward-backward steps identify the support S and signs s of the
     minimizer after finitely many iterations, and on (S, s) the minimizer
     solves Q_SS z_S = -(b_S + w_S s) with z = 0 off S.  Every
-    ACTIVE_SET_EVERY steps that candidate is built from the current iterate;
-    it is kept only if one T1 step from it passes the stop rule, and then
-    _settled_point picks its T1 image or the candidate itself.  A singular
-    Q_SS, a non-finite candidate or a failed check leave the run untouched,
-    so with every candidate rejected the result is deterministic_reference's,
-    bit for bit.
+    ACTIVE_SET_EVERY steps that candidate is built from the current iterate
+    (see _support_candidate); it is kept only if one T1 step from it passes
+    the stop rule, and then _settled_point picks its T1 image or the
+    candidate itself.  A missing or non-finite candidate or a failed check
+    leave the run untouched, so with every candidate rejected the result is
+    deterministic_reference's, bit for bit.
     """
     x = np.zeros(Q.shape[0])
     for step in range(1, iterations + 1):
@@ -398,13 +437,8 @@ def _support_reference(m: SplittingMap, Q: np.ndarray, b: np.ndarray, w: np.ndar
         x = x_next
         if step % ACTIVE_SET_EVERY:
             continue
-        S = np.flatnonzero(x)
-        z = np.zeros_like(x)
-        try:
-            z[S] = np.linalg.solve(Q[np.ix_(S, S)], -(b[S] + w[S] * np.sign(x[S])))
-        except np.linalg.LinAlgError:
-            continue
-        if np.isfinite(z).all():
+        z = _support_candidate(Q, b, w, x)
+        if z is not None and np.isfinite(z).all():
             z_next = apply_full(m, z)
             if _settled(z_next, z):
                 return _settled_point(m, z, z_next)

@@ -66,7 +66,6 @@ from blocksplit.splitting import (
 from blocksplit.transport import (
     DiscreteMeasure,
     cost_matrix,
-    distance_to_point_mass,
     wasserstein2_weighted,
 )
 
@@ -224,20 +223,11 @@ def test_05_randomized_ensemble_contracts_to_the_minimizer():
     t0 = time.monotonic()
     prob = counterexample2d(0.25)
     m = prob.build_map("fb", SINGLETONS)
-    p = block_probabilities(SINGLETONS, prob.layout)
     ensemble = init_ensemble(m, uniform_box_sampler(prob.region.lo, prob.region.hi),
                              500, master_seed=20250817)
-    result = run(
-        ensemble, m, 300,
-        dw_step_every=1,
-        target_distance=lambda s: distance_to_point_mass(
-            DiscreteMeasure.empirical(s, prob.layout), np.zeros(2), p),
-        step_distance=lambda a, b: wasserstein2_weighted(
-            DiscreteMeasure.empirical(a, prob.layout),
-            DiscreteMeasure.empirical(b, prob.layout), p)[0],
-    )
-    d = np.array([r.d_target for r in result.records])
-    dw = np.array([r.dw_step for r in result.records if r.dw_step is not None])
+    result = run(ensemble, m, 300, dw_step_every=1, target=np.zeros(2))
+    d = result.trajectory["d_target"]
+    dw = result.trajectory["dw_step"][1:]
     assert d[-1] <= 1e-3
     assert check_fejer(d, tol_rel=1e-3).passed
     assert check_asymptotic_regularity(d).passed

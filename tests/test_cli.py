@@ -202,6 +202,18 @@ def test_cli_certify_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_certify_identities_use_the_config_tolerance(tmp_path, capsys):
+    # the identities hold to rounding error, which a tolerance of 1e-30 refuses
+    doc = base_config(certify={"property": "expectation_identities", "num_pairs": 200},
+                      output_dir=str(tmp_path / "o"))
+    assert main(["certify", "--config", write_config(tmp_path, doc)]) == 0
+    assert "tol=1.0e-10" in capsys.readouterr().out
+    doc["certify"]["tolerance"] = 1e-30
+    assert main(["certify", "--config", write_config(tmp_path, doc, "tight.json")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL expectation_identities") and "tol=1.0e-30" in out
+
+
 def test_cli_certify_paracontraction_needs_fixed_points(tmp_path, capsys):
     doc = base_config(
         problem={
@@ -483,6 +495,12 @@ BAD_INPUTS = [
      _file_case("traj.csv", GOOD_TRAJECTORY,
                 lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "2",
                                     "--out", traj + ".out"])),
+    # a block that is never selected, on a problem without a target
+    ("run_uncovered_block", "blocks [1] have zero selection probability",
+     _config_case("run", problem={"id": "feasibility", "params": {"sets": [
+         {"kind": "point", "point": [0.0]}, {"kind": "point", "point": [2.0]}]}},
+                  scheme={"subsets": [[0], [1]], "probs": [1.0, 0.0]}, run=SMALL_RUN),
+     "error: "),
     # finite states whose squared residuals overflow: the run is divergent
     ("run_residual_overflow", "run diverged: mean_residual is inf at k=0",
      _config_case("run", run=dict(SMALL_RUN, init={"kind": "point", "x": [1e200, 0.0]})),
@@ -513,6 +531,17 @@ def test_cli_bad_input_exit_2_one_line(tmp_path, capsys, needle, build, prefix):
     assert err.count(needle) == 1
     # nothing was written, not even the output directory
     assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
+
+
+def test_cli_rate_takes_no_seed(tmp_path, capsys):
+    # rate draws no random numbers, so a seed could only be echoed
+    traj = tmp_path / "traj.csv"
+    traj.write_text(GOOD_TRAJECTORY)
+    with pytest.raises(SystemExit) as info:
+        main(["rate", "--trajectory", str(traj), "--seed", "3", "--out", str(tmp_path / "o")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 IMPORT_GUARD = """

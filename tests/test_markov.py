@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import warnings
 
 import numpy as np
@@ -9,17 +10,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blocksplit import markov
-from blocksplit.blockspace import BlockLayout, BlockSubsetScheme
+from blocksplit.blockspace import BlockLayout, BlockSubsetScheme, block_probabilities
 from blocksplit.errors import Diverged
 from blocksplit.markov import (
-    DiagnosticRecord,
     empirical_residual_psi,
     init_ensemble,
     point_sampler,
     read_trajectory_csv,
     run,
     sbi_step,
-    trajectory_columns,
     trajectory_header,
     uniform_box_sampler,
     write_snapshot,
@@ -28,7 +27,13 @@ from blocksplit.markov import (
 from blocksplit.operators import SeparableTerm, coupling_quadratic, h_l1
 from blocksplit.problems import counterexample2d
 from blocksplit.splitting import SplittingMap, apply_T, apply_full
-from blocksplit.transport import DiscreteMeasure, read_measure, write_measure
+from blocksplit.transport import (
+    DiscreteMeasure,
+    distance_to_point_mass,
+    read_measure,
+    wasserstein2_weighted,
+    write_measure,
+)
 
 SINGLETONS = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
 
@@ -86,30 +91,37 @@ def test_run_records_and_snapshots():
     m = _map()
     e = init_ensemble(m, uniform_box_sampler([-1, -1], [1, 1]), 10, master_seed=1)
     result = run(e, m, 20, snapshot_every=7)
-    ks = [r.k for r in result.records]
-    assert ks == list(range(21))
+    traj = result.trajectory
+    assert list(traj) == trajectory_header(2)
+    assert traj["k"].tolist() == list(range(21))
     assert sorted(result.snapshots) == [0, 7, 14, 20]
     assert result.snapshots[0].shape == (10, 2)
     # diagnostics decrease toward the fixed point at the origin
-    assert result.records[-1].mean_residual < result.records[0].mean_residual
+    assert traj["mean_residual"][-1] < traj["mean_residual"][0]
+    # no target and no dw_step stride: both distance columns are empty
+    assert np.isnan(traj["d_target"]).all() and np.isnan(traj["dw_step"]).all()
 
 
-def test_run_distance_callbacks():
+def test_run_computes_distance_columns(tmp_path):
     m = _map()
     e = init_ensemble(m, uniform_box_sampler([-1, -1], [1, 1]), 10, master_seed=1)
-    result = run(
-        e,
-        m,
-        10,
-        dw_step_every=3,
-        target_distance=lambda states: float(np.mean(np.linalg.norm(states, axis=-1))),
-        step_distance=lambda a, b: float(np.max(np.linalg.norm(a - b, axis=-1))),
-    )
-    dw = [r.dw_step for r in result.records]
-    assert dw[0] is None
-    assert all(dw[k] is not None for k in (3, 6, 9))
-    assert all(dw[k] is None for k in (1, 2, 4, 5, 7, 8, 10))
-    assert all(r.d_target is not None for r in result.records)
+    result = run(e, m, 10, snapshot_every=1, dw_step_every=3, target=np.zeros(2))
+    traj = result.trajectory
+    p = block_probabilities(SINGLETONS, m.layout)
+    cloud = {k: DiscreteMeasure.empirical(s, m.layout) for k, s in result.snapshots.items()}
+    for k in range(11):
+        want = distance_to_point_mass(cloud[k], np.zeros(2), p)
+        assert traj["d_target"][k] == want
+        if k in (3, 6, 9):
+            assert traj["dw_step"][k] == wasserstein2_weighted(cloud[k - 1], cloud[k], p)[0]
+        else:
+            assert np.isnan(traj["dw_step"][k])
+    # the returned columns are the written file's, bit for bit
+    write_trajectory_csv(tmp_path / "traj.csv", traj)
+    cols = read_trajectory_csv(tmp_path / "traj.csv")
+    assert list(cols) == list(traj)
+    for name in cols:
+        assert cols[name].tobytes() == traj[name].tobytes(), name
 
 
 SUBSETS = ((0,), (1,), (0, 1))
@@ -158,7 +170,8 @@ def test_run_invariant_to_draw_block(weights, num_chains, iterations, seed):
             mp.setattr(markov, "DRAW_BLOCK", block)
             result = run(e, m, iterations)
         runs.append((e.states.tobytes(), _stream_states(e),
-                     [(r.mean_residual, r.psi_upper) for r in result.records]))
+                     result.trajectory["mean_residual"].tobytes(),
+                     result.trajectory["psi_upper"].tobytes()))
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -200,22 +213,29 @@ def test_run_writes_reference_block_means_bitwise(tmp_path):
     e = init_ensemble(m, uniform_box_sampler([-3.0] * 6, [3.0] * 6), 37, master_seed=5)
     result = run(e, m, 12, snapshot_every=1)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, result.records)
+    write_trajectory_csv(path, result.trajectory)
     cols = read_trajectory_csv(path)
-    for r in result.records:
-        want = _reference_block_means(m.layout, result.snapshots[r.k])
-        assert r.block_means.tobytes() == want.tobytes()
-        written = np.array([cols[f"block{j}_mean"][r.k] for j in range(4)])
+    for k in range(13):
+        want = _reference_block_means(m.layout, result.snapshots[k])
+        got = np.array([result.trajectory[f"block{j}_mean"][k] for j in range(4)])
+        assert got.tobytes() == want.tobytes()
+        written = np.array([cols[f"block{j}_mean"][k] for j in range(4)])
         assert written.tobytes() == want.tobytes()
+
+
+def _columns(rows, num_blocks):
+    """Trajectory columns from (k, mean_residual, psi_upper, dw_step, d_target,
+    *block_means) rows; None is a value not computed."""
+    table = np.array([[np.nan if v is None else v for v in row] for row in rows],
+                     dtype=float).reshape(len(rows), 5 + num_blocks)
+    return dict(zip(trajectory_header(num_blocks), table.T))
 
 
 def test_writers_pinned_bytes(tmp_path):
     third = 1.0 / 3.0
-    records = [
-        DiagnosticRecord(0, third, 2.0, None, None, np.array([np.nan, -0.0])),
-        DiagnosticRecord(1, 5e-324, np.inf, 0.25, -np.inf, np.array([1e300, -1.5])),
-    ]
-    write_trajectory_csv(tmp_path / "t.csv", records)
+    traj = _columns([(0, third, 2.0, None, None, np.nan, -0.0),
+                     (1, 5e-324, np.inf, 0.25, -np.inf, 1e300, -1.5)], 2)
+    write_trajectory_csv(tmp_path / "t.csv", traj)
     assert (tmp_path / "t.csv").read_bytes() == (
         b"k,mean_residual,psi_upper,dw_step,d_target,block0_mean,block1_mean\r\n"
         b"0,0.33333333333333331,2,,,nan,-0\r\n"
@@ -267,14 +287,13 @@ def test_writers_match_csv_writer_reference(tmp_path_factory, width, data):
     cells = st.lists(any_float, min_size=width, max_size=width)
     rows = data.draw(st.lists(cells, max_size=6))
     optional = st.one_of(st.none(), any_float)
-    records = [
-        DiagnosticRecord(k, data.draw(any_float), data.draw(any_float), data.draw(optional),
-                         data.draw(optional), np.array(row, dtype=float).reshape(width))
-        for k, row in enumerate(rows)
-    ]
-    write_trajectory_csv(tmp / "t.csv", records)
-    want = _csv_reference("", [trajectory_header(width if records else 0)] + [
-        [r.k, r.mean_residual, r.psi_upper, r.dw_step, r.d_target, *r.block_means] for r in records
+    rows = [(k, data.draw(any_float), data.draw(any_float), data.draw(optional),
+             data.draw(optional), *row) for k, row in enumerate(rows)]
+    write_trajectory_csv(tmp / "t.csv", _columns(rows, width))
+    # a NaN distance is a value not computed: an empty cell
+    blank = lambda v: None if v is None or math.isnan(v) else v
+    want = _csv_reference("", [trajectory_header(width)] + [
+        [k, res, psi, blank(dw), blank(d), *means] for k, res, psi, dw, d, *means in rows
     ])
     assert (tmp / "t.csv").read_bytes() == want
 
@@ -317,12 +336,9 @@ def test_run_raises_diverged_on_a_non_finite_diagnostic():
 
 
 def test_trajectory_csv_round_trip(tmp_path):
-    records = [
-        DiagnosticRecord(0, 1.0, 2.0, None, 0.5, np.array([0.1, 0.2])),
-        DiagnosticRecord(1, 0.5, 1.0, 0.25, 0.4, np.array([0.05, 0.1])),
-    ]
+    traj = _columns([(0, 1.0, 2.0, None, 0.5, 0.1, 0.2), (1, 0.5, 1.0, 0.25, 0.4, 0.05, 0.1)], 2)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, records)
+    write_trajectory_csv(path, traj)
     cols = read_trajectory_csv(path)
     np.testing.assert_array_equal(cols["k"], [0, 1])
     np.testing.assert_allclose(cols["mean_residual"], [1.0, 0.5])
@@ -330,19 +346,17 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert cols["dw_step"][1] == pytest.approx(0.25)
     np.testing.assert_allclose(cols["block0_mean"], [0.1, 0.05])
     np.testing.assert_allclose(cols["block1_mean"], [0.2, 0.1])
-    # the in-memory columns are the file's, bit for bit
-    mem = trajectory_columns(records)
-    assert list(mem) == list(cols)
+    # the written columns are the file's, bit for bit
+    assert list(traj) == list(cols)
     for name in cols:
-        assert mem[name].tobytes() == cols[name].tobytes(), name
+        assert traj[name].tobytes() == cols[name].tobytes(), name
 
 
 def test_trajectory_csv_no_timestamp_and_full_precision(tmp_path):
-    # byte content must be a pure function of the records
+    # byte content must be a pure function of the columns
     v = 1.0 / 3.0
-    records = [DiagnosticRecord(0, v, v, None, None, np.array([v]))]
     path = tmp_path / "t.csv"
-    write_trajectory_csv(path, records)
+    write_trajectory_csv(path, _columns([(0, v, v, None, None, v)], 1))
     text = path.read_text()
     assert format(v, ".17g") in text
     assert "20" not in text.split("\n")[0]  # header carries no dates
@@ -399,12 +413,12 @@ def test_readers_parse_bit_for_bit_like_float(tmp_path_factory, n, d, data):
 
     states = np.array(data.draw(grid), dtype=float).reshape(n, d)
     optional = st.none() | ANY_FLOAT
-    records = [DiagnosticRecord(k, data.draw(ANY_FLOAT), data.draw(ANY_FLOAT), data.draw(optional),
-                                data.draw(optional), np.array(row)) for k, row in enumerate(states)]
-    write_trajectory_csv(tmp / "traj.csv", records)
+    rows = [(k, data.draw(ANY_FLOAT), data.draw(ANY_FLOAT), data.draw(optional),
+             data.draw(optional), *row) for k, row in enumerate(states.tolist())]
+    write_trajectory_csv(tmp / "traj.csv", _columns(rows, d))
     cols = read_trajectory_csv(tmp / "traj.csv")
     rows = _cells_by_float(tmp / "traj.csv")
-    header = trajectory_header(d if n else 0)
+    header = trajectory_header(d)
     assert list(cols) == header
     for idx, name in enumerate(header):
         want = np.array([row[idx] for row in rows], dtype=float)

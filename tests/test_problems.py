@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blocksplit import problems
 from blocksplit.blockspace import BlockSubsetScheme
@@ -179,6 +179,9 @@ def _full_block_map(prob):
     st.lists(st.integers(1, 3), min_size=1, max_size=4),
     st.integers(1, 8),
 )
+# every active-set candidate on the support {4, 5, 7} where the run stalls has
+# a singular Q_SS (rank 2 of 3); the minimizer lies on {4, 7}
+@example(1936, [2, 3, 3], 2)
 def test_quadratic_l1_target_meets_kkt_and_is_a_t1_fixed_point(seed, block_dims, rows):
     # rows < sum(block_dims) makes Q rank deficient
     Q, b, w_block = _lasso(seed, rows, tuple(block_dims))
