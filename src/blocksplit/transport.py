@@ -12,24 +12,30 @@ extends by the newly priced pairs and re-solves from the last optimal
 basis.  Both routes are exact up to solver tolerance, no entropic smoothing
 anywhere.
 
-scipy is imported inside the functions that use it, not with this module:
-the CLI loads it on the first W2 solve (the ``transport`` command, or
-``run`` with ``dw_step_every > 0``), and commands that never solve a
-transport problem do not load it at all.
+Of scipy, the W2 routes use only three compiled modules, loaded on the
+first solve that needs each (``_scipy_kernel``): ``spatial._distance_pybind``
+for the cost matrix, ``optimize._lsap`` for the assignment and
+``optimize._highspy._core`` for the LP.  No scipy subpackage is imported:
+``scipy.optimize`` and ``scipy.spatial`` pull in sparse, linalg, special and
+numpy's f2py and testing, which cost several times the solves themselves.
+Commands that never solve a transport problem load no scipy at all.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import csv
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
 
 import numpy as np
 
 from .blockspace import BlockLayout, BlockProbabilities, weighted_sq
 from .errors import BlocksplitError, DimensionMismatch, SolverFailure
-from .splitting import SplittingMap, apply_full, squared_residuals
 
 # Largest replicated size L = lcm(n, m) that two equal-weight clouds of
 # different sizes solve as one L x L assignment; the gathered cost takes
@@ -120,11 +126,41 @@ def _scaled_coords(x: np.ndarray, p: BlockProbabilities) -> np.ndarray:
     return x * np.sqrt(p.coordinate_inverse())
 
 
-def _sq_distances(x: np.ndarray, y: np.ndarray, p: BlockProbabilities) -> np.ndarray:
-    """Pairwise squared weighted distances between the rows of x and y."""
-    from scipy.spatial.distance import cdist
+def _scipy_kernel(name: str):
+    """scipy's compiled module ``name``, loaded without its packages' __init__.
 
-    return cdist(_scaled_coords(x, p), _scaled_coords(y, p), "sqeuclidean")
+    A module already in sys.modules is returned as it is.  Otherwise the
+    extension is found in its subpackage's directory, executed, and only
+    then registered under ``name`` (registering first fails pybind11's
+    initialization), so a later ``import scipy.optimize`` reuses this same
+    module object; a parent package imported later does not get it as an
+    attribute, but ``from``-imports, as scipy's own, still find it.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    import scipy
+
+    where = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+    spec = PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise BlocksplitError(
+            f"scipy {scipy.__version__} has no compiled module {name}; "
+            "blocksplit needs scipy>=1.15")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+def _sq_distances(x: np.ndarray, y: np.ndarray, p: BlockProbabilities) -> np.ndarray:
+    """Pairwise squared weighted distances between the rows of x and y.
+
+    Computed by the kernel ``cdist(x, y, "sqeuclidean")`` dispatches to, so
+    bit for bit cdist's values.
+    """
+    kernel = _scipy_kernel("scipy.spatial._distance_pybind")
+    return kernel.cdist_sqeuclidean(_scaled_coords(x, p), _scaled_coords(y, p))
 
 
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: BlockProbabilities) -> np.ndarray:
@@ -133,13 +169,19 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: BlockProbabilities)
 
 
 # The two solver calls stay module-level names, which the W2 routes look up
-# at call time (so a profiler can wrap them, as bench/tracing.py does);
-# scipy.optimize is imported only when a solve needs it.
+# at call time (so a profiler can wrap them, as bench/tracing.py does).
+# They reach scipy only through _scipy_kernel: the assignment is
+# optimize._lsap's and the LP's HiGHS model optimize._highspy._core's (the
+# cost matrix takes spatial._distance_pybind).  Importing scipy.optimize or
+# scipy.spatial instead would load sparse, linalg and special, whose import
+# takes longer than the solves.
 def linear_sum_assignment(cost: np.ndarray):
-    """Optimal assignment for a square cost matrix (scipy.optimize)."""
-    from scipy.optimize import linear_sum_assignment as solve
+    """Optimal assignment for a square cost matrix.
 
-    return solve(cost)
+    The compiled ``scipy.optimize._lsap.linear_sum_assignment``, the very
+    object ``scipy.optimize`` exports, with its own input checks.
+    """
+    return _scipy_kernel("scipy.optimize._lsap").linear_sum_assignment(cost)
 
 
 def linprog(h):
@@ -205,12 +247,11 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     columns keeps the last optimal basis, so every round after the first
     resumes from the previous optimum instead of solving from scratch.
     """
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-
+    highs = _scipy_kernel("scipy.optimize._highspy._core")
     n, m = C.shape
     tol = 1e-12 * max(1.0, float(C.max()))
     cost = C.ravel()
-    h = _Highs()
+    h = highs._Highs()
     h.setOptionValue("output_flag", False)
     # HiGHS's default 1e-7 lets a marginal row end up to 1e-7 off its weight;
     # 1e-10 is its tightest setting and the plan check's bound
@@ -228,7 +269,7 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         cols.append(new)
         _add_pair_columns(h, new, cost[new], n, m)
         status, sol = linprog(h)
-        if status != HighsModelStatus.kOptimal:
+        if status != highs.HighsModelStatus.kOptimal:
             raise SolverFailure(
                 f"transport LP failed with status {h.modelStatusToString(status)}")
         y = np.append(sol.row_dual, 0.0)
@@ -324,17 +365,6 @@ def distance_to_set_mixture(
         raise DimensionMismatch(f"points must be (k, dim), got {points.shape}")
     d2 = _sq_distances(mu.support, points, p).min(axis=1)
     return float(np.sqrt(np.sum(mu.weights * d2)))
-
-
-def invariant_discrepancy_consistent(mu: DiscreteMeasure, m: SplittingMap) -> float:
-    """Upper bound on the weighted W2 distance to invariance, consistent case.
-
-    Equals sqrt(integral ||x - T1 x||^2 dmu) in the plain Euclidean norm;
-    the full-block residual is exactly the expected squared weighted
-    one-step displacement.
-    """
-    sq = squared_residuals(mu.support, apply_full(m, mu.support))
-    return float(np.sqrt(np.sum(mu.weights * sq)))
 
 
 # ---------------------------------------------------------------------------

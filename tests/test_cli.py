@@ -548,26 +548,38 @@ IMPORT_GUARD = """
 import sys
 from blocksplit.cli import main
 
-config, out, mu, nu = sys.argv[1:]
+config, out, mu, nu, lp_mu, solving, solving_out = sys.argv[1:]
 assert main(["run", "--config", config, "--out", out]) == 0
 assert main(["certify", "--config", config, "--out", out]) == 0
 assert main(["rate", "--trajectory", out + "/trajectory.csv", "--out", out]) == 0
 loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
 assert not loaded, f"run/certify/rate loaded {len(loaded)} scipy modules: {loaded[:5]}"
+# a W2 solve loads scipy's compiled kernels, not the packages around them
+UNUSED = ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg",
+          "scipy.special", "numpy.f2py", "numpy.testing")
 print("transport:")
-assert main(["transport", mu, nu]) == 0
+for what, argv in (("transport", ["transport", mu, nu]),
+                   ("transport on the LP route", ["transport", lp_mu, nu]),
+                   ("run with dw_step_every 1", ["run", "--config", solving, "--out", solving_out])):
+    assert main(argv) == 0
+    loaded = [name for name in UNUSED if name in sys.modules]
+    assert not loaded, f"{what} loaded {loaded}"
 """
 
 
 def test_cli_loads_scipy_only_for_a_transport_solve(tmp_path):
-    # scipy is a large import; only an exact W2 solve may pay for it
+    # scipy is a large import; only an exact W2 solve may pay for it, and
+    # it pays only for the three compiled kernels the solve calls
     doc = run_config(tmp_path, num_chains=8, iterations=10, snapshot_every=0, dw_step_every=0)
     doc["certify"] = {"property": "aafne_in_expectation", "alpha": 2.0 / 3.0, "num_pairs": 20}
+    solving = run_config(tmp_path, num_chains=8, iterations=4, snapshot_every=0,
+                         dw_step_every=1)
     a = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
     b = np.array([[0.5, 1.0], [2.0, 2.0], [-1.0, 0.0]])
     header = '{"block_dims": [1, 1], "dim": 2, "n": 3, "version": 1}\n'
-    for name, pts in (("mu.csv", a), ("nu.csv", b)):
-        rows = "".join(f"{1 / 3!r},{x!r},{y!r}\n" for x, y in pts.tolist())
+    for name, pts, weights in (("mu.csv", a, [1 / 3] * 3), ("nu.csv", b, [1 / 3] * 3),
+                               ("lp_mu.csv", a, [0.25, 0.25, 0.5])):
+        rows = "".join(f"{w!r},{x!r},{y!r}\n" for w, (x, y) in zip(weights, pts.tolist()))
         (tmp_path / name).write_text(header + rows)
     expected = min(
         np.sqrt(np.mean(np.sum((a - b[list(perm)]) ** 2, axis=1)))
@@ -578,12 +590,14 @@ def test_cli_loads_scipy_only_for_a_transport_solve(tmp_path):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD, write_config(tmp_path, doc), str(tmp_path / "out"),
-         str(tmp_path / "mu.csv"), str(tmp_path / "nu.csv")],
+         *(str(tmp_path / name) for name in ("mu.csv", "nu.csv", "lp_mu.csv")),
+         write_config(tmp_path, solving, "solving.json"), str(tmp_path / "solving_out")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    printed = proc.stdout.split("transport:\n")[1]
+    printed = proc.stdout.split("transport:\n")[1].splitlines()[0]
     assert float(printed) == pytest.approx(expected, rel=1e-12)
+    assert (tmp_path / "solving_out" / "trajectory.csv").exists()
 
 
 def test_cli_certify_report_is_strict_json(tmp_path, capsys):

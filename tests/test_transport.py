@@ -1,6 +1,10 @@
 """Exact weighted transport distances, dual solver routes, measure files."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,16 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from blocksplit import transport
-from blocksplit.blockspace import BlockLayout, BlockProbabilities, BlockSubsetScheme
-from blocksplit.errors import DimensionMismatch, SolverFailure
-from blocksplit.problems import counterexample2d
+from blocksplit.blockspace import BlockLayout, BlockProbabilities
+from blocksplit.errors import BlocksplitError, DimensionMismatch, SolverFailure
 from blocksplit.transport import (
     CouplingPlan,
     DiscreteMeasure,
     cost_matrix,
     distance_to_point_mass,
     distance_to_set_mixture,
-    invariant_discrepancy_consistent,
     read_measure,
     wasserstein2_weighted,
     write_measure,
@@ -505,6 +507,70 @@ def test_cli_transport_lp_failure_exits_2_one_line(tmp_path, monkeypatch, capsys
     assert "transport LP failed with status Solve error" in err
 
 
+KERNEL_PIN = """
+import sys
+import numpy as np
+from blocksplit.transport import _scipy_kernel
+
+NAMES = ("scipy.spatial._distance_pybind", "scipy.optimize._lsap",
+         "scipy.optimize._highspy._core")
+if sys.argv[1] == "kernels-first":
+    kernels = [_scipy_kernel(name) for name in NAMES]
+    assert "scipy.optimize" not in sys.modules and "scipy.spatial" not in sys.modules
+    import scipy.optimize
+    import scipy.optimize._highspy._core as core
+    from scipy.spatial.distance import cdist
+else:
+    import scipy.optimize
+    import scipy.optimize._highspy._core as core
+    from scipy.spatial.distance import cdist
+    kernels = [_scipy_kernel(name) for name in NAMES]
+# one module object per kernel, whichever side loaded it first
+assert all(sys.modules[name] is kernel for name, kernel in zip(NAMES, kernels))
+distance, lsap, highs = kernels
+assert core is highs
+# the assignment scipy.optimize exports, input checks and all
+assert scipy.optimize.linear_sum_assignment is lsap.linear_sum_assignment
+res = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method="highs")
+assert res.status == 0 and np.array_equal(res.x, [1.0, 0.0]), res
+rng = np.random.default_rng(0)
+for d in (1, 2, 50):
+    x, y = rng.normal(size=(7, d)), rng.normal(size=(5, d))
+    assert cdist(x, y, "sqeuclidean").tobytes() == distance.cdist_sqeuclidean(x, y).tobytes()
+"""
+
+
+@pytest.mark.parametrize("order", ["kernels-first", "scipy-first"])
+def test_scipy_kernels_are_the_modules_scipy_imports(order):
+    # a fresh interpreter, so that the order of first loads is the one named
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", KERNEL_PIN, order],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_missing_scipy_kernel_exits_2_one_line(tmp_path, monkeypatch, capsys):
+    import scipy
+
+    from blocksplit.cli import main
+
+    with pytest.raises(BlocksplitError, match=r"scipy\._no_kernel; blocksplit needs scipy>=1\.15"):
+        transport._scipy_kernel("scipy._no_kernel")
+    # a scipy whose spatial directory lacks the cost-matrix kernel
+    monkeypatch.delitem(sys.modules, "scipy.spatial._distance_pybind")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    layout, _ = _unit_p(2)
+    mu = DiscreteMeasure(np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([0.5, 0.5]), layout)
+    write_measure(tmp_path / "mu.csv", mu)
+    assert main(["transport", str(tmp_path / "mu.csv"), str(tmp_path / "mu.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "no compiled module scipy.spatial._distance_pybind" in err
+    assert "scipy>=1.15" in err
+
+
 def test_coupling_plan_marginal_validation():
     layout, _ = _unit_p(1, dims=(1,))
     mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]), layout)
@@ -533,19 +599,6 @@ def test_distance_to_set_mixture_picks_nearest():
     points = np.array([[0.0], [9.0]])
     # each atom ships to its nearest candidate: sqrt(0.5 * 0 + 0.5 * 1)
     assert distance_to_set_mixture(mu, points, p) == pytest.approx(np.sqrt(0.5))
-
-
-def test_invariant_discrepancy_consistent():
-    scheme = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
-    m = counterexample2d(0.25).build_map("fb", scheme)
-    layout = m.layout
-    mu = DiscreteMeasure(np.array([[0.0, 0.0]]), np.array([1.0]), layout)
-    assert invariant_discrepancy_consistent(mu, m) == pytest.approx(0.0, abs=1e-15)
-    mu2 = DiscreteMeasure(np.array([[1.0, 2.0]]), np.array([1.0]), layout)
-    # residual of (1,2) under T1: (1.5, 5/3)
-    assert invariant_discrepancy_consistent(mu2, m) == pytest.approx(
-        np.sqrt(1.5**2 + (5.0 / 3.0) ** 2)
-    )
 
 
 def test_measure_file_round_trip(tmp_path):
