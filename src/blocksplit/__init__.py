@@ -6,214 +6,76 @@ as a particle ensemble and its distributional convergence is measured
 in a probability-weighted Wasserstein-2 distance.  Regularity
 (averagedness up to a violation), paracontraction in expectation, and
 error-bound gauges are certified empirically on sampled regions.
+
+Every public name is imported from its submodule on first access
+(PEP 562), so ``import blocksplit`` loads no submodule and each command
+loads only the modules it runs.
 """
 
-from .blockspace import (
-    BlockLayout,
-    BlockProbabilities,
-    BlockSubsetScheme,
-    block_probabilities,
-    chain_rng,
-    weighted_norm,
-    weighted_sq,
-)
-from .errors import (
-    BlocksplitError,
-    ConfigError,
-    DegenerateSequence,
-    DimensionMismatch,
-    Diverged,
-    EmptyResolvent,
-    InadmissibleGauge,
-    InvalidFixedPoints,
-    NoEligibleSamples,
-    NotPSD,
-    OutOfDomain,
-    SolverFailure,
-    UncoveredBlock,
-    UnsupportedSet,
-)
-from .markov import (
-    Ensemble,
-    RunResult,
-    init_ensemble,
-    point_sampler,
-    read_trajectory_csv,
-    run,
-    sbi_step,
-    uniform_box_sampler,
-    write_snapshot,
-    write_trajectory_csv,
-)
-from .operators import (
-    BlockFunction,
-    SeparableTerm,
-    SmoothCoupling,
-    StepBounds,
-    coupling_diagonal_indicator,
-    coupling_diagonal_sqdist,
-    coupling_quadratic,
-    coupling_zero,
-    estimate_submonotonicity,
-    gd_step_bound,
-    gd_violation_bound,
-    gradient_descent_map,
-    h_indicator_ball,
-    h_indicator_box,
-    h_indicator_point,
-    h_l1,
-    h_quadratic,
-    h_zero,
-    resolvent_partial_smooth,
-    resolvent_separable,
-)
-from .problems import (
-    PROBLEM_GALLERY,
-    ConvexSet,
-    ProblemSpec,
-    counterexample2d,
-    deterministic_reference,
-    feasibility,
-    make_set,
-    quadratic_l1,
-)
-from .rates import (
-    GaugeSpec,
-    RateReport,
-    check_asymptotic_regularity,
-    check_fejer,
-    check_gauge_monotone,
-    estimate_msr_kappa,
-    fit_linear_rate,
-    invert_id_minus_theta,
-    theta_iterates,
-    theta_linear,
-)
-from .regularity import (
-    CertificationReport,
-    Region,
-    certify_aafne_in_expectation,
-    certify_paracontraction_in_expectation,
-    certify_pointwise_aafne,
-    verify_expectation_identities,
-)
-from .splitting import (
-    RegularityConstants,
-    SplittingMap,
-    apply_T,
-    apply_full,
-    composite_constants,
-    expectation_constants,
-    expected_weighted_terms,
-    transport_discrepancy,
-    weighted_transport_discrepancy,
-)
-from .transport import (
-    CouplingPlan,
-    DiscreteMeasure,
-    distance_to_point_mass,
-    distance_to_set_mixture,
-    read_measure,
-    wasserstein2_weighted,
-    write_measure,
-)
-from .config import ExperimentConfig, load_config, parse_config
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockFunction",
-    "BlockLayout",
-    "BlockProbabilities",
-    "BlockSubsetScheme",
-    "BlocksplitError",
-    "CertificationReport",
-    "ConfigError",
-    "ConvexSet",
-    "CouplingPlan",
-    "DegenerateSequence",
-    "DimensionMismatch",
-    "Diverged",
-    "DiscreteMeasure",
-    "EmptyResolvent",
-    "Ensemble",
-    "ExperimentConfig",
-    "GaugeSpec",
-    "InadmissibleGauge",
-    "InvalidFixedPoints",
-    "NoEligibleSamples",
-    "NotPSD",
-    "OutOfDomain",
-    "PROBLEM_GALLERY",
-    "ProblemSpec",
-    "RateReport",
-    "Region",
-    "RegularityConstants",
-    "RunResult",
-    "SeparableTerm",
-    "SmoothCoupling",
-    "SolverFailure",
-    "SplittingMap",
-    "StepBounds",
-    "UncoveredBlock",
-    "UnsupportedSet",
-    "apply_T",
-    "apply_full",
-    "block_probabilities",
-    "certify_aafne_in_expectation",
-    "certify_paracontraction_in_expectation",
-    "certify_pointwise_aafne",
-    "chain_rng",
-    "check_asymptotic_regularity",
-    "check_fejer",
-    "check_gauge_monotone",
-    "composite_constants",
-    "counterexample2d",
-    "coupling_diagonal_indicator",
-    "coupling_diagonal_sqdist",
-    "coupling_quadratic",
-    "coupling_zero",
-    "deterministic_reference",
-    "distance_to_point_mass",
-    "distance_to_set_mixture",
-    "estimate_msr_kappa",
-    "estimate_submonotonicity",
-    "expectation_constants",
-    "expected_weighted_terms",
-    "feasibility",
-    "fit_linear_rate",
-    "gd_step_bound",
-    "gd_violation_bound",
-    "gradient_descent_map",
-    "h_indicator_ball",
-    "h_indicator_box",
-    "h_indicator_point",
-    "h_l1",
-    "h_quadratic",
-    "h_zero",
-    "init_ensemble",
-    "invert_id_minus_theta",
-    "load_config",
-    "make_set",
-    "parse_config",
-    "point_sampler",
-    "quadratic_l1",
-    "read_measure",
-    "read_trajectory_csv",
-    "resolvent_partial_smooth",
-    "resolvent_separable",
-    "run",
-    "sbi_step",
-    "theta_iterates",
-    "theta_linear",
-    "transport_discrepancy",
-    "uniform_box_sampler",
-    "verify_expectation_identities",
-    "wasserstein2_weighted",
-    "weighted_norm",
-    "weighted_sq",
-    "weighted_transport_discrepancy",
-    "write_measure",
-    "write_snapshot",
-    "write_trajectory_csv",
-]
+# Each public name, by the submodule that defines it.
+_EXPORTS = {
+    "blockspace": (
+        "BlockLayout", "BlockProbabilities", "BlockSubsetScheme", "Region",
+        "block_probabilities", "chain_rng", "weighted_norm", "weighted_sq",
+    ),
+    "config": ("ExperimentConfig", "load_config", "parse_config"),
+    "errors": (
+        "BlocksplitError", "ConfigError", "DegenerateSequence", "DimensionMismatch", "Diverged",
+        "EmptyResolvent", "InadmissibleGauge", "InvalidFixedPoints", "NotPSD", "OutOfDomain",
+        "SolverFailure", "UncoveredBlock", "UnsupportedSet",
+    ),
+    "markov": (
+        "Ensemble", "RunResult", "init_ensemble", "point_sampler", "run", "sbi_step",
+        "uniform_box_sampler", "write_snapshot",
+    ),
+    "operators": (
+        "BlockFunction", "SeparableTerm", "SmoothCoupling", "StepBounds",
+        "coupling_diagonal_indicator", "coupling_diagonal_sqdist", "coupling_quadratic",
+        "coupling_zero", "estimate_submonotonicity", "gd_step_bound", "gd_violation_bound",
+        "gradient_descent_map", "h_indicator_ball", "h_indicator_box", "h_indicator_point",
+        "h_l1", "h_quadratic", "h_zero", "resolvent_partial_smooth", "resolvent_separable",
+    ),
+    "problems": (
+        "PROBLEM_GALLERY", "ConvexSet", "ProblemSpec", "counterexample2d",
+        "deterministic_reference", "feasibility", "make_set", "quadratic_l1",
+    ),
+    "rates": (
+        "GaugeSpec", "RateReport", "check_asymptotic_regularity", "check_fejer",
+        "check_gauge_monotone", "fit_linear_rate", "invert_id_minus_theta",
+        "read_trajectory_csv", "theta_iterates", "theta_linear", "write_trajectory_csv",
+    ),
+    "regularity": (
+        "CertificationReport", "certify_aafne_in_expectation",
+        "certify_paracontraction_in_expectation", "certify_pointwise_aafne",
+        "verify_expectation_identities",
+    ),
+    "splitting": (
+        "RegularityConstants", "SplittingMap", "apply_T", "apply_full", "composite_constants",
+        "expectation_constants", "expected_weighted_terms", "transport_discrepancy",
+        "weighted_transport_discrepancy",
+    ),
+    "transport": (
+        "CouplingPlan", "DiscreteMeasure", "distance_to_point_mass", "distance_to_set_mixture",
+        "read_measure", "wasserstein2_weighted", "write_measure",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,9 +1,10 @@
-"""Block structure of the product space, sampling schemes, and weighted norms.
+"""Block structure of the product space, sampling schemes, weighted norms, and boxes.
 
 The ambient space is a product of m Euclidean blocks.  Vectors are plain
 1-D numpy arrays; a :class:`BlockLayout` knows how to slice them into
 blocks and is the single authority on dimensional bookkeeping.  Blocks are
-indexed from 0.
+indexed from 0.  A :class:`Region` is an axis-aligned box in that space:
+problems declare one, configs give one, and the certifiers sample from it.
 """
 
 from __future__ import annotations
@@ -260,3 +261,31 @@ def chain_rng(master_seed: int, chain_id: int, stream: int = 0) -> np.random.Gen
     """
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(chain_id), int(stream)))
     return np.random.default_rng(ss)
+
+
+@dataclass(frozen=True)
+class Region:
+    """Axis-aligned box; degenerate coordinates pin affine restrictions."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self):
+        lo = np.asarray(self.lo, dtype=float)
+        hi = np.asarray(self.hi, dtype=float)
+        if lo.shape != hi.shape or lo.ndim != 1:
+            raise DimensionMismatch("region bounds must be equal-shape 1-D arrays")
+        if np.any(lo > hi):
+            raise ValueError("region lower bound exceeds upper bound")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @property
+    def dim(self) -> int:
+        return self.lo.shape[0]
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(self.lo, self.hi, size=(n, self.dim))
+
+    def clip(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(x, self.lo, self.hi)

@@ -1,10 +1,11 @@
 """Command-line interface: run, certify, rate, transport.
 
-One command is one process.  Exit codes: 0 on success (certifications
-passing), 1 when a requested certification or trajectory check fails,
-2 on usage or configuration errors.  Reports embed the resolved config
-and seed; CSV output never contains timestamps, so identical
-(config, seed) runs write identical bytes.
+One command is one process, and it loads only the package modules it
+runs: each command imports them inside its own function.  Exit codes: 0
+on success (certifications passing), 1 when a requested certification or
+trajectory check fails, 2 on usage or configuration errors.  Reports
+embed the resolved config and seed; CSV output never contains
+timestamps, so identical (config, seed) runs write identical bytes.
 """
 
 from __future__ import annotations
@@ -15,30 +16,14 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ExperimentConfig, RateSection, load_config
 from .errors import BlocksplitError, ConfigError
-from .markov import (
-    init_ensemble,
-    point_sampler,
-    read_trajectory_csv,
-    run as run_ensemble,
-    uniform_box_sampler,
-    write_snapshot,
-    write_trajectory_csv,
-)
-from .operators import gd_step_bound
-from .rates import check_trajectory
-from .regularity import (
-    certify_aafne_in_expectation,
-    certify_paracontraction_in_expectation,
-    certify_pointwise_aafne,
-    verify_expectation_identities,
-)
-from .splitting import apply_T, apply_full
-from .transport import DiscreteMeasure, read_measure, wasserstein2_weighted, write_measure
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 def _finite_or_null(v):
@@ -77,6 +62,8 @@ def _build(cfg: ExperimentConfig):
 
 
 def _init_sampler(cfg: ExperimentConfig, problem):
+    from .markov import point_sampler, uniform_box_sampler
+
     init = cfg.run.init
     kind = init["kind"]
     if kind == "point":
@@ -93,6 +80,12 @@ def _init_sampler(cfg: ExperimentConfig, problem):
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Simulate the ensemble and write trajectory, snapshots, and summary."""
+    from .config import RateSection
+    from .markov import init_ensemble, run as run_ensemble, write_snapshot
+    from .operators import gd_step_bound
+    from .rates import check_trajectory, write_trajectory_csv
+    from .transport import DiscreteMeasure, write_measure
+
     if cfg.run is None:
         raise ConfigError("config.run: required by the run command")
     problem, m = _build(cfg)
@@ -162,6 +155,14 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Run one certification and write its report; exit 1 when it fails."""
+    from .regularity import (
+        certify_aafne_in_expectation,
+        certify_paracontraction_in_expectation,
+        certify_pointwise_aafne,
+        verify_expectation_identities,
+    )
+    from .splitting import apply_T, apply_full
+
     if cfg.certify is None:
         raise ConfigError("config.certify: required by the certify command")
     problem, m = _build(cfg)
@@ -211,6 +212,9 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     """Check a distance trajectory; exit 1 when a requested check fails."""
+    from .config import RateSection
+    from .rates import check_trajectory, read_trajectory_csv
+
     rate_cfg = (cfg.rate if cfg is not None else None) or RateSection()
     gauge = rate_cfg.gauge
     if args.kappa is not None:
@@ -240,10 +244,11 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
 
 def cmd_transport(args) -> int:
     """Exact weighted W2 distance between two measure files."""
+    from .blockspace import BlockProbabilities
+    from .transport import read_measure, wasserstein2_weighted
+
     mu = _read_input(read_measure, args.measures[0])
     nu = _read_input(read_measure, args.measures[1])
-    from .blockspace import BlockProbabilities
-
     try:
         probs = (np.ones(mu.layout.num_blocks) if args.probs is None
                  else np.array([float(v) for v in args.probs.split(",")]))
@@ -295,6 +300,8 @@ def main(argv=None) -> int:
             return cmd_transport(args)
         cfg = None
         if args.config is not None:
+            from .config import load_config
+
             cfg = load_config(args.config)
             # rate draws no random numbers, so it takes no --seed
             seed = getattr(args, "seed", None)

@@ -9,22 +9,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .blockspace import BlockSubsetScheme
+from .blockspace import BlockSubsetScheme, Region
 from .errors import ConfigError, InadmissibleGauge
-from .problems import (
-    PROBLEM_GALLERY,
-    ProblemSpec,
-    counterexample2d,
-    feasibility,
-    make_set,
-    quadratic_l1,
-)
-from .rates import theta_linear
-from .regularity import Region
+
+if TYPE_CHECKING:
+    from .problems import ProblemSpec
 
 SCHEMA_VERSION = 1
 
@@ -151,46 +144,71 @@ class ExperimentConfig:
         return out
 
 
+def _counterexample2d(params: dict) -> ProblemSpec:
+    from .problems import counterexample2d
+
+    t = _as_float(params.get("t", 0.25), "problem.params.t")
+    try:
+        return counterexample2d(t)
+    except ValueError as e:
+        raise ConfigError(f"problem.params.t: {e}") from e
+
+
+def _feasibility(params: dict) -> ProblemSpec:
+    from .problems import feasibility, make_set
+
+    raw_sets = _require(params, "sets", "problem.params")
+    if not isinstance(raw_sets, list) or len(raw_sets) < 2:
+        raise ConfigError("problem.params.sets: expected a list of at least two set descriptors")
+    sets = []
+    for idx, s in enumerate(raw_sets):
+        if not isinstance(s, dict) or "kind" not in s:
+            raise ConfigError(f"problem.params.sets[{idx}]: expected an object with a 'kind'")
+        kind = s["kind"]
+        rest = {k: v for k, v in s.items() if k != "kind"}
+        try:
+            sets.append(make_set(kind, **rest))
+        except Exception as e:
+            raise ConfigError(f"problem.params.sets[{idx}]: {e}") from e
+    coupling = params.get("coupling", "sqdist")
+    if coupling not in ("sqdist", "indicator"):
+        raise ConfigError(
+            f"problem.params.coupling: expected 'sqdist' or 'indicator', got {coupling!r}"
+        )
+    return feasibility(sets, coupling)
+
+
+def _quadratic_l1(params: dict) -> ProblemSpec:
+    from .problems import quadratic_l1
+
+    try:
+        Q = np.asarray(_require(params, "Q", "problem.params"), dtype=float)
+    except ValueError as e:
+        raise ConfigError(f"problem.params.Q: {e}") from e
+    b = _as_vector(_require(params, "b", "problem.params"), "problem.params.b")
+    w = _as_vector(_require(params, "l1_weights", "problem.params"), "problem.params.l1_weights")
+    bd = params.get("block_dims")
+    try:
+        return quadratic_l1(Q, b, w, None if bd is None else tuple(int(x) for x in bd))
+    except ValueError as e:
+        raise ConfigError(f"problem.params: {e}") from e
+
+
+# The problem ids a config may name (those of problems.PROBLEM_GALLERY),
+# each with the builder that validates its params; the problems module is
+# loaded only when a problem is built.
+PROBLEM_BUILDERS = {
+    "counterexample2d": _counterexample2d,
+    "feasibility": _feasibility,
+    "quadratic_l1": _quadratic_l1,
+}
+
+
 def build_problem(problem_id: str, params: dict) -> ProblemSpec:
-    if problem_id == "counterexample2d":
-        t = _as_float(params.get("t", 0.25), "problem.params.t")
-        try:
-            return counterexample2d(t)
-        except ValueError as e:
-            raise ConfigError(f"problem.params.t: {e}") from e
-    if problem_id == "feasibility":
-        raw_sets = _require(params, "sets", "problem.params")
-        if not isinstance(raw_sets, list) or len(raw_sets) < 2:
-            raise ConfigError("problem.params.sets: expected a list of at least two set descriptors")
-        sets = []
-        for idx, s in enumerate(raw_sets):
-            if not isinstance(s, dict) or "kind" not in s:
-                raise ConfigError(f"problem.params.sets[{idx}]: expected an object with a 'kind'")
-            kind = s["kind"]
-            rest = {k: v for k, v in s.items() if k != "kind"}
-            try:
-                sets.append(make_set(kind, **rest))
-            except Exception as e:
-                raise ConfigError(f"problem.params.sets[{idx}]: {e}") from e
-        coupling = params.get("coupling", "sqdist")
-        if coupling not in ("sqdist", "indicator"):
-            raise ConfigError(
-                f"problem.params.coupling: expected 'sqdist' or 'indicator', got {coupling!r}"
-            )
-        return feasibility(sets, coupling)
-    if problem_id == "quadratic_l1":
-        try:
-            Q = np.asarray(_require(params, "Q", "problem.params"), dtype=float)
-        except ValueError as e:
-            raise ConfigError(f"problem.params.Q: {e}") from e
-        b = _as_vector(_require(params, "b", "problem.params"), "problem.params.b")
-        w = _as_vector(_require(params, "l1_weights", "problem.params"), "problem.params.l1_weights")
-        bd = params.get("block_dims")
-        try:
-            return quadratic_l1(Q, b, w, None if bd is None else tuple(int(x) for x in bd))
-        except ValueError as e:
-            raise ConfigError(f"problem.params: {e}") from e
-    raise ConfigError(f"problem.id: unknown problem {problem_id!r}")
+    builder = PROBLEM_BUILDERS.get(problem_id)
+    if builder is None:
+        raise ConfigError(f"problem.id: unknown problem {problem_id!r}")
+    return builder(params)
 
 
 def _parse_region(d: dict, where: str) -> Region:
@@ -215,10 +233,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(prob, dict):
         raise ConfigError("config.problem: expected an object")
     problem_id = _require(prob, "id", "config.problem")
-    if problem_id not in PROBLEM_GALLERY:
+    if problem_id not in PROBLEM_BUILDERS:
         raise ConfigError(
             f"config.problem.id: unknown problem {problem_id!r}; "
-            f"available: {sorted(PROBLEM_GALLERY)}"
+            f"available: {sorted(PROBLEM_BUILDERS)}"
         )
     params = prob.get("params", {})
     if not isinstance(params, dict):
@@ -328,6 +346,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
                           for key in ("kappa", "tau"))
             epsilon = gauge.get("epsilon")
             epsilon = 0.0 if epsilon is None else _as_float(epsilon, "config.rate.gauge.epsilon")
+            from .rates import theta_linear
+
             try:  # the admissible window, and epsilon >= 0
                 theta_linear(kappa, tau, epsilon)
             except InadmissibleGauge as e:

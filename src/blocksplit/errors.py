@@ -56,10 +56,6 @@ class OutOfDomain(BlocksplitError):
     """Argument lies outside the domain of the requested inverse."""
 
 
-class NoEligibleSamples(BlocksplitError):
-    """Every sample was excluded by the residual threshold."""
-
-
 class DegenerateSequence(BlocksplitError):
     """Too few usable entries to fit a rate."""
 

@@ -16,15 +16,14 @@ itself (``d_target`` to the target's point mass, ``dw_step`` between
 consecutive clouds) and returns its trajectory as the columns
 ``read_trajectory_csv`` reads back, so a run checks the values ``rate``
 does.  The per-row block means are one reduction per distinct block dim
-(:meth:`BlockLayout.block_means`), and the trajectory writer formats one
-CSV row per ``%`` operation.  A snapshot of the ensemble is written as the
-measure file of its equal-weight cloud, the format of every point cloud
-the package writes.
+(:meth:`BlockLayout.block_means`), and the trajectory writer (in
+``rates``, re-exported here) formats one CSV row per ``%`` operation.
+A snapshot of the ensemble is written as the measure file of its
+equal-weight cloud, the format of every point cloud the package writes.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,6 +32,7 @@ import numpy as np
 
 from .blockspace import BlockLayout, chain_rng, sample_subsets
 from .errors import DimensionMismatch, Diverged
+from .rates import read_trajectory_csv, trajectory_header, write_trajectory_csv  # noqa: F401
 from .splitting import SplittingMap, apply_full, squared_residuals
 from .transport import DiscreteMeasure, distance_to_point_mass, wasserstein2_weighted, write_measure
 
@@ -211,50 +211,9 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# File formats.  Trajectory: plain CSV, floats at 17 significant digits, no
-# timestamps, so identical (config, seed) runs produce identical bytes.
-# Snapshot: the measure file of the ensemble's equal-weight cloud, the format
-# of final_measure.csv, which ``transport.read_measure`` reads back.
-# Rows are formatted by hand with the bytes csv.writer would write: "%.17g"
-# floats (the text of format(v, ".17g")), comma separated, "\r\n" row ends;
-# no field of a number needs quoting.  An empty trajectory cell marks a value
-# that was not computed, NaN in the columns.
+# A snapshot is the measure file of the ensemble's equal-weight cloud, the
+# format of final_measure.csv, which ``transport.read_measure`` reads back.
 # ---------------------------------------------------------------------------
-
-
-def _cell(v: float) -> str:
-    return "" if math.isnan(v) else "%.17g" % v
-
-
-def trajectory_header(num_blocks: int) -> list[str]:
-    return ["k", "mean_residual", "psi_upper", "dw_step", "d_target"] + [
-        f"block{j}_mean" for j in range(num_blocks)
-    ]
-
-
-def write_trajectory_csv(path, trajectory: dict[str, np.ndarray]) -> None:
-    """Write trajectory columns as CSV; a NaN dw_step or d_target is an empty cell."""
-    header = trajectory_header(len(trajectory) - 5)
-    table = np.column_stack([trajectory[name] for name in header])
-    row = "%d,%.17g,%.17g,%s,%s" + ",%.17g" * (len(header) - 5) + "\r\n"
-    lines = [",".join(header) + "\r\n"]
-    lines += [row % (k, res, psi, _cell(dw), _cell(d), *block_means)
-              for k, res, psi, dw, d, *block_means in table.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
-
-
-def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV into named columns (NaN for empty cells)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError("file is empty")
-    header, body = rows[0], rows[1:]
-    width = len(header)
-    cells = [[v or "nan" for v in row[:width]] + ["nan"] * (width - len(row)) for row in body]
-    table = np.array(cells, dtype=float).reshape(len(body), width)
-    return dict(zip(header, np.ascontiguousarray(table.T)))
 
 
 def write_snapshot(path, states: np.ndarray, layout: BlockLayout) -> None:

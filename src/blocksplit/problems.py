@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockspace import BlockLayout, BlockSubsetScheme
+from .blockspace import BlockLayout, BlockSubsetScheme, Region
 from .errors import DimensionMismatch, UnsupportedSet
 from .operators import (
     BlockFunction,
@@ -27,7 +27,6 @@ from .operators import (
     h_quadratic,
     h_zero,
 )
-from .regularity import Region
 from .splitting import SplittingMap, apply_full
 
 

@@ -1,28 +1,31 @@
-"""Convergence gauges, monotonicity checks, and empirical rate estimation.
+"""Convergence gauges, monotonicity checks, rate fits, and the trajectory file.
 
 A gauge theta maps distances to distances with theta(0) = 0 and
 0 < theta(t) < t on (0, t_bar]; distance trajectories certified against a
 gauge contract per-step.  The linear family comes from a linear error
 bound with modulus kappa: theta(t) = sqrt((1+eps) - tau/kappa^2) * t, the
 exact solution of the defining relation with rho(t) = kappa t.
+
+The trajectory CSV that ``run`` writes and ``rate`` checks is read and
+written here, beside ``check_trajectory``, so that checking a trajectory
+file loads no simulator.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockspace import BlockProbabilities, weighted_norm
 from .errors import (
     ConfigError,
     DegenerateSequence,
     DimensionMismatch,
     InadmissibleGauge,
-    NoEligibleSamples,
     OutOfDomain,
 )
-from .splitting import SplittingMap, apply_full
 
 _ADMISSIBILITY_GRID = 1000
 
@@ -242,36 +245,6 @@ def check_asymptotic_regularity(
     )
 
 
-def estimate_msr_kappa(
-    m: SplittingMap,
-    samples: np.ndarray,
-    c_points: np.ndarray,
-    p: BlockProbabilities,
-    residual_floor: float = 1e-10,
-) -> float:
-    """Empirical metric-subregularity modulus over a sample cloud.
-
-    kappa_hat = max over samples of (min_z ||x - z||_p) / ||x - T1 x||,
-    skipping samples whose full-block residual sits below ``residual_floor``
-    (the ratio is 0/0 noise there).  Raises NoEligibleSamples if nothing
-    survives the floor.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    c_points = np.atleast_2d(np.asarray(c_points, dtype=float))
-    residuals = np.linalg.norm(samples - apply_full(m, samples), axis=-1)
-    eligible = residuals >= residual_floor
-    if not np.any(eligible):
-        raise NoEligibleSamples(
-            f"all {samples.shape[0]} samples have residual below {residual_floor}"
-        )
-    xs = samples[eligible]
-    res = residuals[eligible]
-    dists = np.min(
-        np.stack([weighted_norm(xs - z, p) for z in c_points], axis=0), axis=0
-    )
-    return float(np.max(np.atleast_1d(dists / res)))
-
-
 @dataclass(frozen=True)
 class RateFit:
     """Least-squares geometric fit d_k ~ intercept * c_hat^k."""
@@ -376,3 +349,48 @@ def check_trajectory(
         report.gauge = check_gauge_monotone(d, spec, tol_rel=1e-3)
         report.details["gauge_factor"] = spec.factor
     return report
+
+
+# ---------------------------------------------------------------------------
+# Trajectory file: plain CSV, floats at 17 significant digits, no
+# timestamps, so identical (config, seed) runs produce identical bytes.
+# Rows are formatted by hand with the bytes csv.writer would write: "%.17g"
+# floats (the text of format(v, ".17g")), comma separated, "\r\n" row ends;
+# no field of a number needs quoting.  An empty cell marks a value that was
+# not computed, NaN in the columns.
+# ---------------------------------------------------------------------------
+
+
+def _cell(v: float) -> str:
+    return "" if math.isnan(v) else "%.17g" % v
+
+
+def trajectory_header(num_blocks: int) -> list[str]:
+    return ["k", "mean_residual", "psi_upper", "dw_step", "d_target"] + [
+        f"block{j}_mean" for j in range(num_blocks)
+    ]
+
+
+def write_trajectory_csv(path, trajectory: dict[str, np.ndarray]) -> None:
+    """Write trajectory columns as CSV; a NaN dw_step or d_target is an empty cell."""
+    header = trajectory_header(len(trajectory) - 5)
+    table = np.column_stack([trajectory[name] for name in header])
+    row = "%d,%.17g,%.17g,%s,%s" + ",%.17g" * (len(header) - 5) + "\r\n"
+    lines = [",".join(header) + "\r\n"]
+    lines += [row % (k, res, psi, _cell(dw), _cell(d), *block_means)
+              for k, res, psi, dw, d, *block_means in table.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(lines))
+
+
+def read_trajectory_csv(path) -> dict[str, np.ndarray]:
+    """Read a trajectory CSV into named columns (NaN for empty cells)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError("file is empty")
+    header, body = rows[0], rows[1:]
+    width = len(header)
+    cells = [[v or "nan" for v in row[:width]] + ["nan"] * (width - len(row)) for row in body]
+    table = np.array(cells, dtype=float).reshape(len(body), width)
+    return dict(zip(header, np.ascontiguousarray(table.T)))

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .blockspace import BlockProbabilities, weighted_norm, weighted_sq
-from .errors import DimensionMismatch, InvalidFixedPoints
+from .blockspace import Region, weighted_norm, weighted_sq
+from .errors import InvalidFixedPoints
 from .splitting import (
     SplittingMap,
     apply_T,
@@ -30,34 +30,6 @@ from .splitting import (
     transport_discrepancy,
     weighted_transport_discrepancy,
 )
-
-
-@dataclass(frozen=True)
-class Region:
-    """Axis-aligned box; degenerate coordinates pin affine restrictions."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise DimensionMismatch("region bounds must be equal-shape 1-D arrays")
-        if np.any(lo > hi):
-            raise ValueError("region lower bound exceeds upper bound")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=(n, self.dim))
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
 
 
 @dataclass

@@ -127,29 +127,47 @@ def _scaled_coords(x: np.ndarray, p: BlockProbabilities) -> np.ndarray:
 
 
 def _scipy_kernel(name: str):
-    """scipy's compiled module ``name``, loaded without its packages' __init__.
+    """scipy's compiled module ``name``, loaded without running any package __init__.
 
-    A module already in sys.modules is returned as it is.  Otherwise the
-    extension is found in its subpackage's directory, executed, and only
-    then registered under ``name`` (registering first fails pybind11's
-    initialization), so a later ``import scipy.optimize`` reuses this same
-    module object; a parent package imported later does not get it as an
-    attribute, but ``from``-imports, as scipy's own, still find it.
+    A module already in sys.modules is returned as it is.  Otherwise
+    scipy's directory comes from its import spec, not from ``import
+    scipy``; the extension is found in its subpackage's directory,
+    executed, and only then registered under ``name`` (registering first
+    fails pybind11's initialization), so a later ``import scipy.optimize``
+    reuses this same module object; a parent package imported later does
+    not get it as an attribute, but ``from``-imports, as scipy's own, still
+    find it.  scipy itself is imported only to name its version when the
+    module is missing, and once before a retry when loading the module
+    raises ImportError: some wheels' package init sets up the shared
+    libraries their extensions link against (delvewheel does, on Windows).
     """
     module = sys.modules.get(name)
     if module is not None:
         return module
-    import scipy
-
-    where = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise BlocksplitError("scipy is not installed; blocksplit needs scipy>=1.15")
+    where = os.path.join(scipy_spec.submodule_search_locations[0], *name.split(".")[1:-1])
     spec = PathFinder.find_spec(name, [where])
     if spec is None:
+        import scipy
+
         raise BlocksplitError(
             f"scipy {scipy.__version__} has no compiled module {name}; "
             "blocksplit needs scipy>=1.15")
+    try:
+        module = _load_extension(spec)
+    except ImportError:
+        import scipy  # noqa: F401
+
+        module = _load_extension(spec)
+    sys.modules[name] = module
+    return module
+
+
+def _load_extension(spec):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[name] = module
     return module
 
 

@@ -555,7 +555,7 @@ assert main(["rate", "--trajectory", out + "/trajectory.csv", "--out", out]) == 
 loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
 assert not loaded, f"run/certify/rate loaded {len(loaded)} scipy modules: {loaded[:5]}"
 # a W2 solve loads scipy's compiled kernels, not the packages around them
-UNUSED = ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg",
+UNUSED = ("scipy", "scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg",
           "scipy.special", "numpy.f2py", "numpy.testing")
 print("transport:")
 for what, argv in (("transport", ["transport", mu, nu]),

@@ -1,29 +1,24 @@
-"""Gauges, trajectory checks, and rate estimation."""
+"""Gauges, trajectory checks, and rate fits."""
 
 import numpy as np
 import pytest
 
-from blocksplit.blockspace import BlockLayout, BlockProbabilities, BlockSubsetScheme
 from blocksplit.errors import (
     DegenerateSequence,
     InadmissibleGauge,
-    NoEligibleSamples,
     OutOfDomain,
 )
-from blocksplit.operators import SeparableTerm, coupling_zero, h_quadratic
 from blocksplit.rates import (
     GaugeSpec,
     check_asymptotic_regularity,
     check_fejer,
     check_gauge_monotone,
-    estimate_msr_kappa,
     fit_linear_rate,
     invert_id_minus_theta,
     linear_tail_sum,
     theta_iterates,
     theta_linear,
 )
-from blocksplit.splitting import SplittingMap
 
 
 def test_theta_linear_factor_formula():
@@ -155,30 +150,6 @@ def test_asymptotic_regularity_all_zero_passes():
     res = check_asymptotic_regularity(np.zeros(20))
     assert res.passed
     assert res.fitted_exponent is None
-
-
-def test_estimate_msr_kappa_halving_map():
-    # f = 0, h_j = ||.||^2, step 1/2: the full map is x -> x/2, so the
-    # residual is ||x||/2 and the distance to the fixed set {0} is ||x||:
-    # kappa_hat = 2 under unit weights
-    layout = BlockLayout((1, 1))
-    term = SeparableTerm(layout, [h_quadratic(1.0), h_quadratic(1.0)])
-    scheme = BlockSubsetScheme(((0, 1),), (1.0,))
-    m = SplittingMap("fb", coupling_zero(layout), term, np.array([0.5, 0.5]), scheme, layout)
-    p = BlockProbabilities(np.ones(2), layout)
-    samples = np.random.default_rng(0).normal(size=(50, 2))
-    kappa = estimate_msr_kappa(m, samples, np.zeros((1, 2)), p)
-    assert kappa == pytest.approx(2.0, abs=1e-12)
-
-
-def test_estimate_msr_kappa_no_eligible():
-    layout = BlockLayout((1, 1))
-    term = SeparableTerm(layout, [h_quadratic(1.0), h_quadratic(1.0)])
-    scheme = BlockSubsetScheme(((0, 1),), (1.0,))
-    m = SplittingMap("fb", coupling_zero(layout), term, np.array([0.5, 0.5]), scheme, layout)
-    p = BlockProbabilities(np.ones(2), layout)
-    with pytest.raises(NoEligibleSamples):
-        estimate_msr_kappa(m, np.zeros((3, 2)), np.zeros((1, 2)), p)
 
 
 def test_fit_linear_rate_exact_geometric():

@@ -516,7 +516,7 @@ NAMES = ("scipy.spatial._distance_pybind", "scipy.optimize._lsap",
          "scipy.optimize._highspy._core")
 if sys.argv[1] == "kernels-first":
     kernels = [_scipy_kernel(name) for name in NAMES]
-    assert "scipy.optimize" not in sys.modules and "scipy.spatial" not in sys.modules
+    assert not {"scipy", "scipy.optimize", "scipy.spatial"} & set(sys.modules)
     import scipy.optimize
     import scipy.optimize._highspy._core as core
     from scipy.spatial.distance import cdist
@@ -540,35 +540,89 @@ for d in (1, 2, 50):
 """
 
 
+def _fresh_python(*args, path=()):
+    """Run a fresh interpreter on the package's source, with ``path`` ahead of it."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, path), src, env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 @pytest.mark.parametrize("order", ["kernels-first", "scipy-first"])
 def test_scipy_kernels_are_the_modules_scipy_imports(order):
     # a fresh interpreter, so that the order of first loads is the one named
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", KERNEL_PIN, order],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _fresh_python("-c", KERNEL_PIN, order)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_missing_scipy_kernel_exits_2_one_line(tmp_path, monkeypatch, capsys):
-    import scipy
+KERNEL_RETRY = """
+import importlib.machinery
+import sys
+from blocksplit.transport import _scipy_kernel
 
-    from blocksplit.cli import main
+# the first extension load fails, as one whose shared libraries scipy's
+# package init has not set up yet
+real = importlib.machinery.ExtensionFileLoader.exec_module
+failed = []
 
-    with pytest.raises(BlocksplitError, match=r"scipy\._no_kernel; blocksplit needs scipy>=1\.15"):
-        transport._scipy_kernel("scipy._no_kernel")
-    # a scipy whose spatial directory lacks the cost-matrix kernel
-    monkeypatch.delitem(sys.modules, "scipy.spatial._distance_pybind")
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+def exec_module(self, module):
+    if not failed:
+        failed.append(module.__name__)
+        raise ImportError("shared libraries not set up")
+    real(self, module)
+
+importlib.machinery.ExtensionFileLoader.exec_module = exec_module
+lsap = _scipy_kernel("scipy.optimize._lsap")
+assert failed == ["scipy.optimize._lsap"], failed
+assert "scipy" in sys.modules  # the package init ran before the retry
+assert sys.modules["scipy.optimize._lsap"] is lsap
+rows, cols = lsap.linear_sum_assignment([[4.0, 1.0], [2.0, 3.0]])
+assert cols.tolist() == [1, 0]
+"""
+
+
+def test_scipy_kernel_retries_once_after_scipy_init():
+    proc = _fresh_python("-c", KERNEL_RETRY)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _two_point_measure_file(tmp_path):
     layout, _ = _unit_p(2)
     mu = DiscreteMeasure(np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([0.5, 0.5]), layout)
     write_measure(tmp_path / "mu.csv", mu)
-    assert main(["transport", str(tmp_path / "mu.csv"), str(tmp_path / "mu.csv")]) == 2
+    return str(tmp_path / "mu.csv")
+
+
+def test_missing_scipy_kernel_exits_2_one_line(tmp_path):
+    with pytest.raises(BlocksplitError, match=r"scipy\._no_kernel; blocksplit needs scipy>=1\.15"):
+        transport._scipy_kernel("scipy._no_kernel")
+    # a scipy whose directory lacks the cost-matrix kernel: a stub package
+    # ahead of the installed one, in a fresh interpreter
+    stub = tmp_path / "stub"
+    (stub / "scipy").mkdir(parents=True)
+    (stub / "scipy" / "__init__.py").write_text('__version__ = "0.0.stub"\n')
+    mu = _two_point_measure_file(tmp_path)
+    proc = _fresh_python("-m", "blocksplit.cli", "transport", mu, mu, path=[stub])
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "scipy 0.0.stub has no compiled module scipy.spatial._distance_pybind" in proc.stderr
+    assert "scipy>=1.15" in proc.stderr
+
+
+def test_no_scipy_exits_2_one_line(tmp_path, monkeypatch, capsys):
+    import importlib.util
+
+    from blocksplit.cli import main
+
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *a: None if name == "scipy" else find_spec(name, *a))
+    monkeypatch.delitem(sys.modules, "scipy.spatial._distance_pybind", raising=False)
+    mu = _two_point_measure_file(tmp_path)
+    assert main(["transport", mu, mu]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert "no compiled module scipy.spatial._distance_pybind" in err
-    assert "scipy>=1.15" in err
+    assert err == "error: scipy is not installed; blocksplit needs scipy>=1.15\n"
 
 
 def test_coupling_plan_marginal_validation():
