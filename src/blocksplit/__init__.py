@@ -35,9 +35,9 @@ _EXPORTS = {
     "operators": (
         "BlockFunction", "SeparableTerm", "SmoothCoupling", "StepBounds",
         "coupling_diagonal_indicator", "coupling_diagonal_sqdist", "coupling_quadratic",
-        "coupling_zero", "estimate_submonotonicity", "gd_step_bound", "gd_violation_bound",
-        "gradient_descent_map", "h_indicator_ball", "h_indicator_box", "h_indicator_point",
-        "h_l1", "h_quadratic", "h_zero", "resolvent_partial_smooth", "resolvent_separable",
+        "gd_step_bound", "gd_violation_bound", "h_indicator_ball", "h_indicator_box",
+        "h_indicator_point", "h_l1", "h_quadratic", "h_zero", "resolvent_partial_smooth",
+        "resolvent_separable",
     ),
     "problems": (
         "PROBLEM_GALLERY", "ConvexSet", "ProblemSpec", "counterexample2d",
@@ -59,8 +59,8 @@ _EXPORTS = {
         "weighted_transport_discrepancy",
     ),
     "transport": (
-        "CouplingPlan", "DiscreteMeasure", "distance_to_point_mass", "distance_to_set_mixture",
-        "read_measure", "wasserstein2_weighted", "write_measure",
+        "CouplingPlan", "DiscreteMeasure", "distance_to_point_mass", "read_measure",
+        "wasserstein2_weighted", "write_measure",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

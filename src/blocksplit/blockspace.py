@@ -92,19 +92,6 @@ class BlockLayout:
             out[blocks] = rows.sum(axis=1) / (n * d)
         return out
 
-    def embed(self, block_value: np.ndarray, j: int, base: np.ndarray) -> np.ndarray:
-        """Copy of ``base`` with block j replaced by ``block_value``."""
-        base = self.check(base)
-        out = np.array(base, copy=True)
-        sl = self.slice_of(j)
-        block_value = np.asarray(block_value, dtype=float)
-        if block_value.shape[-1] != self.block_dims[j]:
-            raise DimensionMismatch(
-                f"block value has dim {block_value.shape[-1]}, block {j} expects {self.block_dims[j]}"
-            )
-        out[..., sl] = block_value
-        return out
-
     def coordinate_weights(self, per_block: np.ndarray) -> np.ndarray:
         """Expand one scalar per block to one scalar per coordinate."""
         per_block = np.asarray(per_block, dtype=float)
@@ -275,6 +262,8 @@ class Region:
         hi = np.asarray(self.hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DimensionMismatch("region bounds must be equal-shape 1-D arrays")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("region bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("region lower bound exceeds upper bound")
         object.__setattr__(self, "lo", lo)

@@ -49,6 +49,14 @@ def _as_float(v, where: str) -> float:
     return float(v)
 
 
+def _as_finite(v, where: str, nonnegative: bool = False) -> float:
+    x = _as_float(v, where)
+    if not np.isfinite(x) or (nonnegative and x < 0):
+        rule = "finite and nonnegative" if nonnegative else "finite"
+        raise ConfigError(f"{where}: must be {rule}, got {x}")
+    return x
+
+
 def _as_bool(v, where: str) -> bool:
     if not isinstance(v, bool):
         raise ConfigError(f"{where}: expected true or false, got {v!r}")
@@ -282,7 +290,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 f"config.run.init.kind: expected region, point, or uniform_box, got {init['kind']!r}"
             )
         if init["kind"] == "point":
-            _as_vector(_require(init, "x", "config.run.init"), "config.run.init.x")
+            x = _as_vector(_require(init, "x", "config.run.init"), "config.run.init.x")
+            if not np.isfinite(x).all():
+                raise ConfigError(f"config.run.init.x: must be finite, got {x.tolist()}")
         elif init["kind"] == "uniform_box":
             _parse_region(init, "config.run.init")
         run_sec = RunSection(
@@ -315,22 +325,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
         alpha = _as_float(c.get("alpha", 0.5), "config.certify.alpha")
         if not 0 < alpha < 1:
             raise ConfigError(f"config.certify.alpha: must lie in (0, 1), got {alpha}")
-        violation = _as_float(c.get("violation", 0.0), "config.certify.violation")
-        if not (np.isfinite(violation) and violation >= 0):
-            raise ConfigError(f"config.certify.violation: must be finite and nonnegative, got {violation}")
-        tolerance = _as_float(c.get("tolerance", 1e-10), "config.certify.tolerance")
-        if not np.isfinite(tolerance):
-            raise ConfigError(f"config.certify.tolerance: must be finite, got {tolerance}")
         certify_sec = CertifySection(
             property_name=prop,
             target=target,
             alpha=alpha,
-            violation=violation,
+            violation=_as_finite(c.get("violation", 0.0), "config.certify.violation", True),
             num_pairs=_as_int(c.get("num_pairs", 10_000), "config.certify.num_pairs", 1),
             region=None if "region" not in c else _parse_region(c["region"], "config.certify.region"),
-            tolerance=tolerance,
+            tolerance=_as_finite(c.get("tolerance", 1e-10), "config.certify.tolerance"),
             adversarial=_as_bool(c.get("adversarial", True), "config.certify.adversarial"),
-            residual_threshold=_as_float(c.get("residual_threshold", 1e-8), "config.certify.residual_threshold"),
+            residual_threshold=_as_finite(c.get("residual_threshold", 1e-8),
+                                          "config.certify.residual_threshold", True),
         )
 
     rate_sec = None
@@ -355,8 +360,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         rate_sec = RateSection(
             column=str(r.get("column", "d_target")),
             gauge=gauge,
-            fejer_tol_rel=_as_float(r.get("fejer_tol_rel", 1e-3), "config.rate.fejer_tol_rel"),
-            tail_tol=_as_float(r.get("tail_tol", 1e-3), "config.rate.tail_tol"),
+            # a negative fejer_tol_rel asks every step to shrink by that fraction
+            fejer_tol_rel=_as_finite(r.get("fejer_tol_rel", 1e-3), "config.rate.fejer_tol_rel"),
+            tail_tol=_as_finite(r.get("tail_tol", 1e-3), "config.rate.tail_tol", True),
         )
 
     return ExperimentConfig(

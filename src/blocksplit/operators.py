@@ -44,7 +44,6 @@ class SmoothCoupling:
     lipschitz: np.ndarray
     hypomono: np.ndarray
     convex: bool
-    value: Callable[[np.ndarray], np.ndarray] | None = None
     hessian_block: Callable[[int], np.ndarray] | None = None
     partial_resolvent: Callable[[np.ndarray, np.ndarray, tuple[int, ...], float],
                                 np.ndarray] | None = None
@@ -77,8 +76,6 @@ class BlockFunction:
     prox: Callable[[np.ndarray, float], np.ndarray]
     tau: float = 0.0
     convex: bool = True
-    value: Callable[[np.ndarray], np.ndarray] | None = None
-    kind: str = "custom"
 
 
 @dataclass
@@ -144,16 +141,6 @@ def resolvent_partial_smooth(coupling: SmoothCoupling, j: int, x: np.ndarray, la
     return np.linalg.solve(M, rhs[..., None])[..., 0] if rhs.ndim > 1 else np.linalg.solve(M, rhs)
 
 
-def gradient_descent_map(coupling: SmoothCoupling, steps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Blockwise gradient step x - (t_j grad_j f(x))_j."""
-    x = coupling.layout.check(x)
-    steps = np.broadcast_to(np.asarray(steps, dtype=float), (coupling.layout.num_blocks,))
-    if coupling.gradient is None:
-        raise EmptyResolvent("coupling has no gradient oracle")
-    t_coord = coupling.layout.coordinate_weights(steps)
-    return x - t_coord * coupling.gradient(x)
-
-
 @dataclass(frozen=True)
 class StepBounds:
     """Admissible blockwise step intervals (0, upper_j) for a target constant."""
@@ -208,36 +195,6 @@ def gd_violation_bound(coupling: SmoothCoupling, steps: np.ndarray, alpha_bar: f
     return float(np.max(per_block))
 
 
-def estimate_submonotonicity(
-    oracle: Callable[[np.ndarray], np.ndarray],
-    pairs: np.ndarray,
-    lam: float,
-) -> float:
-    """Smallest tau >= 0 consistent with scaled submonotonicity on sampled pairs.
-
-    With z = lam * oracle(u) and w = lam * oracle(v), each pair requires
-    -(tau/2) ||(u+z) - (v+w)||^2 <= <z - w, u - v>.  Returns the max over
-    pairs of the implied lower bounds (inf when the normalization vanishes
-    while the inner product is negative).
-    """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 3 or pairs.shape[1] != 2:
-        raise DimensionMismatch("pairs must have shape (n, 2, d)")
-    u, v = pairs[:, 0, :], pairs[:, 1, :]
-    z = lam * np.asarray(oracle(u), dtype=float)
-    w = lam * np.asarray(oracle(v), dtype=float)
-    ip = np.sum((z - w) * (u - v), axis=-1)
-    den = np.sum(((u + z) - (v + w)) ** 2, axis=-1)
-    tau_hat = 0.0
-    for ipk, denk in zip(ip, den):
-        if ipk >= 0:
-            continue
-        if denk <= 0:
-            return float("inf")
-        tau_hat = max(tau_hat, -2.0 * ipk / denk)
-    return float(tau_hat)
-
-
 # ---------------------------------------------------------------------------
 # Separable-term gallery.  Constructors return BlockFunction instances; build
 # a SeparableTerm by listing one per block.
@@ -246,8 +203,7 @@ def estimate_submonotonicity(
 
 def h_zero() -> BlockFunction:
     """h = 0; the resolvent is the identity."""
-    return BlockFunction(prox=lambda v, lam: v, tau=0.0, convex=True,
-                         value=lambda v: np.zeros(v.shape[:-1]), kind="zero")
+    return BlockFunction(prox=lambda v, lam: v, tau=0.0, convex=True)
 
 
 def h_quadratic(coeff: float = 1.0) -> BlockFunction:
@@ -258,8 +214,6 @@ def h_quadratic(coeff: float = 1.0) -> BlockFunction:
         prox=lambda v, lam: v / (1.0 + 2.0 * lam * coeff),
         tau=0.0,
         convex=True,
-        value=lambda v: coeff * np.sum(v * v, axis=-1),
-        kind="quadratic",
     )
 
 
@@ -272,8 +226,7 @@ def h_l1(weight: float = 1.0) -> BlockFunction:
         s = lam * weight
         return np.sign(v) * np.maximum(np.abs(v) - s, 0.0)
 
-    return BlockFunction(prox=prox, tau=0.0, convex=True,
-                         value=lambda v: weight * np.sum(np.abs(v), axis=-1), kind="l1")
+    return BlockFunction(prox=prox, tau=0.0, convex=True)
 
 
 def h_indicator_box(lo, hi) -> BlockFunction:
@@ -282,13 +235,7 @@ def h_indicator_box(lo, hi) -> BlockFunction:
     hi = np.asarray(hi, dtype=float)
     if np.any(lo > hi):
         raise ValueError("box lower bound exceeds upper bound")
-
-    def value(v):
-        inside = np.all((v >= lo - 1e-12) & (v <= hi + 1e-12), axis=-1)
-        return np.where(inside, 0.0, np.inf)
-
-    return BlockFunction(prox=lambda v, lam: np.clip(v, lo, hi), tau=0.0,
-                         convex=True, value=value, kind="indicator_box")
+    return BlockFunction(prox=lambda v, lam: np.clip(v, lo, hi), tau=0.0, convex=True)
 
 
 def h_indicator_point(z) -> BlockFunction:
@@ -298,14 +245,15 @@ def h_indicator_point(z) -> BlockFunction:
     def prox(v, lam):
         return np.broadcast_to(z, v.shape).copy()
 
-    return BlockFunction(prox=prox, tau=0.0, convex=True, kind="indicator_point")
+    return BlockFunction(prox=prox, tau=0.0, convex=True)
 
 
 def h_indicator_ball(center, radius: float) -> BlockFunction:
     """Indicator of a Euclidean ball; prox is radial projection."""
     center = np.asarray(center, dtype=float)
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+    radius = float(radius)
+    if not 0 <= radius < np.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
 
     def prox(v, lam):
         d = v - center
@@ -313,25 +261,12 @@ def h_indicator_ball(center, radius: float) -> BlockFunction:
         scale = np.where(nrm > radius, radius / np.where(nrm == 0, 1.0, nrm), 1.0)
         return center + scale * d
 
-    return BlockFunction(prox=prox, tau=0.0, convex=True, kind="indicator_ball")
+    return BlockFunction(prox=prox, tau=0.0, convex=True)
 
 
 # ---------------------------------------------------------------------------
 # Coupling gallery.
 # ---------------------------------------------------------------------------
-
-
-def coupling_zero(layout: BlockLayout) -> SmoothCoupling:
-    """f = 0."""
-    return SmoothCoupling(
-        layout=layout,
-        gradient=lambda x: np.zeros_like(x),
-        lipschitz=np.zeros(layout.num_blocks),
-        hypomono=np.zeros(layout.num_blocks),
-        convex=True,
-        value=lambda x: np.zeros(x.shape[:-1]),
-        hessian_block=lambda j: np.zeros((layout.block_dims[j],) * 2),
-    )
 
 
 def coupling_quadratic(layout: BlockLayout, Q: np.ndarray, b: np.ndarray | None = None,
@@ -385,7 +320,6 @@ def coupling_quadratic(layout: BlockLayout, Q: np.ndarray, b: np.ndarray | None 
         lipschitz=L,
         hypomono=np.full(layout.num_blocks, tau),
         convex=bool(convex),
-        value=lambda x: 0.5 * np.einsum("...i,ij,...j->...", x, Q, x) + x @ b,
         hessian_block=hessian_block,
     )
 
@@ -406,18 +340,12 @@ def coupling_diagonal_sqdist(layout: BlockLayout) -> SmoothCoupling:
         mean = blocks.mean(axis=-2, keepdims=True)
         return (blocks - mean).reshape(x.shape)
 
-    def value(x):
-        blocks = x.reshape(x.shape[:-1] + (m, d))
-        mean = blocks.mean(axis=-2, keepdims=True)
-        return 0.5 * np.sum((blocks - mean) ** 2, axis=(-2, -1))
-
     return SmoothCoupling(
         layout=layout,
         gradient=gradient,
         lipschitz=np.ones(m),
         hypomono=np.zeros(m),
         convex=True,
-        value=value,
         hessian_block=lambda j: (1.0 - 1.0 / m) * np.eye(d),
     )
 

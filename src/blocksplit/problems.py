@@ -44,7 +44,6 @@ class ProblemSpec:
     consistent: bool | None
     fixed_points: np.ndarray | None = None  # (k, dim) common fixed points, if known
     target_point: np.ndarray | None = None  # distinguished limit for distance columns
-    metadata: dict = field(default_factory=dict)
 
     def build_map(self, flavor: str, scheme: BlockSubsetScheme, steps=None) -> SplittingMap:
         steps = self.default_steps if steps is None else steps
@@ -93,7 +92,6 @@ def counterexample2d(t: float = 0.25) -> ProblemSpec:
         consistent=True,
         fixed_points=np.array([[0.0, 0.0]]),
         target_point=np.array([0.0, 0.0]),
-        metadata={"line_minimizer": "(-z, z) on each line {x1 = z}", "gradient_lipschitz": 4.0},
     )
     _verify_declared_fixed_points(spec, "fb")
     return spec
@@ -107,51 +105,57 @@ def counterexample2d(t: float = 0.25) -> ProblemSpec:
 
 @dataclass(frozen=True)
 class ConvexSet:
-    """Descriptor of a convex set in R^d with a projection oracle."""
+    """Descriptor of a convex set in R^d; its projection is the prox of its indicator."""
 
     kind: str
     params: dict
+    function: BlockFunction = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "function", self.block_function())
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if self.kind == "point":
-            z = np.asarray(self.params["point"], dtype=float)
-            return np.broadcast_to(z, v.shape).copy()
-        if self.kind == "box":
-            return np.clip(v, np.asarray(self.params["lo"]), np.asarray(self.params["hi"]))
-        if self.kind == "ball":
-            c = np.asarray(self.params["center"], dtype=float)
-            r = float(self.params["radius"])
-            d = v - c
-            nrm = np.linalg.norm(d, axis=-1, keepdims=True)
-            scale = np.where(nrm > r, r / np.where(nrm == 0, 1.0, nrm), 1.0)
-            return c + scale * d
-        if self.kind == "line":
-            pnt = np.asarray(self.params["point"], dtype=float)
-            direction = np.asarray(self.params["direction"], dtype=float)
-            u = direction / np.linalg.norm(direction)
-            s = np.sum((v - pnt) * u, axis=-1, keepdims=True)
-            return pnt + s * u
-        raise UnsupportedSet(f"unknown set kind {self.kind!r}")
+        return self.function.prox(np.asarray(v, dtype=float), 1.0)
 
     def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
         v = np.asarray(v, dtype=float)
         return bool(np.linalg.norm(v - self.project(v)) <= tol)
 
     def block_function(self) -> BlockFunction:
-        if self.kind == "point":
-            return h_indicator_point(self.params["point"])
-        if self.kind == "box":
-            return h_indicator_box(self.params["lo"], self.params["hi"])
-        if self.kind == "ball":
-            return h_indicator_ball(self.params["center"], self.params["radius"])
-        prox = self.project
-        return BlockFunction(prox=lambda v, lam: prox(v), tau=0.0, convex=True, kind=self.kind)
+        """The indicator's prox; raises on an unknown kind, a missing field or a bad value."""
+        p = self.params
+        try:
+            if self.kind == "point":
+                return h_indicator_point(p["point"])
+            if self.kind == "box":
+                return h_indicator_box(p["lo"], p["hi"])
+            if self.kind == "ball":
+                return h_indicator_ball(p["center"], p["radius"])
+            if self.kind == "line":
+                return _line_projection(p["point"], p["direction"])
+        except KeyError as e:
+            raise UnsupportedSet(f"{self.kind} set needs a {e.args[0]!r} field") from None
+        raise UnsupportedSet(f"unsupported set kind {self.kind!r}")
+
+
+def _line_projection(point, direction) -> BlockFunction:
+    """Indicator of the line through ``point`` along ``direction``; prox projects onto it."""
+    point = np.asarray(point, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(direction)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"line direction must be finite and nonzero, got {direction.tolist()}")
+    u = direction / norm
+
+    def prox(v, lam):
+        s = np.sum((v - point) * u, axis=-1, keepdims=True)
+        return point + s * u
+
+    return BlockFunction(prox=prox, tau=0.0, convex=True)
 
 
 def make_set(kind: str, **params) -> ConvexSet:
-    if kind not in ("point", "box", "ball", "line"):
-        raise UnsupportedSet(f"unsupported set kind {kind!r}")
+    """A set descriptor, with its projection built here so that bad parameters raise here."""
     return ConvexSet(kind, params)
 
 
@@ -202,25 +206,6 @@ def _intersection_witness(a: ConvexSet, b: ConvexSet) -> np.ndarray | None:
     raise UnsupportedSet(f"consistency test unsupported for pair {sorted(kinds)}")
 
 
-def _best_pair(a: ConvexSet, b: ConvexSet) -> tuple[np.ndarray, np.ndarray] | None:
-    """Best approximation pair for the handled inconsistent cases."""
-    if a.kind == "point":
-        pa = np.asarray(a.params["point"], float)
-        return pa, b.project(pa)
-    if b.kind == "point":
-        pb = np.asarray(b.params["point"], float)
-        return a.project(pb), pb
-    if {a.kind, b.kind} == {"ball"}:
-        c1, r1 = np.asarray(a.params["center"], float), float(a.params["radius"])
-        c2, r2 = np.asarray(b.params["center"], float), float(b.params["radius"])
-        gap = np.linalg.norm(c2 - c1)
-        if gap == 0:
-            return None
-        u = (c2 - c1) / gap
-        return c1 + r1 * u, c2 - r2 * u
-    return None
-
-
 def feasibility(sets: list[ConvexSet], coupling_kind: str = "sqdist") -> ProblemSpec:
     """Product-space feasibility for a family of convex sets.
 
@@ -246,16 +231,13 @@ def feasibility(sets: list[ConvexSet], coupling_kind: str = "sqdist") -> Problem
         coupling = coupling_diagonal_indicator(layout)
     else:
         raise UnsupportedSet(f"unknown coupling kind {coupling_kind!r}")
-    term = SeparableTerm(layout, [s.block_function() for s in sets])
+    term = SeparableTerm(layout, [s.function for s in sets])
 
     consistent = None
     witness = None
-    best_pair = None
     if m == 2:
         witness = _intersection_witness(sets[0], sets[1])
         consistent = witness is not None
-        if not consistent:
-            best_pair = _best_pair(sets[0], sets[1])
     fixed_points = None
     if witness is not None and coupling_kind == "sqdist":
         fixed_points = np.tile(witness, m)[None, :]
@@ -271,11 +253,6 @@ def feasibility(sets: list[ConvexSet], coupling_kind: str = "sqdist") -> Problem
         consistent=consistent,
         fixed_points=fixed_points,
         target_point=None if fixed_points is None else fixed_points[0],
-        metadata={
-            "coupling_kind": coupling_kind,
-            "num_sets": m,
-            "best_pair": None if best_pair is None else [p.tolist() for p in best_pair],
-        },
     )
     if fixed_points is not None:
         _verify_declared_fixed_points(spec, "fb")
@@ -330,7 +307,6 @@ def quadratic_l1(
         region=Region(np.full(d, -5.0), np.full(d, 5.0)),
         convex=True,
         consistent=True,
-        metadata={"l1_weights": weights},
     )
     full_block = BlockSubsetScheme((tuple(range(layout.num_blocks)),), (1.0,))
     w = np.repeat(l1_weights, layout.block_dims)

@@ -1,10 +1,11 @@
 """Convergence gauges, monotonicity checks, rate fits, and the trajectory file.
 
-A gauge theta maps distances to distances with theta(0) = 0 and
-0 < theta(t) < t on (0, t_bar]; distance trajectories certified against a
-gauge contract per-step.  The linear family comes from a linear error
-bound with modulus kappa: theta(t) = sqrt((1+eps) - tau/kappa^2) * t, the
-exact solution of the defining relation with rho(t) = kappa t.
+A gauge theta maps distances to distances; distance trajectories
+certified against a gauge contract per-step.  Gauges are linear only,
+theta(t) = factor * t with factor in (0, 1).  The factor comes from a
+linear error bound with modulus kappa: theta(t) = sqrt((1+eps) -
+tau/kappa^2) * t, the exact solution of the defining relation with
+rho(t) = kappa t.
 
 The trajectory CSV that ``run`` writes and ``rate`` checks is read and
 written here, beside ``check_trajectory``, so that checking a trajectory
@@ -27,50 +28,22 @@ from .errors import (
     OutOfDomain,
 )
 
-_ADMISSIBILITY_GRID = 1000
-
 
 @dataclass
 class GaugeSpec:
-    """A gauge function, linear (factor * t) or tabulated on a grid."""
+    """A linear gauge theta(t) = factor * t with factor in (0, 1)."""
 
     kind: str
     factor: float | None = None
-    kappa: float | None = None
-    tau: float | None = None
-    epsilon: float | None = None
-    grid_t: np.ndarray | None = None
-    grid_theta: np.ndarray | None = None
-    t_bar: float = np.inf
 
     def __post_init__(self):
-        if self.kind == "linear":
-            if self.factor is None or not 0 < self.factor < 1:
-                raise InadmissibleGauge(f"linear gauge needs factor in (0,1), got {self.factor}")
-        elif self.kind == "tabulated":
-            t = np.asarray(self.grid_t, dtype=float)
-            th = np.asarray(self.grid_theta, dtype=float)
-            if t.ndim != 1 or t.shape != th.shape or t.shape[0] < 2:
-                raise DimensionMismatch("tabulated gauge needs matching 1-D grids of length >= 2")
-            if t[0] != 0.0 or th[0] != 0.0:
-                raise InadmissibleGauge("tabulated gauge must start at theta(0) = 0")
-            if np.any(np.diff(t) <= 0):
-                raise InadmissibleGauge("tabulated grid must be strictly increasing")
-            self.grid_t, self.grid_theta = t, th
-            self.t_bar = float(t[-1])
-            fine = np.linspace(t[1] * 1e-6, self.t_bar, _ADMISSIBILITY_GRID)
-            vals = np.interp(fine, t, th)
-            if np.any(vals <= 0) or np.any(vals >= fine):
-                raise InadmissibleGauge("tabulated gauge violates 0 < theta(t) < t on its grid")
-        else:
+        if self.kind != "linear":
             raise InadmissibleGauge(f"unknown gauge kind {self.kind!r}")
+        if self.factor is None or not 0 < self.factor < 1:
+            raise InadmissibleGauge(f"linear gauge needs factor in (0,1), got {self.factor}")
 
     def theta(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "linear":
-            out = self.factor * t
-        else:
-            out = np.interp(t, self.grid_t, self.grid_theta)
+        out = self.factor * np.asarray(t, dtype=float)
         return float(out) if out.ndim == 0 else out
 
 
@@ -94,34 +67,17 @@ def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> GaugeSpec:
             f"kappa={kappa} gives factor^2={inner:.6g}; admissible kappa range is ({lo:.6g}, {hi:.6g})"
         )
     factor = float(np.sqrt(inner))
-    return GaugeSpec(kind="linear", factor=factor, kappa=float(kappa), tau=float(tau),
-                     epsilon=float(epsilon))
+    return GaugeSpec(kind="linear", factor=factor)
 
 
-def invert_id_minus_theta(gauge: GaugeSpec, s: float, tol: float = 1e-12) -> float:
-    """Solve t - theta(t) = s for t.
+def invert_id_minus_theta(gauge: GaugeSpec, s: float) -> float:
+    """Solve t - theta(t) = s for t: t = s / (1 - factor).
 
-    Linear gauges invert in closed form, t = s / (1 - factor); tabulated
-    gauges bisect on [0, t_bar].  Raises OutOfDomain when s is negative or
-    beyond the reachable range.
+    Raises OutOfDomain when s is negative.
     """
     if s < 0:
         raise OutOfDomain(f"s must be nonnegative, got {s}")
-    if gauge.kind == "linear":
-        return float(s / (1.0 - gauge.factor))
-    top = gauge.t_bar - gauge.theta(gauge.t_bar)
-    if s > top:
-        raise OutOfDomain(f"s={s} exceeds t_bar - theta(t_bar) = {top}")
-    lo, hi = 0.0, gauge.t_bar
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - gauge.theta(mid) < s:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return float(0.5 * (lo + hi))
+    return float(s / (1.0 - gauge.factor))
 
 
 def theta_iterates(gauge: GaugeSpec, t0: float, count: int) -> np.ndarray:
@@ -132,14 +88,6 @@ def theta_iterates(gauge: GaugeSpec, t0: float, count: int) -> np.ndarray:
         out[i] = t
         t = gauge.theta(t)
     return out
-
-
-def linear_tail_sum(gauge: GaugeSpec, t0: float, start: int) -> float:
-    """Closed-form tail sum_{j >= start} theta^j(t0) for linear gauges."""
-    if gauge.kind != "linear":
-        raise InadmissibleGauge("tail sums in closed form exist for linear gauges only")
-    g = gauge.factor
-    return float(t0 * g**start / (1.0 - g))
 
 
 @dataclass(frozen=True)
@@ -184,8 +132,6 @@ def check_gauge_monotone(
     d = np.asarray(distances, dtype=float)
     if d.ndim != 1 or d.shape[0] < 2:
         raise DegenerateSequence("need at least two distances")
-    if float(d[0]) > gauge.t_bar:
-        raise OutOfDomain(f"initial distance {d[0]} exceeds the gauge domain t_bar={gauge.t_bar}")
     excess = d[1:] - (gauge.theta(d[:-1]) + tol_rel * d[:-1] + tol_abs)
     bad = np.nonzero(excess > 0)[0]
     return CheckResult(

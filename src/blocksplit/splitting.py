@@ -212,17 +212,6 @@ def transport_discrepancy(x, y, Tx, Ty) -> float | np.ndarray:
     return float(val) if np.ndim(val) == 0 else val
 
 
-def transport_discrepancy_six_term(x, y, Tx, Ty) -> float | np.ndarray:
-    """Six-term expansion of the transport discrepancy (cross-check route)."""
-    x, y, Tx, Ty = (np.asarray(a, dtype=float) for a in (x, y, Tx, Ty))
-
-    def sq(a):
-        return np.sum(a * a, axis=-1)
-
-    val = sq(Tx - x) + sq(Ty - y) + sq(Tx - Ty) + sq(x - y) - sq(Tx - y) - sq(x - Ty)
-    return float(val) if np.ndim(val) == 0 else val
-
-
 def weighted_transport_discrepancy(x, y, Tx, Ty, p: BlockProbabilities) -> float | np.ndarray:
     """Transport discrepancy in the selection-weighted norm."""
     x, y, Tx, Ty = (np.asarray(a, dtype=float) for a in (x, y, Tx, Ty))

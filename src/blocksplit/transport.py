@@ -122,10 +122,6 @@ class CouplingPlan:
             raise SolverFailure("plan column sums do not match target weights within 1e-10")
 
 
-def _scaled_coords(x: np.ndarray, p: BlockProbabilities) -> np.ndarray:
-    return x * np.sqrt(p.coordinate_inverse())
-
-
 def _scipy_kernel(name: str):
     """scipy's compiled module ``name``, loaded without running any package __init__.
 
@@ -171,19 +167,15 @@ def _load_extension(spec):
     return module
 
 
-def _sq_distances(x: np.ndarray, y: np.ndarray, p: BlockProbabilities) -> np.ndarray:
-    """Pairwise squared weighted distances between the rows of x and y.
+def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: BlockProbabilities) -> np.ndarray:
+    """Pairwise squared weighted distances between supports.
 
     Computed by the kernel ``cdist(x, y, "sqeuclidean")`` dispatches to, so
     bit for bit cdist's values.
     """
     kernel = _scipy_kernel("scipy.spatial._distance_pybind")
-    return kernel.cdist_sqeuclidean(_scaled_coords(x, p), _scaled_coords(y, p))
-
-
-def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: BlockProbabilities) -> np.ndarray:
-    """Pairwise squared weighted distances between supports."""
-    return _sq_distances(mu.support, nu.support, p)
+    scale = np.sqrt(p.coordinate_inverse())
+    return kernel.cdist_sqeuclidean(mu.support * scale, nu.support * scale)
 
 
 # The two solver calls stay module-level names, which the W2 routes look up
@@ -367,22 +359,6 @@ def distance_to_point_mass(mu: DiscreteMeasure, z: np.ndarray, p: BlockProbabili
     z = np.asarray(z, dtype=float)
     sq = weighted_sq(mu.support - z, p)
     return float(np.sqrt(np.sum(mu.weights * sq)))
-
-
-def distance_to_set_mixture(
-    mu: DiscreteMeasure, points: np.ndarray, p: BlockProbabilities
-) -> float:
-    """Weighted W2 distance from mu to the nearest mixture of point masses.
-
-    Equals sqrt(integral of min_z ||x - z||_p^2): every support atom ships
-    to its closest candidate, which is optimal because target weights are
-    free when minimizing over all mixtures supported on the candidates.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise DimensionMismatch(f"points must be (k, dim), got {points.shape}")
-    d2 = _sq_distances(mu.support, points, p).min(axis=1)
-    return float(np.sqrt(np.sum(mu.weights * d2)))
 
 
 # ---------------------------------------------------------------------------

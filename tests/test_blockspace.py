@@ -43,18 +43,9 @@ def test_block_and_embed_round_trip():
     layout = BlockLayout((2, 2))
     x = np.array([1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(layout.block(x, 1), [3.0, 4.0])
-    y = layout.embed(np.array([9.0, 8.0]), 1, x)
-    np.testing.assert_array_equal(y, [1.0, 2.0, 9.0, 8.0])
-    # embedding copies; the base is untouched
-    np.testing.assert_array_equal(x, [1.0, 2.0, 3.0, 4.0])
-
-
-def test_embed_batch():
-    layout = BlockLayout((1, 2))
-    base = np.arange(6.0).reshape(2, 3)
-    vals = np.array([[10.0, 11.0], [12.0, 13.0]])
-    out = layout.embed(vals, 1, base)
-    np.testing.assert_array_equal(out, [[0, 10, 11], [3, 12, 13]])
+    # block is a view: writing through it replaces block 1 in x
+    layout.block(x, 1)[:] = [9.0, 8.0]
+    np.testing.assert_array_equal(x, [1.0, 2.0, 9.0, 8.0])
 
 
 def test_check_rejects_wrong_trailing_dim():

@@ -387,6 +387,16 @@ def _quadratic(Q):
     return {"id": "quadratic_l1", "params": {"Q": Q, "b": [0.0, 0.0], "l1_weights": [0.1, 0.1]}}
 
 
+def _sets_case(*sets):
+    problem = {"id": "feasibility", "params": {"sets": list(sets)}}
+    return _config_case("run", problem=problem, scheme={"subsets": [[0], [1]], "probs": [0.5, 0.5]},
+                        steps=[0.5, 0.5], run=SMALL_RUN)
+
+
+POINT = {"kind": "point", "point": [0.0, 0.0]}
+NAN, INF = float("nan"), float("inf")
+
+
 SMALL_RUN = {"num_chains": 4, "iterations": 3}
 GOOD_TRAJECTORY = "k,mean_residual,psi_upper,dw_step,d_target\n0,1,1,,1\n1,0.5,0.5,,0.5\n"
 BAD_INPUTS = [
@@ -408,6 +418,37 @@ BAD_INPUTS = [
                   run=SMALL_RUN)),
     ("steps_inf", "config.steps: every step must be finite and positive",
      _config_case("certify", steps=[float("inf"), 0.2])),
+    # a set descriptor is checked when its projection is built
+    ("set_box_lo_above_hi", "problem.params.sets[0]: box lower bound exceeds upper bound",
+     _sets_case({"kind": "box", "lo": [1.0, 0.0], "hi": [0.0, 1.0]}, POINT)),
+    ("set_box_without_hi", "problem.params.sets[1]: box set needs a 'hi' field",
+     _sets_case(POINT, {"kind": "box", "lo": [0.0, 0.0]})),
+    ("set_ball_radius_negative", "problem.params.sets[0]: radius must be finite and nonnegative",
+     _sets_case({"kind": "ball", "center": [0.0, 0.0], "radius": -1}, POINT)),
+    ("set_ball_radius_text", "problem.params.sets[0]: could not convert string to float: 'a'",
+     _sets_case({"kind": "ball", "center": [0.0, 0.0], "radius": "a"}, POINT)),
+    ("set_line_zero_direction", "problem.params.sets[1]: line direction must be finite and nonzero",
+     _sets_case(POINT, {"kind": "line", "point": [0.0, 0.0], "direction": [0.0, 0.0]})),
+    # non-finite numbers: no check may pass or fail on NaN, and no bound may overflow
+    ("fejer_tol_rel_nan", "config.rate.fejer_tol_rel: must be finite, got nan",
+     _config_case("run", rate={"fejer_tol_rel": NAN}, run=SMALL_RUN)),
+    ("fejer_tol_rel_inf", "config.rate.fejer_tol_rel: must be finite, got inf",
+     _config_case("run", rate={"fejer_tol_rel": INF}, run=SMALL_RUN)),
+    ("tail_tol_nan", "config.rate.tail_tol: must be finite and nonnegative",
+     _config_case("run", rate={"tail_tol": NAN}, run=SMALL_RUN)),
+    ("tail_tol_negative", "config.rate.tail_tol: must be finite and nonnegative",
+     _config_case("run", rate={"tail_tol": -1e-3}, run=SMALL_RUN)),
+    ("residual_threshold_nan", "config.certify.residual_threshold: must be finite and nonnegative",
+     _config_case("certify", certify={"property": "paracontraction_in_expectation",
+                                      "residual_threshold": NAN})),
+    ("certify_region_inf", "config.certify.region: region bounds must be finite",
+     _config_case("certify", certify={"property": "aafne_in_expectation",
+                                      "region": {"lo": [-INF, -1.0], "hi": [1.0, 1.0]}})),
+    ("init_box_inf", "config.run.init: region bounds must be finite",
+     _config_case("run", run=dict(SMALL_RUN, init={"kind": "uniform_box", "lo": [-1.0, -1.0],
+                                                   "hi": [INF, 1.0]}))),
+    ("init_x_nan", "config.run.init.x: must be finite",
+     _config_case("run", run=dict(SMALL_RUN, init={"kind": "point", "x": [NAN, 0.0]}))),
     ("transport_probs_nan", "--probs: block probabilities must be finite",
      _file_case("m.csv", GOOD_MEASURE,
                 lambda bad, good: ["transport", bad, good, "--probs", "nan,0.5"])),

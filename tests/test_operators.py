@@ -11,11 +11,8 @@ from blocksplit.operators import (
     coupling_diagonal_indicator,
     coupling_diagonal_sqdist,
     coupling_quadratic,
-    coupling_zero,
-    estimate_submonotonicity,
     gd_step_bound,
     gd_violation_bound,
-    gradient_descent_map,
     h_indicator_ball,
     h_indicator_box,
     h_indicator_point,
@@ -108,7 +105,8 @@ def test_partial_resolvent_defining_equation():
         lam = float(rng.uniform(0.05, 2.0))
         for j in (0, 1):
             y = resolvent_partial_smooth(c, j, x, lam)
-            xmod = c.layout.embed(y, j, x)
+            xmod = x.copy()
+            xmod[c.layout.slice_of(j)] = y
             resid = y + lam * c.layout.block(c.gradient(xmod), j) - c.layout.block(x, j)
             assert np.max(np.abs(resid)) < 1e-12
 
@@ -212,41 +210,6 @@ def test_gd_violation_formula_hypomonotone():
     assert gd_violation_bound(c, np.array([0.3]), 0.5) == pytest.approx(1.62)
 
 
-def test_gradient_descent_map():
-    c = _pair_coupling()
-    x = np.array([1.0, 2.0])
-    # grad = 2(x0+x1) per block = (6, 6)
-    np.testing.assert_allclose(gradient_descent_map(c, np.array([0.1, 0.2]), x), [0.4, 0.8])
-
-
-def test_estimate_submonotonicity_quadratic():
-    # oracle u -> A u with A = diag(-2, 1): the -2 eigendirection forces
-    # <z-w, u-v> = -2 lam ||e||^2 and ||(u+z)-(v+w)||^2 = (1-2 lam)^2 ||e||^2,
-    # so tau_hat = 4 lam / (1-2 lam)^2 = 4 at lam = 1/2... the formula
-    # divides by lam implicitly through z = lam * oracle; at lam = 1/2,
-    # tau_hat = 2 * (2 * 0.5) / (1 - 2*0.5)^2 -> denominator 0: pick lam = 1/4.
-    A = np.diag([-2.0, 1.0])
-    pairs = np.stack([
-        np.stack([np.array([1.0, 0.0]), np.array([0.0, 0.0])]),
-        np.stack([np.array([0.0, 1.0]), np.array([0.0, 0.0])]),
-    ])
-    lam = 0.25
-    tau_hat = estimate_submonotonicity(lambda u: u @ A.T, pairs, lam)
-    # -2(tau/2)(1 - 2 lam)^2 = -2 lam * 2 => tau = 4 lam / (1 - 2 lam)^2 = 4
-    assert tau_hat == pytest.approx(4.0)
-
-
-def test_estimate_submonotonicity_monotone_is_zero():
-    pairs = np.random.default_rng(0).normal(size=(50, 2, 3))
-    assert estimate_submonotonicity(lambda u: 2.0 * u, pairs, 0.3) == 0.0
-
-
-def test_estimate_submonotonicity_degenerate_is_inf():
-    # oracle u -> -u/lam makes u + z identically 0 while <z-w, u-v> < 0
-    pairs = np.stack([np.stack([np.array([1.0]), np.array([0.0])])])
-    assert estimate_submonotonicity(lambda u: -2.0 * u, pairs, 0.5) == np.inf
-
-
 # ---------------------------------------------------------------------------
 # Coupling gallery.
 # ---------------------------------------------------------------------------
@@ -259,7 +222,6 @@ def test_coupling_quadratic_gradient_and_value():
     c = coupling_quadratic(layout, Q, b)
     x = np.array([1.0, 2.0])
     np.testing.assert_allclose(c.gradient(x), Q @ x + b)
-    assert c.value(x) == pytest.approx(0.5 * x @ Q @ x + b @ x)
 
 
 def test_coupling_quadratic_dense_uses_global_norm():
@@ -296,7 +258,8 @@ def test_coupling_quadratic_nonconvex_constants():
 
 def test_coupling_zero():
     layout = BlockLayout((2, 1))
-    c = coupling_zero(layout)
+    c = SmoothCoupling(layout=layout, gradient=lambda x: np.zeros_like(x),
+                       lipschitz=np.zeros(2), hypomono=np.zeros(2), convex=True)
     x = np.array([1.0, 2.0, 3.0])
     np.testing.assert_array_equal(c.gradient(x), np.zeros(3))
     assert gd_step_bound(c, 0.5).per_block == (np.inf, np.inf)
@@ -308,7 +271,6 @@ def test_coupling_diagonal_sqdist_gradient():
     x = np.array([1.0, 0.0, 3.0, 0.0, 5.0, 0.0])
     # means are (3, 0); grad_j = x_j - mean
     np.testing.assert_allclose(c.gradient(x), [-2, 0, 0, 0, 2, 0])
-    assert c.value(x) == pytest.approx(0.5 * (4 + 0 + 4))
 
 
 def test_coupling_diagonal_sqdist_partial_resolvent():

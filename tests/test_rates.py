@@ -9,13 +9,11 @@ from blocksplit.errors import (
     OutOfDomain,
 )
 from blocksplit.rates import (
-    GaugeSpec,
     check_asymptotic_regularity,
     check_fejer,
     check_gauge_monotone,
     fit_linear_rate,
     invert_id_minus_theta,
-    linear_tail_sum,
     theta_iterates,
     theta_linear,
 )
@@ -57,39 +55,10 @@ def test_invert_id_minus_theta_linear():
         invert_id_minus_theta(g, -0.1)
 
 
-def test_invert_id_minus_theta_tabulated():
-    grid_t = np.linspace(0.0, 2.0, 41)
-    g = GaugeSpec(kind="tabulated", grid_t=grid_t, grid_theta=0.5 * grid_t)
-    t = 1.2
-    s = t - 0.5 * t
-    assert invert_id_minus_theta(g, s) == pytest.approx(t, abs=1e-9)
-    with pytest.raises(OutOfDomain):
-        invert_id_minus_theta(g, 1.5)  # beyond t_bar - theta(t_bar) = 1.0
-
-
-def test_tabulated_gauge_validation():
-    t = np.linspace(0.0, 1.0, 11)
-    GaugeSpec(kind="tabulated", grid_t=t, grid_theta=0.3 * t)
-    with pytest.raises(InadmissibleGauge):
-        GaugeSpec(kind="tabulated", grid_t=t, grid_theta=1.2 * t)  # theta >= t
-    with pytest.raises(InadmissibleGauge):
-        GaugeSpec(kind="tabulated", grid_t=t + 0.1, grid_theta=0.3 * t)  # t[0] != 0
-
-
 def test_theta_iterates_geometric():
     g = theta_linear(2.0, 2.0, 0.0)
     seq = theta_iterates(g, 1.0, 5)
     np.testing.assert_allclose(seq, g.factor ** np.arange(5), atol=1e-15)
-
-
-def test_linear_tail_sum_closed_form():
-    g = theta_linear(2.0, 2.0, 0.0)
-    tail = linear_tail_sum(g, 1.0, start=3)
-    # geometric tail: f^3 / (1 - f)
-    assert tail == pytest.approx(g.factor**3 / (1 - g.factor))
-    # agrees with a long partial sum
-    approx = sum(g.factor**j for j in range(3, 400))
-    assert tail == pytest.approx(approx, abs=1e-12)
 
 
 def test_check_fejer():
@@ -117,13 +86,6 @@ def test_check_gauge_monotone_detects_slower_decay():
     res = check_gauge_monotone(slower, g)
     assert not res.passed
     assert res.first_violation == 0
-
-
-def test_check_gauge_monotone_domain_guard():
-    t = np.linspace(0.0, 1.0, 11)
-    g = GaugeSpec(kind="tabulated", grid_t=t, grid_theta=0.5 * t)
-    with pytest.raises(OutOfDomain):
-        check_gauge_monotone(np.array([2.0, 1.0]), g)
 
 
 def test_asymptotic_regularity_summable_steps():

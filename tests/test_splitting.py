@@ -31,7 +31,6 @@ from blocksplit.splitting import (
     expectation_constants,
     expected_weighted_terms,
     transport_discrepancy,
-    transport_discrepancy_six_term,
     weighted_transport_discrepancy,
 )
 
@@ -201,7 +200,9 @@ def _dr_reference(m, x):
         sl, t = m.layout.slice_of(j), m.steps[j]
         xj = x[..., sl]
         yj = reflector(m.term.blocks[j].prox(xj, float(t)), xj)
-        u = resolvent_partial_smooth(m.coupling, j, m.layout.embed(yj, j, x), t)
+        x_yj = np.array(x, copy=True)
+        x_yj[..., sl] = yj
+        u = resolvent_partial_smooth(m.coupling, j, x_yj, t)
         out[..., sl] = 0.5 * (reflector(u, yj) + xj)
     return out
 
@@ -340,6 +341,15 @@ def test_ball_and_box_plan_splits_on_dim():
 # ---------------------------------------------------------------------------
 # Transport discrepancy: definition vs six-term expansion.
 # ---------------------------------------------------------------------------
+
+
+def transport_discrepancy_six_term(x, y, Tx, Ty):
+    """||Tx-x||^2 + ||Ty-y||^2 + ||Tx-Ty||^2 + ||x-y||^2 - ||Tx-y||^2 - ||x-Ty||^2."""
+
+    def sq(a):
+        return np.sum(a * a, axis=-1)
+
+    return sq(Tx - x) + sq(Ty - y) + sq(Tx - Ty) + sq(x - y) - sq(Tx - y) - sq(x - Ty)
 
 
 def test_transport_discrepancy_hand_value():

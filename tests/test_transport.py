@@ -20,7 +20,6 @@ from blocksplit.transport import (
     DiscreteMeasure,
     cost_matrix,
     distance_to_point_mass,
-    distance_to_set_mixture,
     read_measure,
     wasserstein2_weighted,
     write_measure,
@@ -645,14 +644,6 @@ def test_distance_to_point_mass_matches_general_solver():
     nu = DiscreteMeasure(z[None, :], np.array([1.0]), layout)
     lp, _ = wasserstein2_weighted(mu, nu, p)
     assert closed == pytest.approx(lp, abs=1e-10)
-
-
-def test_distance_to_set_mixture_picks_nearest():
-    layout, p = _unit_p(1, dims=(1,))
-    mu = DiscreteMeasure(np.array([[0.0], [10.0]]), np.array([0.5, 0.5]), layout)
-    points = np.array([[0.0], [9.0]])
-    # each atom ships to its nearest candidate: sqrt(0.5 * 0 + 0.5 * 1)
-    assert distance_to_set_mixture(mu, points, p) == pytest.approx(np.sqrt(0.5))
 
 
 def test_measure_file_round_trip(tmp_path):
