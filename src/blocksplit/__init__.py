@@ -40,7 +40,7 @@ _EXPORTS = {
         "resolvent_separable",
     ),
     "problems": (
-        "PROBLEM_GALLERY", "ConvexSet", "ProblemSpec", "counterexample2d",
+        "ConvexSet", "ProblemSpec", "counterexample2d",
         "deterministic_reference", "feasibility", "make_set", "quadratic_l1",
     ),
     "rates": (

@@ -275,6 +275,3 @@ class Region:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -26,20 +25,11 @@ if TYPE_CHECKING:
     from .config import ExperimentConfig
 
 
-def _finite_or_null(v):
-    """A copy of a JSON-able value with NaN and infinities replaced by None."""
-    if isinstance(v, float):
-        return v if math.isfinite(v) else None
-    if isinstance(v, dict):
-        return {k: _finite_or_null(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_finite_or_null(x) for x in v]
-    return v
-
-
 def _write_report(path: Path, doc: dict) -> None:
-    """Write strict JSON: NaN and infinities become null; finite floats round-trip exactly."""
-    text = json.dumps(_finite_or_null(doc), indent=2, allow_nan=False)
+    """Write ``doc`` as strict JSON through ``json_ready``; finite floats round-trip exactly."""
+    from .config import json_ready
+
+    text = json.dumps(json_ready(doc), indent=2, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -118,7 +108,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     try:
         verdicts = check_trajectory(traj, rate_cfg.column,
                                     str(traj_path), rate_cfg.fejer_tol_rel, rate_cfg.tail_tol,
-                                    rate_cfg.gauge).to_dict()
+                                    rate_cfg.gauge)
     except ConfigError:
         verdicts = None
 
@@ -174,7 +164,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
             f"dimension {problem.layout.total_dim}"
         )
 
-    if c.property_name == "pointwise_aafne":
+    if c.property == "pointwise_aafne":
         if c.target["kind"] == "subset":
             idx = c.target["index"]
             T = lambda x: apply_T(m, idx, x)
@@ -184,12 +174,12 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
             T, region, c.alpha, c.violation, c.num_pairs, cfg.seed,
             tolerance=c.tolerance, adversarial=c.adversarial,
         )
-    elif c.property_name == "aafne_in_expectation":
+    elif c.property == "aafne_in_expectation":
         report = certify_aafne_in_expectation(
             m, region, c.alpha, c.violation, c.num_pairs, cfg.seed,
             tolerance=c.tolerance, adversarial=c.adversarial,
         )
-    elif c.property_name == "paracontraction_in_expectation":
+    elif c.property == "paracontraction_in_expectation":
         if problem.fixed_points is None:
             raise ConfigError(
                 "config.certify.property: paracontraction needs a problem with declared fixed points"
@@ -201,11 +191,11 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
     else:
         report = verify_expectation_identities(m, region, c.num_pairs, cfg.seed, tolerance=c.tolerance)
 
-    doc = {"config": cfg.resolved(), "seed": cfg.seed, "report": report.to_dict()}
+    doc = {"config": cfg.resolved(), "seed": cfg.seed, "report": report}
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "certify_report.json", doc)
     status = "PASS" if report.passed else "FAIL"
-    print(f"{status} {report.property_name}: margin={report.margin:.6e} "
+    print(f"{status} {report.property}: margin={report.margin:.6e} "
           f"tol={report.tolerance:.1e} samples={report.num_samples}")
     return 0 if report.passed else 1
 
@@ -226,7 +216,7 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     cols = _read_input(read_trajectory_csv, args.trajectory)
     report = check_trajectory(cols, args.column or rate_cfg.column, str(args.trajectory),
                               rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, gauge)
-    doc = {"config": None if cfg is None else cfg.resolved(), "report": report.to_dict()}
+    doc = {"config": None if cfg is None else cfg.resolved(), "report": report}
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "rate_report.json", doc)
 

@@ -1,20 +1,22 @@
 """Experiment configuration: versioned JSON in, validated objects out.
 
 Every command takes one JSON document.  Validation errors name the faulty
-field; unknown problem ids or malformed sections never reach the solvers.
-Block indices in subsets are 0-based.
+field; unknown fields, unknown problem ids or malformed sections never
+reach the solvers.  Block indices in subsets are 0-based.  ``json_ready``
+is the way back out: every report and resolved config is written through it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .blockspace import BlockSubsetScheme, Region
-from .errors import ConfigError, InadmissibleGauge
+from .errors import ConfigError, DimensionMismatch, InadmissibleGauge, NotPSD
 
 if TYPE_CHECKING:
     from .problems import ProblemSpec
@@ -27,6 +29,61 @@ CERTIFY_PROPERTIES = (
     "paracontraction_in_expectation",
     "expectation_identities",
 )
+
+
+# The fields a config's top level takes.  The scheme, each section and a
+# region take their dataclass's init fields, and each tagged object the
+# fields of its kind.
+TOP_FIELDS = ("schema_version", "problem", "flavor", "scheme", "steps", "seed", "output_dir",
+              "run", "certify", "rate")
+RUN_INIT_FIELDS = {"region": (), "point": ("x",), "uniform_box": ("lo", "hi")}
+TARGET_FIELDS = {"full": (), "subset": ("index",)}
+GAUGE_FIELDS = {"linear": ("kappa", "tau", "epsilon")}
+# every set field is a vector of coordinates, except a ball's radius
+SET_FIELDS = {"point": ("point",), "box": ("lo", "hi"), "ball": ("center", "radius"),
+              "line": ("point", "direction")}
+
+
+def json_ready(value):
+    """A strict-JSON copy of ``value``, the one conversion of every report and config.
+
+    A dataclass becomes the dict of its init fields in declaration order, an
+    array or numpy scalar its ``tolist()``, and NaN and infinities None.
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: json_ready(getattr(value, f.name)) for f in fields(value) if f.init}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return json_ready(value.tolist())
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_ready(v) for v in value]
+    return value
+
+
+def _init_fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.init)
+
+
+def _object(v, where: str, allowed) -> dict:
+    """``v`` as an object with no field outside ``allowed``, so a misspelt field is no silent default."""
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where}: expected an object, got {v!r}")
+    for key in v:
+        if key not in allowed:
+            raise ConfigError(f"{where}.{key}: unknown field; expected one of {', '.join(allowed)}")
+    return v
+
+
+def _kind(v, where: str, kinds: dict) -> str:
+    """The kind of a tagged object, whose other fields must be those of its kind."""
+    kind = v.get("kind") if isinstance(v, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{where}: expected an object with 'kind' one of {', '.join(kinds)}, got {v!r}")
+    _object(v, where, ("kind", *kinds[kind]))
+    return kind
 
 
 def _require(d: dict, key: str, where: str) -> Any:
@@ -69,6 +126,19 @@ def _as_vector(v, where: str) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
+def _as_finite_vector(v, where: str) -> np.ndarray:
+    x = _as_vector(v, where)
+    if not np.isfinite(x).all():
+        raise ConfigError(f"{where}: must be finite, got {x.tolist()}")
+    return x
+
+
+def _as_indices(v, where: str, minimum: int) -> tuple[int, ...]:
+    if not isinstance(v, list):
+        raise ConfigError(f"{where}: expected a list of integers, got {v!r}")
+    return tuple(_as_int(x, f"{where}[{i}]", minimum) for i, x in enumerate(v))
+
+
 @dataclass
 class RunSection:
     num_chains: int
@@ -81,7 +151,7 @@ class RunSection:
 
 @dataclass
 class CertifySection:
-    property_name: str
+    property: str
     target: dict = field(default_factory=lambda: {"kind": "full"})
     alpha: float = 0.5
     violation: float = 0.0
@@ -120,64 +190,61 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Plain-JSON view of the config with defaults applied (for reports)."""
-        out: dict[str, Any] = {
+        doc = {
             "schema_version": SCHEMA_VERSION,
             "problem": {"id": self.problem_id, "params": self.problem_params},
             "flavor": self.flavor,
-            "scheme": {
-                "subsets": [list(s) for s in self.scheme.subsets],
-                "probs": list(self.scheme.probs),
-            },
-            "steps": None if self.steps is None else [float(t) for t in self.steps],
+            "scheme": self.scheme,
+            "steps": self.steps,
             "seed": self.seed,
             "output_dir": self.output_dir,
         }
-        if self.run is not None:
-            out["run"] = asdict(self.run)
-        if self.certify is not None:
-            c = self.certify
-            out["certify"] = {
-                "property": c.property_name,
-                "target": c.target,
-                "alpha": c.alpha,
-                "violation": c.violation,
-                "num_pairs": c.num_pairs,
-                "region": None if c.region is None else {"lo": c.region.lo.tolist(), "hi": c.region.hi.tolist()},
-                "tolerance": c.tolerance,
-                "adversarial": c.adversarial,
-                "residual_threshold": c.residual_threshold,
-            }
-        if self.rate is not None:
-            out["rate"] = asdict(self.rate)
-        return out
+        for name in ("run", "certify", "rate"):
+            if getattr(self, name) is not None:
+                doc[name] = getattr(self, name)
+        return json_ready(doc)
 
 
 def _counterexample2d(params: dict) -> ProblemSpec:
     from .problems import counterexample2d
 
-    t = _as_float(params.get("t", 0.25), "problem.params.t")
+    _object(params, "problem.params", ("t",))
+    t = _as_finite(params.get("t", 0.25), "problem.params.t")
     try:
         return counterexample2d(t)
     except ValueError as e:
         raise ConfigError(f"problem.params.t: {e}") from e
 
 
+def _set_kind(s, where: str) -> str:
+    """The kind of a set descriptor whose vectors are finite and of one length.
+
+    The kind's own checks, and a missing field, come with its projection.
+    """
+    kind = _kind(s, where, SET_FIELDS)
+    vectors = {key: _as_finite_vector(s[key], f"{where}.{key}")
+               for key in SET_FIELDS[kind] if key != "radius" and key in s}
+    if len({len(v) for v in vectors.values()}) > 1:
+        lengths = " and ".join(str(len(v)) for v in vectors.values())
+        raise ConfigError(f"{where}: {' and '.join(vectors)} must have equal lengths, got {lengths}")
+    return kind
+
+
 def _feasibility(params: dict) -> ProblemSpec:
     from .problems import feasibility, make_set
 
+    _object(params, "problem.params", ("sets", "coupling"))
     raw_sets = _require(params, "sets", "problem.params")
     if not isinstance(raw_sets, list) or len(raw_sets) < 2:
         raise ConfigError("problem.params.sets: expected a list of at least two set descriptors")
     sets = []
     for idx, s in enumerate(raw_sets):
-        if not isinstance(s, dict) or "kind" not in s:
-            raise ConfigError(f"problem.params.sets[{idx}]: expected an object with a 'kind'")
-        kind = s["kind"]
-        rest = {k: v for k, v in s.items() if k != "kind"}
+        where = f"problem.params.sets[{idx}]"
+        kind = _set_kind(s, where)
         try:
-            sets.append(make_set(kind, **rest))
+            sets.append(make_set(kind, **{k: v for k, v in s.items() if k != "kind"}))
         except Exception as e:
-            raise ConfigError(f"problem.params.sets[{idx}]: {e}") from e
+            raise ConfigError(f"{where}: {e}") from e
     coupling = params.get("coupling", "sqdist")
     if coupling not in ("sqdist", "indicator"):
         raise ConfigError(
@@ -189,22 +256,25 @@ def _feasibility(params: dict) -> ProblemSpec:
 def _quadratic_l1(params: dict) -> ProblemSpec:
     from .problems import quadratic_l1
 
+    _object(params, "problem.params", ("Q", "b", "l1_weights", "block_dims"))
     try:
         Q = np.asarray(_require(params, "Q", "problem.params"), dtype=float)
     except ValueError as e:
         raise ConfigError(f"problem.params.Q: {e}") from e
-    b = _as_vector(_require(params, "b", "problem.params"), "problem.params.b")
-    w = _as_vector(_require(params, "l1_weights", "problem.params"), "problem.params.l1_weights")
+    if not np.isfinite(Q).all():
+        raise ConfigError("problem.params.Q: must be finite")
+    b = _as_finite_vector(_require(params, "b", "problem.params"), "problem.params.b")
+    w = _as_finite_vector(_require(params, "l1_weights", "problem.params"), "problem.params.l1_weights")
     bd = params.get("block_dims")
+    bd = None if bd is None else _as_indices(bd, "problem.params.block_dims", 1)
     try:
-        return quadratic_l1(Q, b, w, None if bd is None else tuple(int(x) for x in bd))
-    except ValueError as e:
+        return quadratic_l1(Q, b, w, bd)
+    except (ValueError, DimensionMismatch, NotPSD) as e:
         raise ConfigError(f"problem.params: {e}") from e
 
 
-# The problem ids a config may name (those of problems.PROBLEM_GALLERY),
-# each with the builder that validates its params; the problems module is
-# loaded only when a problem is built.
+# The problem ids a config may name, each with the builder that validates
+# its params; the problems module is loaded only when a problem is built.
 PROBLEM_BUILDERS = {
     "counterexample2d": _counterexample2d,
     "feasibility": _feasibility,
@@ -230,16 +300,13 @@ def _parse_region(d: dict, where: str) -> Region:
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config: expected a JSON object at top level")
+    _object(doc, "config", TOP_FIELDS)
     version = _as_int(_require(doc, "schema_version", "config"), "config.schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"config.schema_version: this build reads version {SCHEMA_VERSION}, got {version}"
         )
-    prob = _require(doc, "problem", "config")
-    if not isinstance(prob, dict):
-        raise ConfigError("config.problem: expected an object")
+    prob = _object(_require(doc, "problem", "config"), "config.problem", ("id", "params"))
     problem_id = _require(prob, "id", "config.problem")
     if problem_id not in PROBLEM_BUILDERS:
         raise ConfigError(
@@ -254,16 +321,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if flavor not in ("fb", "dr"):
         raise ConfigError(f"config.flavor: expected 'fb' or 'dr', got {flavor!r}")
 
-    raw_scheme = _require(doc, "scheme", "config")
-    if not isinstance(raw_scheme, dict):
-        raise ConfigError("config.scheme: expected an object with subsets and probs")
+    raw_scheme = _object(_require(doc, "scheme", "config"), "config.scheme",
+                         _init_fields(BlockSubsetScheme))
     subsets = _require(raw_scheme, "subsets", "config.scheme")
-    probs = _require(raw_scheme, "probs", "config.scheme")
+    if not isinstance(subsets, list):
+        raise ConfigError(f"config.scheme.subsets: expected a list of block-index lists, got {subsets!r}")
+    subsets = tuple(_as_indices(s, f"config.scheme.subsets[{i}]", 0) for i, s in enumerate(subsets))
+    probs = _as_vector(_require(raw_scheme, "probs", "config.scheme"), "config.scheme.probs")
     try:
-        scheme = BlockSubsetScheme(
-            tuple(tuple(int(j) for j in s) for s in subsets),
-            tuple(float(q) for q in probs),
-        )
+        scheme = BlockSubsetScheme(subsets, tuple(probs.tolist()))
     except Exception as e:
         raise ConfigError(f"config.scheme: {e}") from e
 
@@ -279,21 +345,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     run_sec = None
     if "run" in doc:
-        r = doc["run"]
-        if not isinstance(r, dict):
-            raise ConfigError("config.run: expected an object")
+        r = _object(doc["run"], "config.run", _init_fields(RunSection))
         init = r.get("init", {"kind": "region"})
-        if not isinstance(init, dict) or "kind" not in init:
-            raise ConfigError("config.run.init: expected an object with a 'kind'")
-        if init["kind"] not in ("region", "point", "uniform_box"):
-            raise ConfigError(
-                f"config.run.init.kind: expected region, point, or uniform_box, got {init['kind']!r}"
-            )
-        if init["kind"] == "point":
-            x = _as_vector(_require(init, "x", "config.run.init"), "config.run.init.x")
-            if not np.isfinite(x).all():
-                raise ConfigError(f"config.run.init.x: must be finite, got {x.tolist()}")
-        elif init["kind"] == "uniform_box":
+        kind = _kind(init, "config.run.init", RUN_INIT_FIELDS)
+        if kind == "point":
+            _as_finite_vector(_require(init, "x", "config.run.init"), "config.run.init.x")
+        elif kind == "uniform_box":
             _parse_region(init, "config.run.init")
         run_sec = RunSection(
             num_chains=_as_int(_require(r, "num_chains", "config.run"), "config.run.num_chains", 1),
@@ -306,18 +363,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     certify_sec = None
     if "certify" in doc:
-        c = doc["certify"]
-        if not isinstance(c, dict):
-            raise ConfigError("config.certify: expected an object")
+        c = _object(doc["certify"], "config.certify", _init_fields(CertifySection))
         prop = _require(c, "property", "config.certify")
         if prop not in CERTIFY_PROPERTIES:
             raise ConfigError(
                 f"config.certify.property: expected one of {CERTIFY_PROPERTIES}, got {prop!r}"
             )
         target = c.get("target", {"kind": "full"})
-        if not isinstance(target, dict) or target.get("kind") not in ("full", "subset"):
-            raise ConfigError("config.certify.target: expected kind 'full' or 'subset'")
-        if target["kind"] == "subset":
+        if _kind(target, "config.certify.target", TARGET_FIELDS) == "subset":
             idx = _as_int(_require(target, "index", "config.certify.target"), "config.certify.target.index", 0)
             if idx >= scheme.num_outcomes:
                 raise ConfigError(f"config.certify.target.index: {idx} out of range for "
@@ -325,13 +378,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
         alpha = _as_float(c.get("alpha", 0.5), "config.certify.alpha")
         if not 0 < alpha < 1:
             raise ConfigError(f"config.certify.alpha: must lie in (0, 1), got {alpha}")
+        region = c.get("region")
+        if region is not None:
+            region = _parse_region(_object(region, "config.certify.region", _init_fields(Region)),
+                                   "config.certify.region")
         certify_sec = CertifySection(
-            property_name=prop,
+            property=prop,
             target=target,
             alpha=alpha,
             violation=_as_finite(c.get("violation", 0.0), "config.certify.violation", True),
             num_pairs=_as_int(c.get("num_pairs", 10_000), "config.certify.num_pairs", 1),
-            region=None if "region" not in c else _parse_region(c["region"], "config.certify.region"),
+            region=region,
             tolerance=_as_finite(c.get("tolerance", 1e-10), "config.certify.tolerance"),
             adversarial=_as_bool(c.get("adversarial", True), "config.certify.adversarial"),
             residual_threshold=_as_finite(c.get("residual_threshold", 1e-8),
@@ -340,13 +397,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     rate_sec = None
     if "rate" in doc:
-        r = doc["rate"]
-        if not isinstance(r, dict):
-            raise ConfigError("config.rate: expected an object")
+        r = _object(doc["rate"], "config.rate", _init_fields(RateSection))
         gauge = r.get("gauge")
         if gauge is not None:
-            if not isinstance(gauge, dict) or gauge.get("kind") != "linear":
-                raise ConfigError("config.rate.gauge: only {'kind': 'linear', kappa, tau, epsilon} supported")
+            _kind(gauge, "config.rate.gauge", GAUGE_FIELDS)
             kappa, tau = (_as_float(_require(gauge, key, "config.rate.gauge"), f"config.rate.gauge.{key}")
                           for key in ("kappa", "tau"))
             epsilon = gauge.get("epsilon")

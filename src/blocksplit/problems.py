@@ -418,10 +418,3 @@ def _support_reference(m: SplittingMap, Q: np.ndarray, b: np.ndarray, w: np.ndar
             if _settled(z_next, z):
                 return _settled_point(m, z, z_next)
     return x
-
-
-PROBLEM_GALLERY = {
-    "counterexample2d": counterexample2d,
-    "feasibility": feasibility,
-    "quadratic_l1": quadratic_l1,
-}

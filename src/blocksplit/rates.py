@@ -98,13 +98,6 @@ class CheckResult:
     first_violation: int | None
     worst_excess: float
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "first_violation": self.first_violation,
-            "worst_excess": self.worst_excess,
-        }
-
 
 def check_fejer(distances: np.ndarray, tol_rel: float = 1e-3, tol_abs: float = 0.0) -> CheckResult:
     """Monotone nonincrease up to tolerance: d_{k+1} <= d_k (1 + tol_rel) + tol_abs."""
@@ -146,13 +139,6 @@ class AsymptoticRegularityResult:
     passed: bool
     tail_mean: float
     fitted_exponent: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "tail_mean": self.tail_mean,
-            "fitted_exponent": self.fitted_exponent,
-        }
 
 
 def check_asymptotic_regularity(
@@ -199,9 +185,6 @@ class RateFit:
     log_intercept: float
     num_used: int
 
-    def to_dict(self) -> dict:
-        return {"c_hat": self.c_hat, "log_intercept": self.log_intercept, "num_used": self.num_used}
-
 
 def fit_linear_rate(distances: np.ndarray) -> RateFit:
     """Fit log d_k against k; requires at least five positive entries."""
@@ -228,15 +211,6 @@ class RateReport:
     asymptotic: AsymptoticRegularityResult | None = None
     fit: RateFit | None = None
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "fejer": None if self.fejer is None else self.fejer.to_dict(),
-            "gauge": None if self.gauge is None else self.gauge.to_dict(),
-            "asymptotic": None if self.asymptotic is None else self.asymptotic.to_dict(),
-            "fit": None if self.fit is None else self.fit.to_dict(),
-            "details": self.details,
-        }
 
 
 def check_trajectory(

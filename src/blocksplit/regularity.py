@@ -36,7 +36,7 @@ from .splitting import (
 class CertificationReport:
     """Outcome of one certification sweep."""
 
-    property_name: str
+    property: str
     alpha: float | None
     violation: float | None
     num_samples: int
@@ -46,20 +46,6 @@ class CertificationReport:
     witness_x: np.ndarray | None = None
     witness_y: np.ndarray | None = None
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "property": self.property_name,
-            "alpha": self.alpha,
-            "violation": self.violation,
-            "num_samples": self.num_samples,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "passed": bool(self.passed),
-            "witness_x": None if self.witness_x is None else [float(v) for v in self.witness_x],
-            "witness_y": None if self.witness_y is None else [float(v) for v in self.witness_y],
-            "details": self.details,
-        }
 
 
 def _coordinate_refine(
@@ -122,7 +108,7 @@ def _certify_pairs(name, margin_batch, spawn_key, region, alpha, violation, num_
         wx, wy, wm = _coordinate_refine(margin_one, wx, wy, region, steps=refine_steps)
 
     return CertificationReport(
-        property_name=name,
+        property=name,
         alpha=alpha,
         violation=violation,
         num_samples=num_pairs,
@@ -244,7 +230,7 @@ def certify_paracontraction_in_expectation(
 
     passed = num_eligible > 0 and worst_margin < 0.0
     return CertificationReport(
-        property_name="paracontraction_in_expectation",
+        property="paracontraction_in_expectation",
         alpha=None,
         violation=None,
         num_samples=num_samples,
@@ -290,7 +276,7 @@ def verify_expectation_identities(
     dev = float(max(np.max(np.abs(lhs1 - rhs1)), np.max(np.abs(lhs2 - rhs2))))
     worst = int(np.argmax(np.maximum(np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2))))
     return CertificationReport(
-        property_name="expectation_identities",
+        property="expectation_identities",
         alpha=None,
         violation=None,
         num_samples=num_pairs,

@@ -383,8 +383,9 @@ def _file_case(name, body, argv):
     return build
 
 
-def _quadratic(Q):
-    return {"id": "quadratic_l1", "params": {"Q": Q, "b": [0.0, 0.0], "l1_weights": [0.1, 0.1]}}
+def _quadratic(Q, **params):
+    return {"id": "quadratic_l1",
+            "params": {"Q": Q, "b": [0.0, 0.0], "l1_weights": [0.1, 0.1], **params}}
 
 
 def _sets_case(*sets):
@@ -536,6 +537,55 @@ BAD_INPUTS = [
      _file_case("traj.csv", GOOD_TRAJECTORY,
                 lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "2",
                                     "--out", traj + ".out"])),
+    # a misspelt field is refused, never replaced by its default
+    ("unknown_certify_field", "config.certify.violaton: unknown field",
+     _config_case("certify", certify={"property": "aafne_in_expectation", "violaton": 5.0})),
+    ("unknown_top_level_field", "config.step: unknown field",
+     _config_case("run", step=[0.1, 0.1], run=SMALL_RUN)),
+    ("unknown_run_field", "config.run.snapshot_evry: unknown field",
+     _config_case("run", run=dict(SMALL_RUN, snapshot_evry=1))),
+    ("unknown_problem_param", "problem.params.block_dim: unknown field",
+     _config_case("run", problem=_quadratic([[1.0, 0.0], [0.0, 1.0]], block_dim=[1, 1]),
+                  run=SMALL_RUN)),
+    ("unknown_gauge_field", "config.rate.gauge.epsilonn: unknown field",
+     _config_case("run", rate={"gauge": {"kind": "linear", "kappa": 5.0, "tau": 1.0,
+                                         "epsilonn": 0.5}}, run=SMALL_RUN)),
+    ("unknown_scheme_field", "config.scheme.prob: unknown field",
+     _config_case("run", scheme={"subsets": [[0], [1]], "probs": [0.5, 0.5], "prob": [1.0, 0.0]},
+                  run=SMALL_RUN)),
+    ("unknown_init_field", "config.run.init.lo: unknown field",
+     _config_case("run", run=dict(SMALL_RUN, init={"kind": "point", "x": [0.0, 0.0],
+                                                   "lo": [1.0, 1.0]}))),
+    ("unknown_set_field", "problem.params.sets[0].radius: unknown field",
+     _sets_case(dict(POINT, radius=1.0), POINT)),
+    # a non-finite problem parameter is refused before any solve
+    ("b_nan", "problem.params.b: must be finite",
+     _config_case("run", problem=_quadratic([[1.0, 0.0], [0.0, 1.0]], b=[NAN, 0.0]), run=SMALL_RUN)),
+    ("l1_weights_nan", "problem.params.l1_weights: must be finite",
+     _config_case("run", problem=_quadratic([[1.0, 0.0], [0.0, 1.0]], l1_weights=[0.1, NAN]),
+                  run=SMALL_RUN)),
+    ("Q_nan", "problem.params.Q: must be finite",
+     _config_case("run", problem=_quadratic([[1.0, NAN], [NAN, 1.0]]), run=SMALL_RUN)),
+    ("t_nan", "problem.params.t: must be finite",
+     _config_case("run", problem={"id": "counterexample2d", "params": {"t": NAN}}, run=SMALL_RUN)),
+    ("t_inf", "problem.params.t: must be finite",
+     _config_case("run", problem={"id": "counterexample2d", "params": {"t": INF}}, run=SMALL_RUN)),
+    ("set_point_nan", "problem.params.sets[1].point: must be finite",
+     _sets_case(POINT, {"kind": "point", "point": [NAN, 0.0]})),
+    ("set_center_nan", "problem.params.sets[0].center: must be finite",
+     _sets_case({"kind": "ball", "center": [0.0, NAN], "radius": 1.0}, POINT)),
+    # integers are integers, and a set's vectors have one length
+    ("subsets_float", "config.scheme.subsets[0][0]: expected an integer, got 0.7",
+     _config_case("run", scheme={"subsets": [[0.7], [1.2]], "probs": [0.5, 0.5]}, run=SMALL_RUN)),
+    ("subsets_bool", "config.scheme.subsets[0][0]: expected an integer, got False",
+     _config_case("run", scheme={"subsets": [[False], [True]], "probs": [0.5, 0.5]}, run=SMALL_RUN)),
+    ("block_dims_float", "problem.params.block_dims[0]: expected an integer, got 1.5",
+     _config_case("run", problem=_quadratic([[1.0, 0.0], [0.0, 1.0]], block_dims=[1.5, 0.5]),
+                  run=SMALL_RUN)),
+    ("set_line_lengths", "problem.params.sets[1]: point and direction must have equal lengths",
+     _sets_case(POINT, {"kind": "line", "point": [0.0, 0.0], "direction": [1.0]})),
+    ("set_box_lengths", "problem.params.sets[0]: lo and hi must have equal lengths",
+     _sets_case({"kind": "box", "lo": [0.0, 0.0], "hi": [1.0]}, POINT)),
     # a block that is never selected, on a problem without a target
     ("run_uncovered_block", "blocks [1] have zero selection probability",
      _config_case("run", problem={"id": "feasibility", "params": {"sets": [

@@ -119,10 +119,3 @@ def test_every_public_name_resolves_and_is_listed():
         assert getattr(blocksplit, name) is not None
     with pytest.raises(AttributeError, match="no_such_name"):
         blocksplit.no_such_name
-
-
-def test_config_knows_the_gallery_problem_ids():
-    from blocksplit.config import PROBLEM_BUILDERS
-    from blocksplit.problems import PROBLEM_GALLERY
-
-    assert set(PROBLEM_BUILDERS) == set(PROBLEM_GALLERY)

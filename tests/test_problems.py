@@ -8,7 +8,6 @@ from blocksplit import problems
 from blocksplit.blockspace import BlockSubsetScheme
 from blocksplit.errors import DimensionMismatch, NotPSD, UnsupportedSet
 from blocksplit.problems import (
-    PROBLEM_GALLERY,
     ConvexSet,
     counterexample2d,
     deterministic_reference,
@@ -19,10 +18,6 @@ from blocksplit.problems import (
 from blocksplit.splitting import apply_T, apply_full
 
 SINGLETONS = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
-
-
-def test_gallery_keys():
-    assert set(PROBLEM_GALLERY) == {"counterexample2d", "feasibility", "quadratic_l1"}
 
 
 def test_counterexample_structure():

@@ -149,14 +149,6 @@ def test_expectation_identities_uneven_scheme():
     assert report.passed
 
 
-def test_report_to_dict_is_json_ready():
-    import json
-
-    region = Region(np.array([-1.0]), np.array([1.0]))
-    report = certify_pointwise_aafne(lambda x: 0.5 * x, region, 0.5, 0.0, 50, seed=10)
-    json.dumps(report.to_dict())
-
-
 OVERLAP2 = BlockSubsetScheme(((0,), (1,), (0, 1)), (0.3, 0.3, 0.4))
 
 
