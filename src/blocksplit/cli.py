@@ -202,7 +202,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     """Check a distance trajectory; exit 1 when a requested check fails."""
-    from .config import RateSection
+    from .config import RateSection, check_gauge
     from .rates import check_trajectory, read_trajectory_csv
 
     rate_cfg = (cfg.rate if cfg is not None else None) or RateSection()
@@ -210,6 +210,8 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     if args.kappa is not None:
         if args.tau is None:
             raise ConfigError("--tau: required alongside --kappa")
+        epsilon = 0.0 if args.epsilon is None else args.epsilon
+        check_gauge({"--kappa": args.kappa, "--tau": args.tau, "--epsilon": epsilon}, "--kappa")
         gauge = {"kappa": args.kappa, "tau": args.tau, "epsilon": args.epsilon}
     elif args.tau is not None or args.epsilon is not None:
         raise ConfigError(f"{'--tau' if args.tau is not None else '--epsilon'}: needs --kappa")

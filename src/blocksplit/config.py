@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .blockspace import BlockSubsetScheme, Region
-from .errors import ConfigError, DimensionMismatch, InadmissibleGauge, NotPSD
+from .errors import ConfigError, DimensionMismatch, InadmissibleGauge, NotPSD, UnsupportedSet
 
 if TYPE_CHECKING:
     from .problems import ProblemSpec
@@ -250,7 +250,10 @@ def _feasibility(params: dict) -> ProblemSpec:
         raise ConfigError(
             f"problem.params.coupling: expected 'sqdist' or 'indicator', got {coupling!r}"
         )
-    return feasibility(sets, coupling)
+    try:
+        return feasibility(sets, coupling)
+    except (DimensionMismatch, UnsupportedSet) as e:
+        raise ConfigError(f"problem.params.sets: {e}") from e
 
 
 def _quadratic_l1(params: dict) -> ProblemSpec:
@@ -295,6 +298,28 @@ def _parse_region(d: dict, where: str) -> Region:
     try:
         return Region(lo, hi)
     except Exception as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def check_gauge(constants: dict, where: str) -> None:
+    """Refuse linear-gauge constants that give no factor in (0, 1).
+
+    ``constants`` maps the name each value is reported under (a config
+    field or a flag) to kappa, tau and epsilon, in that order.  Each must
+    be finite, tau positive and epsilon nonnegative; a kappa outside the
+    admissible window is reported under ``where``.
+    """
+    (_, kappa), (tau_name, tau), (epsilon_name, epsilon) = constants.items()
+    for name, v in constants.items():
+        _as_finite(v, name)
+    if not tau > 0:
+        raise ConfigError(f"{tau_name}: must be positive, got {tau}")
+    _as_finite(epsilon, epsilon_name, nonnegative=True)
+    from .rates import theta_linear
+
+    try:
+        theta_linear(kappa, tau, epsilon)
+    except InadmissibleGauge as e:
         raise ConfigError(f"{where}: {e}") from e
 
 
@@ -405,12 +430,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
                           for key in ("kappa", "tau"))
             epsilon = gauge.get("epsilon")
             epsilon = 0.0 if epsilon is None else _as_float(epsilon, "config.rate.gauge.epsilon")
-            from .rates import theta_linear
-
-            try:  # the admissible window, and epsilon >= 0
-                theta_linear(kappa, tau, epsilon)
-            except InadmissibleGauge as e:
-                raise ConfigError(f"config.rate.gauge: {e}") from e
+            check_gauge({"config.rate.gauge.kappa": kappa, "config.rate.gauge.tau": tau,
+                         "config.rate.gauge.epsilon": epsilon}, "config.rate.gauge")
         rate_sec = RateSection(
             column=str(r.get("column", "d_target")),
             gauge=gauge,

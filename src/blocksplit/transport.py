@@ -4,13 +4,26 @@ Costs are squared selection-weighted norms: block j's coordinates carry
 weight 1/p_j.  Two equal-weight clouds of sizes n and m are one assignment
 problem on L = lcm(n, m) replicated atoms, solved as such while L is at
 most ASSIGN_MAX_ATOMS (or n == m); every other pair of measures goes
-through the transport LP.  The LP is solved on a small support of candidate
-pairs, grown by pricing until its duals leave none of the n x m pairs with a
-negative reduced cost, which certifies the plan optimal for the full LP.
-All pricing rounds of one LP share one HiGHS model, which each round
-extends by the newly priced pairs and re-solves from the last optimal
-basis.  Both routes are exact up to solver tolerance, no entropic smoothing
-anywhere.
+through the transport LP.
+
+Every assignment is warm-started from Gaussian Kantorovich potentials: it
+is solved on the reduced cost C - u - v, u from the closed-form W2 map
+between Gaussian fits of the two clouds and v the column minima of C - u.
+That leaves the optimal assignments those of C and puts the optimal pairs
+near reduced cost zero, so the solver's searches end early.  The distance
+is summed from C at the matched pairs.  Where optimal assignments tie, the
+solve can take another of them than a solve on C would, and the distance
+can move in its last bit.  A cloud whose covariance is singular or
+ill-conditioned is solved on C itself.
+
+The LP is solved on a small support of candidate pairs, grown by pricing
+until its duals leave none of the n x m pairs with a negative reduced
+cost, which certifies the plan optimal for the full LP.  All pricing
+rounds of one LP share one HiGHS model, which each round extends by the
+newly priced pairs and re-solves from the last optimal basis.  Both routes
+are exact up to solver tolerance, no entropic smoothing anywhere.  Either
+way the plan keeps only its nonzero entries (CouplingPlan); its dense
+n x m matrix is built on request, for ``transport --plan``.
 
 Of scipy, the W2 routes use only three compiled modules, loaded on the
 first solve that needs each (``_scipy_kernel``): ``spatial._distance_pybind``
@@ -105,21 +118,43 @@ class DiscreteMeasure:
 
 @dataclass
 class CouplingPlan:
-    """Transport plan between two discrete measures."""
+    """Transport plan between two discrete measures, stored by its nonzero entries.
 
-    matrix: np.ndarray  # (n_source, n_target)
+    Entry k moves ``mass[k]`` from source atom ``rows[k]`` to target atom
+    ``cols[k]``.  A pair may appear more than once (an assignment between
+    replicated atoms matches it once per replica pair); its masses add.
+    """
+
+    rows: np.ndarray  # (k,) source atom indices
+    cols: np.ndarray  # (k,) target atom indices
+    mass: np.ndarray  # (k,)
     source: DiscreteMeasure
     target: DiscreteMeasure
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        self.rows = np.asarray(self.rows, dtype=np.intp)
+        self.cols = np.asarray(self.cols, dtype=np.intp)
+        self.mass = np.asarray(self.mass, dtype=float)
         n, mth = self.source.num_points, self.target.num_points
-        if self.matrix.shape != (n, mth):
-            raise DimensionMismatch(f"plan shape {self.matrix.shape}, expected ({n}, {mth})")
-        if np.max(np.abs(self.matrix.sum(axis=1) - self.source.weights)) > 1e-10:
+        if not self.rows.ndim == 1 or not self.rows.shape == self.cols.shape == self.mass.shape:
+            raise DimensionMismatch(
+                f"plan entries have shapes {self.rows.shape}, {self.cols.shape}, {self.mass.shape}")
+        if self.rows.size and not (0 <= self.rows.min() and self.rows.max() < n
+                                   and 0 <= self.cols.min() and self.cols.max() < mth):
+            raise DimensionMismatch(f"plan entry outside the ({n}, {mth}) pairs")
+        rows = np.bincount(self.rows, weights=self.mass, minlength=n)
+        if np.max(np.abs(rows - self.source.weights)) > 1e-10:
             raise SolverFailure("plan row sums do not match source weights within 1e-10")
-        if np.max(np.abs(self.matrix.sum(axis=0) - self.target.weights)) > 1e-10:
+        cols = np.bincount(self.cols, weights=self.mass, minlength=mth)
+        if np.max(np.abs(cols - self.target.weights)) > 1e-10:
             raise SolverFailure("plan column sums do not match target weights within 1e-10")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (n_source, n_target) plan, built on each access."""
+        plan = np.zeros((self.source.num_points, self.target.num_points))
+        np.add.at(plan, (self.rows, self.cols), self.mass)
+        return plan
 
 
 def _scipy_kernel(name: str):
@@ -241,8 +276,11 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rows * m + cols
 
 
-def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Optimal n x m plan of the transport LP, solved on a priced sparse support.
+def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal plan of the n x m transport LP, solved on a priced sparse support.
+
+    Returns the support's flat pair indices (i * m + j, each once) and the
+    plan's mass on each of them; every other pair carries none.
 
     Each round solves the LP restricted to a candidate set of pairs, which
     always holds the north-west-corner staircase and so stays feasible, and
@@ -291,9 +329,7 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             break
         new = _smallest_per_line(R, PRICED)
         new = new[R.ravel()[new] < -tol]
-    plan = np.zeros(n * m)
-    plan[np.concatenate(cols)] = sol.col_value
-    return plan.reshape(n, m)
+    return np.concatenate(cols), np.asarray(sol.col_value)
 
 
 def _add_pair_columns(h, pairs: np.ndarray, cost: np.ndarray, n: int, m: int) -> None:
@@ -311,6 +347,50 @@ def _add_pair_columns(h, pairs: np.ndarray, cost: np.ndarray, n: int, m: int) ->
               index.size, starts.astype(np.int32), index, np.ones(index.size))
 
 
+def _gaussian_potential(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """Row potential u for the cost |x_i - y_j|^2, from Gaussian fits of the clouds.
+
+    Fits means m, m' and covariances S, S' to the clouds x (n, d) and y
+    (k, d).  The W2 map between the two Gaussians is the gradient of the
+    convex phi(x) = 1/2 (x - m)^T A (x - m) + m'^T x, with
+    A = S^-1/2 (S^1/2 S' S^1/2)^1/2 S^-1/2, and u = |x|^2 - 2 phi(x) is its
+    Kantorovich potential.  Its column partner is the c-transform
+    v_j = min_i (|x_i - y_j|^2 - u_i), the largest v with u_i + v_j <= C_ij;
+    the caller gets it by column-reducing C - u.  Where the clouds are near
+    Gaussian images of each other, the optimal pairs then have reduced cost
+    near zero.  u is evaluated in centred coordinates, a = x - m, without the
+    |x|^2 terms that would cancel: u = a^T (I - A) a + 2 (m - m')^T a, which
+    is |x|^2 - 2 phi(x) up to a constant (a constant changes no reduced cost).
+
+    None is returned, and the assignment solved on the cost itself, when S
+    or S^1/2 S' S^1/2 has an eigenvalue at or below 1e-8 of its largest
+    (n <= d, a constant coordinate) or is not finite, or when u is not
+    finite.
+    """
+    mx, my = x.mean(axis=0), y.mean(axis=0)
+    a, b = x - mx, y - my
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = a.T @ a / x.shape[0]
+        if not np.isfinite(S).all():
+            return None
+        w, Q = np.linalg.eigh(S)
+        if not w[0] > 1e-8 * w[-1]:
+            return None
+        root = np.sqrt(w)
+        half, inv_half = (Q * root) @ Q.T, (Q / root) @ Q.T
+        M = half @ (b.T @ b / y.shape[0]) @ half
+        if not np.isfinite(M).all():
+            return None
+        w, Q = np.linalg.eigh(M)
+        if not w[0] > 1e-8 * w[-1]:
+            return None
+        A = inv_half @ ((Q * np.sqrt(w)) @ Q.T) @ inv_half
+        u = ((a @ (np.eye(x.shape[1]) - A)) * a).sum(axis=1) + 2.0 * (a @ (mx - my))
+    if not np.isfinite(u).all():
+        return None
+    return u
+
+
 def wasserstein2_weighted(
     mu: DiscreteMeasure, nu: DiscreteMeasure, p: BlockProbabilities
 ) -> tuple[float, CouplingPlan]:
@@ -320,10 +400,16 @@ def wasserstein2_weighted(
     on L = lcm(n, m) atoms: each source atom repeated L/n times, each target
     atom L/m times.  The transportation polytope with integer marginals has
     integral vertices, so the optimal assignment is an optimal plan; it is
-    folded back to n x m at weight 1/L per matched pair.  That route is taken
-    when n == m or L <= ASSIGN_MAX_ATOMS; every other pair of measures solves
-    the transport LP to optimality, on a priced sparse support of pairs whose
-    duals are checked against all n x m pairs (see _transport_lp).  Raises
+    folded back to n x m at weight 1/L per matched pair.  The assignment is
+    solved on the reduced cost C - u - v, warm-started: u is the Kantorovich
+    potential of the W2 map between Gaussian fits of the two clouds (see
+    _gaussian_potential) and v the column minima of C - u.  Subtracting row
+    and column potentials changes every assignment's cost by the same
+    amount, so the optimal assignments stay those of C, and the distance is
+    summed from C at the matched pairs.  That route is taken when n == m or
+    L <= ASSIGN_MAX_ATOMS; every other pair of measures solves the transport
+    LP to optimality, on a priced sparse support of pairs whose duals are
+    checked against all n x m pairs (see _transport_lp).  Raises
     BlocksplitError when a squared weighted distance overflows (finite
     supports far enough apart), and SolverFailure if the underlying solver
     reports anything but success.
@@ -339,19 +425,35 @@ def wasserstein2_weighted(
     n, mth = mu.num_points, nu.num_points
     L = math.lcm(n, mth)
     if (n == mth or L <= ASSIGN_MAX_ATOMS) and _is_uniform(mu) and _is_uniform(nu):
+        scale = np.sqrt(p.coordinate_inverse())
+        u = _gaussian_potential(mu.support * scale, nu.support * scale)
+        R = C
+        if u is not None:
+            # the reduced cost C - u - v, v the column minima: one new array
+            with np.errstate(over="ignore", invalid="ignore"):
+                R = np.subtract(C, u[:, None])
+                R -= R.min(axis=0)
+            if not R.max() < np.inf:  # also false for NaN
+                R = C
         rep_mu, rep_nu = L // n, L // mth
-        C_rep = C if n == mth else np.repeat(np.repeat(C, rep_mu, axis=0), rep_nu, axis=1)
-        rows, cols = linear_sum_assignment(C_rep)
-        val = float(C_rep[rows, cols].sum() / L)
-        plan = np.zeros_like(C)
-        np.add.at(plan, (rows // rep_mu, cols // rep_nu), 1.0 / L)
-        return float(np.sqrt(max(val, 0.0))), CouplingPlan(plan, mu, nu)
+        if n != mth:
+            R = np.repeat(np.repeat(R, rep_mu, axis=0), rep_nu, axis=1)
+        rows, cols = linear_sum_assignment(R)
+        rows, cols = rows // rep_mu, cols // rep_nu
+        val = float(C[rows, cols].sum() / L)
+        plan = CouplingPlan(rows, cols, np.full(L, 1.0 / L), mu, nu)
+        return float(np.sqrt(max(val, 0.0))), plan
 
-    plan = _transport_lp(C, mu.weights, nu.weights)
+    pairs, mass = _transport_lp(C, mu.weights, nu.weights)
     # clean tiny negatives from the solver before validating marginals
-    plan = np.where(np.abs(plan) < 1e-14, 0.0, plan)
-    val = float(np.sum(plan * C))
-    return float(np.sqrt(max(val, 0.0))), CouplingPlan(plan, mu, nu)
+    mass = np.where(np.abs(mass) < 1e-14, 0.0, mass)
+    kept = mass != 0.0
+    rows, cols = np.divmod(pairs[kept], mth)
+    plan = CouplingPlan(rows, cols, mass[kept], mu, nu)
+    # summed over the dense n x m product: a sum over the support alone
+    # groups the terms differently and can round to another last bit
+    val = float(np.sum(plan.matrix * C))
+    return float(np.sqrt(max(val, 0.0))), plan
 
 
 def distance_to_point_mass(mu: DiscreteMeasure, z: np.ndarray, p: BlockProbabilities) -> float:

@@ -537,6 +537,30 @@ BAD_INPUTS = [
      _file_case("traj.csv", GOOD_TRAJECTORY,
                 lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "2",
                                     "--out", traj + ".out"])),
+    # rate's gauge flags are checked as the config's gauge is
+    ("rate_kappa_inadmissible", "--kappa: kappa=0.5 gives factor^2=-3",
+     _file_case("traj.csv", GOOD_TRAJECTORY,
+                lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "0.5", "--tau", "1",
+                                    "--out", traj + ".out"])),
+    ("rate_kappa_inf", "--kappa: must be finite, got inf",
+     _file_case("traj.csv", GOOD_TRAJECTORY,
+                lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "inf", "--tau", "1",
+                                    "--out", traj + ".out"])),
+    ("rate_kappa_nan", "--kappa: must be finite, got nan",
+     _file_case("traj.csv", GOOD_TRAJECTORY,
+                lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "nan", "--tau", "1",
+                                    "--out", traj + ".out"])),
+    ("rate_tau_negative", "--tau: must be positive, got -1.0",
+     _file_case("traj.csv", GOOD_TRAJECTORY,
+                lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "2", "--tau", "-1",
+                                    "--out", traj + ".out"])),
+    ("rate_epsilon_nan", "--epsilon: must be finite, got nan",
+     _file_case("traj.csv", GOOD_TRAJECTORY,
+                lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "2", "--tau", "1",
+                                    "--epsilon", "nan", "--out", traj + ".out"])),
+    ("gauge_kappa_nan", "config.rate.gauge.kappa: must be finite, got nan",
+     _config_case("run", rate={"gauge": {"kind": "linear", "kappa": NAN, "tau": 1.0}},
+                  run=SMALL_RUN)),
     # a misspelt field is refused, never replaced by its default
     ("unknown_certify_field", "config.certify.violaton: unknown field",
      _config_case("certify", certify={"property": "aafne_in_expectation", "violaton": 5.0})),
@@ -586,6 +610,14 @@ BAD_INPUTS = [
      _sets_case(POINT, {"kind": "line", "point": [0.0, 0.0], "direction": [1.0]})),
     ("set_box_lengths", "problem.params.sets[0]: lo and hi must have equal lengths",
      _sets_case({"kind": "box", "lo": [0.0, 0.0], "hi": [1.0]}, POINT)),
+    # a family of sets that no feasibility problem takes is a config error too
+    ("sets_different_dims", "problem.params.sets: sets live in different dimensions: [1, 2]",
+     _sets_case({"kind": "point", "point": [0.0]}, POINT)),
+    ("sets_line_and_box", "problem.params.sets: consistency test unsupported for pair ['box', 'line']",
+     _sets_case({"kind": "line", "point": [0.0, 0.0], "direction": [1.0, 0.0]},
+                {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]})),
+    ("sets_empty_coordinates", "problem.params.sets: block dims must be positive, got (0, 0)",
+     _sets_case({"kind": "point", "point": []}, {"kind": "point", "point": []})),
     # a block that is never selected, on a problem without a target
     ("run_uncovered_block", "blocks [1] have zero selection probability",
      _config_case("run", problem={"id": "feasibility", "params": {"sets": [

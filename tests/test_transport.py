@@ -229,6 +229,145 @@ def test_w2_replicated_assignment_matches_lp(seed, n, m, dims):
     assert cost == pytest.approx(d * d, rel=1e-12, abs=1e-15)
 
 
+def _plain_assignment(mu, nu, p):
+    """Reference route: W2 and dense plan from scipy's assignment on the cost itself.
+
+    Equal-weight clouds of sizes n and m, replicated to L = lcm(n, m) atoms
+    as the package does, with no potentials subtracted.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    C = cost_matrix(mu, nu, p)
+    n, m = C.shape
+    L = np.lcm(n, m)
+    rows, cols = linear_sum_assignment(np.repeat(np.repeat(C, L // n, axis=0), L // m, axis=1))
+    rows, cols = rows // (L // n), cols // (L // m)
+    plan = np.zeros_like(C)
+    np.add.at(plan, (rows, cols), 1.0 / L)
+    return float(np.sqrt(max(float(C[rows, cols].sum() / L), 0.0))), plan
+
+
+def _anisotropic_pair(rng, n, d, m=None):
+    """Two equal-weight clouds in d dims, rotated, per-axis scales 0.1..10, shifted."""
+    layout = BlockLayout((1,) * d)
+    p = BlockProbabilities(rng.uniform(0.1, 1.0, size=d), layout)
+    scales = 10.0 ** rng.uniform(-1, 1, size=d)
+    rot = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    x = rng.normal(size=(n, d)) * scales @ rot
+    y = (rng.normal(size=(n if m is None else m, d)) * scales * rng.uniform(0.5, 2.0, size=d)
+         + rng.normal(size=d) * scales) @ rot
+    return DiscreteMeasure.empirical(x, layout), DiscreteMeasure.empirical(y, layout), p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 120), st.integers(1, 6))
+@example(seed=5, n=120, d=2)  # warm-started
+@example(seed=1, n=4, d=6)  # n <= d: a singular covariance, solved on the cost
+def test_w2_warm_start_is_bitwise_the_plain_assignment(seed, n, d):
+    # distinct atoms at random: one optimal assignment, which the Gaussian
+    # potentials must not change, nor the distance summed from it
+    mu, nu, p = _anisotropic_pair(np.random.default_rng(seed), n, d)
+    dist, plan = wasserstein2_weighted(mu, nu, p)
+    ref, ref_plan = _plain_assignment(mu, nu, p)
+    assert dist == ref
+    np.testing.assert_array_equal(plan.matrix, ref_plan)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_gaussian_potential_zeroes_the_reduced_cost_of_an_affine_image(d):
+    # y = T x + c with T symmetric positive definite is the optimal map, and
+    # the Gaussian fit recovers it: the potential and its column minima leave
+    # every matched pair (i, i) at reduced cost zero, to rounding
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(200, d)) * 10.0 ** rng.uniform(-1, 1, size=d)
+    B = rng.normal(size=(d, d))
+    T = B @ B.T + 0.5 * np.eye(d)
+    y = x @ T + rng.normal(size=d)
+    u = transport._gaussian_potential(x, y)
+    C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+    R = C - u[:, None]
+    R -= R.min(axis=0)
+    assert np.abs(np.diag(R)).max() <= 1e-9 * C.max()
+    assert np.argmin(R, axis=0).tolist() == list(range(200))
+
+
+@pytest.mark.parametrize("case", ["replicated", "duplicates", "one_point", "identical_atoms"])
+def test_w2_warm_start_on_tied_optima_matches_lp(case):
+    # tied optimal assignments: the potentials may pick another one, whose
+    # cost agrees with the LP optimum to the last bits
+    rng = np.random.default_rng(21)
+    if case == "replicated":
+        mu, nu, p = _anisotropic_pair(rng, 60, 3, m=84)  # L = 420
+    else:
+        mu, nu, p = _anisotropic_pair(rng, 50, 2)
+        x = mu.support.copy()
+        if case == "duplicates":
+            x[1:20] = x[0]
+        elif case == "one_point":
+            x = x[:1]
+            nu = DiscreteMeasure.empirical(nu.support[:7], nu.layout)
+        else:
+            x[:] = x[0]
+        mu = DiscreteMeasure.empirical(x, mu.layout)
+    d, plan = wasserstein2_weighted(mu, nu, p)
+    d_lp = _lp_w2(mu, nu, p)
+    assert abs(d - d_lp) <= 1e-12 * d_lp
+    np.testing.assert_allclose(plan.matrix.sum(axis=1), mu.weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(plan.matrix.sum(axis=0), nu.weights, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["constant_coordinate", "n_at_most_d", "overflowing_potential"])
+def test_w2_warm_start_falls_back_to_the_plain_assignment(case):
+    rng = np.random.default_rng(22)
+    if case == "n_at_most_d":
+        mu, nu, p = _anisotropic_pair(rng, 5, 6)
+    else:
+        mu, nu, p = _anisotropic_pair(rng, 40, 3)
+        x, y = mu.support.copy(), nu.support.copy()
+        if case == "constant_coordinate":
+            x[:, 1] = 0.5
+        else:
+            # squared distances near 1e300 stay finite; the covariance
+            # products behind the potential overflow
+            x, y = rng.normal(size=x.shape) * 1e150, rng.normal(size=y.shape) * 1e150
+        mu, nu = DiscreteMeasure.empirical(x, mu.layout), DiscreteMeasure.empirical(y, nu.layout)
+    scale = np.sqrt(p.coordinate_inverse())
+    assert transport._gaussian_potential(mu.support * scale, nu.support * scale) is None
+    d, plan = wasserstein2_weighted(mu, nu, p)
+    ref, ref_plan = _plain_assignment(mu, nu, p)
+    assert d == ref and np.isfinite(d)
+    np.testing.assert_array_equal(plan.matrix, ref_plan)
+
+
+def test_coupling_plan_matrix_is_the_former_dense_plan_on_both_routes(monkeypatch, tmp_path):
+    # the assignment route: the dense plan folded from the plain assignment
+    mu, nu, p = _anisotropic_pair(np.random.default_rng(23), 30, 2, m=45)
+    _, plan = wasserstein2_weighted(mu, nu, p)
+    np.testing.assert_array_equal(plan.matrix, _plain_assignment(mu, nu, p)[1])
+    # the LP route: the dense plan the LP support and masses filled in
+    mu, nu, p = _lp_instance(14)
+    solved = []
+    lp = transport._transport_lp
+    monkeypatch.setattr(transport, "_transport_lp", lambda *a: solved.append(lp(*a)) or solved[-1])
+    d, plan = wasserstein2_weighted(mu, nu, p)
+    pairs, mass = solved[0]
+    dense = np.zeros(60 * 50)
+    dense[pairs] = mass
+    dense = np.where(np.abs(dense) < 1e-14, 0.0, dense).reshape(60, 50)
+    np.testing.assert_array_equal(plan.matrix, dense)
+    assert plan.mass.size == np.count_nonzero(dense) < 60 + 50
+    assert d == np.sqrt(np.sum(dense * cost_matrix(mu, nu, p)))
+    # transport --plan writes that dense plan
+    from blocksplit.cli import main
+
+    write_measure(tmp_path / "mu.csv", mu)
+    write_measure(tmp_path / "nu.csv", nu)
+    assert main(["transport", str(tmp_path / "mu.csv"), str(tmp_path / "nu.csv"),
+                 "--probs", "0.4,0.9", "--plan", str(tmp_path / "plan.csv")]) == 0
+    np.savetxt(tmp_path / "dense.csv", dense, delimiter=",", fmt="%.17g")
+    assert (tmp_path / "plan.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
 def test_w2_route_follows_weights_and_replication_cap(monkeypatch):
     rng = np.random.default_rng(12)
     layout = BlockLayout((1, 2))
@@ -627,10 +766,25 @@ def test_no_scipy_exits_2_one_line(tmp_path, monkeypatch, capsys):
 def test_coupling_plan_marginal_validation():
     layout, _ = _unit_p(1, dims=(1,))
     mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]), layout)
-    nu = DiscreteMeasure(np.array([[2.0]]), np.array([1.0]), layout)
-    CouplingPlan(np.array([[0.5], [0.5]]), mu, nu)
+    nu = DiscreteMeasure(np.array([[2.0], [3.0]]), np.array([0.25, 0.75]), layout)
+    plan = CouplingPlan([0, 1, 1], [1, 0, 1], [0.5, 0.25, 0.25], mu, nu)
+    np.testing.assert_array_equal(plan.matrix, [[0.0, 0.5], [0.25, 0.25]])
+    # a repeated pair's masses add
+    plan = CouplingPlan([0, 1, 1, 1], [1, 0, 1, 0], [0.5, 0.125, 0.25, 0.125], mu, nu)
+    np.testing.assert_array_equal(plan.matrix, [[0.0, 0.5], [0.25, 0.25]])
+    with pytest.raises(SolverFailure, match="row sums"):
+        CouplingPlan([0, 1], [0, 1], [0.7, 0.5], mu, nu)
+    with pytest.raises(SolverFailure, match="column sums"):
+        CouplingPlan([0, 1], [0, 1], [0.5, 0.5], mu, nu)
+    # a marginal 1e-9 off fails the 1e-10 bound, one 1e-11 off passes it
+    point = DiscreteMeasure(nu.support, [0.0, 1.0], layout)
     with pytest.raises(SolverFailure):
-        CouplingPlan(np.array([[0.7], [0.5]]), mu, nu)
+        CouplingPlan([0, 1], [1, 1], [0.5, 0.5 + 1e-9], mu, point)
+    CouplingPlan([0, 1], [1, 1], [0.5, 0.5 + 1e-11], mu, point)
+    with pytest.raises(DimensionMismatch):
+        CouplingPlan([0, 2], [0, 1], [0.25, 0.75], mu, nu)
+    with pytest.raises(DimensionMismatch):
+        CouplingPlan([0, 1], [0, 1], [1.0], mu, nu)
 
 
 def test_distance_to_point_mass_matches_general_solver():
