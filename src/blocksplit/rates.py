@@ -54,6 +54,9 @@ def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> GaugeSpec:
     theta(t) = sqrt((1 + epsilon) - tau / kappa^2) * t.  Admissible exactly
     when sqrt(tau / (1 + epsilon)) < kappa < sqrt(tau / epsilon) (upper end
     infinite for epsilon = 0); outside that window the factor leaves (0, 1).
+    Near the upper end factor^2 rounds to 1 in float64, which is no
+    contraction either: at epsilon = 0 that happens from kappa of about
+    1.34e8 sqrt(tau) on.
     """
     if kappa <= 0 or tau <= 0 or epsilon < 0:
         raise InadmissibleGauge(
@@ -62,6 +65,16 @@ def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> GaugeSpec:
     inner = (1.0 + epsilon) - tau / kappa**2
     lo = np.sqrt(tau / (1.0 + epsilon))
     hi = np.inf if epsilon == 0 else np.sqrt(tau / epsilon)
+    if inner >= 1 and kappa < hi:
+        # (1 + epsilon) - tau / kappa^2 rounds below 1 only when tau / kappa^2
+        # exceeds (1 + epsilon) - 1 by more than 2^-54, half the spacing of
+        # float64 just under 1
+        top = np.sqrt(tau / (((1.0 + epsilon) - 1.0) + 2.0**-54))
+        raise InadmissibleGauge(
+            f"kappa={kappa} gives factor^2 = {1.0 + epsilon:.17g} - "
+            f"{tau / kappa**2:.6g}, which rounds to {inner:.17g} in float64; "
+            f"the factor stays below 1 only for kappa below about {top:.6g}"
+        )
     if inner <= 0 or inner >= 1:
         raise InadmissibleGauge(
             f"kappa={kappa} gives factor^2={inner:.6g}; admissible kappa range is ({lo:.6g}, {hi:.6g})"

@@ -18,12 +18,16 @@ ill-conditioned is solved on C itself.
 
 The LP is solved on a small support of candidate pairs, grown by pricing
 until its duals leave none of the n x m pairs with a negative reduced
-cost, which certifies the plan optimal for the full LP.  All pricing
-rounds of one LP share one HiGHS model, which each round extends by the
-newly priced pairs and re-solves from the last optimal basis.  Both routes
-are exact up to solver tolerance, no entropic smoothing anywhere.  Either
-way the plan keeps only its nonzero entries (CouplingPlan); its dense
-n x m matrix is built on request, for ``transport --plan``.
+cost, which certifies the plan optimal for the full LP.  Its first round
+takes each atom's cheapest partners under the same kind of reduced cost,
+from Gaussian fits weighted by the atoms' weights (C itself where that fit
+is singular or ill-conditioned), so it starts near the optimal plan.  All
+pricing rounds of one LP share one HiGHS model, which each round extends by
+the newly priced pairs and re-solves by primal simplex from the last
+optimal basis.  Both routes are exact up to solver tolerance, no entropic
+smoothing anywhere.  Either way the plan keeps only its nonzero entries
+(CouplingPlan); its dense n x m matrix is built on request, for
+``transport --plan``.
 
 Of scipy, the W2 routes use only three compiled modules, loaded on the
 first solve that needs each (``_scipy_kernel``): ``spatial._distance_pybind``
@@ -52,27 +56,28 @@ from .errors import BlocksplitError, DimensionMismatch, SolverFailure
 
 # Largest replicated size L = lcm(n, m) that two equal-weight clouds of
 # different sizes solve as one L x L assignment; the gathered cost takes
-# 8 L^2 bytes (32 MB at 2000).  Set against the warm-started LP on Gaussian
-# clouds in d dimensions, best process time of up to three solves (cost
-# matrix included) on one core of a 2-core Xeon host, one BLAS thread:
+# 8 L^2 bytes (32 MB at 2000).  Set against the LP on Gaussian clouds in d
+# dimensions, both routes warm-started from Gaussian potentials, best
+# process time of up to three solves (cost matrix included) on one core of
+# a 2-core Xeon host, one BLAS thread:
 #
 #     n x m, d          L     warm LP   assignment
-#     150 x 300, 50     300   0.072 s   0.013 s
-#     300 x 200, 2      600   0.135 s   0.088 s
-#     800 x 100, 2      800   0.426 s   0.206 s
-#     1000 x 500, 2    1000   1.487 s   0.449 s
-#     250 x 200, 2     1000   0.162 s   0.491 s
-#     1200 x 100, 2    1200   0.790 s   0.704 s
-#     600 x 400, 2     1200   0.761 s   0.893 s
-#     1500 x 500, 2    1500   2.570 s   1.482 s
-#     500 x 300, 2     1500   0.438 s   1.600 s
-#     2000 x 1000, 2   2000   7.330 s   3.954 s
-#     2000 x 10, 2     2000   0.423 s   3.127 s
+#     150 x 300, 50     300   0.054 s   0.011 s
+#     300 x 200, 2      600   0.064 s   0.030 s
+#     800 x 100, 2      800   0.256 s   0.118 s
+#     1000 x 500, 2    1000   0.536 s   0.123 s
+#     250 x 200, 2     1000   0.050 s   0.135 s
+#     1200 x 100, 2    1200   0.268 s   0.263 s
+#     600 x 400, 2     1200   0.224 s   0.231 s
+#     1500 x 500, 2    1500   0.873 s   0.403 s
+#     500 x 300, 2     1500   0.130 s   0.303 s
+#     2000 x 1000, 2   2000   1.799 s   0.820 s
+#     2000 x 10, 2     2000   0.616 s   1.076 s
 #
-# (one solve each for the rows with n >= 1500).  The LP wins on most pairs
-# from L = 1000 up, but at every L measured it loses where n = L and m is
-# large, since it prices all n m pairs; so the cap stays at 2000.  Equal
-# sizes replicate nothing and take the assignment at any size.
+# (one solve each for the rows with n >= 1500).  The LP wins where L is
+# several times n and m, but at every L measured it loses where n = L and
+# m is large, since it prices all n m pairs; so the cap stays at 2000.
+# Equal sizes replicate nothing and take the assignment at any size.
 ASSIGN_MAX_ATOMS = 2000
 
 
@@ -276,7 +281,8 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rows * m + cols
 
 
-def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  R0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Optimal plan of the n x m transport LP, solved on a priced sparse support.
 
     Returns the support's flat pair indices (i * m + j, each once) and the
@@ -288,29 +294,33 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarr
     outside the set with R < -1e-12 max(1, max C) join it, a few per row and
     column; when there are none, the duals certify the restricted plan
     optimal over all n x m pairs.  Every round adds a pair, so the loop ends at
-    the latest on the dense LP.
+    the latest on the dense LP.  The first round's candidates are the
+    cheapest pairs of R0, a reduced cost of C (C itself will do): from
+    Gaussian potentials, R0 puts the optimal pairs near its row and column
+    minima, so that round's plan is close to optimal and few rounds follow.
 
     All rounds share one HiGHS model: its marginal rows are added once and
     each round appends only the newly priced pairs as columns.  Appending
-    columns keeps the last optimal basis, so every round after the first
-    resumes from the previous optimum instead of solving from scratch.
+    columns keeps the last optimal basis primal feasible, so every round
+    after the first resumes from the previous optimum by primal simplex
+    instead of solving from scratch.
     """
     highs = _scipy_kernel("scipy.optimize._highspy._core")
     n, m = C.shape
     tol = 1e-12 * max(1.0, float(C.max()))
     cost = C.ravel()
     h = highs._Highs()
-    h.setOptionValue("output_flag", False)
+    _set_option(h, highs, "output_flag", False)
     # HiGHS's default 1e-7 lets a marginal row end up to 1e-7 off its weight;
     # 1e-10 is its tightest setting and the plan check's bound
-    h.setOptionValue("primal_feasibility_tolerance", 1e-10)
+    _set_option(h, highs, "primal_feasibility_tolerance", 1e-10)
     # marginal constraints: source rows, then target rows; the final
     # (redundant) row is dropped for numerical hygiene and has dual 0
     rhs = np.concatenate([a, b])[:-1]
     h.addRows(n + m - 1, rhs, rhs, 0, [], [], [])
     inset = np.zeros(n * m, dtype=bool)
     cols = []  # per round, the flat pair indices of the columns it added
-    new = np.concatenate([_smallest_per_line(C, CANDIDATES), _northwest_corner(a, b)])
+    new = np.concatenate([_smallest_per_line(R0, CANDIDATES), _northwest_corner(a, b)])
     while True:
         new = np.unique(new)
         inset[new] = True
@@ -329,7 +339,15 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarr
             break
         new = _smallest_per_line(R, PRICED)
         new = new[R.ravel()[new] < -tol]
+        if len(cols) == 1:
+            _set_option(h, highs, "simplex_strategy", 4)  # primal simplex
     return np.concatenate(cols), np.asarray(sol.col_value)
+
+
+def _set_option(h, highs, name: str, value) -> None:
+    """Set HiGHS option ``name`` on h; SolverFailure if HiGHS rejects it."""
+    if h.setOptionValue(name, value) != highs.HighsStatus.kOk:
+        raise SolverFailure(f"HiGHS rejected option {name}={value!r}")
 
 
 def _add_pair_columns(h, pairs: np.ndarray, cost: np.ndarray, n: int, m: int) -> None:
@@ -347,12 +365,14 @@ def _add_pair_columns(h, pairs: np.ndarray, cost: np.ndarray, n: int, m: int) ->
               index.size, starts.astype(np.int32), index, np.ones(index.size))
 
 
-def _gaussian_potential(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+def _gaussian_potential(x: np.ndarray, y: np.ndarray, wx: np.ndarray | None = None,
+                        wy: np.ndarray | None = None) -> np.ndarray | None:
     """Row potential u for the cost |x_i - y_j|^2, from Gaussian fits of the clouds.
 
     Fits means m, m' and covariances S, S' to the clouds x (n, d) and y
-    (k, d).  The W2 map between the two Gaussians is the gradient of the
-    convex phi(x) = 1/2 (x - m)^T A (x - m) + m'^T x, with
+    (k, d), equal-weight or, when given, with the atom weights wx, wy
+    (clipped at 0).  The W2 map between the two Gaussians is the gradient
+    of the convex phi(x) = 1/2 (x - m)^T A (x - m) + m'^T x, with
     A = S^-1/2 (S^1/2 S' S^1/2)^1/2 S^-1/2, and u = |x|^2 - 2 phi(x) is its
     Kantorovich potential.  Its column partner is the c-transform
     v_j = min_i (|x_i - y_j|^2 - u_i), the largest v with u_i + v_j <= C_ij;
@@ -362,15 +382,22 @@ def _gaussian_potential(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     |x|^2 terms that would cancel: u = a^T (I - A) a + 2 (m - m')^T a, which
     is |x|^2 - 2 phi(x) up to a constant (a constant changes no reduced cost).
 
-    None is returned, and the assignment solved on the cost itself, when S
-    or S^1/2 S' S^1/2 has an eigenvalue at or below 1e-8 of its largest
-    (n <= d, a constant coordinate) or is not finite, or when u is not
-    finite.
+    None is returned, and the assignment solved or the LP seeded on the
+    cost itself, when S or S^1/2 S' S^1/2 has an eigenvalue at or below
+    1e-8 of its largest (no more than d atoms with mass, a constant
+    coordinate) or is not finite, or when u is not finite.
     """
-    mx, my = x.mean(axis=0), y.mean(axis=0)
-    a, b = x - mx, y - my
     with np.errstate(over="ignore", invalid="ignore"):
-        S = a.T @ a / x.shape[0]
+        if wx is None:
+            mx, my = x.mean(axis=0), y.mean(axis=0)
+            a, b = x - mx, y - my
+            S, Sy = a.T @ a / x.shape[0], b.T @ b / y.shape[0]
+        else:
+            wx, wy = np.maximum(wx, 0.0), np.maximum(wy, 0.0)
+            wx, wy = wx / wx.sum(), wy / wy.sum()
+            mx, my = wx @ x, wy @ y
+            a, b = x - mx, y - my
+            S, Sy = (a.T * wx) @ a, (b.T * wy) @ b
         if not np.isfinite(S).all():
             return None
         w, Q = np.linalg.eigh(S)
@@ -378,7 +405,7 @@ def _gaussian_potential(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
             return None
         root = np.sqrt(w)
         half, inv_half = (Q * root) @ Q.T, (Q / root) @ Q.T
-        M = half @ (b.T @ b / y.shape[0]) @ half
+        M = half @ Sy @ half
         if not np.isfinite(M).all():
             return None
         w, Q = np.linalg.eigh(M)
@@ -389,6 +416,22 @@ def _gaussian_potential(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     if not np.isfinite(u).all():
         return None
     return u
+
+
+def _reduced_cost(C: np.ndarray, u: np.ndarray | None) -> np.ndarray:
+    """C - u - v, v the column minima of C - u; C itself if u is None or R overflows.
+
+    Built as one new array; every optimal plan of C is one of R and the
+    other way round, since the potentials shift every plan's cost alike.
+    """
+    if u is None:
+        return C
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = np.subtract(C, u[:, None])
+        R -= R.min(axis=0)
+    if not R.max() < np.inf:  # also false for NaN
+        return C
+    return R
 
 
 def wasserstein2_weighted(
@@ -409,7 +452,8 @@ def wasserstein2_weighted(
     summed from C at the matched pairs.  That route is taken when n == m or
     L <= ASSIGN_MAX_ATOMS; every other pair of measures solves the transport
     LP to optimality, on a priced sparse support of pairs whose duals are
-    checked against all n x m pairs (see _transport_lp).  Raises
+    checked against all n x m pairs (see _transport_lp), its first round
+    seeded from the same reduced cost with u from weighted Gaussian fits.  Raises
     BlocksplitError when a squared weighted distance overflows (finite
     supports far enough apart), and SolverFailure if the underlying solver
     reports anything but success.
@@ -424,17 +468,10 @@ def wasserstein2_weighted(
         )
     n, mth = mu.num_points, nu.num_points
     L = math.lcm(n, mth)
+    scale = np.sqrt(p.coordinate_inverse())
+    x, y = mu.support * scale, nu.support * scale
     if (n == mth or L <= ASSIGN_MAX_ATOMS) and _is_uniform(mu) and _is_uniform(nu):
-        scale = np.sqrt(p.coordinate_inverse())
-        u = _gaussian_potential(mu.support * scale, nu.support * scale)
-        R = C
-        if u is not None:
-            # the reduced cost C - u - v, v the column minima: one new array
-            with np.errstate(over="ignore", invalid="ignore"):
-                R = np.subtract(C, u[:, None])
-                R -= R.min(axis=0)
-            if not R.max() < np.inf:  # also false for NaN
-                R = C
+        R = _reduced_cost(C, _gaussian_potential(x, y))
         rep_mu, rep_nu = L // n, L // mth
         if n != mth:
             R = np.repeat(np.repeat(R, rep_mu, axis=0), rep_nu, axis=1)
@@ -444,7 +481,8 @@ def wasserstein2_weighted(
         plan = CouplingPlan(rows, cols, np.full(L, 1.0 / L), mu, nu)
         return float(np.sqrt(max(val, 0.0))), plan
 
-    pairs, mass = _transport_lp(C, mu.weights, nu.weights)
+    R0 = _reduced_cost(C, _gaussian_potential(x, y, mu.weights, nu.weights))
+    pairs, mass = _transport_lp(C, mu.weights, nu.weights, R0)
     # clean tiny negatives from the solver before validating marginals
     mass = np.where(np.abs(mass) < 1e-14, 0.0, mass)
     kept = mass != 0.0

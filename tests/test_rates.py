@@ -46,6 +46,20 @@ def test_theta_linear_admissibility_window():
         theta_linear(kappa=-1.0, tau=1.0)
 
 
+def test_theta_linear_refuses_a_factor_that_rounds_to_one():
+    # 1 - tau/kappa^2 is below 1 inside the window, but rounds to 1 in
+    # float64 once tau/kappa^2 <= 2^-54: kappa >= 2^27 sqrt(tau), about 1.34e8
+    assert theta_linear(kappa=1e8, tau=1.0).factor < 1.0
+    with pytest.raises(InadmissibleGauge) as refused:
+        theta_linear(kappa=1e9, tau=1.0)
+    message = str(refused.value)
+    assert "rounds to 1 in float64" in message and "inf" not in message
+    assert "below about 1.34218e+08" in message
+    assert theta_linear(kappa=2.0**27 * 0.999, tau=1.0).factor < 1.0
+    with pytest.raises(InadmissibleGauge, match="below about 2.68435e"):
+        theta_linear(kappa=2.0**28, tau=4.0)
+
+
 def test_invert_id_minus_theta_linear():
     g = theta_linear(2.0, 2.0, 0.0)
     t = 1.3

@@ -273,17 +273,24 @@ def test_w2_warm_start_is_bitwise_the_plain_assignment(seed, n, d):
     np.testing.assert_array_equal(plan.matrix, ref_plan)
 
 
-@pytest.mark.parametrize("d", [1, 2, 5])
-def test_gaussian_potential_zeroes_the_reduced_cost_of_an_affine_image(d):
+@pytest.mark.parametrize("d, weighted", [
+    pytest.param(d, weighted, id=f"{d}-weighted" if weighted else str(d))
+    for weighted in (False, True) for d in (1, 2, 5)])
+def test_gaussian_potential_zeroes_the_reduced_cost_of_an_affine_image(d, weighted):
     # y = T x + c with T symmetric positive definite is the optimal map, and
-    # the Gaussian fit recovers it: the potential and its column minima leave
-    # every matched pair (i, i) at reduced cost zero, to rounding
+    # the Gaussian fit recovers it, equal-weight or with atom i weighted
+    # alike in both clouds (some weights zero): the potential and its column
+    # minima leave every matched pair (i, i) at reduced cost zero, to rounding
     rng = np.random.default_rng(24)
     x = rng.normal(size=(200, d)) * 10.0 ** rng.uniform(-1, 1, size=d)
     B = rng.normal(size=(d, d))
     T = B @ B.T + 0.5 * np.eye(d)
     y = x @ T + rng.normal(size=d)
-    u = transport._gaussian_potential(x, y)
+    if weighted:
+        w = rng.uniform(0.2, 1.0, size=200) * (rng.random(200) > 0.3)
+        u = transport._gaussian_potential(x, y, w / w.sum(), w / w.sum())
+    else:
+        u = transport._gaussian_potential(x, y)
     C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
     R = C - u[:, None]
     R -= R.min(axis=0)
@@ -485,6 +492,14 @@ def _spy_linprog(monkeypatch):
     return calls
 
 
+def _count_rounds(monkeypatch, mu, nu, p):
+    """W2 of mu, nu and the number of LP rounds it solved."""
+    with monkeypatch.context() as mp:
+        calls = _spy_linprog(mp)
+        d, _ = wasserstein2_weighted(mu, nu, p)
+    return d, len(calls)
+
+
 def _column_pairs(call, n, m):
     """Flat (i, j) pair index of every model column, read back from its entries.
 
@@ -500,7 +515,11 @@ def _column_pairs(call, n, m):
 
 
 def _lp_instance(seed, zero_frac=0.0, duplicates=False):
-    """A 60 x 50 weighted pair, which takes the LP route in several rounds."""
+    """A 60 x 50 weighted pair, which takes the LP route.
+
+    Both clouds are Gaussian draws, so the Gaussian-seeded first round is
+    close to optimal: the LP certifies in one or two rounds.
+    """
     rng = np.random.default_rng(seed)
     layout = BlockLayout((1, 2))
     p = BlockProbabilities(np.array([0.4, 0.9]), layout)
@@ -508,10 +527,24 @@ def _lp_instance(seed, zero_frac=0.0, duplicates=False):
     return mu, _weighted_cloud(rng, 50, layout, zero_frac, duplicates), p
 
 
+def _bimodal_lp_instance(seed):
+    """_lp_instance's pair, each cloud shrunk and split into two modes.
+
+    The source's modes lie apart along the first coordinate, the target's
+    along the second, so the optimal plan is far from the W2 map between
+    Gaussian fits and the LP needs further pricing rounds after the first.
+    """
+    mu, nu, p = _lp_instance(seed)
+    for measure, axis in ((mu, 0), (nu, 1)):
+        measure.support *= 0.3
+        measure.support[: measure.num_points // 2, axis] += 4.0
+    return mu, nu, p
+
+
 def test_w2_lp_solves_restricted_rounds_through_module_linprog(monkeypatch):
     from scipy.optimize._highspy import _core
 
-    mu, nu, p = _lp_instance(14)
+    mu, nu, p = _bimodal_lp_instance(14)
     d_dense = _lp_w2(mu, nu, p)
     C = cost_matrix(mu, nu, p).ravel()
     runs = []
@@ -526,7 +559,7 @@ def test_w2_lp_solves_restricted_rounds_through_module_linprog(monkeypatch):
     d, _ = wasserstein2_weighted(mu, nu, p)
     sizes = [call.starts.size for call in calls]
     # every HiGHS solve went through the module global a profiler wraps
-    assert sizes and runs == sizes
+    assert len(sizes) >= 2 and runs == sizes
     assert sizes[0] < 60 * 50
     # every round adds at least one pair to the one model ...
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
@@ -536,6 +569,57 @@ def test_w2_lp_solves_restricted_rounds_through_module_linprog(monkeypatch):
         assert np.unique(pairs).size == pairs.size
         np.testing.assert_array_equal(call.cost, C[pairs])
     assert d == pytest.approx(d_dense, rel=1e-12)
+
+
+def test_w2_lp_seeded_from_gaussian_potentials_certifies_in_one_round(monkeypatch):
+    # the target is an affine image of the source's atoms under a symmetric
+    # positive definite map, reweighted by up to 20%: the optimal plan stays
+    # near the map, whose Gaussian potential seeds the first round with every
+    # optimal pair, so its duals already price all 30 x 30 pairs
+    rng = np.random.default_rng(20)
+    layout = BlockLayout((1, 2))
+    p = BlockProbabilities(np.array([0.4, 0.9]), layout)
+    mu = _weighted_cloud(rng, 30, layout, 0.0, False)
+    scale = np.sqrt(p.coordinate_inverse())
+    B = rng.normal(size=(3, 3))
+    w = mu.weights * rng.uniform(0.8, 1.2, size=30)
+    y = (mu.support * scale @ (B @ B.T + 0.5 * np.eye(3)) + rng.normal(size=3)) / scale
+    nu = DiscreteMeasure(y, w / w.sum(), layout)
+    d, rounds = _count_rounds(monkeypatch, mu, nu, p)
+    assert rounds == 1
+    assert abs(d - _lp_w2(mu, nu, p)) <= 1e-12 * d
+    # seeded from the cost's nearest neighbours instead, it needs more rounds
+    monkeypatch.setattr(transport, "_gaussian_potential", lambda *args: None)
+    d_unseeded, rounds = _count_rounds(monkeypatch, mu, nu, p)
+    assert rounds >= 2 and d_unseeded == pytest.approx(d, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["three_atoms_with_mass", "collinear_atoms_with_mass"])
+def test_w2_lp_seeds_from_the_cost_where_the_weighted_fit_is_singular(monkeypatch, case):
+    # the weighted fit sees only the atoms with mass: here their covariance
+    # is singular, so no potential exists and the first round's candidates
+    # come from C itself; the zero-weight atoms lie anywhere
+    rng = np.random.default_rng(25)
+    mu, nu, p = _lp_instance(19)
+    x, w = mu.support.copy(), mu.weights.copy()
+    if case == "three_atoms_with_mass":  # no more than d = 3 atoms
+        w[3:] = 0.0
+    else:
+        w[rng.random(60) < 0.5] = 0.0
+        x[w > 0] = x[0] + np.outer(rng.normal(size=60), [1.0, -2.0, 0.5])[w > 0]
+    mu = DiscreteMeasure(x, w / w.sum(), mu.layout)
+    scale = np.sqrt(p.coordinate_inverse())
+    assert transport._gaussian_potential(
+        mu.support * scale, nu.support * scale, mu.weights, nu.weights) is None
+    seeds = []
+    lp = transport._transport_lp
+    monkeypatch.setattr(transport, "_transport_lp",
+                        lambda C, a, b, R0: seeds.append((C, R0)) or lp(C, a, b, R0))
+    d, plan = wasserstein2_weighted(mu, nu, p)
+    [(C, R0)] = seeds
+    assert R0 is C
+    assert abs(d - _lp_w2(mu, nu, p)) <= 1e-12 * d
+    np.testing.assert_allclose(plan.matrix.sum(axis=1), mu.weights, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed, zero_frac, duplicates", [(14, 0.0, False), (15, 0.3, True)])
@@ -555,11 +639,8 @@ def test_w2_lp_duals_certify_every_pair(monkeypatch, seed, zero_frac, duplicates
 def test_w2_lp_failure_on_any_round_raises(monkeypatch):
     from scipy.optimize._highspy._core import HighsModelStatus
 
-    mu, nu, p = _lp_instance(16)
-    with monkeypatch.context() as mp:
-        calls = _spy_linprog(mp)
-        wasserstein2_weighted(mu, nu, p)
-        rounds = len(calls)
+    mu, nu, p = _bimodal_lp_instance(18)
+    _, rounds = _count_rounds(monkeypatch, mu, nu, p)
     assert rounds >= 2
     forward = transport.linprog
     nan_duals = SimpleNamespace(row_dual=[np.nan] * 109, col_value=[])
@@ -585,13 +666,20 @@ def test_w2_lp_failure_on_any_round_raises(monkeypatch):
 def test_highs_model_api_solves_a_two_by_two_transport_lp():
     # _transport_lp drives scipy's private HiGHS binding directly; this pins
     # the calls it makes, so a scipy that moves or changes them fails here
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
     a, b = np.array([0.5, 0.5]), np.array([0.3, 0.7])
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
     rhs = np.concatenate([a, b])[:-1]  # the last target row is redundant
     h = _Highs()
-    h.setOptionValue("output_flag", False)
+    # the three options _transport_lp sets, each checked: an unknown name or
+    # a bad value is refused with kError, which _set_option turns into
+    # SolverFailure
+    for name, value in (("output_flag", False), ("primal_feasibility_tolerance", 1e-10),
+                        ("simplex_strategy", 4)):
+        assert h.setOptionValue(name, value) == HighsStatus.kOk
+    assert h.setOptionValue("no_such_option", 1) == HighsStatus.kError
+    assert h.setOptionValue("simplex_strategy", 99) == HighsStatus.kError
     h.addRows(3, rhs, rhs, 0, [], [], [])
     # columns (0,0), (0,1), (1,0), (1,1); target row 1 is the dropped one
     starts = np.array([0, 2, 3, 5], dtype=np.int32)
@@ -643,6 +731,33 @@ def test_cli_transport_lp_failure_exits_2_one_line(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "transport LP failed with status Solve error" in err
+
+
+@pytest.mark.parametrize("option", ["output_flag", "primal_feasibility_tolerance",
+                                    "simplex_strategy"])
+def test_cli_transport_rejected_highs_option_exits_2_one_line(tmp_path, monkeypatch, capsys,
+                                                              option):
+    # a scipy whose HiGHS renames or drops an option must not solve on
+    # silently without it; simplex_strategy is set after the first round
+    from scipy.optimize._highspy import _core
+
+    from blocksplit.cli import main
+
+    class Refusing(_core._Highs):
+        def setOptionValue(self, name, value):
+            if name == option:
+                return _core.HighsStatus.kError
+            return super().setOptionValue(name, value)
+
+    mu, nu, _ = _bimodal_lp_instance(18)
+    paths = [tmp_path / "mu.csv", tmp_path / "nu.csv"]
+    for path, measure in zip(paths, (mu, nu)):
+        write_measure(path, measure)
+    monkeypatch.setattr(_core, "_Highs", Refusing)
+    assert main(["transport"] + [str(path) for path in paths]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"HiGHS rejected option {option}=" in err
 
 
 KERNEL_PIN = """
