@@ -3,9 +3,10 @@
 One command is one process, and it loads only the package modules it
 runs: each command imports them inside its own function.  Exit codes: 0
 on success (certifications passing), 1 when a requested certification or
-trajectory check fails, 2 on usage or configuration errors.  Reports
-embed the resolved config and seed; CSV output never contains
-timestamps, so identical (config, seed) runs write identical bytes.
+trajectory check fails, 2 on usage or configuration errors, including a
+size too large to allocate.  Reports embed the resolved config and seed;
+CSV output never contains timestamps, so identical (config, seed) runs
+write identical bytes.
 """
 
 from __future__ import annotations
@@ -317,6 +318,11 @@ def main(argv=None) -> int:
         return 2
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # numpy refuses an array larger than memory before filling any of it,
+        # as a config asking for 10**14 chains or certify pairs does
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

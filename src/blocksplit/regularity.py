@@ -11,6 +11,11 @@ paracontraction norms are not squared and have no closed form, so that
 certifier sums over the masked route where(mask_i, T1 x, x).
 ``verify_expectation_identities`` checks the closed form against sums over
 the reference route ``apply_T``, so its two sides never share a T1.
+
+Every certifier draws its samples whole and evaluates them in row chunks
+(``_by_chunks``), so a sweep holds its sample arrays and one chunk's
+intermediates, whatever the number of pairs.  The per-pair values, and so
+the worst margin and its witness, are those of one whole-batch evaluation.
 """
 
 from __future__ import annotations
@@ -87,6 +92,34 @@ def _sq(a):
     return np.sum(a * a, axis=-1)
 
 
+# Sampled points are evaluated in row chunks of about CHUNK_VALUES
+# coordinates each, and of no fewer than CHUNK_MIN_ROWS rows: a quadratic
+# coupling's BLAS gradient can round a row of a small batch differently
+# than in the whole batch (seen at dimension 50 for batches of 1 to 16
+# rows), while batches of 256 rows and more rounded every row as the whole
+# batch did, at each dimension tried between 1 and 200.
+CHUNK_VALUES = 8192
+CHUNK_MIN_ROWS = 256
+
+
+def _by_chunks(fn, *arrays):
+    """fn over balanced row chunks of the equal-length (n, dim) arrays, outputs concatenated.
+
+    fn returns one per-row array or a tuple of them; each comes back as if
+    fn had run on the whole arrays at once, while only one chunk's
+    intermediates are alive at a time.  Arrays smaller than two chunks are
+    one call.
+    """
+    n, dim = arrays[0].shape
+    k = max(1, n // max(CHUNK_MIN_ROWS, CHUNK_VALUES // dim))
+    if k == 1:
+        return fn(*arrays)
+    parts = [fn(*chunk) for chunk in zip(*(np.array_split(a, k) for a in arrays))]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(outs) for outs in zip(*parts))
+    return np.concatenate(parts)
+
+
 def _certify_pairs(name, margin_batch, spawn_key, region, alpha, violation, num_pairs, seed,
                    tolerance, adversarial, refine_steps, **details) -> CertificationReport:
     """Worst margin over sampled pairs, sharpened by coordinate search on request.
@@ -97,7 +130,7 @@ def _certify_pairs(name, margin_batch, spawn_key, region, alpha, violation, num_
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(spawn_key,)))
     xs = region.sample(rng, num_pairs)
     ys = region.sample(rng, num_pairs)
-    margins = margin_batch(xs, ys)
+    margins = _by_chunks(margin_batch, xs, ys)
     worst = int(np.argmax(margins))
     wx, wy, wm = xs[worst], ys[worst], float(margins[worst])
 
@@ -210,23 +243,31 @@ def certify_paracontraction_in_expectation(
     p = m.probabilities
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(2,)))
     xs = region.sample(rng, num_samples)
-    full = apply_full(m, xs)
-    eligible = np.linalg.norm(xs - full, axis=-1) > residual_threshold
-    num_eligible = int(np.count_nonzero(eligible))
-    xs_el, T1x = xs[eligible], full[eligible]
+
+    def residual_and_margins(x):
+        # the full-block residual of each sample and, per fixed point z,
+        # its margin E||T_xi x - z||_p - ||x - z||_p
+        T1x = apply_full(m, x)
+        margins = []
+        for z in c_points:
+            expected = 0.0
+            for q, mask in zip(m.scheme.probs, masks):
+                expected = expected + q * weighted_norm(np.where(mask, T1x, x) - z, p)
+            margins.append(expected - weighted_norm(x - z, p))
+        return (np.linalg.norm(x - T1x, axis=-1), *margins)
+
+    residual, *margins = _by_chunks(residual_and_margins, xs)
+    eligible = np.flatnonzero(residual > residual_threshold)
+    num_eligible = int(eligible.size)
 
     worst_margin = -np.inf
     wx = wz = None
     if num_eligible:
-        for z in c_points:
-            expected = 0.0
-            for q, mask in zip(m.scheme.probs, masks):
-                expected = expected + q * weighted_norm(np.where(mask, T1x, xs_el) - z, p)
-            margins = expected - weighted_norm(xs_el - z, p)
-            idx = int(np.argmax(margins))
-            if margins[idx] > worst_margin:
-                worst_margin = float(margins[idx])
-                wx, wz = xs_el[idx], z
+        for z, zm in zip(c_points, margins):
+            idx = eligible[int(np.argmax(zm[eligible]))]
+            if zm[idx] > worst_margin:
+                worst_margin = float(zm[idx])
+                wx, wz = xs[idx], z
 
     passed = num_eligible > 0 and worst_margin < 0.0
     return CertificationReport(
@@ -267,14 +308,19 @@ def verify_expectation_identities(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(3,)))
     xs = region.sample(rng, num_pairs)
     ys = region.sample(rng, num_pairs)
-    lhs1 = lhs2 = 0.0
-    for i, q in enumerate(m.scheme.probs):
-        Tx, Ty = apply_T(m, i, xs), apply_T(m, i, ys)
-        lhs1 = lhs1 + q * weighted_sq(Tx - Ty, p)
-        lhs2 = lhs2 + q * weighted_transport_discrepancy(xs, ys, Tx, Ty, p)
-    rhs1, rhs2 = expected_weighted_terms(m, xs, ys)
-    dev = float(max(np.max(np.abs(lhs1 - rhs1)), np.max(np.abs(lhs2 - rhs2))))
-    worst = int(np.argmax(np.maximum(np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2))))
+
+    def deviations(x, y):
+        lhs1 = lhs2 = 0.0
+        for i, q in enumerate(m.scheme.probs):
+            Tx, Ty = apply_T(m, i, x), apply_T(m, i, y)
+            lhs1 = lhs1 + q * weighted_sq(Tx - Ty, p)
+            lhs2 = lhs2 + q * weighted_transport_discrepancy(x, y, Tx, Ty, p)
+        rhs1, rhs2 = expected_weighted_terms(m, x, y)
+        return np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2)
+
+    dev1, dev2 = _by_chunks(deviations, xs, ys)
+    dev = float(max(np.max(dev1), np.max(dev2)))
+    worst = int(np.argmax(np.maximum(dev1, dev2)))
     return CertificationReport(
         property="expectation_identities",
         alpha=None,

@@ -10,11 +10,14 @@ Every assignment is warm-started from Gaussian Kantorovich potentials: it
 is solved on the reduced cost C - u - v, u from the closed-form W2 map
 between Gaussian fits of the two clouds and v the column minima of C - u.
 That leaves the optimal assignments those of C and puts the optimal pairs
-near reduced cost zero, so the solver's searches end early.  The distance
-is summed from C at the matched pairs.  Where optimal assignments tie, the
-solve can take another of them than a solve on C would, and the distance
-can move in its last bit.  A cloud whose covariance is singular or
-ill-conditioned is solved on C itself.
+near reduced cost zero, so the solver's searches end early.  The reduced
+cost overwrites C, so the solve holds one n x m array (or, for replicated
+atoms, the L x L array it is copied into, the n x m one released first).
+The distance is summed from the matched pairs' costs, re-evaluated by the
+kernel that builds C and so bit for bit C's entries.  Where optimal
+assignments tie, the solve can take another of them than a solve on C
+would, and the distance can move in its last bit.  A cloud whose
+covariance is singular or ill-conditioned is solved on C itself.
 
 The LP is solved on a small support of candidate pairs, grown by pricing
 until its duals leave none of the n x m pairs with a negative reduced
@@ -418,20 +421,32 @@ def _gaussian_potential(x: np.ndarray, y: np.ndarray, wx: np.ndarray | None = No
     return u
 
 
-def _reduced_cost(C: np.ndarray, u: np.ndarray | None) -> np.ndarray:
-    """C - u - v, v the column minima of C - u; C itself if u is None or R overflows.
+def _reduce(C: np.ndarray, u: np.ndarray) -> bool:
+    """Overwrite C with C - u - v, v the column minima of C - u; False if that is not finite.
 
-    Built as one new array; every optimal plan of C is one of R and the
-    other way round, since the potentials shift every plan's cost alike.
+    Every optimal plan of C is one of the reduced cost and the other way
+    round, since the potentials shift every plan's cost alike.
     """
-    if u is None:
-        return C
     with np.errstate(over="ignore", invalid="ignore"):
-        R = np.subtract(C, u[:, None])
-        R -= R.min(axis=0)
-    if not R.max() < np.inf:  # also false for NaN
-        return C
-    return R
+        np.subtract(C, u[:, None], out=C)
+        C -= C.min(axis=0)
+    return bool(C.max() < np.inf)  # also false for NaN
+
+
+def _matched_costs(x: np.ndarray, y: np.ndarray, rows: np.ndarray,
+                   cols: np.ndarray) -> np.ndarray:
+    """|x[rows[k]] - y[cols[k]]|^2 for every k, bit for bit the cost matrix's entries.
+
+    Each block of 64 matched pairs is one small call of the kernel that
+    builds the cost matrix, whose diagonal is kept, so every value comes out
+    of the same per-pair accumulation as C[rows[k], cols[k]].
+    """
+    kernel = _scipy_kernel("scipy.spatial._distance_pybind")
+    out = np.empty(rows.size)
+    for lo in range(0, rows.size, 64):
+        pairs = slice(lo, lo + 64)
+        out[pairs] = np.diagonal(kernel.cdist_sqeuclidean(x[rows[pairs]], y[cols[pairs]]))
+    return out
 
 
 def wasserstein2_weighted(
@@ -448,15 +463,16 @@ def wasserstein2_weighted(
     potential of the W2 map between Gaussian fits of the two clouds (see
     _gaussian_potential) and v the column minima of C - u.  Subtracting row
     and column potentials changes every assignment's cost by the same
-    amount, so the optimal assignments stay those of C, and the distance is
-    summed from C at the matched pairs.  That route is taken when n == m or
-    L <= ASSIGN_MAX_ATOMS; every other pair of measures solves the transport
-    LP to optimality, on a priced sparse support of pairs whose duals are
-    checked against all n x m pairs (see _transport_lp), its first round
-    seeded from the same reduced cost with u from weighted Gaussian fits.  Raises
-    BlocksplitError when a squared weighted distance overflows (finite
-    supports far enough apart), and SolverFailure if the underlying solver
-    reports anything but success.
+    amount, so the optimal assignments stay those of C.  The reduced cost is
+    built in C's buffer, and the distance is summed from the matched pairs'
+    costs, re-evaluated bit for bit as C's entries (_matched_costs).  That
+    route is taken when n == m or L <= ASSIGN_MAX_ATOMS; every other pair of
+    measures solves the transport LP to optimality, on a priced sparse
+    support of pairs whose duals are checked against all n x m pairs (see
+    _transport_lp), its first round seeded from the same reduced cost with
+    u from weighted Gaussian fits.  Raises BlocksplitError when a squared
+    weighted distance overflows (finite supports far enough apart), and
+    SolverFailure if the underlying solver reports anything but success.
     """
     if mu.layout.block_dims != nu.layout.block_dims:
         raise DimensionMismatch("measures live on different layouts")
@@ -471,17 +487,28 @@ def wasserstein2_weighted(
     scale = np.sqrt(p.coordinate_inverse())
     x, y = mu.support * scale, nu.support * scale
     if (n == mth or L <= ASSIGN_MAX_ATOMS) and _is_uniform(mu) and _is_uniform(nu):
-        R = _reduced_cost(C, _gaussian_potential(x, y))
+        # the solve runs in C's own buffer: C is reduced in place, or made
+        # again from the supports where its reduction is not finite
+        u = _gaussian_potential(x, y)
+        if u is not None and not _reduce(C, u):
+            C = cost_matrix(mu, nu, p)
         rep_mu, rep_nu = L // n, L // mth
         if n != mth:
-            R = np.repeat(np.repeat(R, rep_mu, axis=0), rep_nu, axis=1)
-        rows, cols = linear_sum_assignment(R)
+            # one L x L copy; the n x m buffer goes before the solve
+            C = np.broadcast_to(C[:, None, :, None], (n, rep_mu, mth, rep_nu)).reshape(L, L)
+        rows, cols = linear_sum_assignment(C)
         rows, cols = rows // rep_mu, cols // rep_nu
-        val = float(C[rows, cols].sum() / L)
+        val = float(_matched_costs(x, y, rows, cols).sum() / L)
         plan = CouplingPlan(rows, cols, np.full(L, 1.0 / L), mu, nu)
         return float(np.sqrt(max(val, 0.0))), plan
 
-    R0 = _reduced_cost(C, _gaussian_potential(x, y, mu.weights, nu.weights))
+    # the LP prices every pair against C, so its seed reduces a copy
+    R0 = C
+    u = _gaussian_potential(x, y, mu.weights, nu.weights)
+    if u is not None:
+        R0 = C.copy()
+        if not _reduce(R0, u):
+            R0 = C
     pairs, mass = _transport_lp(C, mu.weights, nu.weights, R0)
     # clean tiny negatives from the solver before validating marginals
     mass = np.where(np.abs(mass) < 1e-14, 0.0, mass)

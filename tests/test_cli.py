@@ -640,6 +640,13 @@ BAD_INPUTS = [
     ("transport_cost_overflow_weighted", "squared weighted distances between the supports overflow",
      _file_case("big.csv", MEASURE_HEADER + "0.3,1e200,0\n0.7,1,1\n",
                 lambda bad, good: ["transport", bad, good]), "error: "),
+    # 10**14 rows of 2 coordinates take 1.42 PiB, past any address space:
+    # numpy refuses the array before allocating any of it
+    ("run_num_chains_too_large", "error: out of memory: Unable to allocate 1.42 PiB",
+     _config_case("run", run=dict(SMALL_RUN, num_chains=10**14)), "error: "),
+    ("certify_num_pairs_too_large", "error: out of memory: Unable to allocate 1.42 PiB",
+     _config_case("certify", certify={"property": "aafne_in_expectation", "alpha": 0.5,
+                                      "num_pairs": 10**14}), "error: "),
 ]
 
 

@@ -1,5 +1,7 @@
 """Certification sweeps: pointwise, in expectation, paracontraction, identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,92 @@ def test_expectation_certifier_takes_one_full_map_per_margin_batch(monkeypatch, 
     assert report.passed
     assert calls["apply_full"] == calls["batches"]
     assert calls["batches"] > 1 if adversarial else calls["batches"] == 1
+
+
+def _quadratic50():
+    # a dim-50 lasso-type map: its gradient is one BLAS product per batch,
+    # which rounds a row differently in small batches; b = 0 fixes the origin
+    rng = np.random.default_rng(31)
+    A = rng.normal(size=(25, 50))
+    problem = quadratic_l1(A.T @ A / 25, np.zeros(50), np.full(50, 0.15))
+    scheme = BlockSubsetScheme(tuple((j,) for j in range(50)), (0.02,) * 50)
+    return problem, problem.build_map("fb", scheme), np.zeros((1, 50))
+
+
+def test_chunks_are_balanced_and_never_below_the_row_floor():
+    from blocksplit.regularity import CHUNK_MIN_ROWS, _by_chunks
+
+    def sizes(n, dim):
+        seen = []
+        out = _by_chunks(lambda x, y: (seen.append(len(x)) or x[:, 0], y[:, 0]),
+                         np.arange(n * dim, dtype=float).reshape(n, dim), np.zeros((n, dim)))
+        assert np.array_equal(out[0], np.arange(n) * dim)
+        return seen
+
+    assert CHUNK_MIN_ROWS == 256
+    assert sizes(1001, 50) == [334, 334, 333]  # 8192 // 50 = 163 rows: the floor holds
+    assert sizes(9001, 2) == [4501, 4500]  # 8192 // 2 = 4096 rows
+    assert sizes(8191, 2) == [8191]  # less than two chunks: one call
+    assert sizes(20_000, 4) == [2223] * 2 + [2222] * 7  # 2048 rows, 9 chunks
+
+
+CERTIFIERS = {
+    "pointwise_full": lambda prob, m, c, n: certify_pointwise_aafne(
+        lambda x: apply_full(m, x), prob.region, 2.0 / 3.0, 0.0, n, seed=41, adversarial=False),
+    "pointwise_subset": lambda prob, m, c, n: certify_pointwise_aafne(
+        lambda x: apply_T(m, 1, x), prob.region, 0.5, 0.1, n, seed=42, adversarial=False),
+    "aafne_in_expectation": lambda prob, m, c, n: certify_aafne_in_expectation(
+        m, prob.region, 2.0 / 3.0, 0.0, n, seed=43),
+    "paracontraction": lambda prob, m, c, n: certify_paracontraction_in_expectation(
+        m, c, prob.region, n, seed=44),
+    "identities": lambda prob, m, c, n: verify_expectation_identities(m, prob.region, n, seed=45),
+}
+
+
+@pytest.mark.parametrize("certifier", sorted(CERTIFIERS))
+@pytest.mark.parametrize("case", ["quadratic50", "counterexample2d"])
+def test_chunked_certifiers_match_one_whole_batch_evaluation(monkeypatch, certifier, case):
+    # chunking bounds a sweep's working set; the sampled pairs, the margin,
+    # the witnesses and the deviation are those of one whole-batch call
+    from blocksplit import regularity
+
+    if case == "quadratic50":
+        problem, m, c_points = _quadratic50()
+        n, chunks = 1001, 3  # of 333 or 334 pairs
+    else:
+        problem = counterexample2d(0.25)
+        m, c_points = problem.build_map("fb", OVERLAP2), problem.fixed_points
+        n, chunks = 9001, 2  # of 4500 or 4501 pairs
+    calls = []
+    by_chunks = regularity._by_chunks
+
+    def counted(fn, *arrays):
+        calls.append(len(arrays[0]))
+        return by_chunks(lambda *chunk: (calls.append(len(chunk[0])), fn(*chunk))[1], *arrays)
+
+    monkeypatch.setattr(regularity, "_by_chunks", counted)
+    chunked = CERTIFIERS[certifier](problem, m, c_points, n)
+    assert calls[0] == n and len(calls) == 1 + chunks  # the whole sample, then its chunks
+    monkeypatch.setattr(regularity, "CHUNK_VALUES", 10**12)
+    whole = CERTIFIERS[certifier](problem, m, c_points, n)
+    assert calls[1 + chunks:] == [n, n]  # one call, on the whole sample
+    assert np.float64(chunked.margin).tobytes() == np.float64(whole.margin).tobytes()
+    assert chunked.witness_x.tobytes() == whole.witness_x.tobytes()
+    assert chunked.witness_y.tobytes() == whole.witness_y.tobytes()
+    assert chunked.details == whole.details and chunked.passed == whole.passed
+
+
+def test_certify_working_set_is_its_samples_and_one_chunk():
+    # 20,000 pairs in 50 dimensions: two 8 MB sample arrays, evaluated
+    # 256-pair chunk by chunk, not all at once (9 times the samples)
+    problem, m, _ = _quadratic50()
+    certify_aafne_in_expectation(m, problem.region, 2.0 / 3.0, 0.0, 300, seed=46)
+    tracemalloc.start()
+    try:
+        report = certify_aafne_in_expectation(m, problem.region, 2.0 / 3.0, 0.0, 20_000, seed=46)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.num_samples == 20_000
+    samples = 2 * 20_000 * 50 * 8
+    assert peak <= 1.25 * samples + 2 * 2**20

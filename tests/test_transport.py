@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -344,6 +345,57 @@ def test_w2_warm_start_falls_back_to_the_plain_assignment(case):
     ref, ref_plan = _plain_assignment(mu, nu, p)
     assert d == ref and np.isfinite(d)
     np.testing.assert_array_equal(plan.matrix, ref_plan)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 50, 64, 200])
+@pytest.mark.parametrize("case", ["square", "replicated", "plain"])
+def test_w2_matched_pair_costs_are_the_cost_matrix_entries(monkeypatch, d, case):
+    # the assignment overwrites C with its reduced cost, so the distance is
+    # summed from the matched pairs' costs evaluated again; each must be
+    # the entry of C bit for bit, whatever the dimension, replicated or not,
+    # and on the plain route, solved on C itself
+    rng = np.random.default_rng(40 + d)
+    n, m = (40, 60) if case == "replicated" else (150, 150)
+    layout = BlockLayout((1,) * d)
+    p = BlockProbabilities(rng.uniform(0.5, 1.0, size=d), layout)
+    scales = 10.0 ** rng.uniform(-0.5, 0.5, size=d)
+    mu = DiscreteMeasure.empirical(rng.normal(size=(n, d)) * scales, layout)
+    nu = DiscreteMeasure.empirical(rng.normal(size=(m, d)) * scales + 0.5, layout)
+    scale = np.sqrt(p.coordinate_inverse())
+    x, y = mu.support * scale, nu.support * scale
+    if case == "plain":
+        monkeypatch.setattr(transport, "_gaussian_potential", lambda *args: None)
+    else:
+        # warm-started wherever the fit is regular: 200 dimensions need
+        # more than 150 atoms
+        assert (transport._gaussian_potential(x, y) is None) == (n <= d)
+    dist, plan = wasserstein2_weighted(mu, nu, p)
+    matched = cost_matrix(mu, nu, p)[plan.rows, plan.cols]
+    assert plan.rows.size == np.lcm(n, m)
+    np.testing.assert_array_equal(transport._matched_costs(x, y, plan.rows, plan.cols), matched)
+    assert dist == np.sqrt(max(float(matched.sum() / plan.rows.size), 0.0))
+
+
+@pytest.mark.parametrize("n, m", [(400, 400), (300, 200)])
+def test_w2_assignment_working_set(n, m):
+    # a square solve runs in the cost matrix's own buffer; a replicated one
+    # holds the L x L copy and the n x m cost only while the copy is made
+    layout, p = _unit_p(2)
+    rng = np.random.default_rng(41)
+    mu = DiscreteMeasure.empirical(rng.normal(size=(n, 2)), layout)
+    nu = DiscreteMeasure.empirical(rng.normal(size=(m, 2)) + 1.0, layout)
+    wasserstein2_weighted(mu, nu, p)  # loads the kernels untraced
+    tracemalloc.start()
+    try:
+        wasserstein2_weighted(mu, nu, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    L = np.lcm(n, m)
+    if n == m:
+        assert peak <= 1.25 * 8 * n * n
+    else:
+        assert peak <= 1.1 * 8 * (L * L + n * m)
 
 
 def test_coupling_plan_matrix_is_the_former_dense_plan_on_both_routes(monkeypatch, tmp_path):
