@@ -57,14 +57,17 @@ def _init_sampler(cfg: ExperimentConfig, problem):
 
     init = cfg.run.init
     kind = init["kind"]
+    dim = problem.layout.total_dim
     if kind == "point":
         x = np.asarray(init["x"], dtype=float)
-        if x.shape != (problem.layout.total_dim,):
-            raise ConfigError(
-                f"config.run.init.x: expected {problem.layout.total_dim} coordinates, got {x.shape}"
-            )
+        if x.shape != (dim,):
+            raise ConfigError(f"config.run.init.x: expected {dim} coordinates, got {x.shape}")
         return point_sampler(x)
     if kind == "uniform_box":
+        # parse_config has checked that lo and hi have one length
+        if len(init["lo"]) != dim:
+            raise ConfigError(f"config.run.init: expected bounds of {dim} coordinates, "
+                              f"got {len(init['lo'])}")
         return uniform_box_sampler(init["lo"], init["hi"])
     return uniform_box_sampler(problem.region.lo, problem.region.hi)
 
@@ -74,12 +77,17 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     from .config import RateSection
     from .markov import init_ensemble, run as run_ensemble, write_snapshot
     from .operators import gd_step_bound
-    from .rates import check_trajectory, write_trajectory_csv
+    from .rates import check_trajectory, trajectory_header, write_trajectory_csv
     from .transport import DiscreteMeasure, write_measure
 
     if cfg.run is None:
         raise ConfigError("config.run: required by the run command")
     problem, m = _build(cfg)
+    rate_cfg = cfg.rate or RateSection()
+    columns = trajectory_header(problem.layout.num_blocks)
+    if rate_cfg.column not in columns:
+        raise ConfigError(f"config.rate.column: the trajectory has no column {rate_cfg.column!r}; "
+                          f"available: {columns}")
     if cfg.run.strict_steps and cfg.flavor == "fb":
         bounds = gd_step_bound(m.coupling, 0.5)
         if not bounds.admits(m.steps):
@@ -105,7 +113,6 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     # rate's checks under the config's rate section; none where rate would
     # refuse the column, as d_target is empty without a target
-    rate_cfg = cfg.rate or RateSection()
     try:
         verdicts = check_trajectory(traj, rate_cfg.column,
                                     str(traj_path), rate_cfg.fejer_tol_rel, rate_cfg.tail_tol,

@@ -432,8 +432,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
             epsilon = 0.0 if epsilon is None else _as_float(epsilon, "config.rate.gauge.epsilon")
             check_gauge({"config.rate.gauge.kappa": kappa, "config.rate.gauge.tau": tau,
                          "config.rate.gauge.epsilon": epsilon}, "config.rate.gauge")
+        column = r.get("column", "d_target")
+        if not isinstance(column, str):
+            raise ConfigError(f"config.rate.column: expected a trajectory column name, got {column!r}")
         rate_sec = RateSection(
-            column=str(r.get("column", "d_target")),
+            column=column,
             gauge=gauge,
             # a negative fejer_tol_rel asks every step to shrink by that fraction
             fejer_tol_rel=_as_finite(r.get("fejer_tol_rel", 1e-3), "config.rate.fejer_tol_rel"),

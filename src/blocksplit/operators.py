@@ -350,15 +350,19 @@ def coupling_diagonal_sqdist(layout: BlockLayout) -> SmoothCoupling:
     )
 
 
-def coupling_diagonal_indicator(layout: BlockLayout, agreement_tol: float = 1e-9) -> SmoothCoupling:
+DIAGONAL_AGREEMENT_TOL = 1e-9
+
+
+def coupling_diagonal_indicator(layout: BlockLayout) -> SmoothCoupling:
     """Indicator of the diagonal, for reflection-based updates only.
 
     The block-j partial resolvent forces block j to the common value of the
-    remaining blocks; it is empty when those blocks disagree.  The override
-    takes a whole update group and checks its blocks in group order; the
-    error names the first block with a disagreeing batch row, and its first
-    such row (in a run, the chain).  There is no gradient oracle, so
-    forward-backward flavors must reject this coupling.
+    remaining blocks; it is empty when those blocks disagree by more than
+    DIAGONAL_AGREEMENT_TOL.  The override takes a whole update group and
+    checks its blocks in group order; the error names the first block with
+    a disagreeing batch row, and its first such row (in a run, the chain).
+    There is no gradient oracle, so forward-backward flavors must reject
+    this coupling.
     """
     dims = set(layout.block_dims)
     if len(dims) != 1:
@@ -374,7 +378,7 @@ def coupling_diagonal_indicator(layout: BlockLayout, agreement_tol: float = 1e-9
         others = np.arange(m) != js[:, None]  # (k, m)
         gap = np.abs(xb[..., None, :, :] - ref[..., :, None, :]).max(axis=-1)  # (..., k, m)
         spread = np.where(others, gap, 0.0).max(axis=-1).reshape(-1, len(js))
-        bad = spread > agreement_tol
+        bad = spread > DIAGONAL_AGREEMENT_TOL
         if bad.any():
             a = int(np.flatnonzero(bad.any(axis=0))[0])
             row = int(np.flatnonzero(bad[:, a])[0])

@@ -279,7 +279,7 @@ def quadratic_l1(
     deterministic full-block forward-backward run at a conservative step
     that, once the run has identified the support and signs of the
     solution, solves the stationarity equations on that support and keeps
-    the solution only if it is a fixed point of T1 (see _support_reference).
+    the solution only if it is a fixed point of T1 (see _reference).
     """
     Q = np.asarray(Q, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -310,45 +310,64 @@ def quadratic_l1(
     )
     full_block = BlockSubsetScheme((tuple(range(layout.num_blocks)),), (1.0,))
     w = np.repeat(l1_weights, layout.block_dims)
-    x = _support_reference(spec.build_map("fb", full_block), Q, b, w, reference_iterations)
+    x = _reference(spec.build_map("fb", full_block), np.zeros(d), reference_iterations,
+                   lambda v: _support_candidate(Q, b, w, v))
     spec.fixed_points = x[None, :]
     spec.target_point = x
     _verify_declared_fixed_points(spec, "fb")
     return spec
 
 
-# Steps between the active-set candidates of _support_reference.
+# Steps between the candidates of _reference.
 ACTIVE_SET_EVERY = 10
-# Default tolerance of the reference stop rule (see _settled).
+# Tolerance of the reference stop rule (see _settled).
 REFERENCE_TOL = 1e-15
 
 
-def _settled(x_next: np.ndarray, x: np.ndarray, tol: float = REFERENCE_TOL) -> bool:
-    """The reference stop rule: one T1 step moved no coordinate by tol or more."""
-    return bool(np.max(np.abs(x_next - x)) < tol)
+def _settled(x_next: np.ndarray, x: np.ndarray) -> bool:
+    """The reference stop rule: one T1 step moved no coordinate by REFERENCE_TOL or more."""
+    return bool(np.max(np.abs(x_next - x)) < REFERENCE_TOL)
 
 
-def deterministic_reference(m: SplittingMap, x0: np.ndarray, iterations: int = 100_000,
-                            tol: float = REFERENCE_TOL) -> np.ndarray:
+def deterministic_reference(m: SplittingMap, x0: np.ndarray, iterations: int = 100_000) -> np.ndarray:
     """Long full-block run; the anchor for reference solutions."""
+    return _reference(m, x0, iterations)
+
+
+def _reference(m: SplittingMap, x0: np.ndarray, iterations: int, candidate=None) -> np.ndarray:
+    """The full-block T1 run from x0 until the stop rule passes, cut short by ``candidate``.
+
+    Every ACTIVE_SET_EVERY steps ``candidate`` maps the iterate to a guess
+    at the limit, or None (quadratic_l1 passes _support_candidate).  A
+    finite guess that passes the stop rule after one T1 step ends the run,
+    and _settled_point picks its T1 image or the guess itself.  A missing
+    or non-finite guess or a failed check leave the run untouched, so with
+    every guess rejected the result is that of the plain run, bit for bit.
+    """
     x = np.asarray(x0, dtype=float)
-    for _ in range(iterations):
+    for step in range(1, iterations + 1):
         x_next = apply_full(m, x)
-        if _settled(x_next, x, tol):
-            return _settled_point(m, x, x_next, tol)
+        if _settled(x_next, x):
+            return _settled_point(m, x, x_next)
         x = x_next
+        if candidate is None or step % ACTIVE_SET_EVERY:
+            continue
+        z = candidate(x)
+        if z is not None and np.isfinite(z).all():
+            z_next = apply_full(m, z)
+            if _settled(z_next, z):
+                return _settled_point(m, z, z_next)
     return x
 
 
-def _settled_point(m: SplittingMap, x: np.ndarray, x_next: np.ndarray,
-                   tol: float = REFERENCE_TOL) -> np.ndarray:
+def _settled_point(m: SplittingMap, x: np.ndarray, x_next: np.ndarray) -> np.ndarray:
     """x_next = T1(x) if one more T1 step from it passes the stop rule, else x.
 
     The stop rule has passed from x, so the point returned is one that T1
-    moves by less than tol in every coordinate.  Near |x| >= 4 one ulp is
-    close to tol, and x_next can itself move by two ulps.
+    moves by less than REFERENCE_TOL in every coordinate.  Near |x| >= 4 one
+    ulp is close to that tolerance, and x_next can itself move by two ulps.
     """
-    return x_next if _settled(apply_full(m, x_next), x_next, tol) else x
+    return x_next if _settled(apply_full(m, x_next), x_next) else x
 
 
 def _support_candidate(Q: np.ndarray, b: np.ndarray, w: np.ndarray,
@@ -388,33 +407,3 @@ def _support_candidate(Q: np.ndarray, b: np.ndarray, w: np.ndarray,
         point[S[j]] = 0.0
         S = np.delete(S, j)
     return np.zeros_like(x)
-
-
-def _support_reference(m: SplittingMap, Q: np.ndarray, b: np.ndarray, w: np.ndarray,
-                       iterations: int) -> np.ndarray:
-    """deterministic_reference from 0 for x'Qx/2 + b'x + sum_i w_i |x_i|, cut short.
-
-    Forward-backward steps identify the support S and signs s of the
-    minimizer after finitely many iterations, and on (S, s) the minimizer
-    solves Q_SS z_S = -(b_S + w_S s) with z = 0 off S.  Every
-    ACTIVE_SET_EVERY steps that candidate is built from the current iterate
-    (see _support_candidate); it is kept only if one T1 step from it passes
-    the stop rule, and then _settled_point picks its T1 image or the
-    candidate itself.  A missing or non-finite candidate or a failed check
-    leave the run untouched, so with every candidate rejected the result is
-    deterministic_reference's, bit for bit.
-    """
-    x = np.zeros(Q.shape[0])
-    for step in range(1, iterations + 1):
-        x_next = apply_full(m, x)
-        if _settled(x_next, x):
-            return _settled_point(m, x, x_next)
-        x = x_next
-        if step % ACTIVE_SET_EVERY:
-            continue
-        z = _support_candidate(Q, b, w, x)
-        if z is not None and np.isfinite(z).all():
-            z_next = apply_full(m, z)
-            if _settled(z_next, z):
-                return _settled_point(m, z, z_next)
-    return x

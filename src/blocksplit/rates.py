@@ -112,20 +112,30 @@ class CheckResult:
     worst_excess: float
 
 
-def check_fejer(distances: np.ndarray, tol_rel: float = 1e-3, tol_abs: float = 0.0) -> CheckResult:
-    """Monotone nonincrease up to tolerance: d_{k+1} <= d_k (1 + tol_rel) + tol_abs."""
+def _sequence(distances) -> np.ndarray:
     d = np.asarray(distances, dtype=float)
     if d.ndim != 1 or d.shape[0] < 2:
         raise DegenerateSequence("need at least two distances")
-    if np.any(d < 0):
-        raise ValueError("distances must be nonnegative")
-    excess = d[1:] - (d[:-1] * (1.0 + tol_rel) + tol_abs)
-    bad = np.nonzero(excess > 0)[0]
+    return d
+
+
+def _per_step(d: np.ndarray, bound) -> CheckResult:
+    """d_{k+1} <= bound(d_k) at every step; the first step that breaks it and the worst excess."""
+    excess = d[1:] - bound(d[:-1])
+    bad = np.flatnonzero(excess > 0)
     return CheckResult(
         passed=bad.size == 0,
         first_violation=int(bad[0]) if bad.size else None,
         worst_excess=float(np.max(excess)),
     )
+
+
+def check_fejer(distances: np.ndarray, tol_rel: float = 1e-3, tol_abs: float = 0.0) -> CheckResult:
+    """Monotone nonincrease up to tolerance: d_{k+1} <= d_k (1 + tol_rel) + tol_abs."""
+    d = _sequence(distances)
+    if np.any(d < 0):
+        raise ValueError("distances must be nonnegative")
+    return _per_step(d, lambda t: t * (1.0 + tol_rel) + tol_abs)
 
 
 def check_gauge_monotone(
@@ -135,16 +145,7 @@ def check_gauge_monotone(
     tol_abs: float = 0.0,
 ) -> CheckResult:
     """Per-step gauge contraction: d_{k+1} <= theta(d_k) + tol_rel d_k + tol_abs."""
-    d = np.asarray(distances, dtype=float)
-    if d.ndim != 1 or d.shape[0] < 2:
-        raise DegenerateSequence("need at least two distances")
-    excess = d[1:] - (gauge.theta(d[:-1]) + tol_rel * d[:-1] + tol_abs)
-    bad = np.nonzero(excess > 0)[0]
-    return CheckResult(
-        passed=bad.size == 0,
-        first_violation=int(bad[0]) if bad.size else None,
-        worst_excess=float(np.max(excess)),
-    )
+    return _per_step(_sequence(distances), lambda t: gauge.theta(t) + tol_rel * t + tol_abs)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ certifier sums over the masked route where(mask_i, T1 x, x).
 ``verify_expectation_identities`` checks the closed form against sums over
 the reference route ``apply_T``, so its two sides never share a T1.
 
-Every certifier draws its samples whole and evaluates them in row chunks
-(``_by_chunks``), so a sweep holds its sample arrays and one chunk's
-intermediates, whatever the number of pairs.  The per-pair values, and so
-the worst margin and its witness, are those of one whole-batch evaluation.
+Every pair certifier is a margin function swept by ``_certify_pairs``.
+Samples are drawn whole and evaluated in row chunks (``_by_chunks``), so a
+sweep holds its sample arrays and one chunk's intermediates, whatever the
+number of pairs.  The per-pair values, and so the worst margin and its
+witness, are those of one whole-batch evaluation.
 """
 
 from __future__ import annotations
@@ -214,6 +215,9 @@ def certify_aafne_in_expectation(
                           num_pairs, seed, tolerance, adversarial, refine_steps, p_max=p.p_max)
 
 
+FIXED_POINT_TOL = 1e-12
+
+
 def certify_paracontraction_in_expectation(
     m: SplittingMap,
     c_points: np.ndarray,
@@ -221,12 +225,11 @@ def certify_paracontraction_in_expectation(
     num_samples: int,
     seed: int,
     residual_threshold: float = 1e-8,
-    fixed_point_tolerance: float = 1e-12,
 ) -> CertificationReport:
     """Test strict decrease E||T_xi x - z||_p < ||x - z||_p off the fixed set.
 
     ``c_points`` must be fixed by every blockwise outcome to within
-    ``fixed_point_tolerance`` (InvalidFixedPoints otherwise).  Samples with
+    FIXED_POINT_TOL (InvalidFixedPoints otherwise).  Samples with
     full-block residual below ``residual_threshold`` are skipped: they are
     numerically indistinguishable from fixed points, where the inequality
     degenerates to equality.
@@ -236,7 +239,7 @@ def certify_paracontraction_in_expectation(
     for z, T1z in zip(c_points, apply_full(m, c_points)):
         for i, mask in enumerate(masks):
             r = float(np.linalg.norm(z - np.where(mask, T1z, z)))
-            if r > fixed_point_tolerance:
+            if r > FIXED_POINT_TOL:
                 raise InvalidFixedPoints(
                     f"declared point {z} moves by {r:.3e} under outcome {i}"
                 )
@@ -305,31 +308,15 @@ def verify_expectation_identities(
     reads, so the two sides never share an evaluation.
     """
     p = m.probabilities
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(3,)))
-    xs = region.sample(rng, num_pairs)
-    ys = region.sample(rng, num_pairs)
 
-    def deviations(x, y):
+    def margin_batch(x, y):
         lhs1 = lhs2 = 0.0
         for i, q in enumerate(m.scheme.probs):
             Tx, Ty = apply_T(m, i, x), apply_T(m, i, y)
             lhs1 = lhs1 + q * weighted_sq(Tx - Ty, p)
             lhs2 = lhs2 + q * weighted_transport_discrepancy(x, y, Tx, Ty, p)
         rhs1, rhs2 = expected_weighted_terms(m, x, y)
-        return np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2)
+        return np.maximum(np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2))
 
-    dev1, dev2 = _by_chunks(deviations, xs, ys)
-    dev = float(max(np.max(dev1), np.max(dev2)))
-    worst = int(np.argmax(np.maximum(dev1, dev2)))
-    return CertificationReport(
-        property="expectation_identities",
-        alpha=None,
-        violation=None,
-        num_samples=num_pairs,
-        margin=dev,
-        tolerance=tolerance,
-        passed=bool(dev <= tolerance),
-        witness_x=xs[worst],
-        witness_y=ys[worst],
-        details={"seed": int(seed)},
-    )
+    return _certify_pairs("expectation_identities", margin_batch, 3, region, None, None,
+                          num_pairs, seed, tolerance, False, 0)

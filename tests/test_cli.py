@@ -267,6 +267,19 @@ def test_cli_run_verdicts_are_the_rate_checks(tmp_path, capsys):
     assert summary["verdicts"]["gauge"] is not None
 
 
+def test_cli_run_without_a_target_writes_null_verdicts(tmp_path, capsys):
+    # d_target names a trajectory column, but an inconsistent feasibility
+    # problem declares no target, so the column stays empty and the run
+    # records no verdicts instead of failing
+    sets = [{"kind": "point", "point": [0.0, 0.0]}, {"kind": "point", "point": [2.0, 0.0]}]
+    doc = run_config(tmp_path, init={"kind": "region"})
+    doc["problem"] = {"id": "feasibility", "params": {"sets": sets}}
+    doc.update(flavor="dr", steps=[1.0, 1.0])
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["verdicts"] is None
+
+
 def test_cli_rate_gauge_failure_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, run_config(tmp_path))
     main(["run", "--config", path])
@@ -450,6 +463,14 @@ BAD_INPUTS = [
                                                    "hi": [INF, 1.0]}))),
     ("init_x_nan", "config.run.init.x: must be finite",
      _config_case("run", run=dict(SMALL_RUN, init={"kind": "point", "x": [NAN, 0.0]}))),
+    ("init_box_three_coordinates", "config.run.init: expected bounds of 2 coordinates, got 3",
+     _config_case("run", run=dict(SMALL_RUN, init={"kind": "uniform_box", "lo": [-1.0] * 3,
+                                                   "hi": [1.0] * 3}))),
+    # the run checks its rate column before it simulates
+    ("rate_column_number", "config.rate.column: expected a trajectory column name, got 5",
+     _config_case("run", rate={"column": 5}, run=SMALL_RUN)),
+    ("rate_column_misspelt", "config.rate.column: the trajectory has no column 'd_targt'",
+     _config_case("run", rate={"column": "d_targt"}, run=SMALL_RUN)),
     ("transport_probs_nan", "--probs: block probabilities must be finite",
      _file_case("m.csv", GOOD_MEASURE,
                 lambda bad, good: ["transport", bad, good, "--probs", "nan,0.5"])),

@@ -102,6 +102,39 @@ def test_check_gauge_monotone_detects_slower_decay():
     assert res.first_violation == 0
 
 
+# At the scale of feas_draws' distances, where its recorded Fejer failure is
+# an excess of about 2e-34, the bound must be rounded as written: at this d0
+# d0 + tol_rel * d0 and (factor + tol_rel) * d0 round to other floats than
+# the bounds below.
+D0 = 1.004e-24
+
+
+def test_check_fejer_bound_rounds_as_d_times_one_plus_tol_rel():
+    tol_rel = 1e-3
+    bound = D0 * (1.0 + tol_rel)
+    assert bound != D0 + tol_rel * D0
+    assert check_fejer(np.array([D0, bound]), tol_rel=tol_rel).passed
+    res = check_fejer(np.array([D0, np.nextafter(bound, np.inf)]), tol_rel=tol_rel)
+    assert not res.passed and res.first_violation == 0
+
+
+def test_check_gauge_bound_rounds_as_theta_plus_tol_rel_d():
+    g = theta_linear(2.0, 2.0, 0.0)
+    tol_rel = 1e-9
+    bound = g.theta(D0) + tol_rel * D0
+    assert bound != (g.factor + tol_rel) * D0
+    assert check_gauge_monotone(np.array([D0, bound]), g, tol_rel=tol_rel).passed
+    res = check_gauge_monotone(np.array([D0, np.nextafter(bound, np.inf)]), g, tol_rel=tol_rel)
+    assert not res.passed and res.first_violation == 0
+
+
+def test_check_fejer_reports_a_degenerate_sequence_before_a_negative_distance():
+    with pytest.raises(DegenerateSequence):
+        check_fejer(np.array([-1.0]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_fejer(np.array([1.0, -1.0]))
+
+
 def test_asymptotic_regularity_summable_steps():
     k = np.arange(1, 4001, dtype=float)
     res = check_asymptotic_regularity(1.0 / k)
