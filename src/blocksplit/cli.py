@@ -7,6 +7,10 @@ trajectory check fails, 2 on usage or configuration errors, including a
 size too large to allocate.  Reports embed the resolved config and seed;
 CSV output never contains timestamps, so identical (config, seed) runs
 write identical bytes.
+
+Only command rules live here: a required section, ``strict_steps`` and
+paracontraction's fixed points.  Every rule about a config field lives in
+``config``.
 """
 
 from __future__ import annotations
@@ -43,51 +47,19 @@ def _read_input(reader, path):
         raise ConfigError(f"{path}: {e}") from e
 
 
-def _build(cfg: ExperimentConfig):
-    problem = cfg.build_problem()
-    num_blocks = problem.layout.num_blocks
-    if cfg.steps is not None and len(cfg.steps) not in (1, num_blocks):
-        raise ConfigError(f"config.steps: expected 1 or {num_blocks} values, got {len(cfg.steps)}")
-    m = problem.build_map(cfg.flavor, cfg.scheme, cfg.steps)
-    return problem, m
-
-
-def _init_sampler(cfg: ExperimentConfig, problem):
-    from .markov import point_sampler, uniform_box_sampler
-
-    init = cfg.run.init
-    kind = init["kind"]
-    dim = problem.layout.total_dim
-    if kind == "point":
-        x = np.asarray(init["x"], dtype=float)
-        if x.shape != (dim,):
-            raise ConfigError(f"config.run.init.x: expected {dim} coordinates, got {x.shape}")
-        return point_sampler(x)
-    if kind == "uniform_box":
-        # parse_config has checked that lo and hi have one length
-        if len(init["lo"]) != dim:
-            raise ConfigError(f"config.run.init: expected bounds of {dim} coordinates, "
-                              f"got {len(init['lo'])}")
-        return uniform_box_sampler(init["lo"], init["hi"])
-    return uniform_box_sampler(problem.region.lo, problem.region.hi)
-
-
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Simulate the ensemble and write trajectory, snapshots, and summary."""
     from .config import RateSection
     from .markov import init_ensemble, run as run_ensemble, write_snapshot
     from .operators import gd_step_bound
-    from .rates import check_trajectory, trajectory_header, write_trajectory_csv
+    from .rates import check_column, check_trajectory, trajectory_header, write_trajectory_csv
     from .transport import DiscreteMeasure, write_measure
 
     if cfg.run is None:
         raise ConfigError("config.run: required by the run command")
-    problem, m = _build(cfg)
+    problem, m = cfg.build()
     rate_cfg = cfg.rate or RateSection()
-    columns = trajectory_header(problem.layout.num_blocks)
-    if rate_cfg.column not in columns:
-        raise ConfigError(f"config.rate.column: the trajectory has no column {rate_cfg.column!r}; "
-                          f"available: {columns}")
+    check_column(trajectory_header(problem.layout.num_blocks), rate_cfg.column, "config.rate.column")
     if cfg.run.strict_steps and cfg.flavor == "fb":
         bounds = gd_step_bound(m.coupling, 0.5)
         if not bounds.admits(m.steps):
@@ -96,8 +68,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
                 "(strict_steps is on)"
             )
     m.probabilities  # refuses a block never selected: the W2 metric weighs block j by 1/p_j
-    t0 = time.time()
-    ensemble = init_ensemble(m, _init_sampler(cfg, problem), cfg.run.num_chains, cfg.seed)
+    t0 = time.perf_counter()
+    ensemble = init_ensemble(m, cfg.initial_sampler(problem), cfg.run.num_chains, cfg.seed)
     result = run_ensemble(
         ensemble,
         m,
@@ -106,7 +78,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
         dw_step_every=cfg.run.dw_step_every,
         target=problem.target_point,
     )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     traj = result.trajectory
 
     traj_path = out_dir / "trajectory.csv"
@@ -114,9 +86,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     # rate's checks under the config's rate section; none where rate would
     # refuse the column, as d_target is empty without a target
     try:
-        verdicts = check_trajectory(traj, rate_cfg.column,
-                                    str(traj_path), rate_cfg.fejer_tol_rel, rate_cfg.tail_tol,
-                                    rate_cfg.gauge)
+        verdicts = check_trajectory(traj, rate_cfg.column, "config.rate.column", str(traj_path),
+                                    rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, rate_cfg.gauge_spec)
     except ConfigError:
         verdicts = None
 
@@ -163,14 +134,9 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     if cfg.certify is None:
         raise ConfigError("config.certify: required by the certify command")
-    problem, m = _build(cfg)
+    problem, m = cfg.build()
     c = cfg.certify
-    region = c.region if c.region is not None else problem.region
-    if region.dim != problem.layout.total_dim:
-        raise ConfigError(
-            f"config.certify.region: dimension {region.dim} does not match problem "
-            f"dimension {problem.layout.total_dim}"
-        )
+    region = cfg.certify_region(problem)
 
     if c.property == "pointwise_aafne":
         if c.target["kind"] == "subset":
@@ -210,21 +176,22 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     """Check a distance trajectory; exit 1 when a requested check fails."""
-    from .config import RateSection, check_gauge
+    from .config import RateSection, gauge_spec
     from .rates import check_trajectory, read_trajectory_csv
 
     rate_cfg = (cfg.rate if cfg is not None else None) or RateSection()
-    gauge = rate_cfg.gauge
+    gauge = rate_cfg.gauge_spec
     if args.kappa is not None:
         if args.tau is None:
             raise ConfigError("--tau: required alongside --kappa")
         epsilon = 0.0 if args.epsilon is None else args.epsilon
-        check_gauge({"--kappa": args.kappa, "--tau": args.tau, "--epsilon": epsilon}, "--kappa")
-        gauge = {"kappa": args.kappa, "tau": args.tau, "epsilon": args.epsilon}
+        gauge = gauge_spec({"--kappa": args.kappa, "--tau": args.tau, "--epsilon": epsilon}, "--kappa")
     elif args.tau is not None or args.epsilon is not None:
         raise ConfigError(f"{'--tau' if args.tau is not None else '--epsilon'}: needs --kappa")
     cols = _read_input(read_trajectory_csv, args.trajectory)
-    report = check_trajectory(cols, args.column or rate_cfg.column, str(args.trajectory),
+    column, where = ((args.column, "--column") if args.column is not None
+                     else (rate_cfg.column, "config.rate.column"))
+    report = check_trajectory(cols, column, where, str(args.trajectory),
                               rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, gauge)
     doc = {"config": None if cfg is None else cfg.resolved(), "report": report}
     out_dir.mkdir(parents=True, exist_ok=True)

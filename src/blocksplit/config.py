@@ -4,6 +4,11 @@ Every command takes one JSON document.  Validation errors name the faulty
 field; unknown fields, unknown problem ids or malformed sections never
 reach the solvers.  Block indices in subsets are 0-based.  ``json_ready``
 is the way back out: every report and resolved config is written through it.
+
+Every rule about a config field lives here: ``parse_config`` checks what
+the document decides and builds the rate gauge once (``gauge_spec``), and
+the ``ExperimentConfig`` methods check what needs the built problem.  A
+trajectory column is checked against the trajectory, by ``rates.check_column``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .errors import ConfigError, DimensionMismatch, InadmissibleGauge, NotPSD, U
 
 if TYPE_CHECKING:
     from .problems import ProblemSpec
+    from .rates import GaugeSpec
+    from .splitting import SplittingMap
 
 SCHEMA_VERSION = 1
 
@@ -168,6 +175,8 @@ class RateSection:
     gauge: dict | None = None
     fejer_tol_rel: float = 1e-3
     tail_tol: float = 1e-3
+    # the gauge parse_config builds from ``gauge``, which reports keep as given
+    gauge_spec: GaugeSpec | None = field(default=None, init=False)
 
 
 @dataclass
@@ -187,6 +196,44 @@ class ExperimentConfig:
 
     def build_problem(self) -> ProblemSpec:
         return build_problem(self.problem_id, self.problem_params)
+
+    def build(self) -> tuple[ProblemSpec, SplittingMap]:
+        """The problem and its splitting map, refusing a step count the problem's blocks do not take."""
+        problem = self.build_problem()
+        num_blocks = problem.layout.num_blocks
+        if self.steps is not None and len(self.steps) not in (1, num_blocks):
+            raise ConfigError(f"config.steps: expected 1 or {num_blocks} values, got {len(self.steps)}")
+        return problem, problem.build_map(self.flavor, self.scheme, self.steps)
+
+    def initial_sampler(self, problem: ProblemSpec):
+        """The sampler of ``run.init``, refusing coordinates the problem does not have."""
+        from .markov import point_sampler, uniform_box_sampler
+
+        init = self.run.init
+        kind = init["kind"]
+        dim = problem.layout.total_dim
+        if kind == "point":
+            x = np.asarray(init["x"], dtype=float)
+            if x.shape != (dim,):
+                raise ConfigError(f"config.run.init.x: expected {dim} coordinates, got {x.shape}")
+            return point_sampler(x)
+        if kind == "uniform_box":
+            # parse_config has checked that lo and hi have one length
+            if len(init["lo"]) != dim:
+                raise ConfigError(f"config.run.init: expected bounds of {dim} coordinates, "
+                                  f"got {len(init['lo'])}")
+            return uniform_box_sampler(init["lo"], init["hi"])
+        return uniform_box_sampler(problem.region.lo, problem.region.hi)
+
+    def certify_region(self, problem: ProblemSpec) -> Region:
+        """``certify.region``, or the problem's own region; either must have the problem's dimension."""
+        region = self.certify.region if self.certify.region is not None else problem.region
+        if region.dim != problem.layout.total_dim:
+            raise ConfigError(
+                f"config.certify.region: dimension {region.dim} does not match problem "
+                f"dimension {problem.layout.total_dim}"
+            )
+        return region
 
     def resolved(self) -> dict:
         """Plain-JSON view of the config with defaults applied (for reports)."""
@@ -301,8 +348,8 @@ def _parse_region(d: dict, where: str) -> Region:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def check_gauge(constants: dict, where: str) -> None:
-    """Refuse linear-gauge constants that give no factor in (0, 1).
+def gauge_spec(constants: dict, where: str) -> GaugeSpec:
+    """The linear gauge of kappa, tau and epsilon, refused unless its factor lies in (0, 1).
 
     ``constants`` maps the name each value is reported under (a config
     field or a flag) to kappa, tau and epsilon, in that order.  Each must
@@ -318,7 +365,7 @@ def check_gauge(constants: dict, where: str) -> None:
     from .rates import theta_linear
 
     try:
-        theta_linear(kappa, tau, epsilon)
+        return theta_linear(kappa, tau, epsilon)
     except InadmissibleGauge as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -423,15 +470,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     rate_sec = None
     if "rate" in doc:
         r = _object(doc["rate"], "config.rate", _init_fields(RateSection))
-        gauge = r.get("gauge")
+        gauge, spec = r.get("gauge"), None
         if gauge is not None:
             _kind(gauge, "config.rate.gauge", GAUGE_FIELDS)
             kappa, tau = (_as_float(_require(gauge, key, "config.rate.gauge"), f"config.rate.gauge.{key}")
                           for key in ("kappa", "tau"))
             epsilon = gauge.get("epsilon")
             epsilon = 0.0 if epsilon is None else _as_float(epsilon, "config.rate.gauge.epsilon")
-            check_gauge({"config.rate.gauge.kappa": kappa, "config.rate.gauge.tau": tau,
-                         "config.rate.gauge.epsilon": epsilon}, "config.rate.gauge")
+            spec = gauge_spec({"config.rate.gauge.kappa": kappa, "config.rate.gauge.tau": tau,
+                               "config.rate.gauge.epsilon": epsilon}, "config.rate.gauge")
         column = r.get("column", "d_target")
         if not isinstance(column, str):
             raise ConfigError(f"config.rate.column: expected a trajectory column name, got {column!r}")
@@ -442,6 +489,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             fejer_tol_rel=_as_finite(r.get("fejer_tol_rel", 1e-3), "config.rate.fejer_tol_rel"),
             tail_tol=_as_finite(r.get("tail_tol", 1e-3), "config.rate.tail_tol", True),
         )
+        rate_sec.gauge_spec = spec
 
     return ExperimentConfig(
         problem_id=problem_id,

@@ -47,7 +47,6 @@ class Ensemble:
 
     states: np.ndarray  # (N, dim)
     rngs: list[np.random.Generator]
-    master_seed: int
     k: int = 0
 
     def __post_init__(self):
@@ -86,7 +85,7 @@ def init_ensemble(
             raise DimensionMismatch(f"initial sampler returned shape {x0.shape}, expected ({dim},)")
         states[i] = x0
         rngs.append(chain_rng(master_seed, i, stream=1))
-    return Ensemble(states=states, rngs=rngs, master_seed=master_seed)
+    return Ensemble(states=states, rngs=rngs)
 
 
 def sbi_step(ensemble: Ensemble, m: SplittingMap, outcomes=None, full=None) -> None:

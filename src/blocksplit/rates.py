@@ -227,38 +227,44 @@ class RateReport:
     details: dict = field(default_factory=dict)
 
 
+def check_column(columns, column: str, where: str) -> None:
+    """Refuse a ``column`` not among ``columns`` under ``where``, the flag or field that named it."""
+    if column not in columns:
+        raise ConfigError(f"{where}: the trajectory has no column {column!r}; "
+                          f"available: {list(columns)}")
+
+
 def check_trajectory(
     cols: dict[str, np.ndarray],
     column: str,
+    where: str,
     source: str,
     fejer_tol_rel: float,
     tail_tol: float,
-    gauge: dict | None,
+    gauge: GaugeSpec | None,
 ) -> RateReport:
     """Every check of a trajectory: the rate command's and the run summary's verdicts.
 
     ``cols`` maps column names to values, NaN where a cell is empty, as
     ``read_trajectory_csv`` returns them; ``source`` names the trajectory
-    in the report.  The distances are the non-empty cells of ``column``.
-    They get Fejer monotonicity with ``fejer_tol_rel``, a linear-rate fit
-    when at least five are positive, and, when ``gauge`` gives kappa, tau
-    and an optional epsilon, the linear gauge check.  ``dw_step``, when it
-    has four entries or more, gets asymptotic regularity with ``tail_tol``.
-    A missing column, fewer than two distances, or a non-finite or
-    negative one raise ConfigError.
+    in the report.  The distances are the non-empty cells of ``column``,
+    which ``where`` named.  They get Fejer monotonicity with
+    ``fejer_tol_rel``, a linear-rate fit when at least five are positive,
+    and, given a ``gauge``, the gauge check.  ``dw_step``, when it has four
+    entries or more, gets asymptotic regularity with ``tail_tol``.  A
+    missing column, fewer than two distances, or a non-finite or negative
+    one raise ConfigError under ``where``.
     """
-    if column not in cols:
-        raise ConfigError(f"rate.column: trajectory has no column {column!r}; "
-                          f"available: {sorted(cols)}")
+    check_column(cols, column, where)
     d = cols[column]
     d = d[~np.isnan(d)]
     if d.shape[0] < 2:
-        raise ConfigError(f"rate.column: column {column!r} has fewer than two usable entries")
+        raise ConfigError(f"{where}: column {column!r} has fewer than two usable entries")
     if not np.isfinite(d).all():
-        raise ConfigError(f"rate.column: column {column!r} holds a non-finite distance "
+        raise ConfigError(f"{where}: column {column!r} holds a non-finite distance "
                           f"{float(d[~np.isfinite(d)][0])!r}; distances must be finite")
     if np.any(d < 0):
-        raise ConfigError(f"rate.column: column {column!r} holds a negative distance "
+        raise ConfigError(f"{where}: column {column!r} holds a negative distance "
                           f"{float(d[d < 0][0])!r}; distances must be nonnegative")
 
     report = RateReport(details={"column": column, "trajectory": source,
@@ -276,12 +282,8 @@ def check_trajectory(
             report.asymptotic = check_asymptotic_regularity(dw, tail_tol=tail_tol)
 
     if gauge is not None:
-        if gauge.get("tau") is None:
-            raise ConfigError("rate.gauge.tau: required alongside kappa")
-        spec = theta_linear(float(gauge["kappa"]), float(gauge["tau"]),
-                            float(gauge.get("epsilon", 0.0) or 0.0))
-        report.gauge = check_gauge_monotone(d, spec, tol_rel=1e-3)
-        report.details["gauge_factor"] = spec.factor
+        report.gauge = check_gauge_monotone(d, gauge, tol_rel=1e-3)
+        report.details["gauge_factor"] = gauge.factor
     return report
 
 
@@ -318,13 +320,16 @@ def write_trajectory_csv(path, trajectory: dict[str, np.ndarray]) -> None:
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV into named columns (NaN for empty cells)."""
+    """Read a trajectory CSV into named columns (NaN for empty cells); refuse a row of the wrong width."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError("file is empty")
     header, body = rows[0], rows[1:]
     width = len(header)
-    cells = [[v or "nan" for v in row[:width]] + ["nan"] * (width - len(row)) for row in body]
+    for line, row in enumerate(body, start=2):
+        if len(row) != width:
+            raise ValueError(f"line {line} has {len(row)} fields, expected {width}")
+    cells = [[v or "nan" for v in row] for row in body]
     table = np.array(cells, dtype=float).reshape(len(body), width)
     return dict(zip(header, np.ascontiguousarray(table.T)))

@@ -77,7 +77,7 @@ def _coordinate_refine(
                 for s in (h, -h):
                     z[c] = np.clip(base + s, region.lo[c], region.hi[c])
                     m = margin_fn(x, y)
-                    if m > best + 0.0:
+                    if m > best:
                         best = m
                         base = z[c]
                         improved = True

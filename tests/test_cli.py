@@ -396,6 +396,15 @@ def _file_case(name, body, argv):
     return build
 
 
+def _rate_config_case(rate):
+    """``rate`` on a good trajectory under a config with this rate section."""
+    def build(tmp_path):
+        traj = tmp_path / "traj.csv"
+        traj.write_text(GOOD_TRAJECTORY)
+        return [*_config_case("rate", rate=rate)(tmp_path), "--trajectory", str(traj)]
+    return build
+
+
 def _quadratic(Q, **params):
     return {"id": "quadratic_l1",
             "params": {"Q": Q, "b": [0.0, 0.0], "l1_weights": [0.1, 0.1], **params}}
@@ -531,6 +540,20 @@ BAD_INPUTS = [
     ("trajectory_text_cell", "traj.csv",
      _file_case("traj.csv", "k,mean_residual,psi_upper,dw_step,d_target\n0,1,1,,1\n1,0.5,abc,,0.5\n",
                 lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    # a row with the wrong number of cells is refused, not padded or cut
+    ("trajectory_short_row", "traj.csv: line 4 has 2 fields, expected 5",
+     _file_case("traj.csv", GOOD_TRAJECTORY + "2,0.4\n",
+                lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    ("trajectory_long_row", "traj.csv: line 3 has 7 fields, expected 5",
+     _file_case("traj.csv", GOOD_TRAJECTORY.replace("0.5,0.5,,0.5", "0.5,0.5,,0.5,9,9"),
+                lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    # a column error names whatever named the column
+    ("rate_column_flag_unknown", "--column: the trajectory has no column 'nope'",
+     _file_case("traj.csv", GOOD_TRAJECTORY,
+                lambda bad, good: ["rate", "--trajectory", bad, "--column", "nope",
+                                   "--out", bad + ".out"])),
+    ("rate_config_column_misspelt", "config.rate.column: the trajectory has no column 'd_targt'",
+     _rate_config_case({"column": "d_targt"})),
     ("trajectory_empty", "empty.csv: file is empty",
      _file_case("empty.csv", "",
                 lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
@@ -693,6 +716,43 @@ def test_cli_rate_takes_no_seed(tmp_path, capsys):
     assert info.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+GAUGE = {"kind": "linear", "kappa": 5.0, "tau": 1.0}
+
+
+@pytest.mark.parametrize("command, gauge, flags, calls", [
+    ("run", GAUGE, [], 1),
+    ("rate", GAUGE, [], 1),
+    ("rate", None, ["--kappa", "5", "--tau", "1"], 1),
+    # the config's gauge is built as the config is parsed, and the flags' replaces it
+    ("rate", GAUGE, ["--kappa", "2", "--tau", "2"], 2),
+], ids=["run_config_gauge", "rate_config_gauge", "rate_flags", "rate_flags_over_config_gauge"])
+def test_cli_builds_each_gauge_once(tmp_path, monkeypatch, capsys, command, gauge, flags, calls):
+    from blocksplit import rates
+
+    built = []
+    theta_linear = rates.theta_linear
+
+    def counted(*args):
+        built.append(theta_linear(*args))
+        return built[-1]
+
+    monkeypatch.setattr(rates, "theta_linear", counted)
+    doc = base_config(run=SMALL_RUN, output_dir=str(tmp_path / "out"))
+    if gauge is not None:
+        doc["rate"] = {"gauge": gauge}
+    argv = [command, "--config", write_config(tmp_path, doc)]
+    if command == "rate":
+        traj = tmp_path / "traj.csv"
+        traj.write_text(GOOD_TRAJECTORY)
+        argv += ["--trajectory", str(traj), *flags]
+    assert main(argv) == 0
+    assert len(built) == calls
+    report = "summary.json" if command == "run" else "rate_report.json"
+    doc = json.loads((tmp_path / "out" / report).read_text())
+    details = doc["verdicts" if command == "run" else "report"]["details"]
+    assert details["gauge_factor"] == built[-1].factor
 
 
 IMPORT_GUARD = """
