@@ -207,10 +207,7 @@ def weighted_norm(z: np.ndarray, p: BlockProbabilities) -> float | np.ndarray:
 
     Accepts a single vector or a batch with the vector on the trailing axis.
     """
-    z = p.layout.check(z)
-    w = p.coordinate_inverse()
-    val = np.sqrt(np.sum(w * z * z, axis=-1))
-    return float(val) if np.ndim(val) == 0 else val
+    return np.sqrt(weighted_sq(z, p))
 
 
 def weighted_sq(z: np.ndarray, p: BlockProbabilities) -> float | np.ndarray:

@@ -53,7 +53,6 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     from .markov import init_ensemble, run as run_ensemble, write_snapshot
     from .operators import gd_step_bound
     from .rates import check_column, check_trajectory, trajectory_header, write_trajectory_csv
-    from .transport import DiscreteMeasure, write_measure
 
     if cfg.run is None:
         raise ConfigError("config.run: required by the run command")
@@ -84,7 +83,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     traj_path = out_dir / "trajectory.csv"
 
     # rate's checks under the config's rate section; none where rate would
-    # refuse the column, as d_target is empty without a target
+    # refuse the column, as d_target is empty where the map fixes no declared point
     try:
         verdicts = check_trajectory(traj, rate_cfg.column, "config.rate.column", str(traj_path),
                                     rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, rate_cfg.gauge_spec)
@@ -95,7 +94,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     write_trajectory_csv(traj_path, traj)
     for k, states in sorted(result.snapshots.items()):
         write_snapshot(out_dir / f"snapshot_{k:06d}.csv", states, problem.layout)
-    write_measure(out_dir / "final_measure.csv", DiscreteMeasure.empirical(ensemble.states, problem.layout))
+    write_snapshot(out_dir / "final_measure.csv", ensemble.states, problem.layout)
 
     final_k = int(traj["k"][-1])
     summary = {
@@ -155,9 +154,8 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
         )
     elif c.property == "paracontraction_in_expectation":
         if problem.fixed_points is None:
-            raise ConfigError(
-                "config.certify.property: paracontraction needs a problem with declared fixed points"
-            )
+            raise ConfigError("config.certify.property: paracontraction needs declared fixed "
+                              f"points; the {cfg.flavor} map fixes no declared point")
         report = certify_paracontraction_in_expectation(
             m, problem.fixed_points, region, c.num_pairs, cfg.seed,
             residual_threshold=c.residual_threshold,

@@ -6,8 +6,9 @@ reach the solvers.  Block indices in subsets are 0-based.  ``json_ready``
 is the way back out: every report and resolved config is written through it.
 
 Every rule about a config field lives here: ``parse_config`` checks what
-the document decides and builds the rate gauge once (``gauge_spec``), and
-the ``ExperimentConfig`` methods check what needs the built problem.  A
+the document decides, the problem's params included, and builds the rate
+gauge once (``gauge_spec``), and the ``ExperimentConfig`` methods check
+what needs the built problem.  A
 trajectory column is checked against the trajectory, by ``rates.check_column``.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -199,11 +200,17 @@ class ExperimentConfig:
 
     def build(self) -> tuple[ProblemSpec, SplittingMap]:
         """The problem and its splitting map, refusing a step count the problem's blocks do not take."""
+        from .splitting import FIXED_POINT_TOL, outcome_moves
+
         problem = self.build_problem()
         num_blocks = problem.layout.num_blocks
         if self.steps is not None and len(self.steps) not in (1, num_blocks):
             raise ConfigError(f"config.steps: expected 1 or {num_blocks} values, got {len(self.steps)}")
-        return problem, problem.build_map(self.flavor, self.scheme, self.steps)
+        m = problem.build_map(self.flavor, self.scheme, self.steps)
+        if problem.fixed_points is not None:  # keep the declared points that this map fixes
+            fixed = (outcome_moves(m, problem.fixed_points) <= FIXED_POINT_TOL).all(axis=1)
+            problem.fixed_points = problem.fixed_points[fixed] if fixed.any() else None
+        return problem, m
 
     def initial_sampler(self, problem: ProblemSpec):
         """The sampler of ``run.init``, refusing coordinates the problem does not have."""
@@ -252,15 +259,10 @@ class ExperimentConfig:
         return json_ready(doc)
 
 
-def _counterexample2d(params: dict) -> ProblemSpec:
-    from .problems import counterexample2d
-
+def _counterexample2d(params: dict) -> tuple[str, Callable]:
     _object(params, "problem.params", ("t",))
     t = _as_finite(params.get("t", 0.25), "problem.params.t")
-    try:
-        return counterexample2d(t)
-    except ValueError as e:
-        raise ConfigError(f"problem.params.t: {e}") from e
+    return "problem.params.t", lambda gallery: gallery.counterexample2d(t)
 
 
 def _set_kind(s, where: str) -> str:
@@ -277,35 +279,32 @@ def _set_kind(s, where: str) -> str:
     return kind
 
 
-def _feasibility(params: dict) -> ProblemSpec:
-    from .problems import feasibility, make_set
-
+def _feasibility(params: dict) -> tuple[str, Callable]:
     _object(params, "problem.params", ("sets", "coupling"))
     raw_sets = _require(params, "sets", "problem.params")
     if not isinstance(raw_sets, list) or len(raw_sets) < 2:
         raise ConfigError("problem.params.sets: expected a list of at least two set descriptors")
-    sets = []
     for idx, s in enumerate(raw_sets):
-        where = f"problem.params.sets[{idx}]"
-        kind = _set_kind(s, where)
-        try:
-            sets.append(make_set(kind, **{k: v for k, v in s.items() if k != "kind"}))
-        except Exception as e:
-            raise ConfigError(f"{where}: {e}") from e
+        _set_kind(s, f"problem.params.sets[{idx}]")
     coupling = params.get("coupling", "sqdist")
     if coupling not in ("sqdist", "indicator"):
         raise ConfigError(
             f"problem.params.coupling: expected 'sqdist' or 'indicator', got {coupling!r}"
         )
-    try:
-        return feasibility(sets, coupling)
-    except (DimensionMismatch, UnsupportedSet) as e:
-        raise ConfigError(f"problem.params.sets: {e}") from e
+
+    def build(gallery) -> ProblemSpec:
+        sets = []
+        for idx, s in enumerate(raw_sets):
+            try:
+                sets.append(gallery.make_set(**s))
+            except Exception as e:
+                raise ConfigError(f"problem.params.sets[{idx}]: {e}") from e
+        return gallery.feasibility(sets, coupling)
+
+    return "problem.params.sets", build
 
 
-def _quadratic_l1(params: dict) -> ProblemSpec:
-    from .problems import quadratic_l1
-
+def _quadratic_l1(params: dict) -> tuple[str, Callable]:
     _object(params, "problem.params", ("Q", "b", "l1_weights", "block_dims"))
     try:
         Q = np.asarray(_require(params, "Q", "problem.params"), dtype=float)
@@ -317,14 +316,12 @@ def _quadratic_l1(params: dict) -> ProblemSpec:
     w = _as_finite_vector(_require(params, "l1_weights", "problem.params"), "problem.params.l1_weights")
     bd = params.get("block_dims")
     bd = None if bd is None else _as_indices(bd, "problem.params.block_dims", 1)
-    try:
-        return quadratic_l1(Q, b, w, bd)
-    except (ValueError, DimensionMismatch, NotPSD) as e:
-        raise ConfigError(f"problem.params: {e}") from e
+    return "problem.params", lambda gallery: gallery.quadratic_l1(Q, b, w, bd)
 
 
-# The problem ids a config may name, each with the builder that validates
-# its params; the problems module is loaded only when a problem is built.
+# The problem ids a config may name, each with the builder that checks its
+# params and returns the field that names a build error and the constructor,
+# which takes the problems module: that module is loaded only at a build.
 PROBLEM_BUILDERS = {
     "counterexample2d": _counterexample2d,
     "feasibility": _feasibility,
@@ -336,7 +333,13 @@ def build_problem(problem_id: str, params: dict) -> ProblemSpec:
     builder = PROBLEM_BUILDERS.get(problem_id)
     if builder is None:
         raise ConfigError(f"problem.id: unknown problem {problem_id!r}")
-    return builder(params)
+    where, construct = builder(params)
+    from . import problems
+
+    try:
+        return construct(problems)
+    except (ValueError, DimensionMismatch, NotPSD, UnsupportedSet) as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _parse_region(d: dict, where: str) -> Region:
@@ -491,6 +494,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
         rate_sec.gauge_spec = spec
 
+    # after the sections, so that a section's error is reported first
+    PROBLEM_BUILDERS[problem_id](params)
     return ExperimentConfig(
         problem_id=problem_id,
         problem_params=params,

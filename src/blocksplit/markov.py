@@ -11,9 +11,10 @@ full-block evaluation T1 x (random sweeping).  ``run`` makes that the only
 operator work per step: the T1 x behind the residual columns at step k is
 the update of step k + 1.  Subset draws are prefetched per chain, DRAW_BLOCK
 steps at a time, as one outcome table; the stepping is serial and vectorized
-across chains, in one process.  ``run`` computes both distance columns
-itself (``d_target`` to the target's point mass, ``dw_step`` between
-consecutive clouds) and returns its trajectory as the columns
+across chains, in one process.  ``run`` records each step in one table,
+whose k column starts at the ensemble's own k.  It computes both distance
+columns itself (``d_target`` to the target's point mass, ``dw_step``
+between consecutive clouds) and returns the table as the columns
 ``read_trajectory_csv`` reads back, so a run checks the values ``rate``
 does.  The per-row block means are one reduction per distinct block dim
 (:meth:`BlockLayout.block_means`), and the trajectory writer (in
@@ -133,14 +134,14 @@ def run(
 ) -> RunResult:
     """Advance the ensemble K iterations, recording diagnostics each step.
 
-    The trajectory holds one row per k = 0..K, in the columns
-    ``read_trajectory_csv`` returns for the written file, NaN where a value
-    was not computed.  ``d_target`` is the weighted W2 distance from the
-    ensemble's cloud to the point mass at ``target`` (closed form), NaN
-    without a target.  ``dw_step_every`` > 0 fills ``dw_step`` on that
-    stride with the exact weighted W2 distance between consecutive clouds,
-    one transport solve per entry.  ``snapshot_every`` > 0 stores particle
-    copies at k = 0, multiples, and K.
+    The trajectory holds K + 1 rows, k from the ensemble's own k, in the
+    columns ``read_trajectory_csv`` returns, NaN where not computed.
+    ``d_target`` is the weighted W2 distance from the ensemble's cloud to
+    the point mass at ``target`` (closed form).  ``dw_step_every`` > 0 fills
+    ``dw_step`` on that stride with the exact weighted W2 distance between
+    consecutive clouds, one transport solve per entry.  Snapshots are
+    particle copies keyed by k: at the first and last row and wherever
+    ``snapshot_every`` > 0 divides k.
 
     Each step evaluates T1 once: the residual diagnostics of step k compute
     T1 x, and :func:`sbi_step` reuses it as the update of step k + 1.  The
@@ -148,63 +149,56 @@ def run(
     never past K, so every chain's stream ends where K single draws leave
     it and the result does not depend on the block size.  A non-finite
     state raises Diverged with k and the first such chain.  States that
-    stay finite can still overflow a diagnostic: after the last step, a
-    non-finite residual or distance raises Diverged naming the first such
-    column and its k.  The floating-point warnings on the way are
-    silenced, as the error reports them.
+    stay finite can still overflow a diagnostic: the first non-finite
+    residual or distance is noted as it is recorded and raised as Diverged,
+    naming its column and k, after the last step.  The floating-point
+    warnings on the way are silenced, as the error reports them.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
     layout = m.layout
-    rows: list[tuple] = []  # (k, mean_residual, psi_upper, dw_step, d_target), None: not computed
-    means: list[np.ndarray] = []
+    header = trajectory_header(layout.num_blocks)
+    table = np.full((iterations + 1, len(header)), np.nan)
+    table[:, 0] = np.arange(ensemble.k, ensemble.k + iterations + 1)
     snapshots: dict[int, np.ndarray] = {}
-    block = DRAW_BLOCK
+    diverged = None  # the first non-finite diagnostic, raised after the last step
 
-    def record_now(dw: float | None) -> np.ndarray:
-        states = ensemble.states
+    def record(i: int, dw: float | None = None) -> np.ndarray:
+        nonlocal diverged
+        states, k = ensemble.states, ensemble.k
         finite = np.isfinite(states).all(axis=-1)
         if not finite.all():
             chain = int(np.argmin(finite))
-            raise Diverged(ensemble.k, f"chain {chain} has a non-finite state", chain)
+            raise Diverged(k, f"chain {chain} has a non-finite state", chain)
         full = apply_full(m, states)
         sq = squared_residuals(states, full)
         d = None if target is None else distance_to_point_mass(
             DiscreteMeasure.empirical(states, layout), target, m.probabilities)
-        rows.append((ensemble.k, float(np.mean(np.sqrt(sq))), float(np.sqrt(np.mean(sq))), dw, d))
-        means.append(layout.block_means(states))
+        row = table[i]
+        for col, v in enumerate((np.mean(np.sqrt(sq)), np.sqrt(np.mean(sq)), dw, d), start=1):
+            if v is not None:
+                row[col] = v
+                if diverged is None and not math.isfinite(v):
+                    diverged = Diverged(k, f"{header[col]} is {v}")
+        row[5:] = layout.block_means(states)
+        if i in (0, iterations) or (snapshot_every > 0 and k % snapshot_every == 0):
+            snapshots[k] = states.copy()
         return full
 
-    def want_snapshot(k: int) -> bool:
-        if snapshot_every <= 0:
-            return k == 0 or k == iterations
-        return k == 0 or k == iterations or k % snapshot_every == 0
-
     with np.errstate(over="ignore", invalid="ignore"):
-        full = record_now(None)
-        if want_snapshot(0):
-            snapshots[0] = ensemble.states.copy()
+        full = record(0)
         for step in range(iterations):
-            if step % block == 0:
-                draws = sample_subsets(m.scheme, ensemble.rngs, min(block, iterations - step))
+            if step % DRAW_BLOCK == 0:
+                draws = sample_subsets(m.scheme, ensemble.rngs, min(DRAW_BLOCK, iterations - step))
             want_dw = dw_step_every > 0 and (step + 1) % dw_step_every == 0
             prev = ensemble.states.copy() if want_dw else None
-            sbi_step(ensemble, m, draws[step % block], full)
-            dw = None
-            if want_dw:
-                dw = wasserstein2_weighted(DiscreteMeasure.empirical(prev, layout),
-                                           DiscreteMeasure.empirical(ensemble.states, layout),
-                                           m.probabilities)[0]
-            full = record_now(dw)
-            if want_snapshot(ensemble.k):
-                snapshots[ensemble.k] = ensemble.states.copy()
-    header = trajectory_header(layout.num_blocks)
-    for row in rows:
-        for name, v in zip(header[1:5], row[1:]):
-            if v is not None and not math.isfinite(v):
-                raise Diverged(row[0], f"{name} is {v}")
-    table = np.array([[np.nan if v is None else v for v in row] for row in rows], dtype=float)
-    table = np.hstack([table, np.array(means)])
+            sbi_step(ensemble, m, draws[step % DRAW_BLOCK], full)
+            dw = wasserstein2_weighted(DiscreteMeasure.empirical(prev, layout),
+                                       DiscreteMeasure.empirical(ensemble.states, layout),
+                                       m.probabilities)[0] if want_dw else None
+            full = record(step + 1, dw)
+    if diverged is not None:
+        raise diverged
     return RunResult(trajectory=dict(zip(header, np.ascontiguousarray(table.T))),
                      snapshots=snapshots)
 

@@ -2,7 +2,9 @@
 
 Every instance states its layout, coupling, separable term, convexity,
 known common fixed points, and a sampling region, so experiments and
-certifications can be assembled from a string id plus parameters.
+certifications can be assembled from a string id plus parameters.  The
+full-block forward-backward map at the default steps fixes every declared
+point (``splitting.require_fixed``); the target is the first of them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ from .operators import (
     h_quadratic,
     h_zero,
 )
-from .splitting import SplittingMap, apply_full
+from .splitting import SplittingMap, apply_full, require_fixed
+
+# A set contains a point that its projection moves by at most this much.
+CONTAINS_TOL = 1e-9
 
 
 @dataclass
@@ -43,27 +48,24 @@ class ProblemSpec:
     convex: bool
     consistent: bool | None
     fixed_points: np.ndarray | None = None  # (k, dim) common fixed points, if known
-    target_point: np.ndarray | None = None  # distinguished limit for distance columns
+
+    @property
+    def target_point(self) -> np.ndarray | None:
+        """The distinguished limit for distance columns: the first declared fixed point."""
+        return None if self.fixed_points is None else self.fixed_points[0]
 
     def build_map(self, flavor: str, scheme: BlockSubsetScheme, steps=None) -> SplittingMap:
         steps = self.default_steps if steps is None else steps
         return SplittingMap(flavor, self.coupling, self.term, steps, scheme, self.layout)
 
 
-def _verify_declared_fixed_points(spec: ProblemSpec, flavor: str, tol: float = 1e-10) -> None:
-    if spec.fixed_points is None:
-        return
-    scheme = BlockSubsetScheme(
-        tuple((j,) for j in range(spec.layout.num_blocks)),
-        tuple(1.0 / spec.layout.num_blocks for _ in range(spec.layout.num_blocks)),
-    )
-    m = spec.build_map(flavor, scheme)
-    for z in np.atleast_2d(spec.fixed_points):
-        r = float(np.linalg.norm(z - apply_full(m, z)))
-        if r > tol:
-            raise ValueError(
-                f"{spec.problem_id}: declared fixed point {z} has residual {r:.3e} > {tol}"
-            )
+def _full_block_map(spec: ProblemSpec) -> SplittingMap:
+    return spec.build_map("fb", BlockSubsetScheme((tuple(range(spec.layout.num_blocks)),), (1.0,)))
+
+
+def _verify_declared_fixed_points(spec: ProblemSpec) -> None:
+    if spec.fixed_points is not None:
+        require_fixed(_full_block_map(spec), spec.fixed_points)
 
 
 def counterexample2d(t: float = 0.25) -> ProblemSpec:
@@ -91,9 +93,8 @@ def counterexample2d(t: float = 0.25) -> ProblemSpec:
         convex=True,
         consistent=True,
         fixed_points=np.array([[0.0, 0.0]]),
-        target_point=np.array([0.0, 0.0]),
     )
-    _verify_declared_fixed_points(spec, "fb")
+    _verify_declared_fixed_points(spec)
     return spec
 
 
@@ -117,9 +118,9 @@ class ConvexSet:
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.function.prox(np.asarray(v, dtype=float), 1.0)
 
-    def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, v: np.ndarray) -> bool:
         v = np.asarray(v, dtype=float)
-        return bool(np.linalg.norm(v - self.project(v)) <= tol)
+        return bool(np.linalg.norm(v - self.project(v)) <= CONTAINS_TOL)
 
     def block_function(self) -> BlockFunction:
         """The indicator's prox; raises on an unknown kind, a missing field or a bad value."""
@@ -216,10 +217,7 @@ def feasibility(sets: list[ConvexSet], coupling_kind: str = "sqdist") -> Problem
     """
     if len(sets) < 2:
         raise UnsupportedSet("feasibility needs at least two sets")
-    dims = set()
-    for s in sets:
-        probe = s.project(np.zeros(_set_dim(s)))
-        dims.add(probe.shape[-1])
+    dims = {_set_dim(s) for s in sets}
     if len(dims) != 1:
         raise DimensionMismatch(f"sets live in different dimensions: {sorted(dims)}")
     d = dims.pop()
@@ -252,10 +250,8 @@ def feasibility(sets: list[ConvexSet], coupling_kind: str = "sqdist") -> Problem
         convex=True,
         consistent=consistent,
         fixed_points=fixed_points,
-        target_point=None if fixed_points is None else fixed_points[0],
     )
-    if fixed_points is not None:
-        _verify_declared_fixed_points(spec, "fb")
+    _verify_declared_fixed_points(spec)
     return spec
 
 
@@ -308,13 +304,11 @@ def quadratic_l1(
         convex=True,
         consistent=True,
     )
-    full_block = BlockSubsetScheme((tuple(range(layout.num_blocks)),), (1.0,))
     w = np.repeat(l1_weights, layout.block_dims)
-    x = _reference(spec.build_map("fb", full_block), np.zeros(d), reference_iterations,
+    x = _reference(_full_block_map(spec), np.zeros(d), reference_iterations,
                    lambda v: _support_candidate(Q, b, w, v))
     spec.fixed_points = x[None, :]
-    spec.target_point = x
-    _verify_declared_fixed_points(spec, "fb")
+    _verify_declared_fixed_points(spec)
     return spec
 
 

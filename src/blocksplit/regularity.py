@@ -27,15 +27,19 @@ from typing import Callable
 import numpy as np
 
 from .blockspace import Region, weighted_norm, weighted_sq
-from .errors import InvalidFixedPoints
 from .splitting import (
     SplittingMap,
     apply_T,
     apply_full,
     expected_weighted_terms,
+    require_fixed,
+    squared_residuals,
     transport_discrepancy,
     weighted_transport_discrepancy,
 )
+
+# Rounds of the adversarial coordinate search (see _coordinate_refine).
+REFINE_STEPS = 50
 
 
 @dataclass
@@ -59,7 +63,6 @@ def _coordinate_refine(
     x: np.ndarray,
     y: np.ndarray,
     region: Region,
-    steps: int = 50,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Deterministic coordinate search maximizing the margin inside the region."""
     x = np.array(x, copy=True)
@@ -68,7 +71,7 @@ def _coordinate_refine(
     span = np.max(region.hi - region.lo) if np.any(region.hi > region.lo) else 1.0
     h = 0.25 * max(span, 1e-8)
     d = region.dim
-    for _ in range(steps):
+    for _ in range(REFINE_STEPS):
         improved = False
         for which in (0, 1):
             z = x if which == 0 else y
@@ -122,7 +125,7 @@ def _by_chunks(fn, *arrays):
 
 
 def _certify_pairs(name, margin_batch, spawn_key, region, alpha, violation, num_pairs, seed,
-                   tolerance, adversarial, refine_steps, **details) -> CertificationReport:
+                   tolerance, adversarial, **details) -> CertificationReport:
     """Worst margin over sampled pairs, sharpened by coordinate search on request.
 
     ``margin_batch`` maps (n, dim) batches of x and y to n margins; the
@@ -139,7 +142,7 @@ def _certify_pairs(name, margin_batch, spawn_key, region, alpha, violation, num_
         def margin_one(x, y):
             return float(margin_batch(x[None, :], y[None, :])[0])
 
-        wx, wy, wm = _coordinate_refine(margin_one, wx, wy, region, steps=refine_steps)
+        wx, wy, wm = _coordinate_refine(margin_one, wx, wy, region)
 
     return CertificationReport(
         property=name,
@@ -164,7 +167,6 @@ def certify_pointwise_aafne(
     seed: int,
     tolerance: float = 1e-10,
     adversarial: bool = True,
-    refine_steps: int = 50,
 ) -> CertificationReport:
     """Test ||Tx-Ty||^2 <= (1+eps)||x-y||^2 - ((1-a)/a) psi on sampled pairs.
 
@@ -182,7 +184,7 @@ def certify_pointwise_aafne(
         return _sq(Tx - Ty) - (1.0 + violation) * _sq(x - y) + w * transport_discrepancy(x, y, Tx, Ty)
 
     return _certify_pairs("pointwise_aafne", margin_batch, 0, region, alpha, violation, num_pairs,
-                          seed, tolerance, adversarial, refine_steps)
+                          seed, tolerance, adversarial)
 
 
 def certify_aafne_in_expectation(
@@ -194,7 +196,6 @@ def certify_aafne_in_expectation(
     seed: int,
     tolerance: float = 1e-10,
     adversarial: bool = False,
-    refine_steps: int = 50,
 ) -> CertificationReport:
     """Test the selection-weighted expectation inequality over the scheme.
 
@@ -212,10 +213,7 @@ def certify_aafne_in_expectation(
         return lhs - ((1.0 + violation) * weighted_sq(x - y, p) - w * psi)
 
     return _certify_pairs("aafne_in_expectation", margin_batch, 1, region, alpha, violation,
-                          num_pairs, seed, tolerance, adversarial, refine_steps, p_max=p.p_max)
-
-
-FIXED_POINT_TOL = 1e-12
+                          num_pairs, seed, tolerance, adversarial, p_max=p.p_max)
 
 
 def certify_paracontraction_in_expectation(
@@ -235,14 +233,8 @@ def certify_paracontraction_in_expectation(
     degenerates to equality.
     """
     c_points = np.atleast_2d(np.asarray(c_points, dtype=float))
+    require_fixed(m, c_points)
     masks = m.outcome_masks
-    for z, T1z in zip(c_points, apply_full(m, c_points)):
-        for i, mask in enumerate(masks):
-            r = float(np.linalg.norm(z - np.where(mask, T1z, z)))
-            if r > FIXED_POINT_TOL:
-                raise InvalidFixedPoints(
-                    f"declared point {z} moves by {r:.3e} under outcome {i}"
-                )
     p = m.probabilities
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(2,)))
     xs = region.sample(rng, num_samples)
@@ -257,7 +249,7 @@ def certify_paracontraction_in_expectation(
             for q, mask in zip(m.scheme.probs, masks):
                 expected = expected + q * weighted_norm(np.where(mask, T1x, x) - z, p)
             margins.append(expected - weighted_norm(x - z, p))
-        return (np.linalg.norm(x - T1x, axis=-1), *margins)
+        return (np.sqrt(squared_residuals(x, T1x)), *margins)
 
     residual, *margins = _by_chunks(residual_and_margins, xs)
     eligible = np.flatnonzero(residual > residual_threshold)
@@ -319,4 +311,4 @@ def verify_expectation_identities(
         return np.maximum(np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2))
 
     return _certify_pairs("expectation_identities", margin_batch, 3, region, None, None,
-                          num_pairs, seed, tolerance, False, 0)
+                          num_pairs, seed, tolerance, False)

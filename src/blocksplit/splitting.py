@@ -13,7 +13,9 @@ bit.  The package evaluates outcome maps by that masked route: one
 outcome i's own update plan; it is the reference route, for checks that
 must not read T1 and for certifying one outcome map alone.  Expectations
 over the scheme in the selection-weighted norm need no outcome map at all:
-they collapse onto T1 in closed form (``expected_weighted_terms``).
+they collapse onto T1 in closed form (``expected_weighted_terms``).  A map
+fixes a point that each outcome map moves by at most FIXED_POINT_TOL
+(``outcome_moves``), the package's one fixed-point rule.
 
 A plan lists the blocks a map updates, grouped by (prox oracle, step,
 block dim) with the group's coordinate columns.  Forward-backward takes
@@ -49,7 +51,7 @@ from .blockspace import (
     block_probabilities,
     weighted_sq,
 )
-from .errors import DimensionMismatch, EmptyResolvent
+from .errors import DimensionMismatch, EmptyResolvent, InvalidFixedPoints
 from .operators import (
     SeparableTerm,
     SmoothCoupling,
@@ -192,6 +194,26 @@ def apply_T(m: SplittingMap, i: int, x: np.ndarray) -> np.ndarray:
 def apply_full(m: SplittingMap, x: np.ndarray) -> np.ndarray:
     """The full-block map T1: every block updated from the same input."""
     return _apply_plan(m, m.full_plan, x)
+
+
+# A map fixes a point that each of its outcome maps moves by at most this much.
+FIXED_POINT_TOL = 1e-12
+
+
+def outcome_moves(m: SplittingMap, points: np.ndarray) -> np.ndarray:
+    """(k, num_outcomes) distances ||T_i z - z|| of k points z, from one T1 evaluation of all."""
+    points = np.atleast_2d(m.layout.check(points))
+    moved = np.where(m.outcome_masks, apply_full(m, points)[:, None, :], points[:, None, :])
+    return np.linalg.norm(moved - points[:, None, :], axis=-1)
+
+
+def require_fixed(m: SplittingMap, points: np.ndarray) -> None:
+    """Raise InvalidFixedPoints at the first point that an outcome moves by over FIXED_POINT_TOL."""
+    for z, moves in zip(np.atleast_2d(points), outcome_moves(m, points)):
+        i = int(np.argmax(moves > FIXED_POINT_TOL))  # the first outcome moving z too far, if any
+        if moves[i] > FIXED_POINT_TOL:
+            raise InvalidFixedPoints(
+                f"declared point {z} moves by {moves[i]:.3e} under outcome {i}")
 
 
 def squared_residuals(states: np.ndarray, full: np.ndarray) -> np.ndarray:

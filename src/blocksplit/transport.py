@@ -373,8 +373,8 @@ def _gaussian_potential(x: np.ndarray, y: np.ndarray, wx: np.ndarray | None = No
     """Row potential u for the cost |x_i - y_j|^2, from Gaussian fits of the clouds.
 
     Fits means m, m' and covariances S, S' to the clouds x (n, d) and y
-    (k, d), equal-weight or, when given, with the atom weights wx, wy
-    (clipped at 0).  The W2 map between the two Gaussians is the gradient
+    (k, d) with the atom weights wx, wy (clipped at 0; equal weights when
+    not given).  The W2 map between the two Gaussians is the gradient
     of the convex phi(x) = 1/2 (x - m)^T A (x - m) + m'^T x, with
     A = S^-1/2 (S^1/2 S' S^1/2)^1/2 S^-1/2, and u = |x|^2 - 2 phi(x) is its
     Kantorovich potential.  Its column partner is the c-transform
@@ -390,17 +390,14 @@ def _gaussian_potential(x: np.ndarray, y: np.ndarray, wx: np.ndarray | None = No
     1e-8 of its largest (no more than d atoms with mass, a constant
     coordinate) or is not finite, or when u is not finite.
     """
+    if wx is None:
+        wx, wy = np.ones(x.shape[0]), np.ones(y.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        if wx is None:
-            mx, my = x.mean(axis=0), y.mean(axis=0)
-            a, b = x - mx, y - my
-            S, Sy = a.T @ a / x.shape[0], b.T @ b / y.shape[0]
-        else:
-            wx, wy = np.maximum(wx, 0.0), np.maximum(wy, 0.0)
-            wx, wy = wx / wx.sum(), wy / wy.sum()
-            mx, my = wx @ x, wy @ y
-            a, b = x - mx, y - my
-            S, Sy = (a.T * wx) @ a, (b.T * wy) @ b
+        wx, wy = np.maximum(wx, 0.0), np.maximum(wy, 0.0)
+        wx, wy = wx / wx.sum(), wy / wy.sum()
+        mx, my = wx @ x, wy @ y
+        a, b = x - mx, y - my
+        S, Sy = (a.T * wx) @ a, (b.T * wy) @ b
         if not np.isfinite(S).all():
             return None
         w, Q = np.linalg.eigh(S)
@@ -460,19 +457,19 @@ def wasserstein2_weighted(
     integral vertices, so the optimal assignment is an optimal plan; it is
     folded back to n x m at weight 1/L per matched pair.  The assignment is
     solved on the reduced cost C - u - v, warm-started: u is the Kantorovich
-    potential of the W2 map between Gaussian fits of the two clouds (see
-    _gaussian_potential) and v the column minima of C - u.  Subtracting row
-    and column potentials changes every assignment's cost by the same
-    amount, so the optimal assignments stay those of C.  The reduced cost is
-    built in C's buffer, and the distance is summed from the matched pairs'
-    costs, re-evaluated bit for bit as C's entries (_matched_costs).  That
-    route is taken when n == m or L <= ASSIGN_MAX_ATOMS; every other pair of
-    measures solves the transport LP to optimality, on a priced sparse
-    support of pairs whose duals are checked against all n x m pairs (see
-    _transport_lp), its first round seeded from the same reduced cost with
-    u from weighted Gaussian fits.  Raises BlocksplitError when a squared
-    weighted distance overflows (finite supports far enough apart), and
-    SolverFailure if the underlying solver reports anything but success.
+    potential of the W2 map between Gaussian fits of the two measures,
+    weighted by their atoms' weights (see _gaussian_potential), and v the
+    column minima of C - u.  Subtracting row and column potentials changes
+    every assignment's cost by the same amount, so the optimal assignments
+    stay those of C.  The reduced cost is built in C's buffer, and the
+    distance is summed from the matched pairs' costs, re-evaluated bit for
+    bit as C's entries (_matched_costs).  That route is taken when n == m or
+    L <= ASSIGN_MAX_ATOMS; every other pair of measures solves the transport
+    LP to optimality, on a priced sparse support of pairs whose duals are
+    checked against all n x m pairs (see _transport_lp), its first round
+    seeded from the same reduced cost.  Raises BlocksplitError when a
+    squared weighted distance overflows (finite supports far enough apart),
+    and SolverFailure if the underlying solver reports anything but success.
     """
     if mu.layout.block_dims != nu.layout.block_dims:
         raise DimensionMismatch("measures live on different layouts")
@@ -486,10 +483,10 @@ def wasserstein2_weighted(
     L = math.lcm(n, mth)
     scale = np.sqrt(p.coordinate_inverse())
     x, y = mu.support * scale, nu.support * scale
+    u = _gaussian_potential(x, y, mu.weights, nu.weights)
     if (n == mth or L <= ASSIGN_MAX_ATOMS) and _is_uniform(mu) and _is_uniform(nu):
         # the solve runs in C's own buffer: C is reduced in place, or made
         # again from the supports where its reduction is not finite
-        u = _gaussian_potential(x, y)
         if u is not None and not _reduce(C, u):
             C = cost_matrix(mu, nu, p)
         rep_mu, rep_nu = L // n, L // mth
@@ -504,7 +501,6 @@ def wasserstein2_weighted(
 
     # the LP prices every pair against C, so its seed reduces a copy
     R0 = C
-    u = _gaussian_potential(x, y, mu.weights, nu.weights)
     if u is not None:
         R0 = C.copy()
         if not _reduce(R0, u):

@@ -233,6 +233,27 @@ def test_cli_certify_paracontraction_needs_fixed_points(tmp_path, capsys):
     assert "fixed points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flavor", ["fb", "dr"])
+def test_cli_uses_a_declared_point_only_on_a_map_that_fixes_it(tmp_path, capsys, flavor):
+    # quadratic_l1 declares its minimizer, which forward-backward fixes and
+    # Douglas-Rachford moves
+    doc = base_config(problem=_quadratic([[2.0, 0.5], [0.5, 1.0]], b=[-1.0, 0.5]), flavor=flavor,
+                      steps=None, run={"num_chains": 10, "iterations": 40},
+                      certify={"property": "paracontraction_in_expectation", "num_pairs": 50},
+                      output_dir=str(tmp_path / "out"))
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    code = main(["certify", "--config", path])
+    err = capsys.readouterr().err
+    if flavor == "fb":
+        assert summary["final"]["d_target"] is not None and summary["verdicts"] is not None
+        assert code == 0
+    else:
+        assert summary["final"]["d_target"] is None and summary["verdicts"] is None
+        assert code == 2 and "the dr map fixes no declared point" in err
+
+
 def test_cli_rate(tmp_path, capsys):
     # long enough that the step distances genuinely vanish, so the
     # asymptotic-regularity gate has something real to certify
@@ -396,12 +417,12 @@ def _file_case(name, body, argv):
     return build
 
 
-def _rate_config_case(rate):
+def _rate_config_case(rate, **overrides):
     """``rate`` on a good trajectory under a config with this rate section."""
     def build(tmp_path):
         traj = tmp_path / "traj.csv"
         traj.write_text(GOOD_TRAJECTORY)
-        return [*_config_case("rate", rate=rate)(tmp_path), "--trajectory", str(traj)]
+        return [*_config_case("rate", rate=rate, **overrides)(tmp_path), "--trajectory", str(traj)]
     return build
 
 
@@ -626,6 +647,9 @@ BAD_INPUTS = [
                                                    "lo": [1.0, 1.0]}))),
     ("unknown_set_field", "problem.params.sets[0].radius: unknown field",
      _sets_case(dict(POINT, radius=1.0), POINT)),
+    # rate builds no problem, yet refuses the params that run refuses
+    ("rate_problem_param_unknown", "problem.params.bogus: unknown field; expected one of t",
+     _rate_config_case({}, problem={"id": "counterexample2d", "params": {"t": -1, "bogus": 3}})),
     # a non-finite problem parameter is refused before any solve
     ("b_nan", "problem.params.b: must be finite",
      _config_case("run", problem=_quadratic([[1.0, 0.0], [0.0, 1.0]], b=[NAN, 0.0]), run=SMALL_RUN)),

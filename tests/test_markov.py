@@ -102,6 +102,16 @@ def test_run_records_and_snapshots():
     assert np.isnan(traj["d_target"]).all() and np.isnan(traj["dw_step"]).all()
 
 
+def test_continued_run_counts_k_from_the_ensemble():
+    m = _map()
+    e = init_ensemble(m, uniform_box_sampler([-1, -1], [1, 1]), 4, master_seed=3)
+    assert sorted(run(e, m, 5, snapshot_every=2).snapshots) == [0, 2, 4, 5]
+    second = run(e, m, 5, snapshot_every=2)
+    assert second.trajectory["k"].tolist() == list(range(5, 11))
+    assert sorted(second.snapshots) == [5, 6, 8, 10]
+    assert second.snapshots[10].tobytes() == e.states.tobytes()
+
+
 def test_run_computes_distance_columns(tmp_path):
     m = _map()
     e = init_ensemble(m, uniform_box_sampler([-1, -1], [1, 1]), 10, master_seed=1)

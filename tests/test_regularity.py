@@ -236,8 +236,9 @@ def test_expectation_certifier_takes_one_full_map_per_margin_batch(monkeypatch, 
     monkeypatch.setattr(splitting, "apply_T", refuse)
     monkeypatch.setattr(regularity, "apply_T", refuse)
     monkeypatch.setattr(regularity, "expected_weighted_terms", counted_terms)
+    monkeypatch.setattr(regularity, "REFINE_STEPS", 3)
     report = certify_aafne_in_expectation(m, problem.region, 2.0 / 3.0, 0.0, 200, seed=14,
-                                          adversarial=adversarial, refine_steps=3)
+                                          adversarial=adversarial)
     assert report.passed
     assert calls["apply_full"] == calls["batches"]
     assert calls["batches"] > 1 if adversarial else calls["batches"] == 1

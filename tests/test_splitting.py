@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, note, settings, strategies as st, target
 
-from blocksplit.blockspace import BlockLayout, BlockProbabilities, BlockSubsetScheme, weighted_sq
-from blocksplit.errors import DimensionMismatch, EmptyResolvent
+from blocksplit.blockspace import (
+    BlockLayout,
+    BlockProbabilities,
+    BlockSubsetScheme,
+    Region,
+    weighted_sq,
+)
+from blocksplit.errors import DimensionMismatch, EmptyResolvent, InvalidFixedPoints
 from blocksplit.operators import (
     SeparableTerm,
     SmoothCoupling,
@@ -21,7 +27,15 @@ from blocksplit.operators import (
     reflector,
     resolvent_partial_smooth,
 )
-from blocksplit.problems import counterexample2d, feasibility, make_set, quadratic_l1
+from blocksplit.problems import (
+    ProblemSpec,
+    _verify_declared_fixed_points,
+    counterexample2d,
+    feasibility,
+    make_set,
+    quadratic_l1,
+)
+from blocksplit.regularity import certify_paracontraction_in_expectation
 from blocksplit.splitting import (
     RegularityConstants,
     SplittingMap,
@@ -581,3 +595,24 @@ def test_expectation_constants_scales_violation_by_pmax():
     e = expectation_constants(c, m.probabilities)
     assert e.alpha == c.alpha
     assert e.violation == pytest.approx(0.5 * c.violation)
+
+
+def _origin_problem(point):
+    """A problem whose T1 sends every point to the origin, declaring ``point`` fixed."""
+    layout = BlockLayout((1, 1))
+    return ProblemSpec("origin", layout, coupling_quadratic(layout, np.zeros((2, 2))),
+                       SeparableTerm(layout, [h_indicator_point([0.0])] * 2), np.ones(2),
+                       Region(-np.ones(2), np.ones(2)), True, True, np.array([point]))
+
+
+def _certifier_check(spec):
+    certify_paracontraction_in_expectation(spec.build_map("fb", SINGLETONS), spec.fixed_points,
+                                           spec.region, 10, seed=0)
+
+
+@pytest.mark.parametrize("check", [_verify_declared_fixed_points, _certifier_check])
+def test_one_fixed_point_rule_for_the_gallery_and_the_certifier(check):
+    # outcome 0 moves the point by its first coordinate, outcome 1 not at all
+    check(_origin_problem([5e-13, 0.0]))
+    with pytest.raises(InvalidFixedPoints, match=r"moves by 2\.000e-12 under outcome 0$"):
+        check(_origin_problem([2e-12, 0.0]))
