@@ -9,7 +9,7 @@ CSV output never contains timestamps, so identical (config, seed) runs
 write identical bytes.
 
 Only command rules live here: a required section, ``strict_steps`` and
-paracontraction's fixed points.  Every rule about a config field lives in
+paracontraction's fixed point.  Every rule about a config field lives in
 ``config``.
 """
 
@@ -83,7 +83,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     traj_path = out_dir / "trajectory.csv"
 
     # rate's checks under the config's rate section; none where rate would
-    # refuse the column, as d_target is empty where the map fixes no declared point
+    # refuse the column, as d_target is empty where the map does not fix the target
     try:
         verdicts = check_trajectory(traj, rate_cfg.column, "config.rate.column", str(traj_path),
                                     rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, rate_cfg.gauge_spec)
@@ -153,11 +153,11 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
             tolerance=c.tolerance, adversarial=c.adversarial,
         )
     elif c.property == "paracontraction_in_expectation":
-        if problem.fixed_points is None:
+        if problem.target_point is None:
             raise ConfigError("config.certify.property: paracontraction needs declared fixed "
                               f"points; the {cfg.flavor} map fixes no declared point")
         report = certify_paracontraction_in_expectation(
-            m, problem.fixed_points, region, c.num_pairs, cfg.seed,
+            m, problem.target_point, region, c.num_pairs, cfg.seed,
             residual_threshold=c.residual_threshold,
         )
     else:

@@ -22,7 +22,14 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from .blockspace import BlockSubsetScheme, Region
-from .errors import ConfigError, DimensionMismatch, InadmissibleGauge, NotPSD, UnsupportedSet
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    InadmissibleGauge,
+    InvalidFixedPoints,
+    NotPSD,
+    UnsupportedSet,
+)
 
 if TYPE_CHECKING:
     from .problems import ProblemSpec
@@ -199,17 +206,22 @@ class ExperimentConfig:
         return build_problem(self.problem_id, self.problem_params)
 
     def build(self) -> tuple[ProblemSpec, SplittingMap]:
-        """The problem and its splitting map, refusing a step count the problem's blocks do not take."""
-        from .splitting import FIXED_POINT_TOL, outcome_moves
+        """The problem and its splitting map, refusing a step count the problem's blocks do not take.
+
+        The problem keeps its target only where this map fixes it (``require_fixed``).
+        """
+        from .splitting import require_fixed
 
         problem = self.build_problem()
         num_blocks = problem.layout.num_blocks
         if self.steps is not None and len(self.steps) not in (1, num_blocks):
             raise ConfigError(f"config.steps: expected 1 or {num_blocks} values, got {len(self.steps)}")
         m = problem.build_map(self.flavor, self.scheme, self.steps)
-        if problem.fixed_points is not None:  # keep the declared points that this map fixes
-            fixed = (outcome_moves(m, problem.fixed_points) <= FIXED_POINT_TOL).all(axis=1)
-            problem.fixed_points = problem.fixed_points[fixed] if fixed.any() else None
+        if problem.target_point is not None:  # keep the target only where this map fixes it
+            try:
+                require_fixed(m, problem.target_point)
+            except InvalidFixedPoints:
+                problem.target_point = None
         return problem, m
 
     def initial_sampler(self, problem: ProblemSpec):
@@ -446,6 +458,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
             )
         target = c.get("target", {"kind": "full"})
         if _kind(target, "config.certify.target", TARGET_FIELDS) == "subset":
+            if prop != "pointwise_aafne":
+                raise ConfigError(f"config.certify.target: a subset target applies to "
+                                  f"pointwise_aafne only, not to {prop}")
             idx = _as_int(_require(target, "index", "config.certify.target"), "config.certify.target.index", 0)
             if idx >= scheme.num_outcomes:
                 raise ConfigError(f"config.certify.target.index: {idx} out of range for "

@@ -45,7 +45,7 @@ class SolverFailure(BlocksplitError):
 
 
 class InvalidFixedPoints(BlocksplitError):
-    """Declared common fixed points are not fixed under every blockwise map."""
+    """A declared fixed point is moved by the full-block map T1 by more than FIXED_POINT_TOL."""
 
 
 class InadmissibleGauge(BlocksplitError):

@@ -1,10 +1,10 @@
 """Problem gallery: benchmark instances with declared structure.
 
-Every instance states its layout, coupling, separable term, convexity,
-known common fixed points, and a sampling region, so experiments and
-certifications can be assembled from a string id plus parameters.  The
-full-block forward-backward map at the default steps fixes every declared
-point (``splitting.require_fixed``); the target is the first of them.
+Every instance states its layout, coupling, separable term, a sampling
+region and at most one target point, the limit of the ``d_target``
+column, so experiments and certifications can be assembled from a string
+id plus parameters.  The full-block forward-backward map at the default
+steps fixes the target (``splitting.require_fixed``).
 """
 
 from __future__ import annotations
@@ -39,20 +39,12 @@ CONTAINS_TOL = 1e-9
 class ProblemSpec:
     """A gallery instance: ingredients plus declared ground truth."""
 
-    problem_id: str
     layout: BlockLayout
     coupling: SmoothCoupling
     term: SeparableTerm
     default_steps: np.ndarray
     region: Region
-    convex: bool
-    consistent: bool | None
-    fixed_points: np.ndarray | None = None  # (k, dim) common fixed points, if known
-
-    @property
-    def target_point(self) -> np.ndarray | None:
-        """The distinguished limit for distance columns: the first declared fixed point."""
-        return None if self.fixed_points is None else self.fixed_points[0]
+    target_point: np.ndarray | None = None  # (dim,) common fixed point, if known
 
     def build_map(self, flavor: str, scheme: BlockSubsetScheme, steps=None) -> SplittingMap:
         steps = self.default_steps if steps is None else steps
@@ -64,8 +56,8 @@ def _full_block_map(spec: ProblemSpec) -> SplittingMap:
 
 
 def _verify_declared_fixed_points(spec: ProblemSpec) -> None:
-    if spec.fixed_points is not None:
-        require_fixed(_full_block_map(spec), spec.fixed_points)
+    if spec.target_point is not None:
+        require_fixed(_full_block_map(spec), spec.target_point)
 
 
 def counterexample2d(t: float = 0.25) -> ProblemSpec:
@@ -84,15 +76,12 @@ def counterexample2d(t: float = 0.25) -> ProblemSpec:
     coupling = coupling_quadratic(layout, Q)
     term = SeparableTerm(layout, [h_zero(), h_quadratic(1.0)])
     spec = ProblemSpec(
-        problem_id="counterexample2d",
         layout=layout,
         coupling=coupling,
         term=term,
         default_steps=np.array([t, t]),
         region=Region(np.array([-10.0, -10.0]), np.array([10.0, 10.0])),
-        convex=True,
-        consistent=True,
-        fixed_points=np.array([[0.0, 0.0]]),
+        target_point=np.array([0.0, 0.0]),
     )
     _verify_declared_fixed_points(spec)
     return spec
@@ -231,25 +220,16 @@ def feasibility(sets: list[ConvexSet], coupling_kind: str = "sqdist") -> Problem
         raise UnsupportedSet(f"unknown coupling kind {coupling_kind!r}")
     term = SeparableTerm(layout, [s.function for s in sets])
 
-    consistent = None
-    witness = None
-    if m == 2:
-        witness = _intersection_witness(sets[0], sets[1])
-        consistent = witness is not None
-    fixed_points = None
-    if witness is not None and coupling_kind == "sqdist":
-        fixed_points = np.tile(witness, m)[None, :]
-
+    # under sqdist the tiled intersection witness is fixed; the indicator coupling declares none
+    witness = _intersection_witness(sets[0], sets[1]) if m == 2 else None
+    target = None if witness is None or coupling_kind != "sqdist" else np.tile(witness, m)
     spec = ProblemSpec(
-        problem_id="feasibility",
         layout=layout,
         coupling=coupling,
         term=term,
         default_steps=np.full(m, 0.5),
         region=Region(np.full(layout.total_dim, -5.0), np.full(layout.total_dim, 5.0)),
-        convex=True,
-        consistent=consistent,
-        fixed_points=fixed_points,
+        target_point=target,
     )
     _verify_declared_fixed_points(spec)
     return spec
@@ -295,19 +275,15 @@ def quadratic_l1(
     Lmax = coupling.lipschitz_max
     step = 0.9 / Lmax if Lmax > 0 else 1.0
     spec = ProblemSpec(
-        problem_id="quadratic_l1",
         layout=layout,
         coupling=coupling,
         term=term,
         default_steps=np.full(layout.num_blocks, step),
         region=Region(np.full(d, -5.0), np.full(d, 5.0)),
-        convex=True,
-        consistent=True,
     )
     w = np.repeat(l1_weights, layout.block_dims)
-    x = _reference(_full_block_map(spec), np.zeros(d), reference_iterations,
-                   lambda v: _support_candidate(Q, b, w, v))
-    spec.fixed_points = x[None, :]
+    spec.target_point = _reference(_full_block_map(spec), np.zeros(d), reference_iterations,
+                                   lambda v: _support_candidate(Q, b, w, v))
     _verify_declared_fixed_points(spec)
     return spec
 

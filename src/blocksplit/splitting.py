@@ -13,9 +13,13 @@ bit.  The package evaluates outcome maps by that masked route: one
 outcome i's own update plan; it is the reference route, for checks that
 must not read T1 and for certifying one outcome map alone.  Expectations
 over the scheme in the selection-weighted norm need no outcome map at all:
-they collapse onto T1 in closed form (``expected_weighted_terms``).  A map
-fixes a point that each outcome map moves by at most FIXED_POINT_TOL
-(``outcome_moves``), the package's one fixed-point rule.
+they collapse onto T1 in closed form (``expected_weighted_terms``).
+
+The same fact gives the package's one fixed-point rule (``require_fixed``):
+a map fixes z when its full-block residual ||z - T1 z|| is at most
+FIXED_POINT_TOL.  Since T_i z - z = where(mask_i, T1 z - z, 0), every
+outcome map then moves z by no more, so the rule depends on the flavor and
+the steps, which T1 depends on, and not on the scheme.
 
 A plan lists the blocks a map updates, grouped by (prox oracle, step,
 block dim) with the group's coordinate columns.  Forward-backward takes
@@ -196,30 +200,27 @@ def apply_full(m: SplittingMap, x: np.ndarray) -> np.ndarray:
     return _apply_plan(m, m.full_plan, x)
 
 
-# A map fixes a point that each of its outcome maps moves by at most this much.
-FIXED_POINT_TOL = 1e-12
-
-
-def outcome_moves(m: SplittingMap, points: np.ndarray) -> np.ndarray:
-    """(k, num_outcomes) distances ||T_i z - z|| of k points z, from one T1 evaluation of all."""
-    points = np.atleast_2d(m.layout.check(points))
-    moved = np.where(m.outcome_masks, apply_full(m, points)[:, None, :], points[:, None, :])
-    return np.linalg.norm(moved - points[:, None, :], axis=-1)
-
-
-def require_fixed(m: SplittingMap, points: np.ndarray) -> None:
-    """Raise InvalidFixedPoints at the first point that an outcome moves by over FIXED_POINT_TOL."""
-    for z, moves in zip(np.atleast_2d(points), outcome_moves(m, points)):
-        i = int(np.argmax(moves > FIXED_POINT_TOL))  # the first outcome moving z too far, if any
-        if moves[i] > FIXED_POINT_TOL:
-            raise InvalidFixedPoints(
-                f"declared point {z} moves by {moves[i]:.3e} under outcome {i}")
-
-
 def squared_residuals(states: np.ndarray, full: np.ndarray) -> np.ndarray:
     """Squared full-block residual ||x - T1 x||^2 of each row, given full = T1 x."""
     r = states - full
     return np.sum(r * r, axis=-1)
+
+
+# A map fixes a point that its full-block map T1 moves by at most this much.
+FIXED_POINT_TOL = 1e-12
+
+
+def require_fixed(m: SplittingMap, z: np.ndarray) -> None:
+    """Raise InvalidFixedPoints unless T1 moves the point z by at most FIXED_POINT_TOL.
+
+    ``z`` is one point, of shape (dim,); a stack of points raises DimensionMismatch.
+    """
+    z = m.layout.check(z)
+    if z.ndim != 1:
+        raise DimensionMismatch(f"expected one point of shape ({m.layout.total_dim},), got {z.shape}")
+    move = float(np.sqrt(squared_residuals(z, apply_full(m, z))))
+    if not move <= FIXED_POINT_TOL:
+        raise InvalidFixedPoints(f"declared point {z} moves by {move:.3e} under T1")
 
 
 def transport_discrepancy(x, y, Tx, Ty) -> float | np.ndarray:

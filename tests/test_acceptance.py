@@ -329,7 +329,7 @@ def test_09_expected_step_strictly_contracts_toward_the_fixed_point():
     prob = counterexample2d(0.25)
     m = prob.build_map("fb", SINGLETONS)
     report = certify_paracontraction_in_expectation(
-        m, np.asarray(prob.fixed_points), SQUARE,
+        m, prob.target_point, SQUARE,
         num_samples=10_000, seed=97, residual_threshold=1e-8,
     )
     assert report.passed

@@ -83,12 +83,13 @@ def test_parse_config_error_names_field():
 
 
 def test_build_problem_dispatch():
-    assert build_problem("counterexample2d", {"t": 0.1}).problem_id == "counterexample2d"
+    np.testing.assert_array_equal(build_problem("counterexample2d", {"t": 0.1}).default_steps,
+                                  [0.1, 0.1])
     prob = build_problem(
         "feasibility",
         {"sets": [{"kind": "point", "point": [0.0]}, {"kind": "point", "point": [1.0]}]},
     )
-    assert prob.problem_id == "feasibility"
+    assert prob.layout.block_dims == (1, 1) and prob.target_point is None
     prob = build_problem(
         "quadratic_l1", {"Q": [[1.0]], "b": [-1.0], "l1_weights": [0.5]}
     )
@@ -448,6 +449,12 @@ BAD_INPUTS = [
      _config_case("run", problem={"id": "counterexample2d", "params": {"t": -1}}, run=SMALL_RUN)),
     ("alpha_above_one", "config.certify.alpha",
      _config_case("certify", certify={"property": "aafne_in_expectation", "alpha": 1.5})),
+    # only the pointwise check reads a target; any other property would certify the whole scheme
+    ("subset_target_in_expectation",
+     "config.certify.target: a subset target applies to pointwise_aafne only, "
+     "not to aafne_in_expectation",
+     _config_case("certify", certify={"property": "aafne_in_expectation",
+                                      "target": {"kind": "subset", "index": 0}})),
     ("Q_not_symmetric", "problem.params: Q must be symmetric",
      _config_case("run", problem=_quadratic([[1.0, 2.0], [0.0, 1.0]]), run=SMALL_RUN)),
     ("Q_3x2", "problem.params: Q must be a square matrix",

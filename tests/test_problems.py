@@ -23,8 +23,7 @@ SINGLETONS = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
 def test_counterexample_structure():
     prob = counterexample2d(0.25)
     assert prob.layout.block_dims == (1, 1)
-    assert prob.convex
-    np.testing.assert_array_equal(prob.fixed_points, [[0.0, 0.0]])
+    assert prob.coupling.convex and prob.term.convex
     np.testing.assert_array_equal(prob.target_point, [0.0, 0.0])
     m = prob.build_map("fb", SINGLETONS)
     np.testing.assert_allclose(apply_full(m, np.zeros(2)), np.zeros(2), atol=1e-15)
@@ -88,13 +87,12 @@ def test_feasibility_consistent_balls():
         make_set("ball", center=[0.0, 0.0], radius=1.0),
         make_set("ball", center=[2.0, 0.0], radius=1.0),
     ])
-    assert prob.consistent
-    assert prob.fixed_points is not None
-    w = prob.fixed_points[0][:2]
+    assert prob.target_point is not None
+    w = prob.target_point[:2]
     np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-12)
     # tiled witness is a common fixed point of the full map
     m = prob.build_map("fb", SINGLETONS)
-    np.testing.assert_allclose(apply_full(m, prob.fixed_points[0]), prob.fixed_points[0], atol=1e-12)
+    np.testing.assert_allclose(apply_full(m, prob.target_point), prob.target_point, atol=1e-12)
 
 
 def test_feasibility_inconsistent_points():
@@ -102,8 +100,7 @@ def test_feasibility_inconsistent_points():
         make_set("point", point=[0.0, 0.0]),
         make_set("point", point=[2.0, 0.0]),
     ])
-    assert prob.consistent is False
-    assert prob.fixed_points is None
+    assert prob.target_point is None
 
 
 def test_feasibility_witness_pairs():
@@ -125,9 +122,9 @@ def test_feasibility_witness_pairs():
     ]
     for sets, expect in cases:
         prob = feasibility(sets)
-        assert prob.consistent is expect
+        assert (prob.target_point is not None) is expect
         if expect:
-            w = prob.fixed_points[0][:2]
+            w = prob.target_point[:2]
             assert sets[0].contains(w) and sets[1].contains(w)
 
 

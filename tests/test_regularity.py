@@ -1,12 +1,15 @@
 """Certification sweeps: pointwise, in expectation, paracontraction, identities."""
 
+import inspect
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from blocksplit.blockspace import BlockSubsetScheme, weighted_norm, weighted_sq
-from blocksplit.errors import InvalidFixedPoints
+from blocksplit.config import CertifySection
+from blocksplit.errors import DimensionMismatch, InvalidFixedPoints
 from blocksplit.problems import counterexample2d, feasibility, make_set, quadratic_l1
 from blocksplit.regularity import (
     Region,
@@ -24,6 +27,17 @@ from blocksplit.splitting import (
 )
 
 SINGLETONS = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("certifier", [certify_pointwise_aafne, certify_aafne_in_expectation,
+                                       certify_paracontraction_in_expectation,
+                                       verify_expectation_identities])
+def test_certifier_defaults_are_the_config_defaults(certifier):
+    # a library call with defaults checks the certificate the certify command checks
+    section = {f.name: f.default for f in fields(CertifySection)}
+    defaults = {name: p.default for name, p in inspect.signature(certifier).parameters.items()
+                if p.default is not p.empty}
+    assert defaults and defaults == {name: section[name] for name in defaults}
 
 
 def test_region_validation_and_sampling():
@@ -99,7 +113,7 @@ def test_expectation_certificate_counterexample():
     # even though each individual block map fails pointwise
     m = counterexample2d(0.25).build_map("fb", SINGLETONS)
     region = Region(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
-    report = certify_aafne_in_expectation(m, region, 2.0 / 3.0, 0.0, 1000, seed=4)
+    report = certify_aafne_in_expectation(m, region, 2.0 / 3.0, 0.0, 1000, seed=4, adversarial=False)
     assert report.passed
     assert report.margin <= 1e-10
 
@@ -118,7 +132,7 @@ def test_paracontraction_counterexample():
     m = counterexample2d(0.25).build_map("fb", SINGLETONS)
     region = Region(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
     report = certify_paracontraction_in_expectation(
-        m, np.array([[0.0, 0.0]]), region, 2000, seed=6
+        m, np.array([0.0, 0.0]), region, 2000, seed=6
     )
     assert report.passed
     assert report.margin < 0.0
@@ -130,8 +144,15 @@ def test_paracontraction_rejects_moving_points():
     region = Region(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     with pytest.raises(InvalidFixedPoints):
         certify_paracontraction_in_expectation(
-            m, np.array([[1.0, 1.0]]), region, 100, seed=7
+            m, np.array([1.0, 1.0]), region, 100, seed=7
         )
+
+
+def test_paracontraction_takes_one_point():
+    m = counterexample2d(0.25).build_map("fb", SINGLETONS)
+    region = Region(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(DimensionMismatch, match=r"expected one point of shape \(2,\), got \(1, 2\)"):
+        certify_paracontraction_in_expectation(m, np.zeros((1, 2)), region, 100, seed=7)
 
 
 def test_expectation_identities_hold():
@@ -196,15 +217,14 @@ def test_masked_route_matches_per_outcome_sums_bitwise(problem, flavor, scheme):
     # the certifier runs T1 once on it), keep the eligible rows and take the
     # worst margin over per-outcome sums
     seed, n = 13, 300
-    report = certify_paracontraction_in_expectation(m, problem.fixed_points, region, n, seed)
+    z = problem.target_point
+    report = certify_paracontraction_in_expectation(m, z, region, n, seed)
     xs = region.sample(np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,))), n)
     keep = np.linalg.norm(xs - apply_full(m, xs), axis=-1) > 1e-8
-    worst = -np.inf
-    for z in problem.fixed_points:
-        expected = 0.0
-        for i, q in enumerate(m.scheme.probs):
-            expected = expected + q * weighted_norm(apply_T(m, i, xs)[keep] - z, p)
-        worst = max(worst, float(np.max(expected - weighted_norm(xs[keep] - z, p))))
+    expected = 0.0
+    for i, q in enumerate(m.scheme.probs):
+        expected = expected + q * weighted_norm(apply_T(m, i, xs)[keep] - z, p)
+    worst = float(np.max(expected - weighted_norm(xs[keep] - z, p)))
     assert report.details["num_eligible"] == np.count_nonzero(keep) > 0
     assert np.float64(report.margin).tobytes() == np.float64(worst).tobytes()
 
@@ -251,7 +271,7 @@ def _quadratic50():
     A = rng.normal(size=(25, 50))
     problem = quadratic_l1(A.T @ A / 25, np.zeros(50), np.full(50, 0.15))
     scheme = BlockSubsetScheme(tuple((j,) for j in range(50)), (0.02,) * 50)
-    return problem, problem.build_map("fb", scheme), np.zeros((1, 50))
+    return problem, problem.build_map("fb", scheme), np.zeros(50)
 
 
 def test_chunks_are_balanced_and_never_below_the_row_floor():
@@ -277,7 +297,7 @@ CERTIFIERS = {
     "pointwise_subset": lambda prob, m, c, n: certify_pointwise_aafne(
         lambda x: apply_T(m, 1, x), prob.region, 0.5, 0.1, n, seed=42, adversarial=False),
     "aafne_in_expectation": lambda prob, m, c, n: certify_aafne_in_expectation(
-        m, prob.region, 2.0 / 3.0, 0.0, n, seed=43),
+        m, prob.region, 2.0 / 3.0, 0.0, n, seed=43, adversarial=False),
     "paracontraction": lambda prob, m, c, n: certify_paracontraction_in_expectation(
         m, c, prob.region, n, seed=44),
     "identities": lambda prob, m, c, n: verify_expectation_identities(m, prob.region, n, seed=45),
@@ -296,7 +316,7 @@ def test_chunked_certifiers_match_one_whole_batch_evaluation(monkeypatch, certif
         n, chunks = 1001, 3  # of 333 or 334 pairs
     else:
         problem = counterexample2d(0.25)
-        m, c_points = problem.build_map("fb", OVERLAP2), problem.fixed_points
+        m, c_points = problem.build_map("fb", OVERLAP2), problem.target_point
         n, chunks = 9001, 2  # of 4500 or 4501 pairs
     calls = []
     by_chunks = regularity._by_chunks
@@ -321,10 +341,11 @@ def test_certify_working_set_is_its_samples_and_one_chunk():
     # 20,000 pairs in 50 dimensions: two 8 MB sample arrays, evaluated
     # 256-pair chunk by chunk, not all at once (9 times the samples)
     problem, m, _ = _quadratic50()
-    certify_aafne_in_expectation(m, problem.region, 2.0 / 3.0, 0.0, 300, seed=46)
+    certify_aafne_in_expectation(m, problem.region, 2.0 / 3.0, 0.0, 300, seed=46, adversarial=False)
     tracemalloc.start()
     try:
-        report = certify_aafne_in_expectation(m, problem.region, 2.0 / 3.0, 0.0, 20_000, seed=46)
+        report = certify_aafne_in_expectation(m, problem.region, 2.0 / 3.0, 0.0, 20_000, seed=46,
+                                              adversarial=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

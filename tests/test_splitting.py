@@ -600,13 +600,13 @@ def test_expectation_constants_scales_violation_by_pmax():
 def _origin_problem(point):
     """A problem whose T1 sends every point to the origin, declaring ``point`` fixed."""
     layout = BlockLayout((1, 1))
-    return ProblemSpec("origin", layout, coupling_quadratic(layout, np.zeros((2, 2))),
+    return ProblemSpec(layout, coupling_quadratic(layout, np.zeros((2, 2))),
                        SeparableTerm(layout, [h_indicator_point([0.0])] * 2), np.ones(2),
-                       Region(-np.ones(2), np.ones(2)), True, True, np.array([point]))
+                       Region(-np.ones(2), np.ones(2)), target_point=np.array(point))
 
 
-def _certifier_check(spec):
-    certify_paracontraction_in_expectation(spec.build_map("fb", SINGLETONS), spec.fixed_points,
+def _certifier_check(spec, scheme=SINGLETONS):
+    certify_paracontraction_in_expectation(spec.build_map("fb", scheme), spec.target_point,
                                            spec.region, 10, seed=0)
 
 
@@ -614,5 +614,14 @@ def _certifier_check(spec):
 def test_one_fixed_point_rule_for_the_gallery_and_the_certifier(check):
     # outcome 0 moves the point by its first coordinate, outcome 1 not at all
     check(_origin_problem([5e-13, 0.0]))
-    with pytest.raises(InvalidFixedPoints, match=r"moves by 2\.000e-12 under outcome 0$"):
+    with pytest.raises(InvalidFixedPoints, match=r"moves by 2\.000e-12 under T1$"):
         check(_origin_problem([2e-12, 0.0]))
+
+
+@pytest.mark.parametrize("scheme", [SINGLETONS, BlockSubsetScheme(((0, 1),), (1.0,))])
+def test_the_fixed_point_rule_reads_T1_whatever_the_scheme(scheme):
+    # each singleton outcome moves the point by 9e-13, within the tolerance,
+    # but T1 moves it by sqrt(2) 9e-13 = 1.273e-12, so it is refused under
+    # either scheme
+    with pytest.raises(InvalidFixedPoints, match=r"moves by 1\.273e-12 under T1$"):
+        _certifier_check(_origin_problem([9e-13, 9e-13]), scheme)
