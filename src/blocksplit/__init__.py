@@ -44,7 +44,7 @@ _EXPORTS = {
         "deterministic_reference", "feasibility", "make_set", "quadratic_l1",
     ),
     "rates": (
-        "GaugeSpec", "RateReport", "check_asymptotic_regularity", "check_fejer",
+        "RateReport", "check_asymptotic_regularity", "check_fejer",
         "check_gauge_monotone", "fit_linear_rate", "invert_id_minus_theta",
         "read_trajectory_csv", "theta_iterates", "theta_linear", "write_trajectory_csv",
     ),

@@ -60,7 +60,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     rate_cfg = cfg.rate or RateSection()
     check_column(trajectory_header(problem.layout.num_blocks), rate_cfg.column, "config.rate.column")
     if cfg.run.strict_steps and cfg.flavor == "fb":
-        bounds = gd_step_bound(m.coupling, 0.5)
+        bounds = gd_step_bound(m.coupling)
         if not bounds.admits(m.steps):
             raise ConfigError(
                 f"config.steps: {m.steps.tolist()} outside the admissible ranges {bounds.per_block} "
@@ -86,7 +86,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     # refuse the column, as d_target is empty where the map does not fix the target
     try:
         verdicts = check_trajectory(traj, rate_cfg.column, "config.rate.column", str(traj_path),
-                                    rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, rate_cfg.gauge_spec)
+                                    rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, rate_cfg.gauge_factor)
     except ConfigError:
         verdicts = None
 
@@ -174,23 +174,23 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     """Check a distance trajectory; exit 1 when a requested check fails."""
-    from .config import RateSection, gauge_spec
+    from .config import RateSection, gauge_factor
     from .rates import check_trajectory, read_trajectory_csv
 
     rate_cfg = (cfg.rate if cfg is not None else None) or RateSection()
-    gauge = rate_cfg.gauge_spec
+    factor = rate_cfg.gauge_factor
     if args.kappa is not None:
         if args.tau is None:
             raise ConfigError("--tau: required alongside --kappa")
         epsilon = 0.0 if args.epsilon is None else args.epsilon
-        gauge = gauge_spec({"--kappa": args.kappa, "--tau": args.tau, "--epsilon": epsilon}, "--kappa")
+        factor = gauge_factor({"--kappa": args.kappa, "--tau": args.tau, "--epsilon": epsilon}, "--kappa")
     elif args.tau is not None or args.epsilon is not None:
         raise ConfigError(f"{'--tau' if args.tau is not None else '--epsilon'}: needs --kappa")
     cols = _read_input(read_trajectory_csv, args.trajectory)
     column, where = ((args.column, "--column") if args.column is not None
                      else (rate_cfg.column, "config.rate.column"))
     report = check_trajectory(cols, column, where, str(args.trajectory),
-                              rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, gauge)
+                              rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, factor)
     doc = {"config": None if cfg is None else cfg.resolved(), "report": report}
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "rate_report.json", doc)

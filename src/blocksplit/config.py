@@ -6,10 +6,10 @@ reach the solvers.  Block indices in subsets are 0-based.  ``json_ready``
 is the way back out: every report and resolved config is written through it.
 
 Every rule about a config field lives here: ``parse_config`` checks what
-the document decides, the problem's params included, and builds the rate
-gauge once (``gauge_spec``), and the ``ExperimentConfig`` methods check
-what needs the built problem.  A
-trajectory column is checked against the trajectory, by ``rates.check_column``.
+the document decides, the problem's params included, and computes the rate
+gauge's factor once (``gauge_factor``), and the ``ExperimentConfig``
+methods check what needs the built problem.  A trajectory column is
+checked against the trajectory, by ``rates.check_column``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .problems import ProblemSpec
-    from .rates import GaugeSpec
     from .splitting import SplittingMap
 
 SCHEMA_VERSION = 1
@@ -183,8 +182,8 @@ class RateSection:
     gauge: dict | None = None
     fejer_tol_rel: float = 1e-3
     tail_tol: float = 1e-3
-    # the gauge parse_config builds from ``gauge``, which reports keep as given
-    gauge_spec: GaugeSpec | None = field(default=None, init=False)
+    # the factor parse_config computes from ``gauge``, which reports keep as given
+    gauge_factor: float | None = field(default=None, init=False)
 
 
 @dataclass
@@ -206,7 +205,7 @@ class ExperimentConfig:
         return build_problem(self.problem_id, self.problem_params)
 
     def build(self) -> tuple[ProblemSpec, SplittingMap]:
-        """The problem and its splitting map, refusing a step count the problem's blocks do not take.
+        """The problem and its splitting map, refusing steps or subsets the problem's blocks do not take.
 
         The problem keeps its target only where this map fixes it (``require_fixed``).
         """
@@ -216,6 +215,10 @@ class ExperimentConfig:
         num_blocks = problem.layout.num_blocks
         if self.steps is not None and len(self.steps) not in (1, num_blocks):
             raise ConfigError(f"config.steps: expected 1 or {num_blocks} values, got {len(self.steps)}")
+        top = self.scheme.max_block_index()
+        if top >= num_blocks:
+            raise ConfigError(f"config.scheme.subsets: block {top} out of range for a problem of "
+                              f"{num_blocks} blocks")
         m = problem.build_map(self.flavor, self.scheme, self.steps)
         if problem.target_point is not None:  # keep the target only where this map fixes it
             try:
@@ -363,8 +366,8 @@ def _parse_region(d: dict, where: str) -> Region:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def gauge_spec(constants: dict, where: str) -> GaugeSpec:
-    """The linear gauge of kappa, tau and epsilon, refused unless its factor lies in (0, 1).
+def gauge_factor(constants: dict, where: str) -> float:
+    """The factor of the linear gauge of kappa, tau and epsilon, refused unless it lies in (0, 1).
 
     ``constants`` maps the name each value is reported under (a config
     field or a flag) to kappa, tau and epsilon, in that order.  Each must
@@ -488,15 +491,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     rate_sec = None
     if "rate" in doc:
         r = _object(doc["rate"], "config.rate", _init_fields(RateSection))
-        gauge, spec = r.get("gauge"), None
+        gauge, factor = r.get("gauge"), None
         if gauge is not None:
             _kind(gauge, "config.rate.gauge", GAUGE_FIELDS)
             kappa, tau = (_as_float(_require(gauge, key, "config.rate.gauge"), f"config.rate.gauge.{key}")
                           for key in ("kappa", "tau"))
             epsilon = gauge.get("epsilon")
             epsilon = 0.0 if epsilon is None else _as_float(epsilon, "config.rate.gauge.epsilon")
-            spec = gauge_spec({"config.rate.gauge.kappa": kappa, "config.rate.gauge.tau": tau,
-                               "config.rate.gauge.epsilon": epsilon}, "config.rate.gauge")
+            factor = gauge_factor({"config.rate.gauge.kappa": kappa, "config.rate.gauge.tau": tau,
+                                   "config.rate.gauge.epsilon": epsilon}, "config.rate.gauge")
         column = r.get("column", "d_target")
         if not isinstance(column, str):
             raise ConfigError(f"config.rate.column: expected a trajectory column name, got {column!r}")
@@ -507,7 +510,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             fejer_tol_rel=_as_finite(r.get("fejer_tol_rel", 1e-3), "config.rate.fejer_tol_rel"),
             tail_tol=_as_finite(r.get("tail_tol", 1e-3), "config.rate.tail_tol", True),
         )
-        rate_sec.gauge_spec = spec
+        rate_sec.gauge_factor = factor
 
     # after the sections, so that a section's error is reported first
     PROBLEM_BUILDERS[problem_id](params)

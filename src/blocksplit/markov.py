@@ -89,19 +89,14 @@ def init_ensemble(
     return Ensemble(states=states, rngs=rngs)
 
 
-def sbi_step(ensemble: Ensemble, m: SplittingMap, outcomes=None, full=None) -> None:
+def sbi_step(ensemble: Ensemble, m: SplittingMap, outcomes: np.ndarray, full: np.ndarray) -> None:
     """Advance every chain by one random blockwise update, in place.
 
     Chain c takes the blocks of subset ``outcomes[c]`` from ``full``, the
     full-block map T1 of the current states, and keeps its other blocks:
-    x+ = where(mask, T1 x, x).  ``run`` passes its prefetched draws and the
-    T1 x its diagnostics already evaluated.  Called bare, each chain draws
-    one outcome from its own stream and T1 is evaluated here.
+    x+ = where(mask, T1 x, x).  ``run`` passes its prefetched draws
+    (``sample_subsets``) and the T1 x its diagnostics already evaluated.
     """
-    if outcomes is None:
-        outcomes = sample_subsets(m.scheme, ensemble.rngs, 1)[0]
-    if full is None:
-        full = apply_full(m, ensemble.states)
     np.copyto(ensemble.states, full, where=m.outcome_masks[outcomes])
     ensemble.k += 1
 

@@ -3,7 +3,8 @@
 A problem is min f(x) + sum_j h_j(x_j) where f couples the blocks smoothly
 and each h_j acts on its own block through a proximal oracle.  Oracles are
 vectorized: they accept a single vector or a batch with the vector on the
-trailing axis.
+trailing axis.  The step-size bounds hold the blockwise gradient map to
+one constant, ALPHA_BAR = 1/2: a firmly nonexpansive gradient step.
 """
 
 from __future__ import annotations
@@ -153,45 +154,47 @@ class StepBounds:
         return bool(np.all(steps > 0) and np.all(steps < np.asarray(self.per_block)))
 
 
-def gd_step_bound(coupling: SmoothCoupling, alpha_bar: float) -> StepBounds:
-    """Step ranges making the blockwise gradient map a-alpha-fne with constant alpha_bar.
+# The target constant of the blockwise gradient map: a firmly nonexpansive
+# step, alpha-bar = 1/2, which the forward-backward constants compose with
+# the prox (``splitting.composite_constants``).
+ALPHA_BAR = 0.5
 
-    Per block the upper end is (alpha_bar * sqrt(tau_j^2 + L_j^2) - alpha_bar * tau_j) / L_j^2.
-    For convex couplings the classical global range t < 2 alpha_bar / L_max is
+
+def gd_step_bound(coupling: SmoothCoupling) -> StepBounds:
+    """Step ranges making the blockwise gradient map a-alpha-fne with constant ALPHA_BAR.
+
+    Per block the upper end is ALPHA_BAR (sqrt(tau_j^2 + L_j^2) - tau_j) / L_j^2.
+    For convex couplings the classical global range t < 2 ALPHA_BAR / L_max is
     also reported (no violation inside it).
     """
-    if not 0 < alpha_bar < 1:
-        raise ValueError(f"alpha_bar must lie in (0,1), got {alpha_bar}")
     uppers = []
     for tau, L in zip(coupling.hypomono, coupling.lipschitz):
         if L == 0:
             uppers.append(np.inf)
         else:
-            uppers.append(float(alpha_bar * (np.hypot(tau, L) - tau) / L**2))
+            uppers.append(float(ALPHA_BAR * (np.hypot(tau, L) - tau) / L**2))
     global_bound = None
     if coupling.convex:
         Lbar = coupling.lipschitz_max
-        global_bound = np.inf if Lbar == 0 else float(2 * alpha_bar / Lbar)
+        global_bound = np.inf if Lbar == 0 else float(2 * ALPHA_BAR / Lbar)
     return StepBounds(tuple(uppers), global_bound)
 
 
-def gd_violation_bound(coupling: SmoothCoupling, steps: np.ndarray, alpha_bar: float) -> float:
-    """Worst-case a-alpha-fne violation of the blockwise gradient map.
+def gd_violation_bound(coupling: SmoothCoupling, steps: np.ndarray) -> float:
+    """Worst-case a-alpha-fne violation of the blockwise gradient map at constant ALPHA_BAR.
 
-    max_j (2 t_j tau_j + t_j^2 L_j^2 / alpha_bar); zero for a convex
+    max_j (2 t_j tau_j + t_j^2 L_j^2 / ALPHA_BAR); zero for a convex
     coupling run at a common step inside the global bound.
     """
-    if not 0 < alpha_bar < 1:
-        raise ValueError(f"alpha_bar must lie in (0,1), got {alpha_bar}")
     m = coupling.layout.num_blocks
     steps = np.broadcast_to(np.asarray(steps, dtype=float), (m,))
     if np.any(steps <= 0):
         raise ValueError(f"steps must be positive, got {steps}")
     if coupling.convex and np.all(steps == steps[0]):
         Lbar = coupling.lipschitz_max
-        if Lbar == 0 or steps[0] < 2 * alpha_bar / Lbar:
+        if Lbar == 0 or steps[0] < 2 * ALPHA_BAR / Lbar:
             return 0.0
-    per_block = 2 * steps * coupling.hypomono + steps**2 * coupling.lipschitz**2 / alpha_bar
+    per_block = 2 * steps * coupling.hypomono + steps**2 * coupling.lipschitz**2 / ALPHA_BAR
     return float(np.max(per_block))
 
 

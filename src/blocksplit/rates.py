@@ -1,11 +1,12 @@
 """Convergence gauges, monotonicity checks, rate fits, and the trajectory file.
 
 A gauge theta maps distances to distances; distance trajectories
-certified against a gauge contract per-step.  Gauges are linear only,
-theta(t) = factor * t with factor in (0, 1).  The factor comes from a
-linear error bound with modulus kappa: theta(t) = sqrt((1+eps) -
-tau/kappa^2) * t, the exact solution of the defining relation with
-rho(t) = kappa t.
+certified against a gauge contract per-step.  Gauges are linear,
+theta(t) = factor * t with factor in (0, 1), so a gauge is its factor, a
+float.  The factor comes from a linear error bound with modulus kappa:
+theta(t) = sqrt((1+eps) - tau/kappa^2) * t, the exact solution of the
+defining relation with rho(t) = kappa t; ``theta_linear`` computes it and
+is the one place that checks it lies in (0, 1).
 
 The trajectory CSV that ``run`` writes and ``rate`` checks is read and
 written here, beside ``check_trajectory``, so that checking a trajectory
@@ -29,26 +30,8 @@ from .errors import (
 )
 
 
-@dataclass
-class GaugeSpec:
-    """A linear gauge theta(t) = factor * t with factor in (0, 1)."""
-
-    kind: str
-    factor: float | None = None
-
-    def __post_init__(self):
-        if self.kind != "linear":
-            raise InadmissibleGauge(f"unknown gauge kind {self.kind!r}")
-        if self.factor is None or not 0 < self.factor < 1:
-            raise InadmissibleGauge(f"linear gauge needs factor in (0,1), got {self.factor}")
-
-    def theta(self, t):
-        out = self.factor * np.asarray(t, dtype=float)
-        return float(out) if out.ndim == 0 else out
-
-
-def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> GaugeSpec:
-    """Linear gauge induced by a linear error bound with modulus kappa.
+def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> float:
+    """The factor of the linear gauge induced by a linear error bound with modulus kappa.
 
     Solving the defining relation with rho(t) = kappa t gives
     theta(t) = sqrt((1 + epsilon) - tau / kappa^2) * t.  Admissible exactly
@@ -79,27 +62,26 @@ def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> GaugeSpec:
         raise InadmissibleGauge(
             f"kappa={kappa} gives factor^2={inner:.6g}; admissible kappa range is ({lo:.6g}, {hi:.6g})"
         )
-    factor = float(np.sqrt(inner))
-    return GaugeSpec(kind="linear", factor=factor)
+    return float(np.sqrt(inner))
 
 
-def invert_id_minus_theta(gauge: GaugeSpec, s: float) -> float:
+def invert_id_minus_theta(factor: float, s: float) -> float:
     """Solve t - theta(t) = s for t: t = s / (1 - factor).
 
     Raises OutOfDomain when s is negative.
     """
     if s < 0:
         raise OutOfDomain(f"s must be nonnegative, got {s}")
-    return float(s / (1.0 - gauge.factor))
+    return float(s / (1.0 - factor))
 
 
-def theta_iterates(gauge: GaugeSpec, t0: float, count: int) -> np.ndarray:
+def theta_iterates(factor: float, t0: float, count: int) -> np.ndarray:
     """[t0, theta(t0), theta^2(t0), ...] with ``count`` entries."""
     out = np.empty(count)
     t = float(t0)
     for i in range(count):
         out[i] = t
-        t = gauge.theta(t)
+        t = factor * t
     return out
 
 
@@ -130,22 +112,17 @@ def _per_step(d: np.ndarray, bound) -> CheckResult:
     )
 
 
-def check_fejer(distances: np.ndarray, tol_rel: float = 1e-3, tol_abs: float = 0.0) -> CheckResult:
-    """Monotone nonincrease up to tolerance: d_{k+1} <= d_k (1 + tol_rel) + tol_abs."""
+def check_fejer(distances: np.ndarray, tol_rel: float = 1e-3) -> CheckResult:
+    """Monotone nonincrease up to tolerance: d_{k+1} <= d_k (1 + tol_rel)."""
     d = _sequence(distances)
     if np.any(d < 0):
         raise ValueError("distances must be nonnegative")
-    return _per_step(d, lambda t: t * (1.0 + tol_rel) + tol_abs)
+    return _per_step(d, lambda t: t * (1.0 + tol_rel))
 
 
-def check_gauge_monotone(
-    distances: np.ndarray,
-    gauge: GaugeSpec,
-    tol_rel: float = 1e-9,
-    tol_abs: float = 0.0,
-) -> CheckResult:
-    """Per-step gauge contraction: d_{k+1} <= theta(d_k) + tol_rel d_k + tol_abs."""
-    return _per_step(_sequence(distances), lambda t: gauge.theta(t) + tol_rel * t + tol_abs)
+def check_gauge_monotone(distances: np.ndarray, factor: float, tol_rel: float = 1e-9) -> CheckResult:
+    """Per-step gauge contraction: d_{k+1} <= factor d_k + tol_rel d_k."""
+    return _per_step(_sequence(distances), lambda t: factor * t + tol_rel * t)
 
 
 @dataclass(frozen=True)
@@ -200,12 +177,16 @@ class RateFit:
     num_used: int
 
 
-def fit_linear_rate(distances: np.ndarray) -> RateFit:
-    """Fit log d_k against k; requires at least five positive entries."""
+def fit_linear_rate(k: np.ndarray, distances: np.ndarray) -> RateFit:
+    """Fit log d against the iteration numbers ``k`` of the distances; needs five positive ones.
+
+    ``c_hat`` is the contraction per unit of k, so a column filled on a
+    stride fits the same rate as one filled at every k.
+    """
+    k = np.asarray(k, dtype=float)
     d = np.asarray(distances, dtype=float)
-    if d.ndim != 1:
-        raise DimensionMismatch("distances must be 1-D")
-    k = np.arange(d.shape[0], dtype=float)
+    if d.ndim != 1 or k.shape != d.shape:
+        raise DimensionMismatch(f"need 1-D k and distances of one length, got {k.shape} and {d.shape}")
     mask = d > 0
     if np.count_nonzero(mask) < 5:
         raise DegenerateSequence(
@@ -234,32 +215,8 @@ def check_column(columns, column: str, where: str) -> None:
                           f"available: {list(columns)}")
 
 
-def check_trajectory(
-    cols: dict[str, np.ndarray],
-    column: str,
-    where: str,
-    source: str,
-    fejer_tol_rel: float,
-    tail_tol: float,
-    gauge: GaugeSpec | None,
-) -> RateReport:
-    """Every check of a trajectory: the rate command's and the run summary's verdicts.
-
-    ``cols`` maps column names to values, NaN where a cell is empty, as
-    ``read_trajectory_csv`` returns them; ``source`` names the trajectory
-    in the report.  The distances are the non-empty cells of ``column``,
-    which ``where`` named.  They get Fejer monotonicity with
-    ``fejer_tol_rel``, a linear-rate fit when at least five are positive,
-    and, given a ``gauge``, the gauge check.  ``dw_step``, when it has four
-    entries or more, gets asymptotic regularity with ``tail_tol``.  A
-    missing column, fewer than two distances, or a non-finite or negative
-    one raise ConfigError under ``where``.
-    """
-    check_column(cols, column, where)
-    d = cols[column]
-    d = d[~np.isnan(d)]
-    if d.shape[0] < 2:
-        raise ConfigError(f"{where}: column {column!r} has fewer than two usable entries")
+def _check_distances(d: np.ndarray, column: str, where: str) -> None:
+    """Refuse a non-finite or negative entry of the distance column ``column`` under ``where``."""
     if not np.isfinite(d).all():
         raise ConfigError(f"{where}: column {column!r} holds a non-finite distance "
                           f"{float(d[~np.isfinite(d)][0])!r}; distances must be finite")
@@ -267,23 +224,56 @@ def check_trajectory(
         raise ConfigError(f"{where}: column {column!r} holds a negative distance "
                           f"{float(d[d < 0][0])!r}; distances must be nonnegative")
 
+
+def check_trajectory(
+    cols: dict[str, np.ndarray],
+    column: str,
+    where: str,
+    source: str,
+    fejer_tol_rel: float,
+    tail_tol: float,
+    gauge_factor: float | None,
+) -> RateReport:
+    """Every check of a trajectory: the rate command's and the run summary's verdicts.
+
+    ``cols`` maps column names to values, NaN where a cell is empty, as
+    ``read_trajectory_csv`` returns them; ``source`` names the trajectory
+    in the report.  The distances are the non-empty cells of ``column``,
+    which ``where`` named.  They get Fejer monotonicity with
+    ``fejer_tol_rel``, a linear-rate fit against their rows' ``k`` when at
+    least five are positive, and, given a ``gauge_factor``, the gauge
+    check.  ``dw_step``, when it has four entries or more, gets asymptotic
+    regularity with ``tail_tol``.  A missing column, fewer than two
+    distances, or a non-finite or negative one raise ConfigError under
+    ``where``; a missing ``k`` column, a non-finite ``k`` beside a distance
+    and a non-finite or negative ``dw_step`` raise it under ``source``.
+    """
+    check_column(cols, column, where)
+    check_column(cols, "k", source)
+    rows = ~np.isnan(cols[column])
+    d, k = cols[column][rows], cols["k"][rows]
+    if d.shape[0] < 2:
+        raise ConfigError(f"{where}: column {column!r} has fewer than two usable entries")
+    _check_distances(d, column, where)
+    if not np.isfinite(k).all():
+        raise ConfigError(f"{source}: column 'k' is not finite on a row with a {column!r} entry")
+    dw = cols.get("dw_step")
+    if dw is not None:
+        dw = dw[~np.isnan(dw)]
+        _check_distances(dw, "dw_step", source)
+
     report = RateReport(details={"column": column, "trajectory": source,
                                  "num_entries": int(d.shape[0])})
     report.fejer = check_fejer(d, tol_rel=fejer_tol_rel)
     try:
-        report.fit = fit_linear_rate(d)
+        report.fit = fit_linear_rate(k, d)
     except DegenerateSequence:
         report.fit = None
-
-    dw = cols.get("dw_step")
-    if dw is not None:
-        dw = dw[~np.isnan(dw)]
-        if dw.shape[0] >= 4:
-            report.asymptotic = check_asymptotic_regularity(dw, tail_tol=tail_tol)
-
-    if gauge is not None:
-        report.gauge = check_gauge_monotone(d, gauge, tol_rel=1e-3)
-        report.details["gauge_factor"] = gauge.factor
+    if dw is not None and dw.shape[0] >= 4:
+        report.asymptotic = check_asymptotic_regularity(dw, tail_tol=tail_tol)
+    if gauge_factor is not None:
+        report.gauge = check_gauge_monotone(d, gauge_factor, tol_rel=1e-3)
+        report.details["gauge_factor"] = gauge_factor
     return report
 
 

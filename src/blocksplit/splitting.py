@@ -260,26 +260,24 @@ class RegularityConstants:
         return (1.0 - self.alpha) / self.alpha
 
 
-def composite_constants(m: SplittingMap, alpha_bar: float = 0.5) -> RegularityConstants:
+def composite_constants(m: SplittingMap) -> RegularityConstants:
     """Worst-case constants of the full-block map from the ingredient constants.
 
-    DR: alpha = 2/3 and violation tau_f + tau_h + tau_f tau_h (zero when both
-    ingredients are convex).  FB: alpha = 2 / (1 + 1/max(1/2, alpha_gd)) where
-    alpha_gd = alpha_bar is the target constant of the gradient map, and the
-    violation composes the gradient-map violation with the term's
-    submonotonicity the same multiplicative way.
+    Both flavors give alpha = 2/3 and violation tau_f + tau_h + tau_f tau_h,
+    with tau_h the term's submonotonicity (zero when it is convex).  Under
+    DR tau_f is the coupling's hypomonotonicity; under FB it is the
+    violation of the gradient map at the constant ALPHA_BAR = 1/2
+    (``gd_violation_bound``), whose composition with the prox gives
+    2 / (1 + 1/ALPHA_BAR) = 2/3.
     """
     from .operators import gd_violation_bound
 
     tau_h = 0.0 if m.term.convex else m.term.tau_max
     if m.flavor == "dr":
         tau_f = 0.0 if m.coupling.convex else m.coupling.tau_max
-        eps = tau_f + tau_h + tau_f * tau_h
-        return RegularityConstants(2.0 / 3.0, eps)
-    eps_gd = gd_violation_bound(m.coupling, m.steps, alpha_bar)
-    alpha = 2.0 / (1.0 + 1.0 / max(0.5, alpha_bar))
-    eps = eps_gd + tau_h + eps_gd * tau_h
-    return RegularityConstants(alpha, eps)
+    else:
+        tau_f = gd_violation_bound(m.coupling, m.steps)
+    return RegularityConstants(2.0 / 3.0, tau_f + tau_h + tau_f * tau_h)
 
 
 def expectation_constants(c: RegularityConstants, p: BlockProbabilities) -> RegularityConstants:

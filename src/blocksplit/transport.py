@@ -368,14 +368,14 @@ def _add_pair_columns(h, pairs: np.ndarray, cost: np.ndarray, n: int, m: int) ->
               index.size, starts.astype(np.int32), index, np.ones(index.size))
 
 
-def _gaussian_potential(x: np.ndarray, y: np.ndarray, wx: np.ndarray | None = None,
-                        wy: np.ndarray | None = None) -> np.ndarray | None:
+def _gaussian_potential(x: np.ndarray, y: np.ndarray, wx: np.ndarray,
+                        wy: np.ndarray) -> np.ndarray | None:
     """Row potential u for the cost |x_i - y_j|^2, from Gaussian fits of the clouds.
 
     Fits means m, m' and covariances S, S' to the clouds x (n, d) and y
-    (k, d) with the atom weights wx, wy (clipped at 0; equal weights when
-    not given).  The W2 map between the two Gaussians is the gradient
-    of the convex phi(x) = 1/2 (x - m)^T A (x - m) + m'^T x, with
+    (k, d) with the atom weights wx, wy (clipped at 0).  The W2 map between
+    the two Gaussians is the gradient of the convex
+    phi(x) = 1/2 (x - m)^T A (x - m) + m'^T x, with
     A = S^-1/2 (S^1/2 S' S^1/2)^1/2 S^-1/2, and u = |x|^2 - 2 phi(x) is its
     Kantorovich potential.  Its column partner is the c-transform
     v_j = min_i (|x_i - y_j|^2 - u_i), the largest v with u_i + v_j <= C_ij;
@@ -390,8 +390,6 @@ def _gaussian_potential(x: np.ndarray, y: np.ndarray, wx: np.ndarray | None = No
     1e-8 of its largest (no more than d atoms with mass, a constant
     coordinate) or is not finite, or when u is not finite.
     """
-    if wx is None:
-        wx, wy = np.ones(x.shape[0]), np.ones(y.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         wx, wy = np.maximum(wx, 0.0), np.maximum(wy, 0.0)
         wx, wy = wx / wx.sum(), wy / wy.sum()

@@ -39,7 +39,6 @@ from blocksplit.problems import (
     feasibility,
 )
 from blocksplit.rates import (
-    GaugeSpec,
     check_asymptotic_regularity,
     check_fejer,
     check_gauge_monotone,
@@ -232,7 +231,7 @@ def test_05_randomized_ensemble_contracts_to_the_minimizer():
     assert check_fejer(d, tol_rel=1e-3).passed
     assert check_asymptotic_regularity(d).passed
     assert check_asymptotic_regularity(dw).passed
-    fit = fit_linear_rate(d)
+    fit = fit_linear_rate(result.trajectory["k"], d)
     assert fit.c_hat < 1.0
     elapsed = time.monotonic() - t0
     assert elapsed < budget
@@ -289,18 +288,18 @@ def test_07_composite_constants_match_closed_forms():
         assert abs(composite_constants(m).violation - expected) <= 1e-15
     # gradient-step bounds against hand-derived values
     pair = coupling_quadratic(layout, 2.0 * np.ones((2, 2)))
-    bounds = gd_step_bound(pair, 0.5)
+    bounds = gd_step_bound(pair)
     assert abs(bounds.per_block[0] - 0.125) <= 1e-12
     assert abs(bounds.per_block[1] - 0.125) <= 1e-12
     assert abs(bounds.global_convex - 0.25) <= 1e-12
     hypo = SmoothCoupling(layout=BlockLayout((1,)), gradient=lambda x: x,
                           lipschitz=np.array([4.0]), hypomono=np.array([3.0]), convex=False)
-    assert abs(gd_step_bound(hypo, 0.5).per_block[0] - 1.0 / 16.0) <= 1e-12
-    assert gd_violation_bound(pair, np.array([0.2, 0.2]), 0.5) == 0.0
-    assert abs(gd_violation_bound(pair, np.array([0.1, 0.2]), 0.5) - 0.04 * 16.0 / 0.5) <= 1e-12
+    assert abs(gd_step_bound(hypo).per_block[0] - 1.0 / 16.0) <= 1e-12
+    assert gd_violation_bound(pair, np.array([0.2, 0.2])) == 0.0
+    assert abs(gd_violation_bound(pair, np.array([0.1, 0.2])) - 0.04 * 16.0 / 0.5) <= 1e-12
     mild = SmoothCoupling(layout=BlockLayout((1,)), gradient=lambda x: x,
                           lipschitz=np.array([2.0]), hypomono=np.array([1.5]), convex=False)
-    assert abs(gd_violation_bound(mild, np.array([0.3]), 0.5) - 1.62) <= 1e-12
+    assert abs(gd_violation_bound(mild, np.array([0.3])) - 1.62) <= 1e-12
     _accept(7, "alpha=2/3 exact, violation product rule to 1e-15, step bounds to 1e-12")
 
 
@@ -308,18 +307,18 @@ def test_08_gauge_round_trips_and_monotonicity_gates():
     for kappa, tau, eps in [(2.0, 2.0, 0.0), (1.7, 1.3, 0.25), (3.0, 4.0, 0.1)]:
         gauge = theta_linear(kappa, tau, eps)
         ts = np.linspace(0.05, 25.0, 101)
-        theta = gauge.factor * ts
+        theta = gauge * ts
         # theta(t)^2 = (1+eps) t^2 - tau rho_inv(t)^2 must give back rho(t) = kappa t,
         # i.e. kappa * rho_inv(t) = t on the grid
         rho_inv = np.sqrt(((1.0 + eps) * ts**2 - theta**2) / tau)
         assert float(np.max(np.abs(kappa * rho_inv - ts))) <= 1e-10
         for t_true in (0.07, 1.0, 9.4, 24.0):
-            s = t_true - gauge.factor * t_true
+            s = t_true - gauge * t_true
             assert abs(invert_id_minus_theta(gauge, s) - t_true) <= 1e-10
     gauge = theta_linear(2.0, 2.0, 0.0)
     d = theta_iterates(gauge, 5.0, 40)
     assert check_gauge_monotone(d, gauge).passed
-    tighter = GaugeSpec(kind="linear", factor=gauge.factor - 1e-6)
+    tighter = gauge - 1e-6
     assert not check_gauge_monotone(d, tighter).passed
     _accept(8, "defining-relation and inversion round trips within 1e-10, "
                "monotonicity gate is factor-exact")

@@ -289,6 +289,41 @@ def test_cli_run_verdicts_are_the_rate_checks(tmp_path, capsys):
     assert summary["verdicts"]["gauge"] is not None
 
 
+def test_cli_rate_fits_c_hat_per_step_of_k_on_a_strided_column(tmp_path, capsys):
+    # dw_step filled every 5th step fits the contraction per step of k, as
+    # the column filled at every step does, not the contraction per entry
+    c_hat = {}
+    for every in (1, 5):
+        doc = base_config(problem={"id": "counterexample2d", "params": {"t": 0.2}},
+                          steps=[0.2, 0.2], seed=42, output_dir=str(tmp_path / f"out{every}"),
+                          run={"num_chains": 200, "iterations": 100, "dw_step_every": every},
+                          rate={"column": "dw_step"})
+        path = write_config(tmp_path, doc, f"every{every}.json")
+        assert main(["run", "--config", path]) == 0
+        capsys.readouterr()
+        main(["rate", "--config", path, "--trajectory", str(tmp_path / f"out{every}" / "trajectory.csv")])
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.endswith(f"over {100 // every} entries")
+        c_hat[every] = float(line.split("c_hat=")[1].split()[0])
+    assert abs(c_hat[5] - c_hat[1]) <= 0.01, c_hat
+
+
+def test_cli_run_empty_rate_section_writes_the_default_verdicts(tmp_path, capsys):
+    # "rate": {} takes parse_config's defaults, no rate section RateSection()'s
+    summaries = []
+    for name, rate in (("empty", {}), ("none", None)):
+        doc = run_config(tmp_path, out_name=name)
+        if rate is not None:
+            doc["rate"] = rate
+        assert main(["run", "--config", write_config(tmp_path, doc, f"{name}.json")]) == 0
+        summaries.append(json.loads((tmp_path / name / "summary.json").read_text()))
+    empty, none = (s["verdicts"] for s in summaries)
+    assert empty["fejer"] is not None and empty["asymptotic"] is not None
+    empty["details"].pop("trajectory")
+    none["details"].pop("trajectory")
+    assert empty == none
+
+
 def test_cli_run_without_a_target_writes_null_verdicts(tmp_path, capsys):
     # d_target names a trajectory column, but an inconsistent feasibility
     # problem declares no target, so the column stays empty and the run
@@ -444,6 +479,15 @@ NAN, INF = float("nan"), float("inf")
 
 SMALL_RUN = {"num_chains": 4, "iterations": 3}
 GOOD_TRAJECTORY = "k,mean_residual,psi_upper,dw_step,d_target\n0,1,1,,1\n1,0.5,0.5,,0.5\n"
+
+
+def _dw_trajectory(last_step: str) -> str:
+    """A five-row trajectory whose vanishing dw_step ends in ``last_step``."""
+    rows = zip(range(5), ("1", "0.9", "0.8", "0.7", "0.6"), ("", "0.5", "0.1", "0.01", last_step))
+    return "k,mean_residual,psi_upper,dw_step,d_target\n" + "".join(
+        f"{k},1,1,{dw},{d}\n" for k, d, dw in rows)
+
+
 BAD_INPUTS = [
     ("t_negative", "problem.params.t",
      _config_case("run", problem={"id": "counterexample2d", "params": {"t": -1}}, run=SMALL_RUN)),
@@ -591,6 +635,20 @@ BAD_INPUTS = [
     ("trajectory_infinite_distance", "column 'd_target' holds a non-finite distance inf",
      _file_case("inf.csv", "k,mean_residual,psi_upper,dw_step,d_target\n0,inf,inf,,inf\n1,inf,inf,,inf\n",
                 lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    # the rate fit reads each distance's k
+    ("trajectory_without_k", "nok.csv: the trajectory has no column 'k'",
+     _file_case("nok.csv", "mean_residual,psi_upper,dw_step,d_target\n1,1,,1\n0.5,0.5,,0.5\n",
+                lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    ("trajectory_empty_k", "emptyk.csv: column 'k' is not finite on a row with a 'd_target' entry",
+     _file_case("emptyk.csv", GOOD_TRAJECTORY.replace("\n1,", "\n,"),
+                lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    # a step distance is refused like a checked distance, under the file that holds it
+    ("trajectory_negative_dw_step", "dw.csv: column 'dw_step' holds a negative distance -1.0",
+     _file_case("dw.csv", _dw_trajectory("-1"),
+                lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    ("trajectory_infinite_dw_step", "dw.csv: column 'dw_step' holds a non-finite distance inf",
+     _file_case("dw.csv", _dw_trajectory("inf"),
+                lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
     # the gauge is checked with the config, before the run simulates
     ("gauge_inadmissible", "config.rate.gauge: kappa=0.5 gives factor^2=-3",
      _config_case("run", rate={"gauge": {"kind": "linear", "kappa": 0.5, "tau": 1.0}},
@@ -674,6 +732,14 @@ BAD_INPUTS = [
     ("set_center_nan", "problem.params.sets[0].center: must be finite",
      _sets_case({"kind": "ball", "center": [0.0, NAN], "radius": 1.0}, POINT)),
     # integers are integers, and a set's vectors have one length
+    # a subset naming a block the problem does not have, refused where the problem is built
+    ("run_scheme_block_out_of_range",
+     "config.scheme.subsets: block 2 out of range for a problem of 2 blocks",
+     _config_case("run", scheme={"subsets": [[0], [2]], "probs": [0.5, 0.5]}, run=SMALL_RUN)),
+    ("certify_scheme_block_out_of_range",
+     "config.scheme.subsets: block 2 out of range for a problem of 2 blocks",
+     _config_case("certify", scheme={"subsets": [[0], [2]], "probs": [0.5, 0.5]},
+                  certify={"property": "aafne_in_expectation"})),
     ("subsets_float", "config.scheme.subsets[0][0]: expected an integer, got 0.7",
      _config_case("run", scheme={"subsets": [[0.7], [1.2]], "probs": [0.5, 0.5]}, run=SMALL_RUN)),
     ("subsets_bool", "config.scheme.subsets[0][0]: expected an integer, got False",
@@ -783,7 +849,7 @@ def test_cli_builds_each_gauge_once(tmp_path, monkeypatch, capsys, command, gaug
     report = "summary.json" if command == "run" else "rate_report.json"
     doc = json.loads((tmp_path / "out" / report).read_text())
     details = doc["verdicts" if command == "run" else "report"]["details"]
-    assert details["gauge_factor"] == built[-1].factor
+    assert details["gauge_factor"] == built[-1]
 
 
 IMPORT_GUARD = """

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from blocksplit.cli import _write_report
-from blocksplit.config import load_config, parse_config
+from blocksplit.config import CertifySection, RateSection, RunSection, load_config, parse_config
 from blocksplit.rates import AsymptoticRegularityResult, CheckResult, RateFit, RateReport
 from blocksplit.regularity import CertificationReport
 
@@ -84,6 +84,17 @@ def test_resolved_config_names_every_field_and_parses_back():
     assert parse_config(json.loads(json.dumps(resolved))).resolved() == resolved
     minimal = parse_config({k: v for k, v in FULL_CONFIG.items() if k != "rate"}).resolved()
     assert "rate" not in minimal and parse_config(minimal).resolved() == minimal
+
+
+def test_sections_with_only_required_fields_parse_to_the_section_defaults():
+    # parse_config applies its own literal defaults; they must be the dataclasses'
+    doc = {k: v for k, v in FULL_CONFIG.items() if k not in ("run", "certify", "rate")}
+    doc.update(run={"num_chains": 4, "iterations": 2}, certify={"property": "aafne_in_expectation"},
+               rate={})
+    cfg = parse_config(doc)
+    assert cfg.run == RunSection(num_chains=4, iterations=2)
+    assert cfg.certify == CertifySection(property="aafne_in_expectation")
+    assert cfg.rate == RateSection()
 
 
 def test_benchmark_and_readme_configs_parse_and_build(tmp_path, monkeypatch):

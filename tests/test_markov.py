@@ -64,7 +64,7 @@ def test_init_ensemble_chains_independent():
 def test_sbi_step_matches_manual_replay():
     # replay each chain with its own index stream: grouping by outcome in
     # sbi_step must not change what any single chain sees
-    from blocksplit.blockspace import chain_rng, sample_subset
+    from blocksplit.blockspace import chain_rng, sample_subset, sample_subsets
 
     m = _map()
     e = init_ensemble(m, point_sampler(np.array([1.0, 2.0])), 12, master_seed=9)
@@ -74,7 +74,7 @@ def test_sbi_step_matches_manual_replay():
         for cid in range(12):
             i = sample_subset(m.scheme, manual_rngs[cid])
             manual_states[cid] = apply_T(m, i, manual_states[cid])
-        sbi_step(e, m)
+        sbi_step(e, m, sample_subsets(m.scheme, e.rngs, 1)[0], apply_full(m, e.states))
     np.testing.assert_allclose(e.states, manual_states, atol=1e-14)
     assert e.k == 5
 

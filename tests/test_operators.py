@@ -159,10 +159,10 @@ def test_resolvent_separable_dispatch():
 
 
 def test_gd_step_bound_convex_hand_value():
-    # tau = 0, L = 4: per-block bound alpha_bar * L / L^2 = 0.5/4 = 1/8,
+    # tau = 0, L = 4: per-block bound ALPHA_BAR * L / L^2 = 0.5/4 = 1/8,
     # global convex bound 2 * 0.5 / 4 = 1/4
     c = _pair_coupling()
-    bounds = gd_step_bound(c, 0.5)
+    bounds = gd_step_bound(c)
     np.testing.assert_allclose(bounds.per_block, (0.125, 0.125))
     assert bounds.global_convex == pytest.approx(0.25)
     assert bounds.admits([0.1, 0.1])
@@ -179,22 +179,22 @@ def test_gd_step_bound_hypomonotone_hand_value():
         hypomono=np.array([3.0]),
         convex=False,
     )
-    bounds = gd_step_bound(c, 0.5)
+    bounds = gd_step_bound(c)
     assert bounds.per_block[0] == pytest.approx(1.0 / 16.0)
     assert bounds.global_convex is None
 
 
 def test_gd_violation_zero_for_convex_common_step():
     c = _pair_coupling()
-    assert gd_violation_bound(c, np.array([0.2, 0.2]), 0.5) == 0.0
+    assert gd_violation_bound(c, np.array([0.2, 0.2])) == 0.0
 
 
 def test_gd_violation_formula_uneven_steps():
-    # uneven steps leave the exemption: max_j 2 t tau + t^2 L^2 / alpha_bar
+    # uneven steps leave the exemption: max_j 2 t tau + t^2 L^2 / ALPHA_BAR
     c = _pair_coupling()
     t = np.array([0.1, 0.2])
     expected = max(2 * t * 0.0 + t**2 * 16.0 / 0.5)
-    assert gd_violation_bound(c, t, 0.5) == pytest.approx(expected)
+    assert gd_violation_bound(c, t) == pytest.approx(expected)
 
 
 def test_gd_violation_formula_hypomonotone():
@@ -207,7 +207,7 @@ def test_gd_violation_formula_hypomonotone():
         convex=False,
     )
     # 2 * 0.3 * 1.5 + 0.09 * 4 / 0.5 = 0.9 + 0.72 = 1.62
-    assert gd_violation_bound(c, np.array([0.3]), 0.5) == pytest.approx(1.62)
+    assert gd_violation_bound(c, np.array([0.3])) == pytest.approx(1.62)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def test_coupling_zero():
                        lipschitz=np.zeros(2), hypomono=np.zeros(2), convex=True)
     x = np.array([1.0, 2.0, 3.0])
     np.testing.assert_array_equal(c.gradient(x), np.zeros(3))
-    assert gd_step_bound(c, 0.5).per_block == (np.inf, np.inf)
+    assert gd_step_bound(c).per_block == (np.inf, np.inf)
 
 
 def test_coupling_diagonal_sqdist_gradient():

@@ -21,8 +21,8 @@ from blocksplit.rates import (
 
 def test_theta_linear_factor_formula():
     g = theta_linear(kappa=2.0, tau=2.0, epsilon=0.0)
-    assert g.factor == pytest.approx(np.sqrt(0.5))
-    assert g.theta(3.0) == pytest.approx(3.0 * np.sqrt(0.5))
+    assert g == pytest.approx(np.sqrt(0.5))
+    assert g * 3.0 == pytest.approx(3.0 * np.sqrt(0.5))
 
 
 def test_theta_linear_defining_relation_round_trip():
@@ -30,7 +30,7 @@ def test_theta_linear_defining_relation_round_trip():
     for kappa, tau, eps in ((2.0, 2.0, 0.0), (1.5, 1.2, 0.3), (3.0, 5.0, 0.1)):
         g = theta_linear(kappa, tau, eps)
         t = 0.7
-        th = g.theta(t)
+        th = g * t
         lhs = kappa * np.sqrt(((1 + eps) * t**2 - th**2) / tau)
         assert lhs == pytest.approx(t, abs=1e-12)
 
@@ -49,13 +49,13 @@ def test_theta_linear_admissibility_window():
 def test_theta_linear_refuses_a_factor_that_rounds_to_one():
     # 1 - tau/kappa^2 is below 1 inside the window, but rounds to 1 in
     # float64 once tau/kappa^2 <= 2^-54: kappa >= 2^27 sqrt(tau), about 1.34e8
-    assert theta_linear(kappa=1e8, tau=1.0).factor < 1.0
+    assert theta_linear(kappa=1e8, tau=1.0) < 1.0
     with pytest.raises(InadmissibleGauge) as refused:
         theta_linear(kappa=1e9, tau=1.0)
     message = str(refused.value)
     assert "rounds to 1 in float64" in message and "inf" not in message
     assert "below about 1.34218e+08" in message
-    assert theta_linear(kappa=2.0**27 * 0.999, tau=1.0).factor < 1.0
+    assert theta_linear(kappa=2.0**27 * 0.999, tau=1.0) < 1.0
     with pytest.raises(InadmissibleGauge, match="below about 2.68435e"):
         theta_linear(kappa=2.0**28, tau=4.0)
 
@@ -63,7 +63,7 @@ def test_theta_linear_refuses_a_factor_that_rounds_to_one():
 def test_invert_id_minus_theta_linear():
     g = theta_linear(2.0, 2.0, 0.0)
     t = 1.3
-    s = t - g.theta(t)
+    s = t - g * t
     assert invert_id_minus_theta(g, s) == pytest.approx(t, abs=1e-12)
     with pytest.raises(OutOfDomain):
         invert_id_minus_theta(g, -0.1)
@@ -72,7 +72,7 @@ def test_invert_id_minus_theta_linear():
 def test_theta_iterates_geometric():
     g = theta_linear(2.0, 2.0, 0.0)
     seq = theta_iterates(g, 1.0, 5)
-    np.testing.assert_allclose(seq, g.factor ** np.arange(5), atol=1e-15)
+    np.testing.assert_allclose(seq, g ** np.arange(5), atol=1e-15)
 
 
 def test_check_fejer():
@@ -96,7 +96,7 @@ def test_check_gauge_monotone_exact_geometric():
 
 def test_check_gauge_monotone_detects_slower_decay():
     g = theta_linear(2.0, 2.0, 0.0)
-    slower = (g.factor + 1e-5) ** np.arange(30)
+    slower = (g + 1e-5) ** np.arange(30)
     res = check_gauge_monotone(slower, g)
     assert not res.passed
     assert res.first_violation == 0
@@ -121,8 +121,8 @@ def test_check_fejer_bound_rounds_as_d_times_one_plus_tol_rel():
 def test_check_gauge_bound_rounds_as_theta_plus_tol_rel_d():
     g = theta_linear(2.0, 2.0, 0.0)
     tol_rel = 1e-9
-    bound = g.theta(D0) + tol_rel * D0
-    assert bound != (g.factor + tol_rel) * D0
+    bound = g * D0 + tol_rel * D0
+    assert bound != (g + tol_rel) * D0
     assert check_gauge_monotone(np.array([D0, bound]), g, tol_rel=tol_rel).passed
     res = check_gauge_monotone(np.array([D0, np.nextafter(bound, np.inf)]), g, tol_rel=tol_rel)
     assert not res.passed and res.first_violation == 0
@@ -163,7 +163,7 @@ def test_asymptotic_regularity_all_zero_passes():
 
 def test_fit_linear_rate_exact_geometric():
     d = 3.0 * 0.8 ** np.arange(30)
-    fit = fit_linear_rate(d)
+    fit = fit_linear_rate(np.arange(30), d)
     assert fit.c_hat == pytest.approx(0.8, abs=1e-12)
     assert fit.log_intercept == pytest.approx(np.log(3.0), abs=1e-10)
     assert fit.num_used == 30
@@ -171,4 +171,4 @@ def test_fit_linear_rate_exact_geometric():
 
 def test_fit_linear_rate_needs_five_positive():
     with pytest.raises(DegenerateSequence):
-        fit_linear_rate(np.array([1.0, 0.5, 0.0, 0.0, 0.0, 0.0]))
+        fit_linear_rate(np.arange(6), np.array([1.0, 0.5, 0.0, 0.0, 0.0, 0.0]))

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from blocksplit.blockspace import BlockSubsetScheme, weighted_norm, weighted_sq
-from blocksplit.config import CertifySection
+from blocksplit import markov
+from blocksplit.config import CertifySection, RateSection, RunSection
 from blocksplit.errors import DimensionMismatch, InvalidFixedPoints
 from blocksplit.problems import counterexample2d, feasibility, make_set, quadratic_l1
+from blocksplit.rates import check_asymptotic_regularity, check_fejer
 from blocksplit.regularity import (
     Region,
     certify_aafne_in_expectation,
@@ -29,15 +31,30 @@ from blocksplit.splitting import (
 SINGLETONS = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
 
 
-@pytest.mark.parametrize("certifier", [certify_pointwise_aafne, certify_aafne_in_expectation,
-                                       certify_paracontraction_in_expectation,
-                                       verify_expectation_identities])
-def test_certifier_defaults_are_the_config_defaults(certifier):
-    # a library call with defaults checks the certificate the certify command checks
-    section = {f.name: f.default for f in fields(CertifySection)}
-    defaults = {name: p.default for name, p in inspect.signature(certifier).parameters.items()
+# Each library function whose defaults a config section repeats, with that
+# section and its field of each defaulted parameter (None: every defaulted
+# parameter, under its own name).  check_gauge_monotone's tol_rel of 1e-9
+# has no field: the rate command fixes its own 1e-3.
+DEFAULT_PAIRS = [
+    *((certifier, CertifySection, None) for certifier in (
+        certify_pointwise_aafne, certify_aafne_in_expectation,
+        certify_paracontraction_in_expectation, verify_expectation_identities)),
+    (check_fejer, RateSection, {"tol_rel": "fejer_tol_rel"}),
+    (check_asymptotic_regularity, RateSection, {"tail_tol": "tail_tol"}),
+    (markov.run, RunSection, {"snapshot_every": "snapshot_every", "dw_step_every": "dw_step_every"}),
+]
+
+
+@pytest.mark.parametrize("function, section, pairs", DEFAULT_PAIRS,
+                         ids=[function.__name__ for function, _, _ in DEFAULT_PAIRS])
+def test_certifier_defaults_are_the_config_defaults(function, section, pairs):
+    # a library call with defaults checks what the command checks
+    fields_ = {f.name: f.default for f in fields(section)}
+    defaults = {name: p.default for name, p in inspect.signature(function).parameters.items()
                 if p.default is not p.empty}
-    assert defaults and defaults == {name: section[name] for name in defaults}
+    pairs = pairs or {name: name for name in defaults}
+    assert pairs and {name: defaults[name] for name in pairs} == {
+        name: fields_[field] for name, field in pairs.items()}
 
 
 def test_region_validation_and_sampling():

@@ -577,21 +577,21 @@ def test_composite_constants_dr_nonconvex_product_rule():
 
 def test_composite_constants_fb_inside_global_bound():
     m = _fb_pair(t=0.2)  # global convex bound is 0.25
-    c = composite_constants(m, alpha_bar=0.5)
+    c = composite_constants(m)
     assert c.alpha == pytest.approx(2.0 / 3.0)
     assert c.violation == 0.0
 
 
 def test_composite_constants_fb_outside_bound():
     m = _fb_pair(t=0.3)
-    c = composite_constants(m, alpha_bar=0.5)
-    # max_j 2 t tau + t^2 L^2 / alpha_bar = 0.09 * 16 / 0.5
+    c = composite_constants(m)
+    # max_j 2 t tau + t^2 L^2 / ALPHA_BAR = 0.09 * 16 / 0.5
     assert c.violation == pytest.approx(0.09 * 16.0 / 0.5)
 
 
 def test_expectation_constants_scales_violation_by_pmax():
     m = _fb_pair(t=0.3)
-    c = composite_constants(m, alpha_bar=0.5)
+    c = composite_constants(m)
     e = expectation_constants(c, m.probabilities)
     assert e.alpha == c.alpha
     assert e.violation == pytest.approx(0.5 * c.violation)

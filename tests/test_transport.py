@@ -291,7 +291,7 @@ def test_gaussian_potential_zeroes_the_reduced_cost_of_an_affine_image(d, weight
         w = rng.uniform(0.2, 1.0, size=200) * (rng.random(200) > 0.3)
         u = transport._gaussian_potential(x, y, w / w.sum(), w / w.sum())
     else:
-        u = transport._gaussian_potential(x, y)
+        u = transport._gaussian_potential(x, y, np.ones(200), np.ones(200))
     C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
     R = C - u[:, None]
     R -= R.min(axis=0)
@@ -340,7 +340,8 @@ def test_w2_warm_start_falls_back_to_the_plain_assignment(case):
             x, y = rng.normal(size=x.shape) * 1e150, rng.normal(size=y.shape) * 1e150
         mu, nu = DiscreteMeasure.empirical(x, mu.layout), DiscreteMeasure.empirical(y, nu.layout)
     scale = np.sqrt(p.coordinate_inverse())
-    assert transport._gaussian_potential(mu.support * scale, nu.support * scale) is None
+    assert transport._gaussian_potential(mu.support * scale, nu.support * scale,
+                                         mu.weights, nu.weights) is None
     d, plan = wasserstein2_weighted(mu, nu, p)
     ref, ref_plan = _plain_assignment(mu, nu, p)
     assert d == ref and np.isfinite(d)
@@ -368,7 +369,7 @@ def test_w2_matched_pair_costs_are_the_cost_matrix_entries(monkeypatch, d, case)
     else:
         # warm-started wherever the fit is regular: 200 dimensions need
         # more than 150 atoms
-        assert (transport._gaussian_potential(x, y) is None) == (n <= d)
+        assert (transport._gaussian_potential(x, y, mu.weights, nu.weights) is None) == (n <= d)
     dist, plan = wasserstein2_weighted(mu, nu, p)
     matched = cost_matrix(mu, nu, p)[plan.rows, plan.cols]
     assert plan.rows.size == np.lcm(n, m)
