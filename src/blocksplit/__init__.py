@@ -19,10 +19,10 @@ __version__ = "0.1.0"
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
     "blockspace": (
-        "BlockLayout", "BlockProbabilities", "BlockSubsetScheme", "Region",
-        "block_probabilities", "chain_rng", "weighted_norm", "weighted_sq",
+        "BlockLayout", "BlockProbabilities", "block_probabilities", "chain_rng", "weighted_norm",
+        "weighted_sq",
     ),
-    "config": ("ExperimentConfig", "load_config", "parse_config"),
+    "config": ("BlockSubsetScheme", "ExperimentConfig", "Region", "load_config", "parse_config"),
     "errors": (
         "BlocksplitError", "ConfigError", "DegenerateSequence", "DimensionMismatch", "Diverged",
         "EmptyResolvent", "InadmissibleGauge", "InvalidFixedPoints", "NotPSD", "OutOfDomain",

@@ -1,19 +1,23 @@
-"""Block structure of the product space, sampling schemes, weighted norms, and boxes.
+"""Block structure of the product space, selection probabilities, weighted norms, and draws.
 
 The ambient space is a product of m Euclidean blocks.  Vectors are plain
 1-D numpy arrays; a :class:`BlockLayout` knows how to slice them into
 blocks and is the single authority on dimensional bookkeeping.  Blocks are
-indexed from 0.  A :class:`Region` is an axis-aligned box in that space:
-problems declare one, configs give one, and the certifiers sample from it.
+indexed from 0.  The subset scheme that draws are taken from is
+``config.BlockSubsetScheme``, which holds no arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, UncoveredBlock
+
+if TYPE_CHECKING:
+    from .config import BlockSubsetScheme
 
 
 @dataclass(frozen=True)
@@ -103,49 +107,6 @@ class BlockLayout:
 
 
 @dataclass(frozen=True)
-class BlockSubsetScheme:
-    """Finite family of block subsets with selection probabilities.
-
-    ``subsets[i]`` is the tuple of block indices updated when outcome i is
-    drawn; ``probs[i]`` is its probability.  Every block must appear in at
-    least one subset of positive probability so that the induced per-block
-    rates are nonzero.
-    """
-
-    subsets: tuple[tuple[int, ...], ...]
-    probs: tuple[float, ...]
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        subsets = tuple(tuple(sorted(set(int(j) for j in s))) for s in self.subsets)
-        probs = tuple(float(q) for q in self.probs)
-        if len(subsets) == 0:
-            raise UncoveredBlock("scheme needs at least one subset")
-        if len(subsets) != len(probs):
-            raise DimensionMismatch(
-                f"{len(subsets)} subsets but {len(probs)} probabilities"
-            )
-        if any(len(s) == 0 for s in subsets):
-            raise UncoveredBlock("empty subset in scheme")
-        if any(q < 0 for q in probs):
-            raise ValueError(f"negative probability in {probs}")
-        # a NaN or infinite probability makes the sum NaN or infinite, which fails here
-        total = sum(probs)
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "subsets", subsets)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_cum", np.cumsum(np.asarray(probs)))
-
-    @property
-    def num_outcomes(self) -> int:
-        return len(self.subsets)
-
-    def max_block_index(self) -> int:
-        return max(max(s) for s in self.subsets)
-
-
-@dataclass(frozen=True)
 class BlockProbabilities:
     """Per-block selection probabilities p_j of a scheme, with the layout.
 
@@ -221,7 +182,7 @@ def weighted_sq(z: np.ndarray, p: BlockProbabilities) -> float | np.ndarray:
 def sample_subset(scheme: BlockSubsetScheme, rng: np.random.Generator) -> int:
     """Draw a subset index according to the scheme's probabilities."""
     u = rng.random()
-    return int(np.searchsorted(scheme._cum, u, side="right").clip(0, scheme.num_outcomes - 1))
+    return int(np.searchsorted(np.cumsum(scheme.probs), u, side="right").clip(0, scheme.num_outcomes - 1))
 
 
 def sample_subsets(scheme: BlockSubsetScheme, rngs, steps: int) -> np.ndarray:
@@ -234,7 +195,7 @@ def sample_subsets(scheme: BlockSubsetScheme, rngs, steps: int) -> np.ndarray:
     u = np.empty((steps, len(rngs)))
     for c, rng in enumerate(rngs):
         u[:, c] = rng.random(steps)
-    return np.searchsorted(scheme._cum, u, side="right").clip(0, scheme.num_outcomes - 1)
+    return np.searchsorted(np.cumsum(scheme.probs), u, side="right").clip(0, scheme.num_outcomes - 1)
 
 
 def chain_rng(master_seed: int, chain_id: int, stream: int = 0) -> np.random.Generator:
@@ -245,30 +206,3 @@ def chain_rng(master_seed: int, chain_id: int, stream: int = 0) -> np.random.Gen
     """
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(chain_id), int(stream)))
     return np.random.default_rng(ss)
-
-
-@dataclass(frozen=True)
-class Region:
-    """Axis-aligned box; degenerate coordinates pin affine restrictions."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise DimensionMismatch("region bounds must be equal-shape 1-D arrays")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("region bounds must be finite")
-        if np.any(lo > hi):
-            raise ValueError("region lower bound exceeds upper bound")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=(n, self.dim))

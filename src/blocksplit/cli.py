@@ -1,12 +1,12 @@
 """Command-line interface: run, certify, rate, transport.
 
-One command is one process, and it loads only the package modules it
-runs: each command imports them inside its own function.  Exit codes: 0
-on success (certifications passing), 1 when a requested certification or
-trajectory check fails, 2 on usage or configuration errors, including a
-size too large to allocate.  Reports embed the resolved config and seed;
-CSV output never contains timestamps, so identical (config, seed) runs
-write identical bytes.
+One command is one process: it imports the package modules it runs, and
+numpy where it needs it (``rate`` loads none), inside its own function.
+Exit codes: 0 on success (certifications passing), 1 when a requested
+certification or trajectory check fails, 2 on usage or configuration
+errors, including a size too large to allocate.  Reports embed the
+resolved config and seed; CSV output never contains timestamps, so
+identical (config, seed) runs write identical bytes.
 
 Only command rules live here: a required section, ``strict_steps`` and
 paracontraction's fixed point.  Every rule about a config field lives in
@@ -21,8 +21,6 @@ import sys
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import BlocksplitError, ConfigError
 
@@ -78,7 +76,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
         target=problem.target_point,
     )
     elapsed = time.perf_counter() - t0
-    traj = result.trajectory
+    traj = {name: column.tolist() for name, column in result.trajectory.items()}
 
     traj_path = out_dir / "trajectory.csv"
 
@@ -104,9 +102,9 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "final": {
             "k": final_k,
-            "mean_residual": float(traj["mean_residual"][-1]),
-            "psi_upper": float(traj["psi_upper"][-1]),
-            "d_target": float(traj["d_target"][-1]),
+            "mean_residual": traj["mean_residual"][-1],
+            "psi_upper": traj["psi_upper"][-1],
+            "d_target": traj["d_target"][-1],
         },
         "verdicts": verdicts,
         "outputs": {
@@ -209,6 +207,8 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
 
 def cmd_transport(args) -> int:
     """Exact weighted W2 distance between two measure files."""
+    import numpy as np
+
     from .blockspace import BlockProbabilities
     from .transport import read_measure, wasserstein2_weighted
 

@@ -9,7 +9,9 @@ Every rule about a config field lives here: ``parse_config`` checks what
 the document decides, the problem's params included, and computes the rate
 gauge's factor once (``gauge_factor``), and the ``ExperimentConfig``
 methods check what needs the built problem.  A trajectory column is
-checked against the trajectory, by ``rates.check_column``.
+checked against the trajectory, by ``rates.check_column``.  Parsing loads
+no numpy: the scheme and regions are plain-float classes defined here,
+and the arrays (steps, Q, b) are built with the problem.
 """
 
 from __future__ import annotations
@@ -19,15 +21,13 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
-from .blockspace import BlockSubsetScheme, Region
 from .errors import (
     ConfigError,
     DimensionMismatch,
     InadmissibleGauge,
     InvalidFixedPoints,
     NotPSD,
+    UncoveredBlock,
     UnsupportedSet,
 )
 
@@ -62,11 +62,12 @@ def json_ready(value):
     """A strict-JSON copy of ``value``, the one conversion of every report and config.
 
     A dataclass becomes the dict of its init fields in declaration order, an
-    array or numpy scalar its ``tolist()``, and NaN and infinities None.
+    array or numpy scalar (whatever has a ``tolist``) its ``tolist()``, and
+    NaN and infinities None.
     """
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: json_ready(getattr(value, f.name)) for f in fields(value) if f.init}
-    if isinstance(value, (np.ndarray, np.generic)):
+    if hasattr(value, "tolist"):
         return json_ready(value.tolist())
     if isinstance(value, float):
         return value if math.isfinite(value) else None
@@ -75,6 +76,72 @@ def json_ready(value):
     if isinstance(value, (list, tuple)):
         return [json_ready(v) for v in value]
     return value
+
+
+@dataclass(frozen=True)
+class BlockSubsetScheme:
+    """Finite family of block subsets with selection probabilities.
+
+    ``subsets[i]`` is the tuple of block indices updated when outcome i is
+    drawn; ``probs[i]`` is its probability.  Every block must appear in at
+    least one subset of positive probability so that the induced per-block
+    rates are nonzero.
+    """
+
+    subsets: tuple[tuple[int, ...], ...]
+    probs: tuple[float, ...]
+
+    def __post_init__(self):
+        subsets = tuple(tuple(sorted(set(int(j) for j in s))) for s in self.subsets)
+        probs = tuple(float(q) for q in self.probs)
+        if len(subsets) == 0:
+            raise UncoveredBlock("scheme needs at least one subset")
+        if len(subsets) != len(probs):
+            raise DimensionMismatch(f"{len(subsets)} subsets but {len(probs)} probabilities")
+        if any(len(s) == 0 for s in subsets):
+            raise UncoveredBlock("empty subset in scheme")
+        if any(q < 0 for q in probs):
+            raise ValueError(f"negative probability in {probs}")
+        # a NaN or infinite probability makes the sum NaN or infinite, which fails here
+        total = sum(probs)
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def num_outcomes(self) -> int:
+        return len(self.subsets)
+
+    def max_block_index(self) -> int:
+        return max(max(s) for s in self.subsets)
+
+
+@dataclass(frozen=True)
+class Region:
+    """Axis-aligned box, a float per coordinate; degenerate coordinates pin affine restrictions."""
+
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+
+    def __post_init__(self):
+        lo, hi = tuple(float(v) for v in self.lo), tuple(float(v) for v in self.hi)
+        if len(lo) != len(hi):
+            raise DimensionMismatch(f"region bounds must have equal lengths, got {len(lo)} and {len(hi)}")
+        if not all(map(math.isfinite, lo + hi)):
+            raise ValueError("region bounds must be finite")
+        if any(a > b for a, b in zip(lo, hi)):
+            raise ValueError("region lower bound exceeds upper bound")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @property
+    def dim(self) -> int:
+        return len(self.lo)
+
+    def sample(self, rng, n: int):
+        """``n`` points drawn uniformly from the box by ``rng``, an (n, dim) array."""
+        return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
 
 def _init_fields(cls) -> tuple[str, ...]:
@@ -122,7 +189,7 @@ def _as_float(v, where: str) -> float:
 
 def _as_finite(v, where: str, nonnegative: bool = False) -> float:
     x = _as_float(v, where)
-    if not np.isfinite(x) or (nonnegative and x < 0):
+    if not math.isfinite(x) or (nonnegative and x < 0):
         rule = "finite and nonnegative" if nonnegative else "finite"
         raise ConfigError(f"{where}: must be {rule}, got {x}")
     return x
@@ -134,16 +201,16 @@ def _as_bool(v, where: str) -> bool:
     return v
 
 
-def _as_vector(v, where: str) -> np.ndarray:
-    if not isinstance(v, (list, tuple)) or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
+def _as_vector(v, where: str) -> list[float]:
+    if not isinstance(v, (list, tuple)) or any(t is bool or not issubclass(t, (int, float)) for t in set(map(type, v))):
         raise ConfigError(f"{where}: expected a list of numbers, got {v!r}")
-    return np.asarray(v, dtype=float)
+    return [float(x) for x in v]
 
 
-def _as_finite_vector(v, where: str) -> np.ndarray:
+def _as_finite_vector(v, where: str) -> list[float]:
     x = _as_vector(v, where)
-    if not np.isfinite(x).all():
-        raise ConfigError(f"{where}: must be finite, got {x.tolist()}")
+    if not all(map(math.isfinite, x)):
+        raise ConfigError(f"{where}: must be finite, got {x}")
     return x
 
 
@@ -194,7 +261,7 @@ class ExperimentConfig:
     problem_params: dict
     flavor: str
     scheme: BlockSubsetScheme
-    steps: np.ndarray | None
+    steps: list[float] | None
     seed: int
     output_dir: str | None = None
     run: RunSection | None = None
@@ -235,10 +302,9 @@ class ExperimentConfig:
         kind = init["kind"]
         dim = problem.layout.total_dim
         if kind == "point":
-            x = np.asarray(init["x"], dtype=float)
-            if x.shape != (dim,):
-                raise ConfigError(f"config.run.init.x: expected {dim} coordinates, got {x.shape}")
-            return point_sampler(x)
+            if len(init["x"]) != dim:
+                raise ConfigError(f"config.run.init.x: expected {dim} coordinates, got {len(init['x'])}")
+            return point_sampler(init["x"])
         if kind == "uniform_box":
             # parse_config has checked that lo and hi have one length
             if len(init["lo"]) != dim:
@@ -321,12 +387,9 @@ def _feasibility(params: dict) -> tuple[str, Callable]:
 
 def _quadratic_l1(params: dict) -> tuple[str, Callable]:
     _object(params, "problem.params", ("Q", "b", "l1_weights", "block_dims"))
-    try:
-        Q = np.asarray(_require(params, "Q", "problem.params"), dtype=float)
-    except ValueError as e:
-        raise ConfigError(f"problem.params.Q: {e}") from e
-    if not np.isfinite(Q).all():
-        raise ConfigError("problem.params.Q: must be finite")
+    Q = _require(params, "Q", "problem.params")
+    if not isinstance(Q, list) or len({len(_as_finite_vector(row, "problem.params.Q")) for row in Q}) > 1:
+        raise ConfigError(f"problem.params.Q: expected a list of equal-length rows of numbers, got {Q!r}")
     b = _as_finite_vector(_require(params, "b", "problem.params"), "problem.params.b")
     w = _as_finite_vector(_require(params, "l1_weights", "problem.params"), "problem.params.l1_weights")
     bd = params.get("block_dims")
@@ -419,13 +482,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     subsets = tuple(_as_indices(s, f"config.scheme.subsets[{i}]", 0) for i, s in enumerate(subsets))
     probs = _as_vector(_require(raw_scheme, "probs", "config.scheme"), "config.scheme.probs")
     try:
-        scheme = BlockSubsetScheme(subsets, tuple(probs.tolist()))
+        scheme = BlockSubsetScheme(subsets, tuple(probs))
     except Exception as e:
         raise ConfigError(f"config.scheme: {e}") from e
 
     steps = doc.get("steps")
     steps_arr = None if steps is None else _as_vector(steps, "config.steps")
-    if steps_arr is not None and not np.all(np.isfinite(steps_arr) & (steps_arr > 0)):
+    if steps_arr is not None and not all(math.isfinite(x) and x > 0 for x in steps_arr):
         raise ConfigError(f"config.steps: every step must be finite and positive, got {steps}")
 
     seed = _as_int(_require(doc, "seed", "config"), "config.seed", minimum=0)

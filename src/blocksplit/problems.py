@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockspace import BlockLayout, BlockSubsetScheme, Region
+from .blockspace import BlockLayout
+from .config import BlockSubsetScheme, Region
 from .errors import DimensionMismatch, UnsupportedSet
 from .operators import (
     BlockFunction,

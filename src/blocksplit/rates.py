@@ -1,7 +1,7 @@
 """Convergence gauges, monotonicity checks, rate fits, and the trajectory file.
 
 A gauge theta maps distances to distances; distance trajectories
-certified against a gauge contract per-step.  Gauges are linear,
+certified against a gauge contract per step of k.  Gauges are linear,
 theta(t) = factor * t with factor in (0, 1), so a gauge is its factor, a
 float.  The factor comes from a linear error bound with modulus kappa:
 theta(t) = sqrt((1+eps) - tau/kappa^2) * t, the exact solution of the
@@ -10,7 +10,8 @@ is the one place that checks it lies in (0, 1).
 
 The trajectory CSV that ``run`` writes and ``rate`` checks is read and
 written here, beside ``check_trajectory``, so that checking a trajectory
-file loads no simulator.
+file loads no simulator.  It all works on Python floats and lists, with
+``math.fsum`` sums, so ``rate`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import (
     ConfigError,
@@ -46,13 +45,13 @@ def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> float:
             f"need kappa > 0, tau > 0, epsilon >= 0; got {kappa}, {tau}, {epsilon}"
         )
     inner = (1.0 + epsilon) - tau / kappa**2
-    lo = np.sqrt(tau / (1.0 + epsilon))
-    hi = np.inf if epsilon == 0 else np.sqrt(tau / epsilon)
+    lo = math.sqrt(tau / (1.0 + epsilon))
+    hi = math.inf if epsilon == 0 else math.sqrt(tau / epsilon)
     if inner >= 1 and kappa < hi:
         # (1 + epsilon) - tau / kappa^2 rounds below 1 only when tau / kappa^2
         # exceeds (1 + epsilon) - 1 by more than 2^-54, half the spacing of
         # float64 just under 1
-        top = np.sqrt(tau / (((1.0 + epsilon) - 1.0) + 2.0**-54))
+        top = math.sqrt(tau / (((1.0 + epsilon) - 1.0) + 2.0**-54))
         raise InadmissibleGauge(
             f"kappa={kappa} gives factor^2 = {1.0 + epsilon:.17g} - "
             f"{tau / kappa**2:.6g}, which rounds to {inner:.17g} in float64; "
@@ -62,7 +61,7 @@ def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> float:
         raise InadmissibleGauge(
             f"kappa={kappa} gives factor^2={inner:.6g}; admissible kappa range is ({lo:.6g}, {hi:.6g})"
         )
-    return float(np.sqrt(inner))
+    return math.sqrt(inner)
 
 
 def invert_id_minus_theta(factor: float, s: float) -> float:
@@ -75,12 +74,11 @@ def invert_id_minus_theta(factor: float, s: float) -> float:
     return float(s / (1.0 - factor))
 
 
-def theta_iterates(factor: float, t0: float, count: int) -> np.ndarray:
+def theta_iterates(factor: float, t0: float, count: int) -> list[float]:
     """[t0, theta(t0), theta^2(t0), ...] with ``count`` entries."""
-    out = np.empty(count)
-    t = float(t0)
-    for i in range(count):
-        out[i] = t
+    out, t = [], float(t0)
+    for _ in range(count):
+        out.append(t)
         t = factor * t
     return out
 
@@ -94,35 +92,58 @@ class CheckResult:
     worst_excess: float
 
 
-def _sequence(distances) -> np.ndarray:
-    d = np.asarray(distances, dtype=float)
-    if d.ndim != 1 or d.shape[0] < 2:
+def _sequence(distances) -> list[float]:
+    d = [float(v) for v in distances]
+    if len(d) < 2:
         raise DegenerateSequence("need at least two distances")
     return d
 
 
-def _per_step(d: np.ndarray, bound) -> CheckResult:
-    """d_{k+1} <= bound(d_k) at every step; the first step that breaks it and the worst excess."""
-    excess = d[1:] - bound(d[:-1])
-    bad = np.flatnonzero(excess > 0)
-    return CheckResult(
-        passed=bad.size == 0,
-        first_violation=int(bad[0]) if bad.size else None,
-        worst_excess=float(np.max(excess)),
-    )
+def _per_step(d: list[float], bounds) -> CheckResult:
+    """d_{i+1} <= bounds[i] at every step i; the first step that breaks it and the worst excess."""
+    excess = [after - bound for after, bound in zip(d[1:], bounds)]
+    bad = [i for i, e in enumerate(excess) if e > 0]
+    return CheckResult(not bad, bad[0] if bad else None, max(excess))
 
 
-def check_fejer(distances: np.ndarray, tol_rel: float = 1e-3) -> CheckResult:
+def check_fejer(distances, tol_rel: float = 1e-3) -> CheckResult:
     """Monotone nonincrease up to tolerance: d_{k+1} <= d_k (1 + tol_rel)."""
     d = _sequence(distances)
-    if np.any(d < 0):
+    if any(v < 0 for v in d):
         raise ValueError("distances must be nonnegative")
-    return _per_step(d, lambda t: t * (1.0 + tol_rel))
+    return _per_step(d, [t * (1.0 + tol_rel) for t in d[:-1]])
 
 
-def check_gauge_monotone(distances: np.ndarray, factor: float, tol_rel: float = 1e-9) -> CheckResult:
-    """Per-step gauge contraction: d_{k+1} <= factor d_k + tol_rel d_k."""
-    return _per_step(_sequence(distances), lambda t: factor * t + tol_rel * t)
+def check_gauge_monotone(k, distances, factor: float, tol_rel: float = 1e-9) -> CheckResult:
+    """Gauge contraction over each step of k: d_next <= factor^(k_next - k) d + tol_rel d.
+
+    ``k`` are the distances' iteration numbers: a column filled every s
+    steps is held to factor^s per entry, and a unit step to factor d + tol_rel d.
+    """
+    d, k = _sequence(distances), [float(v) for v in k]
+    if len(k) != len(d):
+        raise DimensionMismatch(f"need k and distances of one length, got {len(k)} and {len(d)}")
+    return _per_step(d, [factor ** (k1 - k0) * t + tol_rel * t
+                         for k0, k1, t in zip(k, k[1:], d)])
+
+
+def _mean(values: list[float]) -> float:
+    """The mean from a correctly rounded sum, inf where that sum overflows."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return math.inf
+
+
+def _line_fit(x: list[float], y: list[float]) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through the points (x, y)."""
+    xm, ym = _mean(x), _mean(y)
+    dx = [v - xm for v in x]
+    sxx = math.fsum(a * a for a in dx)
+    if sxx == 0:
+        raise DegenerateSequence("need two distinct abscissae to fit a line")
+    slope = math.fsum(a * (b - ym) for a, b in zip(dx, y)) / sxx
+    return slope, ym - slope * xm
 
 
 @dataclass(frozen=True)
@@ -132,9 +153,7 @@ class AsymptoticRegularityResult:
     fitted_exponent: float | None
 
 
-def check_asymptotic_regularity(
-    step_distances: np.ndarray, tail_tol: float = 1e-3
-) -> AsymptoticRegularityResult:
+def check_asymptotic_regularity(step_distances, tail_tol: float = 1e-3) -> AsymptoticRegularityResult:
     """Vanishing step sizes with summable-trending squares.
 
     The tail average over the last quarter must drop below ``tail_tol``,
@@ -142,27 +161,15 @@ def check_asymptotic_regularity(
     must show exponent below -1 (so the squares trend summable).  A tail
     that has already vanished numerically passes the trend check outright.
     """
-    d = np.asarray(step_distances, dtype=float)
-    if d.ndim != 1 or d.shape[0] < 4:
+    d = [float(v) for v in step_distances]
+    if len(d) < 4:
         raise DegenerateSequence("need at least four step distances")
-    ntail = max(1, d.shape[0] // 4)
-    tail = d[-ntail:]
-    tail_mean = float(np.mean(tail))
-    tail_ok = tail_mean < tail_tol
-
-    k = np.arange(1, d.shape[0] + 1, dtype=float)
-    positive = d > 0
-    exponent = None
-    if np.count_nonzero(positive) >= 3:
-        logs = np.log(d[positive] ** 2)
-        logk = np.log(k[positive])
-        slope = np.polyfit(logk, logs, 1)[0]
-        exponent = float(slope)
-        trend_ok = slope < -1.0
-    else:
-        trend_ok = True  # steps vanished outright
+    tail_mean = _mean(d[-max(1, len(d) // 4):])
+    # log(d^2) as 2 log d, which no tiny d underflows to log 0
+    points = [(math.log(i), 2.0 * math.log(v)) for i, v in enumerate(d, start=1) if v > 0]
+    exponent = _line_fit(*zip(*points))[0] if len(points) >= 3 else None
     return AsymptoticRegularityResult(
-        passed=bool(tail_ok and trend_ok),
+        passed=tail_mean < tail_tol and (exponent is None or exponent < -1.0),
         tail_mean=tail_mean,
         fitted_exponent=exponent,
     )
@@ -177,24 +184,20 @@ class RateFit:
     num_used: int
 
 
-def fit_linear_rate(k: np.ndarray, distances: np.ndarray) -> RateFit:
+def fit_linear_rate(k, distances) -> RateFit:
     """Fit log d against the iteration numbers ``k`` of the distances; needs five positive ones.
 
     ``c_hat`` is the contraction per unit of k, so a column filled on a
     stride fits the same rate as one filled at every k.
     """
-    k = np.asarray(k, dtype=float)
-    d = np.asarray(distances, dtype=float)
-    if d.ndim != 1 or k.shape != d.shape:
-        raise DimensionMismatch(f"need 1-D k and distances of one length, got {k.shape} and {d.shape}")
-    mask = d > 0
-    if np.count_nonzero(mask) < 5:
-        raise DegenerateSequence(
-            f"need at least 5 positive distances to fit a rate, got {int(np.count_nonzero(mask))}"
-        )
-    slope, intercept = np.polyfit(k[mask], np.log(d[mask]), 1)
-    return RateFit(c_hat=float(np.exp(slope)), log_intercept=float(intercept),
-                   num_used=int(np.count_nonzero(mask)))
+    k, d = [float(v) for v in k], [float(v) for v in distances]
+    if len(k) != len(d):
+        raise DimensionMismatch(f"need k and distances of one length, got {len(k)} and {len(d)}")
+    points = [(kv, math.log(v)) for kv, v in zip(k, d) if v > 0]
+    if len(points) < 5:
+        raise DegenerateSequence(f"need at least 5 positive distances to fit a rate, got {len(points)}")
+    slope, intercept = _line_fit(*zip(*points))
+    return RateFit(c_hat=math.exp(slope), log_intercept=intercept, num_used=len(points))
 
 
 @dataclass
@@ -215,18 +218,19 @@ def check_column(columns, column: str, where: str) -> None:
                           f"available: {list(columns)}")
 
 
-def _check_distances(d: np.ndarray, column: str, where: str) -> None:
+def _check_distances(d: list[float], column: str, where: str) -> None:
     """Refuse a non-finite or negative entry of the distance column ``column`` under ``where``."""
-    if not np.isfinite(d).all():
+    nonfinite, negative = [v for v in d if not math.isfinite(v)], [v for v in d if v < 0]
+    if nonfinite:
         raise ConfigError(f"{where}: column {column!r} holds a non-finite distance "
-                          f"{float(d[~np.isfinite(d)][0])!r}; distances must be finite")
-    if np.any(d < 0):
+                          f"{nonfinite[0]!r}; distances must be finite")
+    if negative:
         raise ConfigError(f"{where}: column {column!r} holds a negative distance "
-                          f"{float(d[d < 0][0])!r}; distances must be nonnegative")
+                          f"{negative[0]!r}; distances must be nonnegative")
 
 
 def check_trajectory(
-    cols: dict[str, np.ndarray],
+    cols: dict[str, list[float]],
     column: str,
     where: str,
     source: str,
@@ -236,43 +240,42 @@ def check_trajectory(
 ) -> RateReport:
     """Every check of a trajectory: the rate command's and the run summary's verdicts.
 
-    ``cols`` maps column names to values, NaN where a cell is empty, as
+    ``cols`` maps column names to lists, NaN where a cell is empty, as
     ``read_trajectory_csv`` returns them; ``source`` names the trajectory
     in the report.  The distances are the non-empty cells of ``column``,
     which ``where`` named.  They get Fejer monotonicity with
-    ``fejer_tol_rel``, a linear-rate fit against their rows' ``k`` when at
-    least five are positive, and, given a ``gauge_factor``, the gauge
-    check.  ``dw_step``, when it has four entries or more, gets asymptotic
-    regularity with ``tail_tol``.  A missing column, fewer than two
-    distances, or a non-finite or negative one raise ConfigError under
+    ``fejer_tol_rel``, a linear-rate fit when at least five are positive
+    and, given a ``gauge_factor``, the gauge check, the last two over their
+    rows' ``k``.  ``dw_step``, when it has four entries or more, gets
+    asymptotic regularity with ``tail_tol``.  A missing column, fewer than
+    two distances, or a non-finite or negative one raise ConfigError under
     ``where``; a missing ``k`` column, a non-finite ``k`` beside a distance
     and a non-finite or negative ``dw_step`` raise it under ``source``.
     """
     check_column(cols, column, where)
     check_column(cols, "k", source)
-    rows = ~np.isnan(cols[column])
-    d, k = cols[column][rows], cols["k"][rows]
-    if d.shape[0] < 2:
+    rows = [(kv, v) for kv, v in zip(cols["k"], cols[column]) if not math.isnan(v)]
+    k, d = [kv for kv, _ in rows], [v for _, v in rows]
+    if len(d) < 2:
         raise ConfigError(f"{where}: column {column!r} has fewer than two usable entries")
     _check_distances(d, column, where)
-    if not np.isfinite(k).all():
+    if not all(map(math.isfinite, k)):
         raise ConfigError(f"{source}: column 'k' is not finite on a row with a {column!r} entry")
     dw = cols.get("dw_step")
     if dw is not None:
-        dw = dw[~np.isnan(dw)]
+        dw = [v for v in dw if not math.isnan(v)]
         _check_distances(dw, "dw_step", source)
 
-    report = RateReport(details={"column": column, "trajectory": source,
-                                 "num_entries": int(d.shape[0])})
+    report = RateReport(details={"column": column, "trajectory": source, "num_entries": len(d)})
     report.fejer = check_fejer(d, tol_rel=fejer_tol_rel)
     try:
         report.fit = fit_linear_rate(k, d)
     except DegenerateSequence:
         report.fit = None
-    if dw is not None and dw.shape[0] >= 4:
+    if dw is not None and len(dw) >= 4:
         report.asymptotic = check_asymptotic_regularity(dw, tail_tol=tail_tol)
     if gauge_factor is not None:
-        report.gauge = check_gauge_monotone(d, gauge_factor, tol_rel=1e-3)
+        report.gauge = check_gauge_monotone(k, d, gauge_factor, tol_rel=1e-3)
         report.details["gauge_factor"] = gauge_factor
     return report
 
@@ -297,20 +300,19 @@ def trajectory_header(num_blocks: int) -> list[str]:
     ]
 
 
-def write_trajectory_csv(path, trajectory: dict[str, np.ndarray]) -> None:
+def write_trajectory_csv(path, trajectory: dict[str, list[float]]) -> None:
     """Write trajectory columns as CSV; a NaN dw_step or d_target is an empty cell."""
     header = trajectory_header(len(trajectory) - 5)
-    table = np.column_stack([trajectory[name] for name in header])
     row = "%d,%.17g,%.17g,%s,%s" + ",%.17g" * (len(header) - 5) + "\r\n"
     lines = [",".join(header) + "\r\n"]
     lines += [row % (k, res, psi, _cell(dw), _cell(d), *block_means)
-              for k, res, psi, dw, d, *block_means in table.tolist()]
+              for k, res, psi, dw, d, *block_means in zip(*(trajectory[name] for name in header))]
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))
 
 
-def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV into named columns (NaN for empty cells); refuse a row of the wrong width."""
+def read_trajectory_csv(path) -> dict[str, list[float]]:
+    """Read a trajectory CSV into named lists (NaN for empty cells); refuse a row of the wrong width."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -320,6 +322,5 @@ def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     for line, row in enumerate(body, start=2):
         if len(row) != width:
             raise ValueError(f"line {line} has {len(row)} fields, expected {width}")
-    cells = [[v or "nan" for v in row] for row in body]
-    table = np.array(cells, dtype=float).reshape(len(body), width)
-    return dict(zip(header, np.ascontiguousarray(table.T)))
+    table = [[float(v or "nan") for v in row] for row in body]
+    return {name: [row[j] for row in table] for j, name in enumerate(header)}

@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .blockspace import Region, weighted_norm, weighted_sq
+from .blockspace import weighted_norm, weighted_sq
+from .config import Region
 from .splitting import (
     SplittingMap,
     apply_T,
@@ -69,7 +70,7 @@ def _coordinate_refine(
     x = np.array(x, copy=True)
     y = np.array(y, copy=True)
     best = margin_fn(x, y)
-    span = np.max(region.hi - region.lo) if np.any(region.hi > region.lo) else 1.0
+    span = max((b - a for a, b in zip(region.lo, region.hi)), default=0.0) or 1.0
     h = 0.25 * max(span, 1e-8)
     d = region.dim
     for _ in range(REFINE_STEPS):

@@ -51,10 +51,10 @@ import numpy as np
 from .blockspace import (
     BlockLayout,
     BlockProbabilities,
-    BlockSubsetScheme,
     block_probabilities,
     weighted_sq,
 )
+from .config import BlockSubsetScheme
 from .errors import DimensionMismatch, EmptyResolvent, InvalidFixedPoints
 from .operators import (
     SeparableTerm,

@@ -13,13 +13,9 @@ import time
 
 import numpy as np
 
-from blocksplit.blockspace import (
-    BlockLayout,
-    BlockProbabilities,
-    BlockSubsetScheme,
-    block_probabilities,
-)
+from blocksplit.blockspace import BlockLayout, BlockProbabilities, block_probabilities
 from blocksplit.cli import main
+from blocksplit.config import BlockSubsetScheme
 from blocksplit.markov import init_ensemble, run, uniform_box_sampler
 from blocksplit.operators import (
     BlockFunction,
@@ -317,9 +313,9 @@ def test_08_gauge_round_trips_and_monotonicity_gates():
             assert abs(invert_id_minus_theta(gauge, s) - t_true) <= 1e-10
     gauge = theta_linear(2.0, 2.0, 0.0)
     d = theta_iterates(gauge, 5.0, 40)
-    assert check_gauge_monotone(d, gauge).passed
+    assert check_gauge_monotone(range(40), d, gauge).passed
     tighter = gauge - 1e-6
-    assert not check_gauge_monotone(d, tighter).passed
+    assert not check_gauge_monotone(range(40), d, tighter).passed
     _accept(8, "defining-relation and inversion round trips within 1e-10, "
                "monotonicity gate is factor-exact")
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from blocksplit.blockspace import (
     BlockLayout,
     BlockProbabilities,
-    BlockSubsetScheme,
     block_probabilities,
     chain_rng,
     sample_subset,
@@ -15,6 +14,7 @@ from blocksplit.blockspace import (
     weighted_norm,
     weighted_sq,
 )
+from blocksplit.config import BlockSubsetScheme
 from blocksplit.errors import DimensionMismatch, UncoveredBlock
 
 

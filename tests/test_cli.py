@@ -68,11 +68,35 @@ def test_parse_config_happy_path():
         {"certify": {"property": "pointwise_aafne", "target": {"kind": "subset", "index": 2}}},
         {"rate": {"gauge": {"kind": "linear", "kappa": 0.5, "tau": 1.0}}},
         {"rate": {"gauge": {"kind": "linear", "kappa": 5.0, "tau": 1.0, "epsilon": "x"}}},
+        # parsed without numpy: a scheme, a region, a matrix and vectors of
+        # one length are still checked before any command does its work
+        {"scheme": {"subsets": [[0], [1]], "probs": [0.5, 0.6]}},
+        {"certify": {"property": "aafne_in_expectation",
+                     "region": {"lo": [1.0, -1.0], "hi": [0.0, 1.0]}}},
+        {"certify": {"property": "aafne_in_expectation",
+                     "region": {"lo": [-1.0, float("-inf")], "hi": [1.0, 1.0]}}},
+        {"certify": {"property": "aafne_in_expectation",
+                     "region": {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0]}}},
+        {"problem": {"id": "quadratic_l1", "params": {"Q": [[1.0, float("nan")], [0.0, 1.0]],
+                                                      "b": [0.0, 0.0], "l1_weights": [0.1, 0.1]}}},
+        {"problem": {"id": "quadratic_l1", "params": {"Q": [[1.0, 0.0], [0.0]],
+                                                      "b": [0.0, 0.0], "l1_weights": [0.1, 0.1]}}},
+        {"problem": {"id": "feasibility", "params": {"sets": [
+            {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0]}, {"kind": "point", "point": [0.0, 0.0]}]}}},
+        {"steps": [0.25, float("nan")]},
     ],
 )
-def test_parse_config_rejects(mutation):
-    with pytest.raises(ConfigError):
-        parse_config(base_config(**mutation))
+def test_parse_config_rejects(mutation, tmp_path, capsys):
+    doc = base_config(**mutation)
+    with pytest.raises(ConfigError) as refused:
+        parse_config(doc)
+    # rate reads the config as every command does, and refuses it with the same line
+    traj = tmp_path / "traj.csv"
+    traj.write_text(GOOD_TRAJECTORY)
+    argv = ["rate", "--config", write_config(tmp_path, doc), "--trajectory", str(traj),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {refused.value}\n"
 
 
 def test_parse_config_error_names_field():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blocksplit import markov
-from blocksplit.blockspace import BlockLayout, BlockSubsetScheme, block_probabilities
+from blocksplit.blockspace import BlockLayout, block_probabilities
+from blocksplit.config import BlockSubsetScheme
 from blocksplit.errors import Diverged
 from blocksplit.markov import (
     empirical_residual_psi,
@@ -131,7 +132,7 @@ def test_run_computes_distance_columns(tmp_path):
     cols = read_trajectory_csv(tmp_path / "traj.csv")
     assert list(cols) == list(traj)
     for name in cols:
-        assert cols[name].tobytes() == traj[name].tobytes(), name
+        assert np.array(cols[name]).tobytes() == traj[name].tobytes(), name
 
 
 SUBSETS = ((0,), (1,), (0, 1))
@@ -359,7 +360,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     # the written columns are the file's, bit for bit
     assert list(traj) == list(cols)
     for name in cols:
-        assert traj[name].tobytes() == cols[name].tobytes(), name
+        assert traj[name].tobytes() == np.array(cols[name]).tobytes(), name
 
 
 def test_trajectory_csv_no_timestamp_and_full_precision(tmp_path):
@@ -416,8 +417,8 @@ def _cells_by_float(path):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 6), st.integers(1, 4), st.data())
 def test_readers_parse_bit_for_bit_like_float(tmp_path_factory, n, d, data):
-    # each reader parses its body in one numpy call; the values must be
-    # the bits float() gives for every cell the writers produce
+    # each reader's values must be the bits float() gives for every cell
+    # the writers produce
     tmp = tmp_path_factory.mktemp("readers")
     grid = st.lists(st.lists(ANY_FLOAT, min_size=d, max_size=d), min_size=n, max_size=n)
 
@@ -432,7 +433,7 @@ def test_readers_parse_bit_for_bit_like_float(tmp_path_factory, n, d, data):
     assert list(cols) == header
     for idx, name in enumerate(header):
         want = np.array([row[idx] for row in rows], dtype=float)
-        assert cols[name].tobytes() == want.tobytes()
+        assert np.array(cols[name], dtype=float).tobytes() == want.tobytes()
 
     if n:
         support = np.array(data.draw(st.lists(st.lists(FINITE_FLOAT, min_size=d, max_size=d),

@@ -1,7 +1,8 @@
 """Each command loads only the package modules it runs; ``import blocksplit`` loads none.
 
 Every case runs in a fresh interpreter, so that the modules it reports are
-the ones its own command loaded.
+the ones its own command loaded.  ``numpy`` is reported beside the
+package's modules: ``rate`` and ``import blocksplit`` load none of it.
 """
 
 import json
@@ -27,16 +28,20 @@ else:
 
     code = None
 print(json.dumps([code, sorted(name[len("blocksplit."):] for name in sys.modules
-                               if name.startswith("blocksplit."))]))
+                               if name.startswith("blocksplit."))
+                  + ["numpy"] * ("numpy" in sys.modules)]))
 """
 
-TRANSPORT = {"cli", "errors", "blockspace", "transport"}
-RATE = {"cli", "errors", "blockspace", "config", "rates"}
+TRANSPORT = {"cli", "errors", "blockspace", "transport", "numpy"}
+RATE = {"cli", "errors", "config", "rates"}
 NOT_CERTIFY = {"markov", "transport", "rates"}
 
 
 def loaded(*argv):
-    """Exit code of ``blocksplit.cli.main(argv)`` (None without argv) and the submodules it loaded."""
+    """Exit code of ``blocksplit.cli.main(argv)`` (None without argv) and the submodules it loaded.
+
+    The set holds "numpy" too when numpy was loaded.
+    """
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -98,6 +103,30 @@ def test_rate_loads_only_its_modules(inputs):
         code, modules = loaded(*argv)
         assert code == 0
         assert modules <= RATE, modules - RATE
+
+
+def test_rate_loads_no_numpy(inputs):
+    # Q, a certify region, steps and a gauge are parsed without arrays
+    doc = {
+        "schema_version": 1,
+        "problem": {"id": "quadratic_l1", "params": {"Q": [[2.0, 0.5], [0.5, 1]], "b": [1, -1.0],
+                                                     "l1_weights": [0.1, 0.2]}},
+        "flavor": "fb",
+        "scheme": {"subsets": [[0], [1], [0, 1]], "probs": [0.25, 0.25, 0.5]},
+        "steps": [0.3, 0.4],
+        "seed": 3,
+        "certify": {"property": "aafne_in_expectation",
+                    "region": {"lo": [-2.0, -1], "hi": [2.0, 1.5]}},
+        "rate": {"gauge": {"kind": "linear", "kappa": 5.0, "tau": 1.0}},
+    }
+    config = inputs / "quadratic.json"
+    config.write_text(json.dumps(doc))
+    traj = ["--trajectory", inputs / "trajectory.csv", "--out", inputs / "out"]
+    for argv in (["rate", "--config", config, *traj],
+                 ["rate", "--config", config, "--kappa", "4", "--tau", "2", *traj]):
+        code, modules = loaded(*argv)
+        assert code == 0
+        assert "numpy" not in modules and modules <= RATE, modules - RATE
 
 
 def test_certify_loads_no_simulator_transport_or_rates(inputs):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from blocksplit.blockspace import BlockLayout, BlockSubsetScheme
+from blocksplit.blockspace import BlockLayout
+from blocksplit.config import BlockSubsetScheme
 from blocksplit.errors import DimensionMismatch, EmptyResolvent, NotPSD
 from blocksplit.operators import (
     SeparableTerm,

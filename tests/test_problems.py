@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blocksplit import problems
-from blocksplit.blockspace import BlockSubsetScheme
+from blocksplit.config import BlockSubsetScheme
 from blocksplit.errors import DimensionMismatch, NotPSD, UnsupportedSet
 from blocksplit.problems import (
     ConvexSet,

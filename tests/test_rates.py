@@ -12,6 +12,7 @@ from blocksplit.rates import (
     check_asymptotic_regularity,
     check_fejer,
     check_gauge_monotone,
+    check_trajectory,
     fit_linear_rate,
     invert_id_minus_theta,
     theta_iterates,
@@ -91,13 +92,13 @@ def test_check_gauge_monotone_exact_geometric():
     g = theta_linear(2.0, 2.0, 0.0)
     # build by iterated multiplication so floats match the gauge exactly
     d = theta_iterates(g, 1.0, 40)
-    assert check_gauge_monotone(d, g).passed
+    assert check_gauge_monotone(range(40), d, g).passed
 
 
 def test_check_gauge_monotone_detects_slower_decay():
     g = theta_linear(2.0, 2.0, 0.0)
     slower = (g + 1e-5) ** np.arange(30)
-    res = check_gauge_monotone(slower, g)
+    res = check_gauge_monotone(range(30), slower, g)
     assert not res.passed
     assert res.first_violation == 0
 
@@ -123,8 +124,8 @@ def test_check_gauge_bound_rounds_as_theta_plus_tol_rel_d():
     tol_rel = 1e-9
     bound = g * D0 + tol_rel * D0
     assert bound != (g + tol_rel) * D0
-    assert check_gauge_monotone(np.array([D0, bound]), g, tol_rel=tol_rel).passed
-    res = check_gauge_monotone(np.array([D0, np.nextafter(bound, np.inf)]), g, tol_rel=tol_rel)
+    assert check_gauge_monotone([0, 1], np.array([D0, bound]), g, tol_rel=tol_rel).passed
+    res = check_gauge_monotone([0, 1], np.array([D0, np.nextafter(bound, np.inf)]), g, tol_rel=tol_rel)
     assert not res.passed and res.first_violation == 0
 
 
@@ -172,3 +173,69 @@ def test_fit_linear_rate_exact_geometric():
 def test_fit_linear_rate_needs_five_positive():
     with pytest.raises(DegenerateSequence):
         fit_linear_rate(np.arange(6), np.array([1.0, 0.5, 0.0, 0.0, 0.0, 0.0]))
+
+
+# A column filled every s steps of k is held to factor^s per entry.
+FACTOR = 0.9
+
+
+def _strided(values, stride):
+    """Trajectory columns with ``values`` as d_target on rows k = 0, stride, 2 stride, ..."""
+    return {"k": [float(stride * i) for i in range(len(values))], "d_target": list(values)}
+
+
+def _gauge(cols):
+    return check_trajectory(cols, "d_target", "--column", "t.csv", 1e-3, 1e-3, FACTOR).gauge
+
+
+def test_gauge_on_a_strided_column_uses_factor_to_the_step_of_k():
+    # c = factor + 0.001 contracts by c^5 = 0.5935 per entry, more than the
+    # per-step factor 0.9 allows over 5 steps (0.9^5 = 0.5905, plus 1e-3)
+    c = FACTOR + 0.001
+    res = _gauge(_strided([c ** (5 * i) for i in range(30)], 5))
+    assert not res.passed and res.first_violation == 0
+    assert not check_gauge_monotone(range(0, 150, 5), [c ** k for k in range(0, 150, 5)], FACTOR).passed
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+def test_gauge_passes_a_sequence_contracting_by_the_factor(stride):
+    ks = range(0, 40 * stride, stride)
+    assert _gauge(_strided([FACTOR ** k for k in ks], stride)).passed
+    assert check_gauge_monotone(ks, [FACTOR ** k for k in ks], FACTOR).passed
+
+
+# The fits work on Python floats with math.fsum sums; np.polyfit is the
+# reference.  Both solve the same least-squares line and agree to about
+# 1e-14 relative (the intercept at k = 0 is the least well conditioned);
+# the bound is well above that and far below a printed digit.
+FIT_REL = 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fits_match_numpy_polyfit(seed):
+    rng = np.random.default_rng(seed)
+    n, stride = int(rng.integers(20, 300)), int(rng.integers(1, 8))
+    k = stride * np.arange(n) + int(rng.integers(0, 10))
+    noise = np.exp(rng.normal(0.0, 0.1, n))
+    d = rng.uniform(2.0, 10.0) * rng.uniform(0.9, 0.999) ** k * noise
+    zeros = rng.choice(n, n // 10, replace=False)
+    d[zeros] = 0.0
+    fit = fit_linear_rate(k.tolist(), d.tolist())
+    used = d > 0
+    slope, intercept = np.polyfit(k[used], np.log(d[used]), 1)
+    assert fit.num_used == np.count_nonzero(used)
+    assert fit.c_hat == pytest.approx(np.exp(slope), rel=FIT_REL)
+    assert fit.log_intercept == pytest.approx(intercept, rel=FIT_REL)
+
+    steps = rng.uniform(0.5, 5.0) * np.arange(1, n + 1) ** -rng.uniform(0.3, 2.0) * noise
+    steps[zeros] = 0.0
+    res = check_asymptotic_regularity(steps.tolist())
+    used = steps > 0
+    exponent = np.polyfit(np.log(np.arange(1, n + 1)[used]), np.log(steps[used] ** 2), 1)[0]
+    assert res.fitted_exponent == pytest.approx(exponent, rel=FIT_REL)
+    assert res.tail_mean == pytest.approx(np.mean(steps[-(n // 4):]), rel=FIT_REL)
+
+
+def test_fit_refuses_distances_that_all_share_one_k():
+    with pytest.raises(DegenerateSequence):
+        fit_linear_rate([3.0] * 6, [1.0, 0.5, 0.25, 0.1, 0.05, 0.01])

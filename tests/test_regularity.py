@@ -7,9 +7,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from blocksplit.blockspace import BlockSubsetScheme, weighted_norm, weighted_sq
+from blocksplit.blockspace import weighted_norm, weighted_sq
 from blocksplit import markov
-from blocksplit.config import CertifySection, RateSection, RunSection
+from blocksplit.config import BlockSubsetScheme, CertifySection, RateSection, RunSection
 from blocksplit.errors import DimensionMismatch, InvalidFixedPoints
 from blocksplit.problems import counterexample2d, feasibility, make_set, quadratic_l1
 from blocksplit.rates import check_asymptotic_regularity, check_fejer

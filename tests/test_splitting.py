@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, note, settings, strategies as st, target
 
-from blocksplit.blockspace import (
-    BlockLayout,
-    BlockProbabilities,
-    BlockSubsetScheme,
-    Region,
-    weighted_sq,
-)
+from blocksplit.blockspace import BlockLayout, BlockProbabilities, weighted_sq
+from blocksplit.config import BlockSubsetScheme, Region
 from blocksplit.errors import DimensionMismatch, EmptyResolvent, InvalidFixedPoints
 from blocksplit.operators import (
     SeparableTerm,
