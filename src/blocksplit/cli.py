@@ -96,7 +96,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     final_k = int(traj["k"][-1])
     summary = {
-        "config": cfg.resolved(),
+        "config": cfg.document(),
         "seed": cfg.seed,
         "elapsed_seconds": elapsed,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -161,7 +161,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
     else:
         report = verify_expectation_identities(m, region, c.num_pairs, cfg.seed, tolerance=c.tolerance)
 
-    doc = {"config": cfg.resolved(), "seed": cfg.seed, "report": report}
+    doc = {"config": cfg.document(), "seed": cfg.seed, "report": report}
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "certify_report.json", doc)
     status = "PASS" if report.passed else "FAIL"
@@ -189,7 +189,7 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
                      else (rate_cfg.column, "config.rate.column"))
     report = check_trajectory(cols, column, where, str(args.trajectory),
                               rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, factor)
-    doc = {"config": None if cfg is None else cfg.resolved(), "report": report}
+    doc = {"config": None if cfg is None else cfg.document(), "report": report}
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "rate_report.json", doc)
 

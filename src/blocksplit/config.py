@@ -184,7 +184,10 @@ def _as_int(v, where: str, minimum: int | None = None) -> int:
 def _as_float(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the largest float
+        raise ConfigError(f"{where}: integer too large for a float") from None
 
 
 def _as_finite(v, where: str, nonnegative: bool = False) -> float:
@@ -204,7 +207,12 @@ def _as_bool(v, where: str) -> bool:
 def _as_vector(v, where: str) -> list[float]:
     if not isinstance(v, (list, tuple)) or any(t is bool or not issubclass(t, (int, float)) for t in set(map(type, v))):
         raise ConfigError(f"{where}: expected a list of numbers, got {v!r}")
-    return [float(x) for x in v]
+    try:
+        return [float(x) for x in v]
+    except OverflowError:
+        for i, x in enumerate(v):  # raises at the first entry beyond the largest float
+            _as_float(x, f"{where}[{i}]")
+        raise
 
 
 def _as_finite_vector(v, where: str) -> list[float]:
@@ -267,9 +275,14 @@ class ExperimentConfig:
     run: RunSection | None = None
     certify: CertifySection | None = None
     rate: RateSection | None = None
+    # the params' (field, constructor) pair, checked once here; reports do not write it
+    builder: tuple[str, Callable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.builder = _problem_builder(self.problem_id)(self.problem_params)
 
     def build_problem(self) -> ProblemSpec:
-        return build_problem(self.problem_id, self.problem_params)
+        return build_problem(self.problem_id, self.problem_params, self.builder)
 
     def build(self) -> tuple[ProblemSpec, SplittingMap]:
         """The problem and its splitting map, refusing steps or subsets the problem's blocks do not take.
@@ -323,8 +336,8 @@ class ExperimentConfig:
             )
         return region
 
-    def resolved(self) -> dict:
-        """Plain-JSON view of the config with defaults applied (for reports)."""
+    def document(self) -> dict:
+        """The config with defaults applied, as reports embed it; ``json_ready`` writes it."""
         doc = {
             "schema_version": SCHEMA_VERSION,
             "problem": {"id": self.problem_id, "params": self.problem_params},
@@ -337,7 +350,11 @@ class ExperimentConfig:
         for name in ("run", "certify", "rate"):
             if getattr(self, name) is not None:
                 doc[name] = getattr(self, name)
-        return json_ready(doc)
+        return doc
+
+    def resolved(self) -> dict:
+        """Plain-JSON view of the config with defaults applied."""
+        return json_ready(self.document())
 
 
 def _counterexample2d(params: dict) -> tuple[str, Callable]:
@@ -407,11 +424,17 @@ PROBLEM_BUILDERS = {
 }
 
 
-def build_problem(problem_id: str, params: dict) -> ProblemSpec:
+def _problem_builder(problem_id: str) -> Callable:
     builder = PROBLEM_BUILDERS.get(problem_id)
     if builder is None:
         raise ConfigError(f"problem.id: unknown problem {problem_id!r}")
-    where, construct = builder(params)
+    return builder
+
+
+def build_problem(problem_id: str, params: dict,
+                  builder: tuple[str, Callable] | None = None) -> ProblemSpec:
+    """The problem of ``params``; ``builder`` is their checked (field, constructor) pair, if at hand."""
+    where, construct = builder if builder is not None else _problem_builder(problem_id)(params)
     from . import problems
 
     try:
@@ -575,8 +598,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
         rate_sec.gauge_factor = factor
 
-    # after the sections, so that a section's error is reported first
-    PROBLEM_BUILDERS[problem_id](params)
+    # checks the params after the sections, so that a section's error is reported first
     return ExperimentConfig(
         problem_id=problem_id,
         problem_params=params,
@@ -599,4 +621,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file is not valid JSON: {e}")
+    except ValueError as e:  # not UTF-8, or an integer of more digits than Python converts
+        raise ConfigError(f"config file cannot be read as JSON: {e}")
     return parse_config(doc)

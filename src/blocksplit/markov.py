@@ -35,7 +35,7 @@ from .blockspace import BlockLayout, chain_rng, sample_subsets
 from .errors import DimensionMismatch, Diverged
 from .rates import read_trajectory_csv, trajectory_header, write_trajectory_csv  # noqa: F401
 from .splitting import SplittingMap, apply_full, squared_residuals
-from .transport import DiscreteMeasure, distance_to_point_mass, wasserstein2_weighted, write_measure
+from .transport import DiscreteMeasure, point_mass_distance, wasserstein2_weighted, write_measure
 
 # Steps of subset draws prefetched per chain at a time.  Results do not
 # depend on it; it only bounds the outcome table at (DRAW_BLOCK, N).
@@ -157,20 +157,26 @@ def run(
     table[:, 0] = np.arange(ensemble.k, ensemble.k + iterations + 1)
     snapshots: dict[int, np.ndarray] = {}
     diverged = None  # the first non-finite diagnostic, raised after the last step
+    n = ensemble.num_chains
+    if target is not None:  # distance_to_point_mass's inputs, but for the states
+        target = layout.check(target)
+        weights, coordinate_inverse = np.full(n, 1.0 / n), m.probabilities.coordinate_inverse()
 
     def record(i: int, dw: float | None = None) -> np.ndarray:
         nonlocal diverged
         states, k = ensemble.states, ensemble.k
-        finite = np.isfinite(states).all(axis=-1)
-        if not finite.all():
-            chain = int(np.argmin(finite))
+        if not np.isfinite(states).all():
+            chain = int(np.argmin(np.isfinite(states).all(axis=-1)))
             raise Diverged(k, f"chain {chain} has a non-finite state", chain)
         full = apply_full(m, states)
         sq = squared_residuals(states, full)
-        d = None if target is None else distance_to_point_mass(
-            DiscreteMeasure.empirical(states, layout), target, m.probabilities)
+        d = None if target is None else point_mass_distance(states, weights, target,
+                                                            coordinate_inverse)
+        # the means are np.mean's arithmetic: a pairwise sum, then one division
+        mean_residual = float(np.add.reduce(np.sqrt(sq))) / n
+        psi_upper = math.sqrt(float(np.add.reduce(sq)) / n)
         row = table[i]
-        for col, v in enumerate((np.mean(np.sqrt(sq)), np.sqrt(np.mean(sq)), dw, d), start=1):
+        for col, v in enumerate((mean_residual, psi_upper, dw, d), start=1):
             if v is not None:
                 row[col] = v
                 if diverged is None and not math.isfinite(v):

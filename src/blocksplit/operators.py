@@ -246,7 +246,9 @@ def h_indicator_point(z) -> BlockFunction:
     z = np.asarray(z, dtype=float)
 
     def prox(v, lam):
-        return np.broadcast_to(z, v.shape).copy()
+        out = np.empty(np.shape(v))
+        out[...] = z
+        return out
 
     return BlockFunction(prox=prox, tau=0.0, convex=True)
 
@@ -340,7 +342,7 @@ def coupling_diagonal_sqdist(layout: BlockLayout) -> SmoothCoupling:
 
     def gradient(x):
         blocks = x.reshape(x.shape[:-1] + (m, d))
-        mean = blocks.mean(axis=-2, keepdims=True)
+        mean = np.add.reduce(blocks, axis=-2, keepdims=True) / m  # np.mean's arithmetic
         return (blocks - mean).reshape(x.shape)
 
     return SmoothCoupling(

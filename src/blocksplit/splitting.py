@@ -21,22 +21,28 @@ FIXED_POINT_TOL.  Since T_i z - z = where(mask_i, T1 z - z, 0), every
 outcome map then moves z by no more, so the rule depends on the flavor and
 the steps, which T1 depends on, and not on the scheme.
 
-A plan lists the blocks a map updates, grouped by (prox oracle, step,
-block dim) with the group's coordinate columns.  Forward-backward takes
-one coupling gradient per call and one prox call per group on (x - t g)
-reshaped to (..., k, d).  Douglas-Rachford batches its reflection
-r = 2 prox(x) - x through h the same way, then takes each group's partial
-resolvents in one step, by one of two kinds of coupling:
+A plan lists the blocks a map updates, grouped by (prox oracle, step, block
+dim), with its columns (a slice when they are contiguous), the step of
+each column (one float when they are equal) and, for closed-form
+Douglas-Rachford, the blocks' stacks.
+Each map is one pass over the plan's columns: all the arithmetic is done
+once over those columns, and only the oracles are called per group, each
+on a view of its k blocks of dim d, shaped (..., k, d).  Forward-backward
+takes one coupling gradient per call and one prox call per group on
+x - t g.  Douglas-Rachford forms the reflection r = 2 prox(x) - x the same
+way, then the partial resolvents by one of two kinds of coupling:
 
 - a constant block Hessian A_jj (``hessian_block``): one gradient g per
   call, since the gradient at x with block j replaced by y is
   g_j + A_jj (y - x_j), so y = (I + t A_jj)^-1 (r_j - t (g_j - A_jj x_j))
-  in closed form, with each group's stacked A_jj and (I + t A_jj)^-1 in
-  the plan;
+  in closed form, with the stacked A_jj and (I + t A_jj)^-1 of the
+  plan's blocks of each distinct dim in the plan, applied by one stacked
+  matmul per dim; each block's product rounds as it does alone;
 - a ``partial_resolvent(x, r, blocks, t)`` override, such as
   ``coupling_diagonal_indicator``: one call per group on r of shape
   (..., k, d), returning (..., k, d).
 
+Both end on the average (reflect(y, r) + x) / 2 over all planned columns.
 A coupling of neither kind has no Douglas-Rachford map.
 """
 
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -70,35 +77,74 @@ class UpdateGroup(NamedTuple):
     """Blocks updated by one batched prox call: same oracle, step and dim."""
 
     blocks: tuple[int, ...]
-    cols: np.ndarray  # coordinate columns of the blocks, block after block
+    local: slice  # the group's columns within its plan's columns
     step: float
     dim: int
-    # closed-form Douglas-Rachford only: stacked (k, d, d) A_jj and (I + step A_jj)^-1
-    hessian: np.ndarray | None = None
-    inverse: np.ndarray | None = None
+
+
+class DimStack(NamedTuple):
+    """Closed-form Douglas-Rachford: a plan's blocks of one dim, stacked in plan order."""
+
+    local: slice | np.ndarray  # their columns within the plan's columns
+    hessian: np.ndarray  # (k, d, d) A_jj
+    inverse: np.ndarray  # (k, d, d) (I + t_j A_jj)^-1
+
+
+class UpdatePlan(NamedTuple):
+    """The blocks a map updates, group after group, with what each pass needs of them."""
+
+    groups: tuple[UpdateGroup, ...]
+    cols: slice | np.ndarray  # the planned coordinate columns, group after group
+    steps: float | np.ndarray  # the step of each planned column, one float if they are equal
+    stacks: tuple[DimStack, ...]  # closed-form Douglas-Rachford only, one per distinct dim
+
+
+def _columns(idx: np.ndarray) -> slice | np.ndarray:
+    """Column indices as a slice when they are contiguous and ascending."""
+    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        return slice(int(idx[0]), int(idx[0]) + idx.size)
+    return idx
 
 
 def _update_plan(layout: BlockLayout, term: SeparableTerm, steps: np.ndarray,
                  blocks: Iterable[int],
-                 hessian_block: Callable[[int], np.ndarray] | None = None) -> tuple[UpdateGroup, ...]:
+                 hessian_block: Callable[[int], np.ndarray] | None = None) -> UpdatePlan:
     groups: dict[tuple, list[int]] = {}
     for j in blocks:
         key = (id(term.blocks[j].prox), float(steps[j]), layout.block_dims[j])
         groups.setdefault(key, []).append(j)
-    plan = []
+    order = [j for js in groups.values() for j in js]  # the planned blocks, group after group
+    dims = [layout.block_dims[j] for j in order]
+    starts = list(accumulate(dims, initial=0))  # each planned block's first column in the plan
+    plan, a = [], 0
     for (_, step, dim), js in groups.items():
-        hessian = inverse = None
-        if hessian_block is not None:
+        plan.append(UpdateGroup(tuple(js), slice(starts[a], starts[a + len(js)]), step, dim))
+        a += len(js)
+    stacks = []
+    if hessian_block is not None:
+        for dim in sorted(set(dims)):
+            idx = [a for a, d in enumerate(dims) if d == dim]
+            js = [order[a] for a in idx]
             hessian = np.stack([np.asarray(hessian_block(j), dtype=float) for j in js])
-            inverse = np.linalg.inv(np.eye(dim) + step * hessian)
-        cols = np.concatenate([np.arange(layout.offsets[j], layout.offsets[j] + dim) for j in js])
-        plan.append(UpdateGroup(tuple(js), cols, step, dim, hessian, inverse))
-    return tuple(plan)
+            inverse = np.linalg.inv(np.eye(dim) + steps[js][:, None, None] * hessian)
+            local = np.concatenate([np.arange(starts[a], starts[a + 1]) for a in idx])
+            stacks.append(DimStack(_columns(local), hessian, inverse))
+    cols = np.concatenate([np.arange(layout.offsets[j], layout.offsets[j] + d)
+                           for j, d in zip(order, dims)])
+    col_steps = np.repeat(steps[order], dims)
+    if np.all(col_steps == col_steps[0]):  # a scalar multiplies without broadcasting along rows
+        col_steps = float(col_steps[0])
+    return UpdatePlan(tuple(plan), _columns(cols), col_steps, tuple(stacks))
 
 
 def _matvec(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(k, d, d) matrices times (..., k, d) vectors, one product per block."""
     return (stack @ v[..., None])[..., 0]
+
+
+def _blocks(v: np.ndarray, local: slice | np.ndarray, dim: int) -> np.ndarray:
+    """Columns ``local`` of the plan-ordered ``v`` as (..., k, dim) blocks."""
+    return v[..., local].reshape(v.shape[:-1] + (-1, dim))
 
 
 @dataclass
@@ -111,7 +157,7 @@ class SplittingMap:
     steps: np.ndarray
     scheme: BlockSubsetScheme
     layout: BlockLayout
-    full_plan: tuple[UpdateGroup, ...] = field(init=False, repr=False, compare=False)
+    full_plan: UpdatePlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -135,7 +181,7 @@ class SplittingMap:
                                  "hessian_block, or a partial_resolvent override")
         self.full_plan = self._plan(range(m))
 
-    def _plan(self, blocks: Iterable[int]) -> tuple[UpdateGroup, ...]:
+    def _plan(self, blocks: Iterable[int]) -> UpdatePlan:
         closed_form = self.flavor == "dr" and self.coupling.partial_resolvent is None
         return _update_plan(self.layout, self.term, self.steps, blocks,
                             self.coupling.hessian_block if closed_form else None)
@@ -155,33 +201,48 @@ class SplittingMap:
         return masks
 
     @cached_property
-    def outcome_plans(self) -> tuple[tuple[UpdateGroup, ...], ...]:
+    def outcome_plans(self) -> tuple[UpdatePlan, ...]:
         """One update plan per outcome, for the reference route ``apply_T`` only."""
         return tuple(self._plan(s) for s in self.scheme.subsets)
 
 
-def _apply_plan(m: SplittingMap, plan: tuple[UpdateGroup, ...], x: np.ndarray) -> np.ndarray:
+def _apply_plan(m: SplittingMap, plan: UpdatePlan, x: np.ndarray) -> np.ndarray:
     """Update the planned blocks of x, every one from the unmodified x."""
     x = m.layout.check(x)
-    out = np.array(x, copy=True)
     override = m.coupling.partial_resolvent if m.flavor == "dr" else None
     g = m.coupling.gradient(x) if override is None else None
-    for grp in plan:
-        xg = x[..., grp.cols]
-        shape = x.shape[:-1] + (len(grp.blocks), grp.dim)
-        if m.flavor == "fb":
-            v = xg - grp.step * g[..., grp.cols]
-            resolved = resolvent_separable(m.term, grp.blocks[0], v.reshape(shape), grp.step)
-            out[..., grp.cols] = resolved.reshape(xg.shape)
-            continue
-        xb = xg.reshape(shape)
-        reflected = reflector(resolvent_separable(m.term, grp.blocks[0], xb, grp.step), xb)
+    xp = x[..., plan.cols]
+    if m.flavor == "fb":
+        new = _resolve(m, plan, xp - plan.steps * g[..., plan.cols])
+    else:
+        reflected = reflector(_resolve(m, plan, xp), xp)
+        y = np.empty_like(reflected)
         if override is not None:
-            y = override(x, reflected, grp.blocks, grp.step)
+            for grp in plan.groups:
+                y[..., grp.local] = override(x, _blocks(reflected, grp.local, grp.dim),
+                                             grp.blocks, grp.step).reshape(xp.shape[:-1] + (-1,))
         else:
-            gb = g[..., grp.cols].reshape(shape)
-            y = _matvec(grp.inverse, reflected - grp.step * (gb - _matvec(grp.hessian, xb)))
-        out[..., grp.cols] = (0.5 * (reflector(y, reflected) + xb)).reshape(xg.shape)
+            hx = np.empty_like(xp)
+            for s in plan.stacks:
+                hx[..., s.local] = _matvec(s.hessian, _blocks(xp, s.local, s.hessian.shape[-1])
+                                           ).reshape(xp.shape[:-1] + (-1,))
+            rhs = reflected - plan.steps * (g[..., plan.cols] - hx)
+            for s in plan.stacks:
+                y[..., s.local] = _matvec(s.inverse, _blocks(rhs, s.local, s.inverse.shape[-1])
+                                          ).reshape(xp.shape[:-1] + (-1,))
+        new = 0.5 * (reflector(y, reflected) + xp)
+    out = np.array(x, copy=True)
+    out[..., plan.cols] = new
+    return out
+
+
+def _resolve(m: SplittingMap, plan: UpdatePlan, v: np.ndarray) -> np.ndarray:
+    """Each group's prox at its blocks of the plan-ordered v, one call per group."""
+    out = np.empty_like(v)
+    for grp in plan.groups:
+        out[..., grp.local] = resolvent_separable(
+            m.term, grp.blocks[0], _blocks(v, grp.local, grp.dim), grp.step
+        ).reshape(v.shape[:-1] + (-1,))
     return out
 
 
@@ -203,7 +264,7 @@ def apply_full(m: SplittingMap, x: np.ndarray) -> np.ndarray:
 def squared_residuals(states: np.ndarray, full: np.ndarray) -> np.ndarray:
     """Squared full-block residual ||x - T1 x||^2 of each row, given full = T1 x."""
     r = states - full
-    return np.sum(r * r, axis=-1)
+    return np.add.reduce(r * r, axis=-1)  # np.sum's reduction, without its Python wrapper
 
 
 # A map fixes a point that its full-block map T1 moves by at most this much.

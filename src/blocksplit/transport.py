@@ -54,7 +54,7 @@ from importlib.machinery import PathFinder
 
 import numpy as np
 
-from .blockspace import BlockLayout, BlockProbabilities, weighted_sq
+from .blockspace import BlockLayout, BlockProbabilities
 from .errors import BlocksplitError, DimensionMismatch, SolverFailure
 
 # Largest replicated size L = lcm(n, m) that two equal-weight clouds of
@@ -517,9 +517,18 @@ def wasserstein2_weighted(
 
 def distance_to_point_mass(mu: DiscreteMeasure, z: np.ndarray, p: BlockProbabilities) -> float:
     """Weighted W2 distance from mu to the point mass at z (closed form)."""
-    z = np.asarray(z, dtype=float)
-    sq = weighted_sq(mu.support - z, p)
-    return float(np.sqrt(np.sum(mu.weights * sq)))
+    return point_mass_distance(mu.support, mu.weights, np.asarray(z, dtype=float),
+                               p.coordinate_inverse())
+
+
+def point_mass_distance(support: np.ndarray, weights: np.ndarray, z: np.ndarray,
+                        coordinate_inverse: np.ndarray) -> float:
+    """``distance_to_point_mass`` on arrays: (n, dim) atoms, their weights, 1/p_j per coordinate.
+
+    ``markov.run`` calls it at every step, with the weights built once.
+    """
+    d = support - z
+    return float(np.sqrt(np.sum(weights * np.sum(coordinate_inverse * d * d, axis=-1))))
 
 
 # ---------------------------------------------------------------------------

@@ -467,6 +467,18 @@ def _config_case(command, **overrides):
     return build
 
 
+def _text_config_case(command, edit, **overrides):
+    """A config whose JSON text ``edit`` rewrites before it is written."""
+    def build(tmp_path):
+        doc = base_config(output_dir=str(tmp_path / "o"), **overrides)
+        text = json.dumps(doc)
+        assert edit(text) != text
+        path = tmp_path / "config.json"
+        path.write_text(edit(text))
+        return [command, "--config", str(path)]
+    return build
+
+
 def _file_case(name, body, argv):
     """``argv(bad, good)`` is the command line around the malformed file."""
     def build(tmp_path):
@@ -755,6 +767,17 @@ BAD_INPUTS = [
      _sets_case(POINT, {"kind": "point", "point": [NAN, 0.0]})),
     ("set_center_nan", "problem.params.sets[0].center: must be finite",
      _sets_case({"kind": "ball", "center": [0.0, NAN], "radius": 1.0}, POINT)),
+    # an integer beyond the largest float is refused where it is read as one
+    ("t_integer_too_large", "problem.params.t: integer too large for a float",
+     _config_case("run", problem={"id": "counterexample2d", "params": {"t": 10**400}}, run=SMALL_RUN)),
+    ("rate_set_point_integer_too_large", "problem.params.sets[1].point[0]: integer too large for a float",
+     _rate_config_case({}, problem={"id": "feasibility", "params": {"sets": [
+         POINT, {"kind": "point", "point": [-10**400, 0.0]}]}},
+                       scheme={"subsets": [[0], [1]], "probs": [0.5, 0.5]})),
+    # an integer of more digits than Python converts stops the JSON reader itself
+    ("config_integer_over_4300_digits", "config file cannot be read as JSON: Exceeds the limit",
+     _text_config_case("run", lambda text: text.replace('"seed": 7', '"seed": 1' + "0" * 5000),
+                       run=SMALL_RUN)),
     # integers are integers, and a set's vectors have one length
     # a subset naming a block the problem does not have, refused where the problem is built
     ("run_scheme_block_out_of_range",

@@ -8,8 +8,16 @@ from pathlib import Path
 
 import numpy as np
 
+from blocksplit import cli, config
 from blocksplit.cli import _write_report
-from blocksplit.config import CertifySection, RateSection, RunSection, load_config, parse_config
+from blocksplit.config import (
+    CertifySection,
+    RateSection,
+    RunSection,
+    json_ready,
+    load_config,
+    parse_config,
+)
 from blocksplit.rates import AsymptoticRegularityResult, CheckResult, RateFit, RateReport
 from blocksplit.regularity import CertificationReport
 
@@ -116,3 +124,47 @@ def test_benchmark_and_readme_configs_parse_and_build(tmp_path, monkeypatch):
     for path in paths:
         cfg = load_config(path)
         cfg.build_problem()
+
+
+def test_problem_params_are_checked_once_per_command(monkeypatch):
+    calls = []
+    builder = config.PROBLEM_BUILDERS["quadratic_l1"]
+
+    def counted(params):
+        calls.append(1)
+        return builder(params)
+
+    monkeypatch.setitem(config.PROBLEM_BUILDERS, "quadratic_l1", counted)
+    doc = dict(FULL_CONFIG, problem={"id": "quadratic_l1", "params": {
+        "Q": [[2.0, 0.5], [0.5, 1.0]], "b": [-1.0, 0.5], "l1_weights": [0.1, 0.1]}})
+    cfg = parse_config(doc)
+    assert len(calls) == 1
+    cfg.build()
+    assert len(calls) == 1
+    # the constructor is no config field: the report writes the params as given
+    assert "builder" not in json.dumps(cfg.resolved())
+
+
+def test_every_report_is_one_conversion_of_its_unconverted_document(tmp_path, monkeypatch):
+    written = []
+
+    def spy(path, doc):
+        written.append((path, doc))
+        _write_report(path, doc)
+
+    monkeypatch.setattr(cli, "_write_report", spy)
+    doc = dict(FULL_CONFIG, output_dir=str(tmp_path / "out"),
+               certify={"property": "aafne_in_expectation", "num_pairs": 50})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    cli.main(["certify", "--config", str(path)])
+    cli.main(["rate", "--config", str(path), "--trajectory", str(tmp_path / "out" / "trajectory.csv")])
+    assert [p.name for p, _ in written] == ["summary.json", "certify_report.json", "rate_report.json"]
+    resolved = parse_config(doc).resolved()
+    for report, unconverted in written:
+        text = report.read_text()
+        assert text == json.dumps(json_ready(unconverted), indent=2, allow_nan=False)
+        # the config goes into the document unconverted, and comes out as the resolved config
+        assert not isinstance(unconverted["config"]["scheme"], dict)
+        assert json.loads(text)["config"] == resolved

@@ -275,11 +275,11 @@ def test_dr_per_block_route_matches_reference_bitwise(monkeypatch, kind, seed):
             SplittingMap("dr", coupling, term, steps, SINGLETONS, layout)
         return
     m = SplittingMap("dr", coupling_diagonal_indicator(layout), term, steps, SINGLETONS, layout)
-    assert all(g.inverse is None for g in m.full_plan)
+    assert m.full_plan.stacks == ()
     reference = _dr_reference(m, x)
     calls = _count_calls(monkeypatch, m.coupling, "partial_resolvent")
     assert apply_full(m, x).tobytes() == reference.tobytes()
-    assert len(calls) == len(m.full_plan) == 2
+    assert len(calls) == len(m.full_plan.groups) == 2
 
 
 def test_dr_indicator_override_takes_a_group_of_shared_oracle_blocks(monkeypatch):
@@ -290,7 +290,7 @@ def test_dr_indicator_override_takes_a_group_of_shared_oracle_blocks(monkeypatch
     term = SeparableTerm(layout, [ball, ball, ball, h_l1(0.2)])
     scheme = BlockSubsetScheme(((0, 1, 2), (3,), (0, 3)), (0.4, 0.3, 0.3))
     m = SplittingMap("dr", coupling_diagonal_indicator(layout), term, 0.7, scheme, layout)
-    assert [g.blocks for g in m.full_plan] == [(0, 1, 2), (3,)]
+    assert [g.blocks for g in m.full_plan.groups] == [(0, 1, 2), (3,)]
     # the diagonal plus noise below the agreement tolerance, so every block
     # has a partial resolvent and the block each one copies shows in the bits
     rng = np.random.default_rng(8)
@@ -327,7 +327,7 @@ def test_lasso_plan_groups_by_weight_and_step():
                         np.array([0.2, 0.2, 0.05, 0.2, 0.05, 0.2]))
     steps = np.array([0.1, 0.1, 0.1, 0.05, 0.05, 0.1])
     m = prob.build_map("fb", BlockSubsetScheme(((0, 1, 2), (3, 4, 5)), (0.5, 0.5)), steps)
-    assert sorted(g.blocks for g in m.full_plan) == [(0, 1, 5), (2,), (3,), (4,)]
+    assert sorted(g.blocks for g in m.full_plan.groups) == [(0, 1, 5), (2,), (3,), (4,)]
     x = rng.normal(size=(5, 6))
     assert apply_full(m, x).tobytes() == _fb_reference(m, x).tobytes()
     assert apply_full(m, x[0]).tobytes() == _fb_reference(m, x[0]).tobytes()
@@ -342,9 +342,100 @@ def test_ball_and_box_plan_splits_on_dim():
     coupling = coupling_quadratic(layout, A.T @ A / 11)
     scheme = BlockSubsetScheme(((0, 1, 2, 3, 4),), (1.0,))
     m = SplittingMap("fb", coupling, term, np.full(5, 0.2), scheme, layout)
-    assert sorted(g.blocks for g in m.full_plan) == [(0, 2), (1,), (3,), (4,)]
+    assert sorted(g.blocks for g in m.full_plan.groups) == [(0, 2), (1,), (3,), (4,)]
     x = rng.normal(scale=2.0, size=(9, 11))
     assert apply_full(m, x).tobytes() == _fb_reference(m, x).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The one-pass route against the per-group route: every prox group gathered,
+# reflected, corrected, averaged and scattered on its own, with each group's
+# Hessian and inverse stacked apart.  Both must round alike bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _per_group_plan(m, blocks):
+    """(blocks, cols, step, dim, hessian, inverse) of each group, in the map's group order."""
+    closed_form = m.flavor == "dr" and m.coupling.partial_resolvent is None
+    groups = {}
+    for j in blocks:
+        key = (id(m.term.blocks[j].prox), float(m.steps[j]), m.layout.block_dims[j])
+        groups.setdefault(key, []).append(j)
+    plan = []
+    for (_, step, dim), js in groups.items():
+        hessian = inverse = None
+        if closed_form:
+            hessian = np.stack([np.asarray(m.coupling.hessian_block(j), dtype=float) for j in js])
+            inverse = np.linalg.inv(np.eye(dim) + step * hessian)
+        cols = np.concatenate([np.arange(m.layout.offsets[j], m.layout.offsets[j] + dim) for j in js])
+        plan.append((tuple(js), cols, step, dim, hessian, inverse))
+    return plan
+
+
+def _per_group_apply(m, blocks, x):
+    """The blocks of x updated group by group, every one from the unmodified x."""
+    x = m.layout.check(x)
+    out = np.array(x, copy=True)
+    override = m.coupling.partial_resolvent if m.flavor == "dr" else None
+    g = m.coupling.gradient(x) if override is None else None
+    for js, cols, step, dim, hessian, inverse in _per_group_plan(m, blocks):
+        xg = x[..., cols]
+        shape = x.shape[:-1] + (len(js), dim)
+        if m.flavor == "fb":
+            v = xg - step * g[..., cols]
+            out[..., cols] = m.term.blocks[js[0]].prox(v.reshape(shape), step).reshape(xg.shape)
+            continue
+        xb = xg.reshape(shape)
+        reflected = reflector(m.term.blocks[js[0]].prox(xb, step), xb)
+        if override is not None:
+            y = override(x, reflected, js, step)
+        else:
+            gb = g[..., cols].reshape(shape)
+            y = (inverse @ (reflected - step * (gb - (hessian @ xb[..., None])[..., 0]))[..., None])[..., 0]
+        out[..., cols] = (0.5 * (reflector(y, reflected) + xb)).reshape(xg.shape)
+    return out
+
+
+def _shifted_override(layout, c=0.8):
+    """f(x) = c ||x - a||^2 / 2, given by its partial resolvents only."""
+    a = np.linspace(-1.0, 1.0, layout.total_dim)
+
+    def partial_resolvent(x, r, blocks, lam):
+        ab = np.stack([a[layout.slice_of(j)] for j in blocks])
+        return (r + lam * c * ab) / (1.0 + lam * c)
+
+    return SmoothCoupling(layout, gradient=None, lipschitz=c, hypomono=0.0, convex=True,
+                          partial_resolvent=partial_resolvent)
+
+
+@pytest.mark.parametrize("kind", ["fb", "dr", "dr_override"])
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3), (2, 1, 3, 2, 1, 3)])
+@pytest.mark.parametrize("oracles", [(0, 1, 0, 1, 2, 2), (0, 0, 1, 1, 2, 2)])
+@pytest.mark.parametrize("batch", [(), (1,), (300,)])
+@pytest.mark.parametrize("steps", [0.4, (0.4, 0.4, 0.25, 0.4, 0.25, 0.25)])
+def test_one_pass_route_matches_the_per_group_route_bitwise(kind, dims, oracles, batch, steps):
+    # two oracles share every dim; one keeps k = 2 blocks per group where the
+    # dims allow, and the interleaved pattern makes the planned columns an
+    # index array; mixed steps split groups and give each column its own step
+    layout = BlockLayout(dims)
+    num = layout.num_blocks
+    shared = [h_l1(0.3), h_indicator_ball(0.0, 1.0), h_indicator_box(-0.5, 0.5)]
+    term = SeparableTerm(layout, [shared[k] for k in oracles[:num]])
+    rng = np.random.default_rng(sum(dims) + 7 * oracles[1])
+    if kind == "dr_override":
+        coupling = _shifted_override(layout)
+    else:
+        A = rng.normal(size=(layout.total_dim + 1, layout.total_dim))
+        coupling = coupling_quadratic(layout, A.T @ A / layout.total_dim,
+                                      rng.normal(size=layout.total_dim))
+    subsets = (tuple(range(0, num, 2)), tuple(range(1, num, 2)), (num - 1,), tuple(range(num)))
+    scheme = BlockSubsetScheme(subsets, (0.25,) * 4)
+    steps = steps if np.ndim(steps) == 0 else steps[:num]
+    m = SplittingMap("fb" if kind == "fb" else "dr", coupling, term, steps, scheme, layout)
+    x = rng.normal(scale=2.0, size=batch + (layout.total_dim,))
+    assert apply_full(m, x).tobytes() == _per_group_apply(m, range(num), x).tobytes()
+    for i, subset in enumerate(subsets):
+        assert apply_T(m, i, x).tobytes() == _per_group_apply(m, subset, x).tobytes()
 
 
 # ---------------------------------------------------------------------------
