@@ -9,7 +9,6 @@ indexed from 0.  The subset scheme that draws are taken from is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,34 +19,37 @@ if TYPE_CHECKING:
     from .config import BlockSubsetScheme
 
 
-@dataclass(frozen=True)
 class BlockLayout:
-    """Partition of R^d into contiguous blocks; offsets, slices and dim groups are cached."""
+    """Partition of R^d into contiguous blocks; offsets, slices and dim groups are cached.
 
-    block_dims: tuple[int, ...]
-    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
-    # one (blocks, columns) pair per distinct block dim d: the indices of the
-    # k blocks of dim d and their (k, d) coordinate columns
-    _dim_groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    Layouts are equal when their block dims are.
+    """
 
-    def __post_init__(self):
-        if len(self.block_dims) == 0:
+    # _dim_groups: one (blocks, columns) pair per distinct block dim d: the
+    # indices of the k blocks of dim d and their (k, d) coordinate columns
+    __slots__ = ("block_dims", "offsets", "_slices", "_dim_groups")
+
+    def __init__(self, block_dims: tuple[int, ...]):
+        if len(block_dims) == 0:
             raise DimensionMismatch("layout needs at least one block")
-        if any(int(d) <= 0 for d in self.block_dims):
-            raise DimensionMismatch(f"block dims must be positive, got {self.block_dims}")
-        dims = tuple(int(d) for d in self.block_dims)
-        offsets = tuple(int(o) for o in np.cumsum((0,) + dims[:-1]))
-        object.__setattr__(self, "block_dims", dims)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "_slices", tuple(slice(o, o + d) for o, d in zip(offsets, dims)))
+        if any(int(d) <= 0 for d in block_dims):
+            raise DimensionMismatch(f"block dims must be positive, got {block_dims}")
+        self.block_dims = dims = tuple(int(d) for d in block_dims)
+        self.offsets = offsets = tuple(int(o) for o in np.cumsum((0,) + dims[:-1]))
+        self._slices = tuple(slice(o, o + d) for o, d in zip(offsets, dims))
         groups = []
         for d in sorted(set(dims)):
             blocks = np.array([j for j, dj in enumerate(dims) if dj == d])
             groups.append((blocks, np.array(offsets)[blocks, None] + np.arange(d)))
-        object.__setattr__(self, "_dim_groups", tuple(groups))
+        self._dim_groups = tuple(groups)
+
+    def __eq__(self, other):
+        if type(other) is not BlockLayout:
+            return NotImplemented
+        return self.block_dims == other.block_dims
+
+    def __hash__(self):
+        return hash(self.block_dims)
 
     @property
     def num_blocks(self) -> int:
@@ -106,7 +108,6 @@ class BlockLayout:
         return np.repeat(per_block, self.block_dims)
 
 
-@dataclass(frozen=True)
 class BlockProbabilities:
     """Per-block selection probabilities p_j of a scheme, with the layout.
 
@@ -114,14 +115,13 @@ class BlockProbabilities:
     contribution by p_j, so rarely updated blocks weigh more.
     """
 
-    probs: np.ndarray
-    layout: BlockLayout
+    __slots__ = ("probs", "layout")
 
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (self.layout.num_blocks,):
+    def __init__(self, probs: np.ndarray, layout: BlockLayout):
+        probs = np.asarray(probs, dtype=float)
+        if probs.shape != (layout.num_blocks,):
             raise DimensionMismatch(
-                f"expected {self.layout.num_blocks} block probabilities, got shape {probs.shape}"
+                f"expected {layout.num_blocks} block probabilities, got shape {probs.shape}"
             )
         if not np.isfinite(probs).all():
             raise ValueError(f"block probabilities must be finite, got {probs}")
@@ -129,7 +129,8 @@ class BlockProbabilities:
             raise UncoveredBlock(f"nonpositive block probability in {probs}")
         if np.any(probs > 1 + 1e-12):
             raise ValueError(f"block probability above 1 in {probs}")
-        object.__setattr__(self, "probs", probs)
+        self.probs = probs
+        self.layout = layout
 
     @property
     def p_max(self) -> float:

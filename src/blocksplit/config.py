@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+import sys
 from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import (
@@ -46,8 +46,8 @@ CERTIFY_PROPERTIES = (
 
 
 # The fields a config's top level takes.  The scheme, each section and a
-# region take their dataclass's init fields, and each tagged object the
-# fields of its kind.
+# region take the fields their class's ``_fields`` names, and each tagged
+# object the fields of its kind.
 TOP_FIELDS = ("schema_version", "problem", "flavor", "scheme", "steps", "seed", "output_dir",
               "run", "certify", "rate")
 RUN_INIT_FIELDS = {"region": (), "point": ("x",), "uniform_box": ("lo", "hi")}
@@ -61,12 +61,14 @@ SET_FIELDS = {"point": ("point",), "box": ("lo", "hi"), "ball": ("center", "radi
 def json_ready(value):
     """A strict-JSON copy of ``value``, the one conversion of every report and config.
 
-    A dataclass becomes the dict of its init fields in declaration order, an
-    array or numpy scalar (whatever has a ``tolist``) its ``tolist()``, and
-    NaN and infinities None.
+    A record, whose class's ``_fields`` names its fields in declaration
+    order (a ``NamedTuple``, or a class of the package that declares them),
+    becomes the dict of those fields; an array or numpy scalar (whatever
+    has a ``tolist``) its ``tolist()``; NaN and infinities None.
     """
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: json_ready(getattr(value, f.name)) for f in fields(value) if f.init}
+    names = getattr(type(value), "_fields", None)
+    if names is not None:
+        return {name: json_ready(getattr(value, name)) for name in names}
     if hasattr(value, "tolist"):
         return json_ready(value.tolist())
     if isinstance(value, float):
@@ -78,8 +80,37 @@ def json_ready(value):
     return value
 
 
-@dataclass(frozen=True)
-class BlockSubsetScheme:
+class Record:
+    """Value equality, hashing and a repr by the fields that ``_fields`` names.
+
+    A record that checks or normalizes its fields, or changes after
+    construction, is a plain class with ``__slots__``, not a ``NamedTuple``.
+    One that a config or a report holds declares ``_fields`` as a
+    ``NamedTuple`` has it, in declaration order: ``json_ready`` writes those
+    fields and ``parse_config`` takes them as the allowed keys.  Those of
+    them compared as values derive from this class.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class BlockSubsetScheme(Record):
     """Finite family of block subsets with selection probabilities.
 
     ``subsets[i]`` is the tuple of block indices updated when outcome i is
@@ -88,12 +119,11 @@ class BlockSubsetScheme:
     rates are nonzero.
     """
 
-    subsets: tuple[tuple[int, ...], ...]
-    probs: tuple[float, ...]
+    __slots__ = _fields = ("subsets", "probs")
 
-    def __post_init__(self):
-        subsets = tuple(tuple(sorted(set(int(j) for j in s))) for s in self.subsets)
-        probs = tuple(float(q) for q in self.probs)
+    def __init__(self, subsets: tuple[tuple[int, ...], ...], probs: tuple[float, ...]):
+        subsets = tuple(tuple(sorted(set(int(j) for j in s))) for s in subsets)
+        probs = tuple(float(q) for q in probs)
         if len(subsets) == 0:
             raise UncoveredBlock("scheme needs at least one subset")
         if len(subsets) != len(probs):
@@ -106,8 +136,8 @@ class BlockSubsetScheme:
         total = sum(probs)
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "subsets", subsets)
-        object.__setattr__(self, "probs", probs)
+        self.subsets = subsets
+        self.probs = probs
 
     @property
     def num_outcomes(self) -> int:
@@ -117,23 +147,21 @@ class BlockSubsetScheme:
         return max(max(s) for s in self.subsets)
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """Axis-aligned box, a float per coordinate; degenerate coordinates pin affine restrictions."""
 
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        lo, hi = tuple(float(v) for v in self.lo), tuple(float(v) for v in self.hi)
+    def __init__(self, lo: tuple[float, ...], hi: tuple[float, ...]):
+        lo, hi = tuple(float(v) for v in lo), tuple(float(v) for v in hi)
         if len(lo) != len(hi):
             raise DimensionMismatch(f"region bounds must have equal lengths, got {len(lo)} and {len(hi)}")
         if not all(map(math.isfinite, lo + hi)):
             raise ValueError("region bounds must be finite")
         if any(a > b for a, b in zip(lo, hi)):
             raise ValueError("region lower bound exceeds upper bound")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self.lo = lo
+        self.hi = hi
 
     @property
     def dim(self) -> int:
@@ -142,10 +170,6 @@ class Region:
     def sample(self, rng, n: int):
         """``n`` points drawn uniformly from the box by ``rng``, an (n, dim) array."""
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
-
-
-def _init_fields(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.init)
 
 
 def _object(v, where: str, allowed) -> dict:
@@ -179,6 +203,14 @@ def _as_int(v, where: str, minimum: int | None = None) -> int:
     if minimum is not None and v < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {v}")
     return v
+
+
+def _as_count(v, where: str, minimum: int) -> int:
+    """An integer count of array rows: numpy takes no dimension above ``sys.maxsize``."""
+    n = _as_int(v, where, minimum)
+    if n > sys.maxsize:
+        raise ConfigError(f"{where}: must be <= {sys.maxsize}, got {n}")
+    return n
 
 
 def _as_float(v, where: str) -> float:
@@ -228,58 +260,76 @@ def _as_indices(v, where: str, minimum: int) -> tuple[int, ...]:
     return tuple(_as_int(x, f"{where}[{i}]", minimum) for i, x in enumerate(v))
 
 
-@dataclass
-class RunSection:
-    num_chains: int
-    iterations: int
-    snapshot_every: int = 0
-    dw_step_every: int = 0
-    init: dict = field(default_factory=lambda: {"kind": "region"})
-    strict_steps: bool = False
+class RunSection(Record):
+    __slots__ = _fields = ("num_chains", "iterations", "snapshot_every", "dw_step_every", "init",
+                           "strict_steps")
+
+    def __init__(self, num_chains: int, iterations: int, snapshot_every: int = 0,
+                 dw_step_every: int = 0, init: dict | None = None, strict_steps: bool = False):
+        self.num_chains = num_chains
+        self.iterations = iterations
+        self.snapshot_every = snapshot_every
+        self.dw_step_every = dw_step_every
+        self.init = {"kind": "region"} if init is None else init
+        self.strict_steps = strict_steps
 
 
-@dataclass
-class CertifySection:
-    property: str
-    target: dict = field(default_factory=lambda: {"kind": "full"})
-    alpha: float = 0.5
-    violation: float = 0.0
-    num_pairs: int = 10_000
-    region: Region | None = None
-    tolerance: float = 1e-10
-    adversarial: bool = True
-    residual_threshold: float = 1e-8
+class CertifySection(Record):
+    __slots__ = _fields = ("property", "target", "alpha", "violation", "num_pairs", "region",
+                           "tolerance", "adversarial", "residual_threshold")
+
+    def __init__(self, property: str, target: dict | None = None, alpha: float = 0.5,
+                 violation: float = 0.0, num_pairs: int = 10_000, region: Region | None = None,
+                 tolerance: float = 1e-10, adversarial: bool = True,
+                 residual_threshold: float = 1e-8):
+        self.property = property
+        self.target = {"kind": "full"} if target is None else target
+        self.alpha = alpha
+        self.violation = violation
+        self.num_pairs = num_pairs
+        self.region = region
+        self.tolerance = tolerance
+        self.adversarial = adversarial
+        self.residual_threshold = residual_threshold
 
 
-@dataclass
-class RateSection:
-    column: str = "d_target"
-    gauge: dict | None = None
-    fejer_tol_rel: float = 1e-3
-    tail_tol: float = 1e-3
-    # the factor parse_config computes from ``gauge``, which reports keep as given
-    gauge_factor: float | None = field(default=None, init=False)
+class RateSection(Record):
+    _fields = ("column", "gauge", "fejer_tol_rel", "tail_tol")
+    # gauge_factor: the factor parse_config computes from ``gauge``, which reports keep as given
+    __slots__ = _fields + ("gauge_factor",)
+
+    def __init__(self, column: str = "d_target", gauge: dict | None = None,
+                 fejer_tol_rel: float = 1e-3, tail_tol: float = 1e-3):
+        self.column = column
+        self.gauge = gauge
+        self.fejer_tol_rel = fejer_tol_rel
+        self.tail_tol = tail_tol
+        self.gauge_factor: float | None = None
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """A fully validated experiment description."""
 
-    problem_id: str
-    problem_params: dict
-    flavor: str
-    scheme: BlockSubsetScheme
-    steps: list[float] | None
-    seed: int
-    output_dir: str | None = None
-    run: RunSection | None = None
-    certify: CertifySection | None = None
-    rate: RateSection | None = None
-    # the params' (field, constructor) pair, checked once here; reports do not write it
-    builder: tuple[str, Callable] = field(init=False, repr=False, compare=False)
+    _fields = ("problem_id", "problem_params", "flavor", "scheme", "steps", "seed", "output_dir",
+               "run", "certify", "rate")
+    # builder: the params' (field, constructor) pair, checked once here; reports do not write it
+    __slots__ = _fields + ("builder",)
 
-    def __post_init__(self):
-        self.builder = _problem_builder(self.problem_id)(self.problem_params)
+    def __init__(self, problem_id: str, problem_params: dict, flavor: str,
+                 scheme: BlockSubsetScheme, steps: list[float] | None, seed: int,
+                 output_dir: str | None = None, run: RunSection | None = None,
+                 certify: CertifySection | None = None, rate: RateSection | None = None):
+        self.problem_id = problem_id
+        self.problem_params = problem_params
+        self.flavor = flavor
+        self.scheme = scheme
+        self.steps = steps
+        self.seed = seed
+        self.output_dir = output_dir
+        self.run = run
+        self.certify = certify
+        self.rate = rate
+        self.builder: tuple[str, Callable] = _problem_builder(problem_id)(problem_params)
 
     def build_problem(self) -> ProblemSpec:
         return build_problem(self.problem_id, self.problem_params, self.builder)
@@ -498,7 +548,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"config.flavor: expected 'fb' or 'dr', got {flavor!r}")
 
     raw_scheme = _object(_require(doc, "scheme", "config"), "config.scheme",
-                         _init_fields(BlockSubsetScheme))
+                         BlockSubsetScheme._fields)
     subsets = _require(raw_scheme, "subsets", "config.scheme")
     if not isinstance(subsets, list):
         raise ConfigError(f"config.scheme.subsets: expected a list of block-index lists, got {subsets!r}")
@@ -521,7 +571,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     run_sec = None
     if "run" in doc:
-        r = _object(doc["run"], "config.run", _init_fields(RunSection))
+        r = _object(doc["run"], "config.run", RunSection._fields)
         init = r.get("init", {"kind": "region"})
         kind = _kind(init, "config.run.init", RUN_INIT_FIELDS)
         if kind == "point":
@@ -529,8 +579,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         elif kind == "uniform_box":
             _parse_region(init, "config.run.init")
         run_sec = RunSection(
-            num_chains=_as_int(_require(r, "num_chains", "config.run"), "config.run.num_chains", 1),
-            iterations=_as_int(_require(r, "iterations", "config.run"), "config.run.iterations", 0),
+            num_chains=_as_count(_require(r, "num_chains", "config.run"), "config.run.num_chains", 1),
+            iterations=_as_count(_require(r, "iterations", "config.run"), "config.run.iterations", 0),
             snapshot_every=_as_int(r.get("snapshot_every", 0), "config.run.snapshot_every", 0),
             dw_step_every=_as_int(r.get("dw_step_every", 0), "config.run.dw_step_every", 0),
             init=init,
@@ -539,7 +589,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     certify_sec = None
     if "certify" in doc:
-        c = _object(doc["certify"], "config.certify", _init_fields(CertifySection))
+        c = _object(doc["certify"], "config.certify", CertifySection._fields)
         prop = _require(c, "property", "config.certify")
         if prop not in CERTIFY_PROPERTIES:
             raise ConfigError(
@@ -559,14 +609,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"config.certify.alpha: must lie in (0, 1), got {alpha}")
         region = c.get("region")
         if region is not None:
-            region = _parse_region(_object(region, "config.certify.region", _init_fields(Region)),
+            region = _parse_region(_object(region, "config.certify.region", Region._fields),
                                    "config.certify.region")
         certify_sec = CertifySection(
             property=prop,
             target=target,
             alpha=alpha,
             violation=_as_finite(c.get("violation", 0.0), "config.certify.violation", True),
-            num_pairs=_as_int(c.get("num_pairs", 10_000), "config.certify.num_pairs", 1),
+            num_pairs=_as_count(c.get("num_pairs", 10_000), "config.certify.num_pairs", 1),
             region=region,
             tolerance=_as_finite(c.get("tolerance", 1e-10), "config.certify.tolerance"),
             adversarial=_as_bool(c.get("adversarial", True), "config.certify.adversarial"),
@@ -576,7 +626,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     rate_sec = None
     if "rate" in doc:
-        r = _object(doc["rate"], "config.rate", _init_fields(RateSection))
+        r = _object(doc["rate"], "config.rate", RateSection._fields)
         gauge, factor = r.get("gauge"), None
         if gauge is not None:
             _kind(gauge, "config.rate.gauge", GAUGE_FIELDS)

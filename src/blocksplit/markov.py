@@ -26,8 +26,7 @@ equal-weight cloud, the format of every point cloud the package writes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,19 +41,19 @@ from .transport import DiscreteMeasure, point_mass_distance, wasserstein2_weight
 DRAW_BLOCK = 256
 
 
-@dataclass
 class Ensemble:
     """N independent chains advanced in lockstep."""
 
-    states: np.ndarray  # (N, dim)
-    rngs: list[np.random.Generator]
-    k: int = 0
+    __slots__ = ("states", "rngs", "k")
 
-    def __post_init__(self):
-        if self.states.ndim != 2:
-            raise DimensionMismatch(f"states must be (N, dim), got {self.states.shape}")
-        if len(self.rngs) != self.states.shape[0]:
+    def __init__(self, states: np.ndarray, rngs: list[np.random.Generator], k: int = 0):
+        if states.ndim != 2:
+            raise DimensionMismatch(f"states must be (N, dim), got {states.shape}")
+        if len(rngs) != states.shape[0]:
             raise DimensionMismatch("one rng per chain required")
+        self.states = states  # (N, dim)
+        self.rngs = rngs
+        self.k = k
 
     @property
     def num_chains(self) -> int:
@@ -111,12 +110,11 @@ def empirical_residual_psi(ensemble: Ensemble, m: SplittingMap) -> float:
     return float(np.sqrt(np.mean(sq)))
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """A run's trajectory columns (see ``read_trajectory_csv``) and its snapshots."""
 
     trajectory: dict[str, np.ndarray]
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
+    snapshots: dict[int, np.ndarray]
 
 
 def run(

@@ -9,8 +9,7 @@ one constant, ALPHA_BAR = 1/2: a firmly nonexpansive gradient step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .blockspace import BlockLayout
 from .errors import DimensionMismatch, EmptyResolvent, NotPSD
 
 
-@dataclass
 class SmoothCoupling:
     """Blockwise-smooth coupling term f.
 
@@ -40,16 +38,35 @@ class SmoothCoupling:
     coupling is of this kind; it has no gradient.
     """
 
-    layout: BlockLayout
-    gradient: Callable[[np.ndarray], np.ndarray] | None
-    lipschitz: np.ndarray
-    hypomono: np.ndarray
-    convex: bool
-    hessian_block: Callable[[int], np.ndarray] | None = None
-    partial_resolvent: Callable[[np.ndarray, np.ndarray, tuple[int, ...], float],
-                                np.ndarray] | None = None
+    __slots__ = ("layout", "gradient", "lipschitz", "hypomono", "convex", "hessian_block",
+                 "partial_resolvent")
+
+    def __init__(
+        self,
+        layout: BlockLayout,
+        gradient: Callable[[np.ndarray], np.ndarray] | None,
+        lipschitz: np.ndarray,
+        hypomono: np.ndarray,
+        convex: bool,
+        hessian_block: Callable[[int], np.ndarray] | None = None,
+        partial_resolvent: Callable[[np.ndarray, np.ndarray, tuple[int, ...], float],
+                                    np.ndarray] | None = None,
+    ):
+        self.layout = layout
+        self.gradient = gradient
+        self.lipschitz = lipschitz
+        self.hypomono = hypomono
+        self.convex = convex
+        self.hessian_block = hessian_block
+        self.partial_resolvent = partial_resolvent
+        self.__post_init__()
 
     def __post_init__(self):
+        """Broadcast and check the constants.
+
+        A method of its own, which ``__init__`` calls: bench/tracing.py
+        wraps it to count the gradient calls of every coupling built.
+        """
         m = self.layout.num_blocks
         self.lipschitz = np.broadcast_to(np.asarray(self.lipschitz, dtype=float), (m,)).copy()
         self.hypomono = np.broadcast_to(np.asarray(self.hypomono, dtype=float), (m,)).copy()
@@ -65,8 +82,7 @@ class SmoothCoupling:
         return float(np.max(self.lipschitz))
 
 
-@dataclass
-class BlockFunction:
+class BlockFunction(NamedTuple):
     """One separable piece h_j with its proximal oracle.
 
     ``prox(v, lam)`` returns argmin_u h_j(u) + ||u - v||^2 / (2 lam),
@@ -79,18 +95,16 @@ class BlockFunction:
     convex: bool = True
 
 
-@dataclass
 class SeparableTerm:
     """Blockwise separable term h(x) = sum_j h_j(x_j)."""
 
-    layout: BlockLayout
-    blocks: list[BlockFunction]
+    __slots__ = ("layout", "blocks")
 
-    def __post_init__(self):
-        if len(self.blocks) != self.layout.num_blocks:
-            raise DimensionMismatch(
-                f"{len(self.blocks)} block functions for {self.layout.num_blocks} blocks"
-            )
+    def __init__(self, layout: BlockLayout, blocks: list[BlockFunction]):
+        if len(blocks) != layout.num_blocks:
+            raise DimensionMismatch(f"{len(blocks)} block functions for {layout.num_blocks} blocks")
+        self.layout = layout
+        self.blocks = blocks
 
     @property
     def tau_max(self) -> float:
@@ -142,8 +156,7 @@ def resolvent_partial_smooth(coupling: SmoothCoupling, j: int, x: np.ndarray, la
     return np.linalg.solve(M, rhs[..., None])[..., 0] if rhs.ndim > 1 else np.linalg.solve(M, rhs)
 
 
-@dataclass(frozen=True)
-class StepBounds:
+class StepBounds(NamedTuple):
     """Admissible blockwise step intervals (0, upper_j) for a target constant."""
 
     per_block: tuple[float, ...]

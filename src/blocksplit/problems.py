@@ -9,8 +9,6 @@ steps fixes the target (``splitting.require_fixed``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .blockspace import BlockLayout
@@ -36,16 +34,19 @@ from .splitting import SplittingMap, apply_full, require_fixed
 CONTAINS_TOL = 1e-9
 
 
-@dataclass
 class ProblemSpec:
     """A gallery instance: ingredients plus declared ground truth."""
 
-    layout: BlockLayout
-    coupling: SmoothCoupling
-    term: SeparableTerm
-    default_steps: np.ndarray
-    region: Region
-    target_point: np.ndarray | None = None  # (dim,) common fixed point, if known
+    __slots__ = ("layout", "coupling", "term", "default_steps", "region", "target_point")
+
+    def __init__(self, layout: BlockLayout, coupling: SmoothCoupling, term: SeparableTerm,
+                 default_steps: np.ndarray, region: Region, target_point: np.ndarray | None = None):
+        self.layout = layout
+        self.coupling = coupling
+        self.term = term
+        self.default_steps = default_steps
+        self.region = region
+        self.target_point = target_point  # (dim,) common fixed point, if known
 
     def build_map(self, flavor: str, scheme: BlockSubsetScheme, steps=None) -> SplittingMap:
         steps = self.default_steps if steps is None else steps
@@ -94,16 +95,15 @@ def counterexample2d(t: float = 0.25) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConvexSet:
     """Descriptor of a convex set in R^d; its projection is the prox of its indicator."""
 
-    kind: str
-    params: dict
-    function: BlockFunction = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "params", "function")
 
-    def __post_init__(self):
-        object.__setattr__(self, "function", self.block_function())
+    def __init__(self, kind: str, params: dict):
+        self.kind = kind
+        self.params = params
+        self.function = self.block_function()
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.function.prox(np.asarray(v, dtype=float), 1.0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     ConfigError,
@@ -83,8 +83,7 @@ def theta_iterates(factor: float, t0: float, count: int) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of a per-step trajectory check."""
 
     passed: bool
@@ -146,8 +145,7 @@ def _line_fit(x: list[float], y: list[float]) -> tuple[float, float]:
     return slope, ym - slope * xm
 
 
-@dataclass(frozen=True)
-class AsymptoticRegularityResult:
+class AsymptoticRegularityResult(NamedTuple):
     passed: bool
     tail_mean: float
     fitted_exponent: float | None
@@ -175,8 +173,7 @@ def check_asymptotic_regularity(step_distances, tail_tol: float = 1e-3) -> Asymp
     )
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     """Least-squares geometric fit d_k ~ intercept * c_hat^k."""
 
     c_hat: float
@@ -200,15 +197,19 @@ def fit_linear_rate(k, distances) -> RateFit:
     return RateFit(c_hat=math.exp(slope), log_intercept=intercept, num_used=len(points))
 
 
-@dataclass
 class RateReport:
     """Bundle of trajectory checks produced by the rate command."""
 
-    fejer: CheckResult | None = None
-    gauge: CheckResult | None = None
-    asymptotic: AsymptoticRegularityResult | None = None
-    fit: RateFit | None = None
-    details: dict = field(default_factory=dict)
+    __slots__ = _fields = ("fejer", "gauge", "asymptotic", "fit", "details")
+
+    def __init__(self, fejer: CheckResult | None = None, gauge: CheckResult | None = None,
+                 asymptotic: AsymptoticRegularityResult | None = None, fit: RateFit | None = None,
+                 details: dict | None = None):
+        self.fejer = fejer
+        self.gauge = gauge
+        self.asymptotic = asymptotic
+        self.fit = fit
+        self.details = {} if details is None else details
 
 
 def check_column(columns, column: str, where: str) -> None:

@@ -22,8 +22,7 @@ witness, are those of one whole-batch evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,8 +43,7 @@ from .splitting import (
 REFINE_STEPS = 50
 
 
-@dataclass
-class CertificationReport:
+class CertificationReport(NamedTuple):
     """Outcome of one certification sweep."""
 
     property: str
@@ -55,9 +53,9 @@ class CertificationReport:
     margin: float
     tolerance: float
     passed: bool
-    witness_x: np.ndarray | None = None
-    witness_y: np.ndarray | None = None
-    details: dict = field(default_factory=dict)
+    witness_x: np.ndarray | None
+    witness_y: np.ndarray | None
+    details: dict
 
 
 def _coordinate_refine(

@@ -48,7 +48,6 @@ A coupling of neither kind has no Douglas-Rachford map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
@@ -61,7 +60,7 @@ from .blockspace import (
     block_probabilities,
     weighted_sq,
 )
-from .config import BlockSubsetScheme
+from .config import BlockSubsetScheme, Record
 from .errors import DimensionMismatch, EmptyResolvent, InvalidFixedPoints
 from .operators import (
     SeparableTerm,
@@ -147,39 +146,40 @@ def _blocks(v: np.ndarray, local: slice | np.ndarray, dim: int) -> np.ndarray:
     return v[..., local].reshape(v.shape[:-1] + (-1, dim))
 
 
-@dataclass
 class SplittingMap:
-    """Stochastic blockwise splitting operator family {T_i}."""
+    """Stochastic blockwise splitting operator family {T_i}.
 
-    flavor: str
-    coupling: SmoothCoupling
-    term: SeparableTerm
-    steps: np.ndarray
-    scheme: BlockSubsetScheme
-    layout: BlockLayout
-    full_plan: UpdatePlan = field(init=False, repr=False, compare=False)
+    It keeps a ``__dict__``, not ``__slots__``: the cached properties below
+    store their values there.
+    """
 
-    def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
-        m = self.layout.num_blocks
-        self.steps = np.broadcast_to(np.asarray(self.steps, dtype=float), (m,)).copy()
-        if np.any(self.steps <= 0):
-            raise ValueError(f"steps must be positive, got {self.steps}")
-        if self.coupling.layout.block_dims != self.layout.block_dims:
+    def __init__(self, flavor: str, coupling: SmoothCoupling, term: SeparableTerm,
+                 steps: np.ndarray, scheme: BlockSubsetScheme, layout: BlockLayout):
+        if flavor not in FLAVORS:
+            raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
+        m = layout.num_blocks
+        steps = np.broadcast_to(np.asarray(steps, dtype=float), (m,)).copy()
+        if np.any(steps <= 0):
+            raise ValueError(f"steps must be positive, got {steps}")
+        if coupling.layout.block_dims != layout.block_dims:
             raise DimensionMismatch("coupling layout differs from map layout")
-        if self.term.layout.block_dims != self.layout.block_dims:
+        if term.layout.block_dims != layout.block_dims:
             raise DimensionMismatch("term layout differs from map layout")
-        if self.scheme.max_block_index() >= m:
+        if scheme.max_block_index() >= m:
             raise DimensionMismatch("scheme references blocks outside the layout")
-        c = self.coupling
-        if self.flavor == "fb" and c.gradient is None:
+        if flavor == "fb" and coupling.gradient is None:
             raise EmptyResolvent("forward-backward needs a coupling gradient oracle")
-        if self.flavor == "dr" and c.partial_resolvent is None and (
-                c.gradient is None or c.hessian_block is None):
+        if flavor == "dr" and coupling.partial_resolvent is None and (
+                coupling.gradient is None or coupling.hessian_block is None):
             raise EmptyResolvent("Douglas-Rachford needs a coupling with a gradient and "
                                  "hessian_block, or a partial_resolvent override")
-        self.full_plan = self._plan(range(m))
+        self.flavor = flavor
+        self.coupling = coupling
+        self.term = term
+        self.steps = steps
+        self.scheme = scheme
+        self.layout = layout
+        self.full_plan: UpdatePlan = self._plan(range(m))
 
     def _plan(self, blocks: Iterable[int]) -> UpdatePlan:
         closed_form = self.flavor == "dr" and self.coupling.partial_resolvent is None
@@ -302,18 +302,18 @@ def weighted_transport_discrepancy(x, y, Tx, Ty, p: BlockProbabilities) -> float
     return weighted_sq((x - Tx) - (y - Ty), p)
 
 
-@dataclass(frozen=True)
-class RegularityConstants:
+class RegularityConstants(Record):
     """An almost-alpha-firmly-nonexpansive certificate (alpha, violation)."""
 
-    alpha: float
-    violation: float
+    __slots__ = _fields = ("alpha", "violation")
 
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.violation < 0:
-            raise ValueError(f"violation must be nonnegative, got {self.violation}")
+    def __init__(self, alpha: float, violation: float):
+        if not 0 < alpha < 1:
+            raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+        if violation < 0:
+            raise ValueError(f"violation must be nonnegative, got {violation}")
+        self.alpha = alpha
+        self.violation = violation
 
     @property
     def transport_weight(self) -> float:

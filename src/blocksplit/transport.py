@@ -49,7 +49,6 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
 from importlib.machinery import PathFinder
 
 import numpy as np
@@ -84,33 +83,33 @@ from .errors import BlocksplitError, DimensionMismatch, SolverFailure
 ASSIGN_MAX_ATOMS = 2000
 
 
-@dataclass
 class DiscreteMeasure:
     """Finitely supported probability measure on the product space."""
 
-    support: np.ndarray  # (n, dim)
-    weights: np.ndarray  # (n,)
-    layout: BlockLayout
+    __slots__ = ("support", "weights", "layout")
 
-    def __post_init__(self):
-        self.support = np.asarray(self.support, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.support.ndim != 2:
-            raise DimensionMismatch(f"support must be (n, dim), got {self.support.shape}")
-        if self.support.shape[1] != self.layout.total_dim:
+    def __init__(self, support: np.ndarray, weights: np.ndarray, layout: BlockLayout):
+        support = np.asarray(support, dtype=float)  # (n, dim)
+        weights = np.asarray(weights, dtype=float)  # (n,)
+        if support.ndim != 2:
+            raise DimensionMismatch(f"support must be (n, dim), got {support.shape}")
+        if support.shape[1] != layout.total_dim:
             raise DimensionMismatch(
-                f"support dim {self.support.shape[1]} does not match layout {self.layout.total_dim}"
+                f"support dim {support.shape[1]} does not match layout {layout.total_dim}"
             )
-        if self.weights.shape != (self.support.shape[0],):
+        if weights.shape != (support.shape[0],):
             raise DimensionMismatch("one weight per support point required")
-        if not np.isfinite(self.support).all():
+        if not np.isfinite(support).all():
             raise ValueError("support must be finite")
-        if np.any(self.weights < -1e-15):
+        if np.any(weights < -1e-15):
             raise ValueError("weights must be nonnegative")
         # a NaN or infinite weight makes the sum NaN or infinite, which fails here
-        total = float(self.weights.sum())
+        total = float(weights.sum())
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total!r}, expected 1 within 1e-12")
+        self.support = support
+        self.weights = weights
+        self.layout = layout
 
     @property
     def num_points(self) -> int:
@@ -124,7 +123,6 @@ class DiscreteMeasure:
         return cls(states, np.full(n, 1.0 / n), layout)
 
 
-@dataclass
 class CouplingPlan:
     """Transport plan between two discrete measures, stored by its nonzero entries.
 
@@ -133,29 +131,28 @@ class CouplingPlan:
     replicated atoms matches it once per replica pair); its masses add.
     """
 
-    rows: np.ndarray  # (k,) source atom indices
-    cols: np.ndarray  # (k,) target atom indices
-    mass: np.ndarray  # (k,)
-    source: DiscreteMeasure
-    target: DiscreteMeasure
+    __slots__ = ("rows", "cols", "mass", "source", "target")
 
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.intp)
-        self.cols = np.asarray(self.cols, dtype=np.intp)
-        self.mass = np.asarray(self.mass, dtype=float)
-        n, mth = self.source.num_points, self.target.num_points
-        if not self.rows.ndim == 1 or not self.rows.shape == self.cols.shape == self.mass.shape:
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, mass: np.ndarray,
+                 source: DiscreteMeasure, target: DiscreteMeasure):
+        rows = np.asarray(rows, dtype=np.intp)  # (k,) source atom indices
+        cols = np.asarray(cols, dtype=np.intp)  # (k,) target atom indices
+        mass = np.asarray(mass, dtype=float)  # (k,)
+        n, mth = source.num_points, target.num_points
+        if not rows.ndim == 1 or not rows.shape == cols.shape == mass.shape:
             raise DimensionMismatch(
-                f"plan entries have shapes {self.rows.shape}, {self.cols.shape}, {self.mass.shape}")
-        if self.rows.size and not (0 <= self.rows.min() and self.rows.max() < n
-                                   and 0 <= self.cols.min() and self.cols.max() < mth):
+                f"plan entries have shapes {rows.shape}, {cols.shape}, {mass.shape}")
+        if rows.size and not (0 <= rows.min() and rows.max() < n
+                              and 0 <= cols.min() and cols.max() < mth):
             raise DimensionMismatch(f"plan entry outside the ({n}, {mth}) pairs")
-        rows = np.bincount(self.rows, weights=self.mass, minlength=n)
-        if np.max(np.abs(rows - self.source.weights)) > 1e-10:
+        row_sums = np.bincount(rows, weights=mass, minlength=n)
+        if np.max(np.abs(row_sums - source.weights)) > 1e-10:
             raise SolverFailure("plan row sums do not match source weights within 1e-10")
-        cols = np.bincount(self.cols, weights=self.mass, minlength=mth)
-        if np.max(np.abs(cols - self.target.weights)) > 1e-10:
+        col_sums = np.bincount(cols, weights=mass, minlength=mth)
+        if np.max(np.abs(col_sums - target.weights)) > 1e-10:
             raise SolverFailure("plan column sums do not match target weights within 1e-10")
+        self.rows, self.cols, self.mass = rows, cols, mass
+        self.source, self.target = source, target
 
     @property
     def matrix(self) -> np.ndarray:
@@ -325,7 +322,9 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray,
     cols = []  # per round, the flat pair indices of the columns it added
     new = np.concatenate([_smallest_per_line(R0, CANDIDATES), _northwest_corner(a, b)])
     while True:
-        new = np.unique(new)
+        # sorted and each once, as np.unique gives them, which would load numpy.ma
+        new = np.sort(new)
+        new = new[np.diff(new, prepend=-1) != 0]
         inset[new] = True
         cols.append(new)
         _add_pair_columns(h, new, cost[new], n, m)

@@ -835,6 +835,15 @@ BAD_INPUTS = [
     ("certify_num_pairs_too_large", "error: out of memory: Unable to allocate 1.42 PiB",
      _config_case("certify", certify={"property": "aafne_in_expectation", "alpha": 0.5,
                                       "num_pairs": 10**14}), "error: "),
+    # numpy takes no array dimension above sys.maxsize: such a count is a config error
+    ("run_num_chains_above_maxsize", f"config.run.num_chains: must be <= {sys.maxsize}, got 1000",
+     _config_case("run", run=dict(SMALL_RUN, num_chains=10**400))),
+    ("run_iterations_above_maxsize",
+     f"config.run.iterations: must be <= {sys.maxsize}, got {sys.maxsize + 1}",
+     _config_case("run", run=dict(SMALL_RUN, iterations=sys.maxsize + 1))),
+    ("certify_num_pairs_above_maxsize",
+     f"config.certify.num_pairs: must be <= {sys.maxsize}, got 1000",
+     _config_case("certify", certify={"property": "aafne_in_expectation", "num_pairs": 10**400})),
 ]
 
 

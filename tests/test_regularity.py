@@ -2,7 +2,6 @@
 
 import inspect
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -49,7 +48,9 @@ DEFAULT_PAIRS = [
                          ids=[function.__name__ for function, _, _ in DEFAULT_PAIRS])
 def test_certifier_defaults_are_the_config_defaults(function, section, pairs):
     # a library call with defaults checks what the command checks
-    fields_ = {f.name: f.default for f in fields(section)}
+    # a section's fields are those its ``_fields`` names, defaulted by its constructor
+    fields_ = {name: p.default for name, p in inspect.signature(section).parameters.items()
+               if name in section._fields}
     defaults = {name: p.default for name, p in inspect.signature(function).parameters.items()
                 if p.default is not p.empty}
     pairs = pairs or {name: name for name in defaults}
