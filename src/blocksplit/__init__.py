@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
     "blockspace": (
-        "BlockLayout", "BlockProbabilities", "block_probabilities", "chain_rng", "weighted_norm",
-        "weighted_sq",
+        "BlockLayout", "BlockProbabilities", "block_probabilities", "weighted_norm", "weighted_sq",
     ),
     "config": ("BlockSubsetScheme", "ExperimentConfig", "Region", "load_config", "parse_config"),
     "errors": (
@@ -29,7 +28,7 @@ _EXPORTS = {
         "SolverFailure", "UncoveredBlock", "UnsupportedSet",
     ),
     "markov": (
-        "Ensemble", "RunResult", "init_ensemble", "point_sampler", "run", "sbi_step",
+        "Ensemble", "RunResult", "chain_rng", "init_ensemble", "point_sampler", "run", "sbi_step",
         "uniform_box_sampler", "write_snapshot",
     ),
     "operators": (

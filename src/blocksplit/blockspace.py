@@ -198,12 +198,3 @@ def sample_subsets(scheme: BlockSubsetScheme, rngs, steps: int) -> np.ndarray:
         u[:, c] = rng.random(steps)
     return np.searchsorted(np.cumsum(scheme.probs), u, side="right").clip(0, scheme.num_outcomes - 1)
 
-
-def chain_rng(master_seed: int, chain_id: int, stream: int = 0) -> np.random.Generator:
-    """Independent generator for one chain.
-
-    Stream 0 draws the initial state, stream 1 drives the index sequence,
-    so initial conditions are independent of every selection draw.
-    """
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(chain_id), int(stream)))
-    return np.random.default_rng(ss)

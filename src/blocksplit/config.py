@@ -37,6 +37,10 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 
+# Steps of subset draws that ``markov.run`` prefetches per chain at a time.
+# Results do not depend on it; it only bounds the outcome table at (DRAW_BLOCK, N).
+DRAW_BLOCK = 256
+
 CERTIFY_PROPERTIES = (
     "pointwise_aafne",
     "aafne_in_expectation",
@@ -160,6 +164,9 @@ class Region(Record):
             raise ValueError("region bounds must be finite")
         if any(a > b for a, b in zip(lo, hi)):
             raise ValueError("region lower bound exceeds upper bound")
+        for j, (a, b) in enumerate(zip(lo, hi)):  # a sample draws lo + (hi - lo) u
+            if not math.isfinite(b - a):
+                raise ValueError(f"region width hi - lo overflows at coordinate {j}")
         self.lo = lo
         self.hi = hi
 
@@ -338,6 +345,9 @@ class ExperimentConfig(Record):
         """The problem and its splitting map, refusing steps or subsets the problem's blocks do not take.
 
         The problem keeps its target only where this map fixes it (``require_fixed``).
+        A count whose up-front array passes the largest byte size numpy can
+        index is refused as out of memory, as numpy refuses a smaller one
+        that does not fit.
         """
         from .splitting import require_fixed
 
@@ -349,6 +359,11 @@ class ExperimentConfig(Record):
         if top >= num_blocks:
             raise ConfigError(f"config.scheme.subsets: block {top} out of range for a problem of "
                               f"{num_blocks} blocks")
+        for where, shape, itemsize in self._up_front_arrays(problem.layout.total_dim, num_blocks):
+            nbytes = math.prod(shape) * itemsize
+            if nbytes > sys.maxsize:  # numpy refuses it with a ValueError, before any allocation
+                raise MemoryError(f"{where}: an array of shape {shape} and {itemsize}-byte items takes "
+                                  f"{nbytes} bytes, more than the {sys.maxsize} that numpy can index")
         m = problem.build_map(self.flavor, self.scheme, self.steps)
         if problem.target_point is not None:  # keep the target only where this map fixes it
             try:
@@ -356,6 +371,22 @@ class ExperimentConfig(Record):
             except InvalidFixedPoints:
                 problem.target_point = None
         return problem, m
+
+    def _up_front_arrays(self, dim: int, num_blocks: int) -> list[tuple[str, tuple[int, ...], int]]:
+        """The field that sizes each array a command allocates before its work, its shape and item size."""
+        arrays = []
+        if self.run is not None:
+            n, k = self.run.num_chains, self.run.iterations
+            arrays += [
+                ("config.run.num_chains", (n, dim), 8),  # the initial uniforms, then the states
+                ("config.run.num_chains", (n, 8), 4),  # one stream's seed words
+                ("config.run.num_chains", (min(k, DRAW_BLOCK), n), 8),  # the draw table
+                # the trajectory table: k, four diagnostics and the block means
+                ("config.run.iterations", (k + 1, 5 + num_blocks), 8),
+            ]
+        if self.certify is not None:
+            arrays.append(("config.certify.num_pairs", (self.certify.num_pairs, dim), 8))
+        return arrays
 
     def initial_sampler(self, problem: ProblemSpec):
         """The sampler of ``run.init``, refusing coordinates the problem does not have."""

@@ -1,9 +1,13 @@
 """Particle ensembles for the induced Markov chain, diagnostics, and file output.
 
-Each chain owns two generator streams derived from (master_seed, chain_id):
-stream 0 draws the initial state, stream 1 drives the subset draws, so the
-initial ensemble is independent of every selection and the whole run is
-reproducible bitwise from (config, seed).
+Each chain owns two generator streams: chain i's stream s is the PCG64 that
+numpy's ``SeedSequence(entropy=master_seed, spawn_key=(i, s))`` seeds,
+derived for all chains in one pass (:func:`stream_seeds`).  Stream 0 draws
+the initial state, stream 1 drives the subset draws, so the initial
+ensemble is independent of every selection and the whole run is
+reproducible bitwise from (config, seed).  An initial sampler is a batch
+map: it takes the (N, dim) array of each chain's first dim stream-0
+doubles and returns the N initial states as a new (N, dim) array.
 
 Every block of a drawn subset is updated from the same input, so one step
 of the whole ensemble is x+ = where(mask_xi, T1 x, x) over a single
@@ -29,16 +33,14 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-from .blockspace import BlockLayout, chain_rng, sample_subsets
+from .blockspace import BlockLayout, sample_subsets
+from .config import DRAW_BLOCK
 from .errors import DimensionMismatch, Diverged
 from .rates import read_trajectory_csv, trajectory_header, write_trajectory_csv  # noqa: F401
 from .splitting import SplittingMap, apply_full, squared_residuals
 from .transport import DiscreteMeasure, point_mass_distance, wasserstein2_weighted, write_measure
-
-# Steps of subset draws prefetched per chain at a time.  Results do not
-# depend on it; it only bounds the outcome table at (DRAW_BLOCK, N).
-DRAW_BLOCK = 256
 
 
 class Ensemble:
@@ -62,29 +64,34 @@ class Ensemble:
 
 def init_ensemble(
     m: SplittingMap,
-    initial_sampler: Callable[[np.random.Generator], np.ndarray],
+    initial_sampler: Callable[[np.ndarray], np.ndarray],
     num_chains: int,
     master_seed: int,
 ) -> Ensemble:
     """Draw N i.i.d. initial states, one init stream per chain.
 
     Chain i's initial draw uses stream (master_seed, i, 0) and its subset
-    draws use (master_seed, i, 1), so adding chains leaves the existing
-    chains' initial states and draw streams unchanged.  Their trajectories
-    can still move in the last bits: a quadratic coupling's BLAS gradient
+    draws use (master_seed, i, 1), both seeded in one pass over the chains
+    (:func:`stream_seeds`), so adding chains leaves the existing chains'
+    initial states and draw streams unchanged.  Their trajectories can
+    still move in the last bits: a quadratic coupling's BLAS gradient
     rounds a row differently in a batch with another row count.
+
+    Each chain's first ``dim`` stream-0 doubles form one row of an (N, dim)
+    array ``u`` of uniforms on [0, 1), and ``initial_sampler(u)`` returns
+    the (N, dim) states as a new array (the batch sampler protocol of
+    :func:`uniform_box_sampler` and :func:`point_sampler`).
     """
     if num_chains <= 0:
         raise ValueError(f"need at least one chain, got {num_chains}")
-    dim = m.layout.total_dim
-    states = np.empty((num_chains, dim))
-    rngs = []
-    for i in range(num_chains):
-        x0 = np.asarray(initial_sampler(chain_rng(master_seed, i, stream=0)), dtype=float)
-        if x0.shape != (dim,):
-            raise DimensionMismatch(f"initial sampler returned shape {x0.shape}, expected ({dim},)")
-        states[i] = x0
-        rngs.append(chain_rng(master_seed, i, stream=1))
+    u = np.empty((num_chains, m.layout.total_dim))
+    chain_ids = np.arange(num_chains)
+    for row, seed in zip(u, stream_seeds(master_seed, chain_ids, 0)):
+        _generator(seed).random(out=row)
+    rngs = [_generator(seed) for seed in stream_seeds(master_seed, chain_ids, 1)]
+    states = np.asarray(initial_sampler(u), dtype=float)
+    if states.shape != u.shape:
+        raise DimensionMismatch(f"initial sampler returned shape {states.shape}, expected {u.shape}")
     return Ensemble(states=states, rngs=rngs)
 
 
@@ -213,24 +220,157 @@ def write_snapshot(path, states: np.ndarray, layout: BlockLayout) -> None:
     write_measure(path, DiscreteMeasure.empirical(states, layout))
 
 
-def point_sampler(x0) -> Callable[[np.random.Generator], np.ndarray]:
-    """Initial sampler concentrated at one point."""
+def point_sampler(x0) -> Callable[[np.ndarray], np.ndarray]:
+    """Initial sampler concentrated at one point: every row of ``u`` maps to ``x0``."""
     x0 = np.asarray(x0, dtype=float)
 
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return x0.copy()
+    def sample(u: np.ndarray) -> np.ndarray:
+        _check_sampler_dim(x0, u)
+        return np.tile(x0, (u.shape[0], 1))
 
     return sample
 
 
-def uniform_box_sampler(lo, hi) -> Callable[[np.random.Generator], np.ndarray]:
-    """Initial sampler uniform over a box (lo, hi coordinatewise)."""
+def uniform_box_sampler(lo, hi) -> Callable[[np.ndarray], np.ndarray]:
+    """Initial sampler uniform over a box (lo, hi coordinatewise): u maps to lo + (hi - lo) u.
+
+    That is ``Generator.uniform(lo, hi)``'s own arithmetic, so a row equals
+    its draw from the same doubles bit for bit; like it, the sampler
+    refuses a box whose width hi - lo is not finite.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.shape != hi.shape or np.any(lo > hi):
         raise ValueError("box bounds must have equal shape with lo <= hi")
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+    if not np.isfinite(width).all():
+        raise OverflowError("Range exceeds valid bounds")
 
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(lo, hi)
+    def sample(u: np.ndarray) -> np.ndarray:
+        _check_sampler_dim(lo, u)
+        return lo + width * u
 
     return sample
+
+
+def _check_sampler_dim(x: np.ndarray, u: np.ndarray) -> None:
+    if x.shape != u.shape[1:]:
+        raise DimensionMismatch(f"initial sampler has shape {x.shape}, expected ({u.shape[1]},)")
+
+
+# ---------------------------------------------------------------------------
+# Chain streams.  Chain i's stream s is numpy's
+# SeedSequence(entropy=master_seed, spawn_key=(i, s)) driving a PCG64: its
+# hash (numpy/random/bit_generator.pyx) runs here on uint32 words, scalars
+# for the seed and arrays across chains for the key, and each chain's
+# generator is seeded with its row of the result.
+# ---------------------------------------------------------------------------
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the entropy hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the output hash
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+class _SeedWords(ISeedSequence):
+    """Hands a bit generator the seed words computed for it; it does not spawn."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words of a nonnegative integer, least significant first; 0 is one word."""
+    if n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(value: int, multiplier: int):
+    """The (xor, multiplier) pair of each successive hash call."""
+    while True:
+        stepped = value * multiplier & _MASK32
+        yield value, stepped
+        value = stepped
+
+
+# Each operation below takes Python ints below 2**32 or uint32 arrays, so
+# that the arrays wrap modulo 2**32 as the C code does.
+
+
+def _hashmix(word, constants):
+    xor, multiplier = next(constants)
+    word = (word ^ xor) * multiplier & _MASK32
+    return word ^ word >> 16
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _seed_words(master_seed: int, id_words: list[np.ndarray], stream: int) -> np.ndarray:
+    """(N, 4) uint64: ``generate_state(4, np.uint64)`` of each chain's SeedSequence.
+
+    ``id_words`` holds the chain ids' uint32 words, one array per word.
+    """
+    entropy = _words(master_seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))  # a spawn key pads the seed to the pool size
+    entropy += id_words + _words(stream)
+    hashes = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, hashes) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hashes))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, hashes))
+    hashes = _hash_constants(_INIT_B, _MULT_B)
+    state = np.stack([_hashmix(pool[j % _POOL_SIZE], hashes) for j in range(2 * _POOL_SIZE)], axis=1)
+    # little-endian word pairs, as numpy reads them on any platform
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def stream_seeds(master_seed: int, chain_ids, stream: int) -> np.ndarray:
+    """Each chain's PCG64 seed words for one stream, an (N, 4) uint64 array.
+
+    Row c equals ``SeedSequence(entropy=master_seed, spawn_key=(chain_ids[c],
+    stream)).generate_state(4, np.uint64)``, computed for all chains in one
+    pass.  ``chain_ids`` is an integer array of nonnegative ids; an id of
+    2**32 or more takes two key words.
+    """
+    if chain_ids.dtype.kind not in "ui" or (chain_ids < 0).any():
+        raise ValueError("chain ids must be nonnegative integers")
+    ids = chain_ids.astype(np.uint64)
+    seeds = np.empty((ids.size, _POOL_SIZE), dtype=np.uint64)
+    wide = ids > _MASK32
+    for rows, parts in ((~wide, (ids,)), (wide, (ids, ids >> 32))):
+        if rows.any():
+            seeds[rows] = _seed_words(master_seed, [(part[rows] & _MASK32).astype(np.uint32)
+                                                    for part in parts], stream)
+    return seeds
+
+
+def chain_rng(master_seed: int, chain_id: int, stream: int = 0) -> np.random.Generator:
+    """Chain ``chain_id``'s generator for one stream: the one-chain case of :func:`stream_seeds`.
+
+    Stream 0 draws the initial state, stream 1 drives the index sequence,
+    so initial conditions are independent of every selection draw.
+    """
+    if not 0 <= chain_id < 2**64:
+        raise ValueError(f"chain id must lie in [0, 2**64), got {chain_id}")
+    return _generator(stream_seeds(master_seed, np.array([chain_id], dtype=np.uint64), stream)[0])

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blocksplit import chain_rng
 from blocksplit.blockspace import (
     BlockLayout,
     BlockProbabilities,
     block_probabilities,
-    chain_rng,
     sample_subset,
     sample_subsets,
     weighted_norm,

@@ -844,6 +844,27 @@ BAD_INPUTS = [
     ("certify_num_pairs_above_maxsize",
      f"config.certify.num_pairs: must be <= {sys.maxsize}, got 1000",
      _config_case("certify", certify={"property": "aafne_in_expectation", "num_pairs": 10**400})),
+    # a count numpy takes whose array passes the largest byte size numpy can
+    # index: numpy would refuse it with a ValueError, so build() refuses it first
+    ("run_num_chains_past_indexable_bytes",
+     "config.run.num_chains: an array of shape (4611686018427387904, 2) and 8-byte items takes "
+     f"73786976294838206464 bytes, more than the {sys.maxsize} that numpy can index",
+     _config_case("run", run=dict(SMALL_RUN, num_chains=2**62)), "error: out of memory: "),
+    ("run_iterations_past_indexable_bytes",
+     "config.run.iterations: an array of shape (4611686018427387905, 7) and 8-byte items",
+     _config_case("run", run=dict(SMALL_RUN, iterations=2**62)), "error: out of memory: "),
+    ("certify_num_pairs_past_indexable_bytes",
+     "config.certify.num_pairs: an array of shape (4611686018427387904, 2) and 8-byte items",
+     _config_case("certify", certify={"property": "aafne_in_expectation", "num_pairs": 2**62}),
+     "error: out of memory: "),
+    # finite bounds whose width hi - lo overflows, which no sample can scale
+    ("init_box_width_overflows", "config.run.init: region width hi - lo overflows at coordinate 0",
+     _config_case("run", run=dict(SMALL_RUN, init={"kind": "uniform_box", "lo": [-1e308, -1e308],
+                                                   "hi": [1e308, 1e308]}))),
+    ("certify_region_width_overflows",
+     "config.certify.region: region width hi - lo overflows at coordinate 1",
+     _config_case("certify", certify={"property": "aafne_in_expectation",
+                                      "region": {"lo": [-1.0, -1e308], "hi": [1.0, 1e308]}})),
 ]
 
 

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from blocksplit import markov
+from blocksplit import chain_rng, markov
 from blocksplit.blockspace import BlockLayout, block_probabilities
 from blocksplit.config import BlockSubsetScheme
-from blocksplit.errors import Diverged
+from blocksplit.errors import DimensionMismatch, Diverged
 from blocksplit.markov import (
     empirical_residual_psi,
     init_ensemble,
@@ -20,6 +20,7 @@ from blocksplit.markov import (
     read_trajectory_csv,
     run,
     sbi_step,
+    stream_seeds,
     trajectory_header,
     uniform_box_sampler,
     write_snapshot,
@@ -62,10 +63,58 @@ def test_init_ensemble_chains_independent():
     assert len({tuple(row) for row in np.round(e.states, 12)}) == 8
 
 
+def _numpy_rng(seed, chain_id, stream):
+    """Chain ``chain_id``'s generator by numpy's own per-chain route, the reference of the streams."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chain_id, stream)))
+
+
+# a box with a degenerate coordinate and bounds of either sign
+BOX_LO = [-3.0, -1.0, 0.0, 2.0, -0.5, 10.0]
+BOX_HI = [3.0, 1.0, 0.0, 5.0, 0.25, 10.5]
+BOX_POINT = [0.5, -2.0, 0.0, 1e-300, 7.0, -0.0]
+
+
+@pytest.mark.parametrize("seed", [0, 1003, 2**32 + 5, 2**130 + 7])
+@pytest.mark.parametrize("num_chains", [1, 7, 700])
+def test_init_ensemble_matches_numpys_per_chain_streams_bitwise(seed, num_chains):
+    # chain i's state is .uniform(lo, hi) on SeedSequence(seed, (i, 0)), and its
+    # subset draws run on SeedSequence(seed, (i, 1)), both as numpy builds them
+    m = _mixed_dim_map()
+    box = init_ensemble(m, uniform_box_sampler(BOX_LO, BOX_HI), num_chains, master_seed=seed)
+    point = init_ensemble(m, point_sampler(BOX_POINT), num_chains, master_seed=seed)
+    want = np.array([_numpy_rng(seed, i, 0).uniform(BOX_LO, BOX_HI) for i in range(num_chains)])
+    assert box.states.tobytes() == want.tobytes()
+    assert point.states.tobytes() == np.array([BOX_POINT] * num_chains).tobytes()
+    for i in range(num_chains):
+        want_state = _numpy_rng(seed, i, 1).bit_generator.state
+        assert box.rngs[i].bit_generator.state == want_state
+        assert point.rngs[i].bit_generator.state == want_state
+
+
+def test_stream_seeds_match_numpy_at_wide_chain_ids():
+    # an id of 2**32 or more takes two key words; no ensemble is built
+    ids = [2**32 - 1, 2**32, 2**40, 0, 2**64 - 1]
+    for seed in (0, 1003, 2**130 + 7):
+        for stream in (0, 1, 2**33):
+            want = [np.random.SeedSequence(entropy=seed, spawn_key=(i, stream)).generate_state(4, np.uint64)
+                    for i in ids]
+            got = stream_seeds(seed, np.array(ids, dtype=np.uint64), stream)
+            assert got.dtype == np.uint64
+            np.testing.assert_array_equal(got, want)
+    for chain_id in ids:
+        assert chain_rng(7, chain_id, 1).bit_generator.state == _numpy_rng(7, chain_id, 1).bit_generator.state
+    for bad in (np.array([-1]), np.array([0.5])):
+        with pytest.raises(ValueError):
+            stream_seeds(7, bad, 0)
+    for bad in ((7, -1), (7, 2**64), (-1, 0)):
+        with pytest.raises(ValueError):
+            chain_rng(*bad)
+
+
 def test_sbi_step_matches_manual_replay():
     # replay each chain with its own index stream: grouping by outcome in
     # sbi_step must not change what any single chain sees
-    from blocksplit.blockspace import chain_rng, sample_subset, sample_subsets
+    from blocksplit.blockspace import sample_subset, sample_subsets
 
     m = _map()
     e = init_ensemble(m, point_sampler(np.array([1.0, 2.0])), 12, master_seed=9)
@@ -447,10 +496,16 @@ def test_readers_parse_bit_for_bit_like_float(tmp_path_factory, n, d, data):
 
 
 def test_samplers():
-    rng = np.random.default_rng(0)
-    p = point_sampler(np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(p(rng), [1.0, 2.0])
-    u = uniform_box_sampler([0.0, 10.0], [1.0, 11.0])
-    draw = u(rng)
-    assert 0.0 <= draw[0] <= 1.0
-    assert 10.0 <= draw[1] <= 11.0
+    # a sampler maps the (N, dim) uniforms of init_ensemble to N states
+    u = np.random.default_rng(0).random((5, 2))
+    np.testing.assert_array_equal(point_sampler(np.array([1.0, 2.0]))(u), [[1.0, 2.0]] * 5)
+    draw = uniform_box_sampler([0.0, 10.0], [1.0, 11.0])(u)
+    assert draw.shape == (5, 2)
+    assert ((0.0 <= draw[:, 0]) & (draw[:, 0] <= 1.0)).all()
+    assert ((10.0 <= draw[:, 1]) & (draw[:, 1] <= 11.0)).all()
+    for sampler in (point_sampler([1.0, 2.0, 3.0]), uniform_box_sampler([0.0], [1.0])):
+        with pytest.raises(DimensionMismatch):
+            sampler(u)
+    # like Generator.uniform, a box whose width overflows is refused
+    with pytest.raises(OverflowError):
+        uniform_box_sampler([-1e308, 0.0], [1e308, 1.0])
