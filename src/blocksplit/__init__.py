@@ -24,8 +24,8 @@ _EXPORTS = {
     "config": ("BlockSubsetScheme", "ExperimentConfig", "Region", "load_config", "parse_config"),
     "errors": (
         "BlocksplitError", "ConfigError", "DegenerateSequence", "DimensionMismatch", "Diverged",
-        "EmptyResolvent", "InadmissibleGauge", "InvalidFixedPoints", "NotPSD", "OutOfDomain",
-        "SolverFailure", "UncoveredBlock", "UnsupportedSet",
+        "EmptyResolvent", "InadmissibleGauge", "InvalidFixedPoints", "NotPSD", "SolverFailure",
+        "UncoveredBlock", "UnsupportedSet",
     ),
     "markov": (
         "Ensemble", "RunResult", "chain_rng", "init_ensemble", "point_sampler", "run", "sbi_step",
@@ -44,8 +44,8 @@ _EXPORTS = {
     ),
     "rates": (
         "RateReport", "check_asymptotic_regularity", "check_fejer",
-        "check_gauge_monotone", "fit_linear_rate", "invert_id_minus_theta",
-        "read_trajectory_csv", "theta_iterates", "theta_linear", "write_trajectory_csv",
+        "check_gauge_monotone", "fit_linear_rate", "read_trajectory_csv", "theta_linear",
+        "write_trajectory_csv",
     ),
     "regularity": (
         "CertificationReport", "certify_aafne_in_expectation",

@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_cert = sub.add_parser("certify", help="certify a regularity property")
     for sp in (sp_run, sp_cert):
         common(sp)
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed (uint64)")
+        sp.add_argument("--seed", type=int, default=None, help="override the config seed (an integer >= 0)")
     sp_rate = sub.add_parser("rate", help="check a distance trajectory against gauges")
     common(sp_rate, config_required=False)
     sp_rate.add_argument("--trajectory", required=True, help="trajectory CSV from a run")

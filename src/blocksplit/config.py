@@ -433,10 +433,6 @@ class ExperimentConfig(Record):
                 doc[name] = getattr(self, name)
         return doc
 
-    def resolved(self) -> dict:
-        """Plain-JSON view of the config with defaults applied."""
-        return json_ready(self.document())
-
 
 def _counterexample2d(params: dict) -> tuple[str, Callable]:
     _object(params, "problem.params", ("t",))

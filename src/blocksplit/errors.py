@@ -52,10 +52,6 @@ class InadmissibleGauge(BlocksplitError):
     """Gauge parameters do not produce a contraction factor in (0, 1)."""
 
 
-class OutOfDomain(BlocksplitError):
-    """Argument lies outside the domain of the requested inverse."""
-
-
 class DegenerateSequence(BlocksplitError):
     """Too few usable entries to fit a rate."""
 

@@ -20,13 +20,7 @@ import csv
 import math
 from typing import NamedTuple
 
-from .errors import (
-    ConfigError,
-    DegenerateSequence,
-    DimensionMismatch,
-    InadmissibleGauge,
-    OutOfDomain,
-)
+from .errors import ConfigError, DegenerateSequence, DimensionMismatch, InadmissibleGauge
 
 
 def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> float:
@@ -44,7 +38,12 @@ def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> float:
         raise InadmissibleGauge(
             f"need kappa > 0, tau > 0, epsilon >= 0; got {kappa}, {tau}, {epsilon}"
         )
-    inner = (1.0 + epsilon) - tau / kappa**2
+    try:
+        ratio = tau / kappa**2
+    except (OverflowError, ZeroDivisionError):
+        # kappa^2 leaves the float64 range; two divisions give tau / kappa^2 or inf
+        ratio = tau / kappa / kappa
+    inner = (1.0 + epsilon) - ratio
     lo = math.sqrt(tau / (1.0 + epsilon))
     hi = math.inf if epsilon == 0 else math.sqrt(tau / epsilon)
     if inner >= 1 and kappa < hi:
@@ -54,7 +53,7 @@ def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> float:
         top = math.sqrt(tau / (((1.0 + epsilon) - 1.0) + 2.0**-54))
         raise InadmissibleGauge(
             f"kappa={kappa} gives factor^2 = {1.0 + epsilon:.17g} - "
-            f"{tau / kappa**2:.6g}, which rounds to {inner:.17g} in float64; "
+            f"{ratio:.6g}, which rounds to {inner:.17g} in float64; "
             f"the factor stays below 1 only for kappa below about {top:.6g}"
         )
     if inner <= 0 or inner >= 1:
@@ -62,25 +61,6 @@ def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> float:
             f"kappa={kappa} gives factor^2={inner:.6g}; admissible kappa range is ({lo:.6g}, {hi:.6g})"
         )
     return math.sqrt(inner)
-
-
-def invert_id_minus_theta(factor: float, s: float) -> float:
-    """Solve t - theta(t) = s for t: t = s / (1 - factor).
-
-    Raises OutOfDomain when s is negative.
-    """
-    if s < 0:
-        raise OutOfDomain(f"s must be nonnegative, got {s}")
-    return float(s / (1.0 - factor))
-
-
-def theta_iterates(factor: float, t0: float, count: int) -> list[float]:
-    """[t0, theta(t0), theta^2(t0), ...] with ``count`` entries."""
-    out, t = [], float(t0)
-    for _ in range(count):
-        out.append(t)
-        t = factor * t
-    return out
 
 
 class CheckResult(NamedTuple):
@@ -250,8 +230,9 @@ def check_trajectory(
     rows' ``k``.  ``dw_step``, when it has four entries or more, gets
     asymptotic regularity with ``tail_tol``.  A missing column, fewer than
     two distances, or a non-finite or negative one raise ConfigError under
-    ``where``; a missing ``k`` column, a non-finite ``k`` beside a distance
-    and a non-finite or negative ``dw_step`` raise it under ``source``.
+    ``where``; a missing ``k`` column, a non-finite ``k`` beside a distance,
+    a ``k`` that does not increase strictly over those rows and a
+    non-finite or negative ``dw_step`` raise it under ``source``.
     """
     check_column(cols, column, where)
     check_column(cols, "k", source)
@@ -262,6 +243,11 @@ def check_trajectory(
     _check_distances(d, column, where)
     if not all(map(math.isfinite, k)):
         raise ConfigError(f"{source}: column 'k' is not finite on a row with a {column!r} entry")
+    backward = [(k0, k1) for k0, k1 in zip(k, k[1:]) if not k1 > k0]
+    if backward:
+        k0, k1 = backward[0]
+        raise ConfigError(f"{source}: column 'k' goes from {k0:g} to {k1:g} on rows "
+                          f"with a {column!r} entry; it must increase strictly")
     dw = cols.get("dw_step")
     if dw is not None:
         dw = [v for v in dw if not math.isnan(v)]

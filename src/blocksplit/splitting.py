@@ -315,11 +315,6 @@ class RegularityConstants(Record):
         self.alpha = alpha
         self.violation = violation
 
-    @property
-    def transport_weight(self) -> float:
-        """Coefficient (1 - alpha)/alpha multiplying the discrepancy term."""
-        return (1.0 - self.alpha) / self.alpha
-
 
 def composite_constants(m: SplittingMap) -> RegularityConstants:
     """Worst-case constants of the full-block map from the ingredient constants.

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blocksplit.cli import _write_report, main
-from blocksplit.config import build_problem, load_config, parse_config
+from blocksplit.config import build_problem, json_ready, load_config, parse_config
 from blocksplit.errors import ConfigError
 
 
@@ -124,7 +124,7 @@ def test_build_problem_dispatch():
 
 def test_resolved_config_is_json_ready():
     cfg = parse_config(base_config(run={"num_chains": 4, "iterations": 2}))
-    json.dumps(cfg.resolved())
+    json.dumps(json_ready(cfg.document()))
 
 
 def test_load_config_errors(tmp_path):
@@ -167,13 +167,16 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert "run complete" in capsys.readouterr().out
 
 
-def test_cli_run_seed_override_changes_draws(tmp_path):
+@pytest.mark.parametrize("seed", [8, 2**65])
+def test_cli_run_seed_override_changes_draws(tmp_path, seed):
+    # any nonnegative integer is a seed, on the command line as in the config
     path = write_config(tmp_path, run_config(tmp_path, "a"))
     main(["run", "--config", path, "--out", str(tmp_path / "a")])
-    main(["run", "--config", path, "--out", str(tmp_path / "b"), "--seed", "8"])
-    a = (tmp_path / "a" / "trajectory.csv").read_bytes()
-    b = (tmp_path / "b" / "trajectory.csv").read_bytes()
-    assert a != b
+    main(["run", "--config", path, "--out", str(tmp_path / "b"), "--seed", str(seed)])
+    doc = dict(run_config(tmp_path, "c"), seed=seed)
+    main(["run", "--config", write_config(tmp_path, doc)])
+    a, b, c = ((tmp_path / name / "trajectory.csv").read_bytes() for name in "abc")
+    assert a != b and b == c
 
 
 def test_cli_run_identical_bytes_same_seed(tmp_path):
@@ -678,6 +681,13 @@ BAD_INPUTS = [
     ("trajectory_empty_k", "emptyk.csv: column 'k' is not finite on a row with a 'd_target' entry",
      _file_case("emptyk.csv", GOOD_TRAJECTORY.replace("\n1,", "\n,"),
                 lambda bad, good: ["rate", "--trajectory", bad, "--out", bad + ".out"])),
+    # a gauge bounds d over each step of k, which must go forward
+    ("trajectory_k_not_increasing",
+     "back.csv: column 'k' goes from 50000 to 0 on rows with a 'd_target' entry",
+     _file_case("back.csv", "k,mean_residual,psi_upper,dw_step,d_target\n"
+                            "50000,1,1,,1\n0,0.5,0.5,,0.5\n1,0.4,0.4,,0.4\n",
+                lambda bad, good: ["rate", "--kappa", "5", "--tau", "1", "--trajectory", bad,
+                                   "--out", bad + ".out"])),
     # a step distance is refused like a checked distance, under the file that holds it
     ("trajectory_negative_dw_step", "dw.csv: column 'dw_step' holds a negative distance -1.0",
      _file_case("dw.csv", _dw_trajectory("-1"),
@@ -726,6 +736,22 @@ BAD_INPUTS = [
                                     "--epsilon", "nan", "--out", traj + ".out"])),
     ("gauge_kappa_nan", "config.rate.gauge.kappa: must be finite, got nan",
      _config_case("run", rate={"gauge": {"kind": "linear", "kappa": NAN, "tau": 1.0}},
+                  run=SMALL_RUN)),
+    # a kappa whose square leaves the float64 range: factor^2 rounds to 1, or is -inf
+    ("rate_kappa_square_overflows", "--kappa: kappa=1e+200 gives factor^2 = 1 - 0, which rounds to 1",
+     _file_case("traj.csv", GOOD_TRAJECTORY,
+                lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "1e200", "--tau", "1",
+                                    "--out", traj + ".out"])),
+    ("rate_kappa_square_underflows", "--kappa: kappa=1e-200 gives factor^2=-inf",
+     _file_case("traj.csv", GOOD_TRAJECTORY,
+                lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "1e-200", "--tau", "1",
+                                    "--out", traj + ".out"])),
+    ("gauge_kappa_square_overflows",
+     "config.rate.gauge: kappa=1e+200 gives factor^2 = 1 - 0, which rounds to 1",
+     _config_case("run", rate={"gauge": {"kind": "linear", "kappa": 1e200, "tau": 1.0}},
+                  run=SMALL_RUN)),
+    ("gauge_kappa_square_underflows", "config.rate.gauge: kappa=1e-200 gives factor^2=-inf",
+     _config_case("run", rate={"gauge": {"kind": "linear", "kappa": 1e-200, "tau": 1.0}},
                   run=SMALL_RUN)),
     # a misspelt field is refused, never replaced by its default
     ("unknown_certify_field", "config.certify.violaton: unknown field",

@@ -78,8 +78,13 @@ FULL_CONFIG = {
 }
 
 
+def _resolved(doc):
+    """The config as every report embeds it, defaults applied."""
+    return json_ready(parse_config(doc).document())
+
+
 def test_resolved_config_names_every_field_and_parses_back():
-    resolved = parse_config(FULL_CONFIG).resolved()
+    resolved = _resolved(FULL_CONFIG)
     assert list(resolved) == ["schema_version", "problem", "flavor", "scheme", "steps", "seed",
                               "output_dir", "run", "certify", "rate"]
     assert resolved["scheme"] == {"subsets": [[0, 1], [1]], "probs": [0.5, 0.5]}
@@ -89,9 +94,9 @@ def test_resolved_config_names_every_field_and_parses_back():
         "tolerance": 1e-10, "adversarial": True, "residual_threshold": 1e-8,
     }
     # every default is written out, under the name the parser reads it by
-    assert parse_config(json.loads(json.dumps(resolved))).resolved() == resolved
-    minimal = parse_config({k: v for k, v in FULL_CONFIG.items() if k != "rate"}).resolved()
-    assert "rate" not in minimal and parse_config(minimal).resolved() == minimal
+    assert _resolved(json.loads(json.dumps(resolved))) == resolved
+    minimal = _resolved({k: v for k, v in FULL_CONFIG.items() if k != "rate"})
+    assert "rate" not in minimal and _resolved(minimal) == minimal
 
 
 def test_sections_with_only_required_fields_parse_to_the_section_defaults():
@@ -142,7 +147,7 @@ def test_problem_params_are_checked_once_per_command(monkeypatch):
     cfg.build()
     assert len(calls) == 1
     # the constructor is no config field: the report writes the params as given
-    assert "builder" not in json.dumps(cfg.resolved())
+    assert "builder" not in json.dumps(json_ready(cfg.document()))
 
 
 def test_every_report_is_one_conversion_of_its_unconverted_document(tmp_path, monkeypatch):
@@ -161,7 +166,7 @@ def test_every_report_is_one_conversion_of_its_unconverted_document(tmp_path, mo
     cli.main(["certify", "--config", str(path)])
     cli.main(["rate", "--config", str(path), "--trajectory", str(tmp_path / "out" / "trajectory.csv")])
     assert [p.name for p, _ in written] == ["summary.json", "certify_report.json", "rate_report.json"]
-    resolved = parse_config(doc).resolved()
+    resolved = _resolved(doc)
     for report, unconverted in written:
         text = report.read_text()
         assert text == json.dumps(json_ready(unconverted), indent=2, allow_nan=False)

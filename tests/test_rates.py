@@ -3,19 +3,13 @@
 import numpy as np
 import pytest
 
-from blocksplit.errors import (
-    DegenerateSequence,
-    InadmissibleGauge,
-    OutOfDomain,
-)
+from blocksplit.errors import DegenerateSequence, InadmissibleGauge
 from blocksplit.rates import (
     check_asymptotic_regularity,
     check_fejer,
     check_gauge_monotone,
     check_trajectory,
     fit_linear_rate,
-    invert_id_minus_theta,
-    theta_iterates,
     theta_linear,
 )
 
@@ -61,21 +55,6 @@ def test_theta_linear_refuses_a_factor_that_rounds_to_one():
         theta_linear(kappa=2.0**28, tau=4.0)
 
 
-def test_invert_id_minus_theta_linear():
-    g = theta_linear(2.0, 2.0, 0.0)
-    t = 1.3
-    s = t - g * t
-    assert invert_id_minus_theta(g, s) == pytest.approx(t, abs=1e-12)
-    with pytest.raises(OutOfDomain):
-        invert_id_minus_theta(g, -0.1)
-
-
-def test_theta_iterates_geometric():
-    g = theta_linear(2.0, 2.0, 0.0)
-    seq = theta_iterates(g, 1.0, 5)
-    np.testing.assert_allclose(seq, g ** np.arange(5), atol=1e-15)
-
-
 def test_check_fejer():
     good = np.array([1.0, 0.8, 0.8, 0.5, 0.2])
     assert check_fejer(good).passed
@@ -91,7 +70,9 @@ def test_check_fejer():
 def test_check_gauge_monotone_exact_geometric():
     g = theta_linear(2.0, 2.0, 0.0)
     # build by iterated multiplication so floats match the gauge exactly
-    d = theta_iterates(g, 1.0, 40)
+    d = [1.0]
+    for _ in range(39):
+        d.append(g * d[-1])
     assert check_gauge_monotone(range(40), d, g).passed
 
 

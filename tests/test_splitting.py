@@ -627,7 +627,6 @@ def test_regularity_constants_validation():
         RegularityConstants(1.0, 0.0)
     with pytest.raises(ValueError):
         RegularityConstants(0.5, -0.1)
-    assert RegularityConstants(0.25, 0.0).transport_weight == pytest.approx(3.0)
 
 
 def test_composite_constants_dr_convex():
