@@ -23,9 +23,9 @@ _EXPORTS = {
     ),
     "config": ("BlockSubsetScheme", "ExperimentConfig", "Region", "load_config", "parse_config"),
     "errors": (
-        "BlocksplitError", "ConfigError", "DegenerateSequence", "DimensionMismatch", "Diverged",
-        "EmptyResolvent", "InadmissibleGauge", "InvalidFixedPoints", "NotPSD", "SolverFailure",
-        "UncoveredBlock", "UnsupportedSet",
+        "BlocksplitError", "ConfigError", "CostOverflow", "DegenerateSequence", "DimensionMismatch",
+        "Diverged", "EmptyResolvent", "InadmissibleGauge", "InvalidFixedPoints", "NotPSD",
+        "SolverFailure", "UncoveredBlock", "UnsupportedSet",
     ),
     "markov": (
         "Ensemble", "RunResult", "chain_rng", "init_ensemble", "point_sampler", "run", "sbi_step",
@@ -55,7 +55,6 @@ _EXPORTS = {
     "splitting": (
         "RegularityConstants", "SplittingMap", "apply_T", "apply_full", "composite_constants",
         "expectation_constants", "expected_weighted_terms", "transport_discrepancy",
-        "weighted_transport_discrepancy",
     ),
     "transport": (
         "CouplingPlan", "DiscreteMeasure", "distance_to_point_mass", "read_measure",

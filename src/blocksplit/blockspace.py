@@ -98,15 +98,6 @@ class BlockLayout:
             out[blocks] = rows.sum(axis=1) / (n * d)
         return out
 
-    def coordinate_weights(self, per_block: np.ndarray) -> np.ndarray:
-        """Expand one scalar per block to one scalar per coordinate."""
-        per_block = np.asarray(per_block, dtype=float)
-        if per_block.shape != (self.num_blocks,):
-            raise DimensionMismatch(
-                f"expected {self.num_blocks} per-block values, got shape {per_block.shape}"
-            )
-        return np.repeat(per_block, self.block_dims)
-
 
 class BlockProbabilities:
     """Per-block selection probabilities p_j of a scheme, with the layout.
@@ -138,7 +129,7 @@ class BlockProbabilities:
 
     def coordinate_inverse(self) -> np.ndarray:
         """1/p_j expanded to coordinates, for weighted inner products."""
-        return self.layout.coordinate_weights(1.0 / self.probs)
+        return np.repeat(1.0 / self.probs, self.layout.block_dims)
 
 
 def block_probabilities(scheme: BlockSubsetScheme, layout: BlockLayout) -> BlockProbabilities:

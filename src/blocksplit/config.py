@@ -85,7 +85,7 @@ def json_ready(value):
 
 
 class Record:
-    """Value equality, hashing and a repr by the fields that ``_fields`` names.
+    """Value equality and a repr by the fields that ``_fields`` names; records do not hash.
 
     A record that checks or normalizes its fields, or changes after
     construction, is a plain class with ``__slots__``, not a ``NamedTuple``.
@@ -105,9 +105,6 @@ class Record:
         if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
@@ -501,11 +498,12 @@ PROBLEM_BUILDERS = {
 }
 
 
-def _problem_builder(problem_id: str) -> Callable:
-    builder = PROBLEM_BUILDERS.get(problem_id)
-    if builder is None:
-        raise ConfigError(f"problem.id: unknown problem {problem_id!r}")
-    return builder
+def _problem_builder(problem_id) -> Callable:
+    """The builder of ``problem_id``, which must name one of PROBLEM_BUILDERS (a list or dict names none)."""
+    if not isinstance(problem_id, str) or problem_id not in PROBLEM_BUILDERS:
+        raise ConfigError(f"config.problem.id: unknown problem {problem_id!r}; "
+                          f"available: {sorted(PROBLEM_BUILDERS)}")
+    return PROBLEM_BUILDERS[problem_id]
 
 
 def build_problem(problem_id: str, params: dict,
@@ -561,11 +559,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
     prob = _object(_require(doc, "problem", "config"), "config.problem", ("id", "params"))
     problem_id = _require(prob, "id", "config.problem")
-    if problem_id not in PROBLEM_BUILDERS:
-        raise ConfigError(
-            f"config.problem.id: unknown problem {problem_id!r}; "
-            f"available: {sorted(PROBLEM_BUILDERS)}"
-        )
+    _problem_builder(problem_id)
     params = prob.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config.problem.params: expected an object")

@@ -40,6 +40,10 @@ class UnsupportedSet(BlocksplitError):
     """Set descriptor or descriptor pair outside the supported gallery."""
 
 
+class CostOverflow(BlocksplitError):
+    """Squared weighted distances between two finite supports overflow float64."""
+
+
 class SolverFailure(BlocksplitError):
     """An exact transport solve returned a non-optimal status."""
 

@@ -37,7 +37,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .blockspace import BlockLayout, sample_subsets
 from .config import DRAW_BLOCK
-from .errors import DimensionMismatch, Diverged
+from .errors import CostOverflow, DimensionMismatch, Diverged
 from .rates import read_trajectory_csv, trajectory_header, write_trajectory_csv  # noqa: F401
 from .splitting import SplittingMap, apply_full, squared_residuals
 from .transport import DiscreteMeasure, point_mass_distance, wasserstein2_weighted, write_measure
@@ -148,11 +148,12 @@ def run(
     draws come from :func:`sample_subsets` in blocks of DRAW_BLOCK steps,
     never past K, so every chain's stream ends where K single draws leave
     it and the result does not depend on the block size.  A non-finite
-    state raises Diverged with k and the first such chain.  States that
-    stay finite can still overflow a diagnostic: the first non-finite
-    residual or distance is noted as it is recorded and raised as Diverged,
-    naming its column and k, after the last step.  The floating-point
-    warnings on the way are silenced, as the error reports them.
+    state raises Diverged with k and the first such chain, before a
+    transport solve reads it.  States that stay finite can still overflow
+    a diagnostic (a ``dw_step`` whose cost overflows is inf): the first
+    non-finite residual or distance is noted as it is recorded and raised
+    as Diverged, naming its column and k, after the last step.  The
+    floating-point warnings on the way are silenced, as the error reports them.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
@@ -167,12 +168,15 @@ def run(
         target = layout.check(target)
         weights, coordinate_inverse = np.full(n, 1.0 / n), m.probabilities.coordinate_inverse()
 
+    def require_finite() -> None:
+        states = ensemble.states
+        if not np.isfinite(states).all():
+            chain = int(np.argmin(np.isfinite(states).all(axis=-1)))
+            raise Diverged(ensemble.k, f"chain {chain} has a non-finite state", chain)
+
     def record(i: int, dw: float | None = None) -> np.ndarray:
         nonlocal diverged
         states, k = ensemble.states, ensemble.k
-        if not np.isfinite(states).all():
-            chain = int(np.argmin(np.isfinite(states).all(axis=-1)))
-            raise Diverged(k, f"chain {chain} has a non-finite state", chain)
         full = apply_full(m, states)
         sq = squared_residuals(states, full)
         d = None if target is None else point_mass_distance(states, weights, target,
@@ -192,6 +196,7 @@ def run(
         return full
 
     with np.errstate(over="ignore", invalid="ignore"):
+        require_finite()
         full = record(0)
         for step in range(iterations):
             if step % DRAW_BLOCK == 0:
@@ -199,9 +204,15 @@ def run(
             want_dw = dw_step_every > 0 and (step + 1) % dw_step_every == 0
             prev = ensemble.states.copy() if want_dw else None
             sbi_step(ensemble, m, draws[step % DRAW_BLOCK], full)
-            dw = wasserstein2_weighted(DiscreteMeasure.empirical(prev, layout),
-                                       DiscreteMeasure.empirical(ensemble.states, layout),
-                                       m.probabilities)[0] if want_dw else None
+            require_finite()  # before the transport solve reads the states
+            dw = None
+            if want_dw:
+                try:
+                    dw = wasserstein2_weighted(DiscreteMeasure.empirical(prev, layout),
+                                               DiscreteMeasure.empirical(ensemble.states, layout),
+                                               m.probabilities)[0]
+                except CostOverflow:  # finite clouds too far apart: noted as the others are
+                    dw = math.inf
             full = record(step + 1, dw)
     if diverged is not None:
         raise diverged

@@ -109,8 +109,10 @@ class ConvexSet:
         return self.function.prox(np.asarray(v, dtype=float), 1.0)
 
     def contains(self, v: np.ndarray) -> bool:
+        """Whether the projection moves v by at most CONTAINS_TOL; a move that overflows is farther."""
         v = np.asarray(v, dtype=float)
-        return bool(np.linalg.norm(v - self.project(v)) <= CONTAINS_TOL)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return bool(np.linalg.norm(v - self.project(v)) <= CONTAINS_TOL)
 
     def block_function(self) -> BlockFunction:
         """The indicator's prox; raises on an unknown kind, a missing field or a bad value."""
@@ -132,11 +134,16 @@ class ConvexSet:
 def _line_projection(point, direction) -> BlockFunction:
     """Indicator of the line through ``point`` along ``direction``; prox projects onto it."""
     point = np.asarray(point, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(direction)
+    u = direction = np.asarray(direction, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(u)
+    if not 0 < norm < np.inf and np.isfinite(u).all() and u.any():
+        # a finite nonzero direction whose norm over- or underflows: scaled by its largest entry first
+        u = u / np.max(np.abs(u))
+        norm = np.linalg.norm(u)
     if not 0 < norm < np.inf:
         raise ValueError(f"line direction must be finite and nonzero, got {direction.tolist()}")
-    u = direction / norm
+    u = u / norm
 
     def prox(v, lam):
         s = np.sum((v - point) * u, axis=-1, keepdims=True)
@@ -166,7 +173,7 @@ def _intersection_witness(a: ConvexSet, b: ConvexSet) -> np.ndarray | None:
         c1, r1 = np.asarray(a.params["center"], float), float(a.params["radius"])
         c2, r2 = np.asarray(b.params["center"], float), float(b.params["radius"])
         gap = np.linalg.norm(c2 - c1)
-        if gap > r1 + r2:
+        if not gap <= r1 + r2:
             return None
         w = 0.5 if gap == 0 else (r1 + (gap - r1 - r2) / 2) / gap
         return c1 + np.clip(w, 0.0, 1.0) * (c2 - c1)
@@ -221,8 +228,10 @@ def feasibility(sets: list[ConvexSet], coupling_kind: str = "sqdist") -> Problem
         raise UnsupportedSet(f"unknown coupling kind {coupling_kind!r}")
     term = SeparableTerm(layout, [s.function for s in sets])
 
-    # under sqdist the tiled intersection witness is fixed; the indicator coupling declares none
-    witness = _intersection_witness(sets[0], sets[1]) if m == 2 else None
+    # under sqdist the tiled intersection witness is fixed; the indicator coupling declares none.
+    # A distance test whose arithmetic overflows reads as farther than any tolerance.
+    with np.errstate(over="ignore", invalid="ignore"):
+        witness = _intersection_witness(sets[0], sets[1]) if m == 2 else None
     target = None if witness is None or coupling_kind != "sqdist" else np.tile(witness, m)
     spec = ProblemSpec(
         layout=layout,
@@ -314,20 +323,25 @@ def _reference(m: SplittingMap, x0: np.ndarray, iterations: int, candidate=None)
     and _settled_point picks its T1 image or the guess itself.  A missing
     or non-finite guess or a failed check leave the run untouched, so with
     every guess rejected the result is that of the plain run, bit for bit.
+    On those steps, after the guess, an iterate x equal bit for bit to the
+    one two steps back also ends the run: T1 cycles between the two (by one
+    ulp each way, where seen), so the stop rule would never pass.
     """
-    x = np.asarray(x0, dtype=float)
+    x, before, older = np.asarray(x0, dtype=float), None, None
     for step in range(1, iterations + 1):
         x_next = apply_full(m, x)
         if _settled(x_next, x):
             return _settled_point(m, x, x_next)
-        x = x_next
-        if candidate is None or step % ACTIVE_SET_EVERY:
+        older, before, x = before, x, x_next
+        if step % ACTIVE_SET_EVERY:
             continue
-        z = candidate(x)
+        z = None if candidate is None else candidate(x)
         if z is not None and np.isfinite(z).all():
             z_next = apply_full(m, z)
             if _settled(z_next, z):
                 return _settled_point(m, z, z_next)
+        if older is not None and np.array_equal(x, older):
+            return x
     return x
 
 

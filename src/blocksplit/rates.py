@@ -51,10 +51,11 @@ def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> float:
         # exceeds (1 + epsilon) - 1 by more than 2^-54, half the spacing of
         # float64 just under 1
         top = math.sqrt(tau / (((1.0 + epsilon) - 1.0) + 2.0**-54))
+        # no bound to quote where tau / (epsilon + 2^-54) overflows
+        bound = f"; the factor stays below 1 only for kappa below about {top:.6g}" if top < math.inf else ""
         raise InadmissibleGauge(
             f"kappa={kappa} gives factor^2 = {1.0 + epsilon:.17g} - "
-            f"{ratio:.6g}, which rounds to {inner:.17g} in float64; "
-            f"the factor stays below 1 only for kappa below about {top:.6g}"
+            f"{ratio:.6g}, which rounds to {inner:.17g} in float64{bound}"
         )
     if inner <= 0 or inner >= 1:
         raise InadmissibleGauge(
@@ -177,19 +178,14 @@ def fit_linear_rate(k, distances) -> RateFit:
     return RateFit(c_hat=math.exp(slope), log_intercept=intercept, num_used=len(points))
 
 
-class RateReport:
-    """Bundle of trajectory checks produced by the rate command."""
+class RateReport(NamedTuple):
+    """Bundle of trajectory checks produced by the rate command; None marks a check not made."""
 
-    __slots__ = _fields = ("fejer", "gauge", "asymptotic", "fit", "details")
-
-    def __init__(self, fejer: CheckResult | None = None, gauge: CheckResult | None = None,
-                 asymptotic: AsymptoticRegularityResult | None = None, fit: RateFit | None = None,
-                 details: dict | None = None):
-        self.fejer = fejer
-        self.gauge = gauge
-        self.asymptotic = asymptotic
-        self.fit = fit
-        self.details = {} if details is None else details
+    fejer: CheckResult
+    gauge: CheckResult | None
+    asymptotic: AsymptoticRegularityResult | None
+    fit: RateFit | None
+    details: dict
 
 
 def check_column(columns, column: str, where: str) -> None:
@@ -253,18 +249,19 @@ def check_trajectory(
         dw = [v for v in dw if not math.isnan(v)]
         _check_distances(dw, "dw_step", source)
 
-    report = RateReport(details={"column": column, "trajectory": source, "num_entries": len(d)})
-    report.fejer = check_fejer(d, tol_rel=fejer_tol_rel)
+    fejer = check_fejer(d, tol_rel=fejer_tol_rel)
     try:
-        report.fit = fit_linear_rate(k, d)
+        fit = fit_linear_rate(k, d)
     except DegenerateSequence:
-        report.fit = None
-    if dw is not None and len(dw) >= 4:
-        report.asymptotic = check_asymptotic_regularity(dw, tail_tol=tail_tol)
+        fit = None
+    asymptotic = (check_asymptotic_regularity(dw, tail_tol=tail_tol)
+                  if dw is not None and len(dw) >= 4 else None)
+    details = {"column": column, "trajectory": source, "num_entries": len(d)}
+    gauge = None
     if gauge_factor is not None:
-        report.gauge = check_gauge_monotone(k, d, gauge_factor, tol_rel=1e-3)
-        report.details["gauge_factor"] = gauge_factor
-    return report
+        gauge = check_gauge_monotone(k, d, gauge_factor, tol_rel=1e-3)
+        details["gauge_factor"] = gauge_factor
+    return RateReport(fejer, gauge, asymptotic, fit, details)
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .blockspace import (
-    BlockLayout,
-    BlockProbabilities,
-    block_probabilities,
-    weighted_sq,
-)
+from .blockspace import BlockLayout, BlockProbabilities, block_probabilities
 from .config import BlockSubsetScheme, Record
 from .errors import DimensionMismatch, EmptyResolvent, InvalidFixedPoints
 from .operators import (
@@ -294,12 +289,6 @@ def transport_discrepancy(x, y, Tx, Ty) -> float | np.ndarray:
     d = (x - Tx) - (y - Ty)
     val = np.sum(d * d, axis=-1)
     return float(val) if np.ndim(val) == 0 else val
-
-
-def weighted_transport_discrepancy(x, y, Tx, Ty, p: BlockProbabilities) -> float | np.ndarray:
-    """Transport discrepancy in the selection-weighted norm."""
-    x, y, Tx, Ty = (np.asarray(a, dtype=float) for a in (x, y, Tx, Ty))
-    return weighted_sq((x - Tx) - (y - Ty), p)
 
 
 class RegularityConstants(Record):

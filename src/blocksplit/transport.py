@@ -54,7 +54,7 @@ from importlib.machinery import PathFinder
 import numpy as np
 
 from .blockspace import BlockLayout, BlockProbabilities
-from .errors import BlocksplitError, DimensionMismatch, SolverFailure
+from .errors import BlocksplitError, CostOverflow, DimensionMismatch, SolverFailure
 
 # Largest replicated size L = lcm(n, m) that two equal-weight clouds of
 # different sizes solve as one L x L assignment; the gathered cost takes
@@ -464,7 +464,7 @@ def wasserstein2_weighted(
     L <= ASSIGN_MAX_ATOMS; every other pair of measures solves the transport
     LP to optimality, on a priced sparse support of pairs whose duals are
     checked against all n x m pairs (see _transport_lp), its first round
-    seeded from the same reduced cost.  Raises BlocksplitError when a
+    seeded from the same reduced cost.  Raises CostOverflow when a
     squared weighted distance overflows (finite supports far enough apart),
     and SolverFailure if the underlying solver reports anything but success.
     """
@@ -472,10 +472,8 @@ def wasserstein2_weighted(
         raise DimensionMismatch("measures live on different layouts")
     C = cost_matrix(mu, nu, p)
     if not C.max() < np.inf:  # also false for NaN, from overflowing scaled coordinates
-        raise BlocksplitError(
-            "transport cost is not finite: squared weighted distances between the "
-            "supports overflow float64"
-        )
+        raise CostOverflow("transport cost is not finite: squared weighted distances between the "
+                           "supports overflow float64")
     n, mth = mu.num_points, nu.num_points
     L = math.lcm(n, mth)
     scale = np.sqrt(p.coordinate_inverse())

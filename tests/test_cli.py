@@ -62,6 +62,10 @@ def test_parse_config_happy_path():
         {"certify": {"property": "pointwise_aafne", "target": {"kind": "sideways"}}},
         {"rate": {"gauge": {"kind": "tabulated"}}},
         {"problem": {"id": "unknown_problem"}},
+        # an id that is no name, not even a hashable one, gets the same line
+        {"problem": {"id": []}},
+        {"problem": {"id": {}}},
+        {"problem": {"id": [[]]}},
         {"run": {"num_chains": 5, "iterations": 5, "strict_steps": "no"}},
         {"run": {"num_chains": 5, "iterations": 5, "strict_steps": 1}},
         {"certify": {"property": "aafne_in_expectation", "adversarial": "false"}},
@@ -440,14 +444,22 @@ def test_cli_steps_wrong_length_exit_2(tmp_path, capsys):
     assert err == "config error: config.steps: expected 1 or 2 values, got 3\n"
 
 
-def test_cli_divergent_run_exit_2(tmp_path, capsys):
-    doc = run_config(tmp_path, num_chains=50, iterations=1000, snapshot_every=0, dw_step_every=0)
-    doc["steps"] = [5, 5]
+@pytest.mark.parametrize("dw_step_every", [0, 1])
+@pytest.mark.parametrize("steps, iterations, line", [
+    ([5, 5], 1000, "error: run diverged: chain 26 has a non-finite state at k=799\n"),
+    ([1e308, 0.25], 10, "error: run diverged: chain 2 has a non-finite state at k=1\n"),
+], ids=["steps_5", "step_1e308"])
+def test_cli_divergent_run_exit_2(tmp_path, capsys, dw_step_every, steps, iterations, line):
+    # with dw_step on, the states are checked before the transport solve reads
+    # them, and a dw_step whose cost overflows is noted as a non-finite
+    # diagnostic, so the run is named by the state that diverges later
+    doc = run_config(tmp_path, num_chains=50, iterations=iterations, snapshot_every=0,
+                     dw_step_every=dw_step_every)
+    doc["steps"] = steps
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
     out, err = capsys.readouterr()
     assert "run complete" not in out
-    assert err.startswith("error: run diverged: chain ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == line
     assert not (tmp_path / "out").exists()
 
 
@@ -746,6 +758,12 @@ BAD_INPUTS = [
      _file_case("traj.csv", GOOD_TRAJECTORY,
                 lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "1e-200", "--tau", "1",
                                     "--out", traj + ".out"])),
+    # where tau / (epsilon + 2^-54) overflows, the message quotes no bound on kappa
+    ("rate_kappa_bound_overflows",
+     "--kappa: kappa=1e+308 gives factor^2 = 1 - 1e-308, which rounds to 1 in float64\n",
+     _file_case("traj.csv", GOOD_TRAJECTORY,
+                lambda traj, good: ["rate", "--trajectory", traj, "--kappa", "1e308", "--tau", "1e308",
+                                    "--epsilon", "5e-324", "--out", traj + ".out"])),
     ("gauge_kappa_square_overflows",
      "config.rate.gauge: kappa=1e+200 gives factor^2 = 1 - 0, which rounds to 1",
      _config_case("run", rate={"gauge": {"kind": "linear", "kappa": 1e200, "tau": 1.0}},
@@ -843,14 +861,16 @@ BAD_INPUTS = [
      _config_case("run", run=dict(SMALL_RUN, init={"kind": "point", "x": [1e200, 0.0]})),
      "error: "),
     # finite coordinates whose squared weighted distances overflow: a solver
-    # error, not a config error; the first two take the assignment route,
-    # the third the LP route
+    # error, not a config error; the first takes the assignment route, the
+    # second the LP route
     ("transport_cost_overflow_equal_weights", "squared weighted distances between the supports overflow",
      _file_case("big.csv", MEASURE_HEADER + "0.5,1e200,0\n0.5,1,1\n",
                 lambda bad, good: ["transport", bad, good]), "error: "),
-    ("run_dw_step_cost_overflow", "squared weighted distances between the supports overflow",
-     _config_case("run", run=dict(SMALL_RUN, dw_step_every=1,
-                                  init={"kind": "point", "x": [1e200, 0.0]})), "error: "),
+    # in a run, a dw_step whose cost overflows is a non-finite diagnostic
+    ("run_dw_step_cost_overflow", "run diverged: dw_step is inf at k=1",
+     _config_case("run", steps=[1e-10, 1e-10], run=dict(
+         SMALL_RUN, dw_step_every=1, init={"kind": "uniform_box", "lo": [-1e154, -1e154],
+                                           "hi": [1e154, 1e154]})), "error: "),
     ("transport_cost_overflow_weighted", "squared weighted distances between the supports overflow",
      _file_case("big.csv", MEASURE_HEADER + "0.3,1e200,0\n0.7,1,1\n",
                 lambda bad, good: ["transport", bad, good]), "error: "),
@@ -891,6 +911,30 @@ BAD_INPUTS = [
      "config.certify.region: region width hi - lo overflows at coordinate 1",
      _config_case("certify", certify={"property": "aafne_in_expectation",
                                       "region": {"lo": [-1.0, -1e308], "hi": [1.0, 1e308]}})),
+]
+
+# a set coordinate of +-1e308: the gallery's distance tests read an overflow
+# as "farther than any tolerance", with no warning, so the run names its divergence
+BAD_INPUTS += [
+    (f"set_{name}_far", "run diverged: mean_residual is inf at k=0", _sets_case(*sets), "error: ")
+    for name, sets in (
+        ("ball_center", ({"kind": "ball", "center": [1e308, 0.0], "radius": 1.0}, POINT)),
+        ("ball_center_negative", (POINT, {"kind": "ball", "center": [0.0, -1e308], "radius": 1.0})),
+        ("point", ({"kind": "point", "point": [1e308, 0.0]}, POINT)),
+        ("point_negative", (POINT, {"kind": "point", "point": [-1e308, 0.0]})),
+        ("line_point", ({"kind": "line", "point": [1e308, 0.0], "direction": [0.0, 1.0]}, POINT)),
+        ("line_point_negative",
+         ({"kind": "line", "point": [0.0, -1e308], "direction": [1.0, 0.0]}, POINT)),
+    )
+]
+
+# a problem id that is a list or an object is unknown under every command
+BAD_INPUTS += [
+    (f"{command}_problem_id_{name}", f"config.problem.id: unknown problem {problem_id!r}; available: ",
+     _config_case(command, problem={"id": problem_id}, run=SMALL_RUN,
+                  certify={"property": "aafne_in_expectation"}))
+    for command in ("run", "certify") for name, problem_id in (("list", []), ("dict", {}),
+                                                                ("nested", [[]]))
 ]
 
 

@@ -40,7 +40,6 @@ from blocksplit.splitting import (
     expectation_constants,
     expected_weighted_terms,
     transport_discrepancy,
-    weighted_transport_discrepancy,
 )
 
 SINGLETONS = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
@@ -478,7 +477,7 @@ def test_weighted_transport_discrepancy():
     y = np.zeros(2)
     Tx = np.array([0.0, 1.0])
     Ty = np.zeros(2)
-    assert weighted_transport_discrepancy(x, y, Tx, Ty, p) == pytest.approx(4.0)
+    assert weighted_sq((x - Tx) - (y - Ty), p) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +499,7 @@ def _per_outcome_sums(m, x, y):
     for i, q in enumerate(m.scheme.probs):
         Tx, Ty = apply_T(m, i, stacked.reshape(-1, x.shape[-1])).reshape(stacked.shape)
         sq = sq + q * weighted_sq(Tx - Ty, p)
-        psi = psi + q * weighted_transport_discrepancy(x, y, Tx, Ty, p)
+        psi = psi + q * weighted_sq((x - Tx) - (y - Ty), p)
     return sq, psi
 
 
