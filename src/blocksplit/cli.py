@@ -172,7 +172,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     """Check a distance trajectory; exit 1 when a requested check fails."""
-    from .config import RateSection, gauge_factor
+    from .config import GAUGE_EPSILON, RateSection, gauge_factor
     from .rates import check_trajectory, read_trajectory_csv
 
     rate_cfg = (cfg.rate if cfg is not None else None) or RateSection()
@@ -180,7 +180,7 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     if args.kappa is not None:
         if args.tau is None:
             raise ConfigError("--tau: required alongside --kappa")
-        epsilon = 0.0 if args.epsilon is None else args.epsilon
+        epsilon = GAUGE_EPSILON if args.epsilon is None else args.epsilon
         factor = gauge_factor({"--kappa": args.kappa, "--tau": args.tau, "--epsilon": epsilon}, "--kappa")
     elif args.tau is not None or args.epsilon is not None:
         raise ConfigError(f"{'--tau' if args.tau is not None else '--epsilon'}: needs --kappa")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .errors import (
     ConfigError,
@@ -57,6 +57,7 @@ TOP_FIELDS = ("schema_version", "problem", "flavor", "scheme", "steps", "seed", 
 RUN_INIT_FIELDS = {"region": (), "point": ("x",), "uniform_box": ("lo", "hi")}
 TARGET_FIELDS = {"full": (), "subset": ("index",)}
 GAUGE_FIELDS = {"linear": ("kappa", "tau", "epsilon")}
+GAUGE_EPSILON = 0.0  # a gauge's epsilon where neither the config nor the command line gives one
 # every set field is a vector of coordinates, except a ball's radius
 SET_FIELDS = {"point": ("point",), "box": ("lo", "hi"), "ball": ("center", "radius"),
               "line": ("point", "direction")}
@@ -98,16 +99,17 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    def _asdict(self) -> dict:
+        """Each field that ``_fields`` names and its value, as a ``NamedTuple``'s ``_asdict``."""
+        return {name: getattr(self, name) for name in self._fields}
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._asdict() == other._asdict()
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__name__}({fields})"
 
 
@@ -264,37 +266,28 @@ def _as_indices(v, where: str, minimum: int) -> tuple[int, ...]:
     return tuple(_as_int(x, f"{where}[{i}]", minimum) for i, x in enumerate(v))
 
 
-class RunSection(Record):
-    __slots__ = _fields = ("num_chains", "iterations", "snapshot_every", "dw_step_every", "init",
-                           "strict_steps")
-
-    def __init__(self, num_chains: int, iterations: int, snapshot_every: int = 0,
-                 dw_step_every: int = 0, init: dict | None = None, strict_steps: bool = False):
-        self.num_chains = num_chains
-        self.iterations = iterations
-        self.snapshot_every = snapshot_every
-        self.dw_step_every = dw_step_every
-        self.init = {"kind": "region"} if init is None else init
-        self.strict_steps = strict_steps
+# Each section class holds its fields' defaults, which parse_config gives an
+# absent field and the library functions that the commands call take.  A dict
+# default is one object, shared by every section left at it; none is mutated.
+class RunSection(NamedTuple):
+    num_chains: int
+    iterations: int
+    snapshot_every: int = 0
+    dw_step_every: int = 0
+    init: dict = {"kind": "region"}
+    strict_steps: bool = False
 
 
-class CertifySection(Record):
-    __slots__ = _fields = ("property", "target", "alpha", "violation", "num_pairs", "region",
-                           "tolerance", "adversarial", "residual_threshold")
-
-    def __init__(self, property: str, target: dict | None = None, alpha: float = 0.5,
-                 violation: float = 0.0, num_pairs: int = 10_000, region: Region | None = None,
-                 tolerance: float = 1e-10, adversarial: bool = True,
-                 residual_threshold: float = 1e-8):
-        self.property = property
-        self.target = {"kind": "full"} if target is None else target
-        self.alpha = alpha
-        self.violation = violation
-        self.num_pairs = num_pairs
-        self.region = region
-        self.tolerance = tolerance
-        self.adversarial = adversarial
-        self.residual_threshold = residual_threshold
+class CertifySection(NamedTuple):
+    property: str
+    target: dict = {"kind": "full"}
+    alpha: float = 0.5
+    violation: float = 0.0
+    num_pairs: int = 10_000
+    region: Region | None = None
+    tolerance: float = 1e-10
+    adversarial: bool = True
+    residual_threshold: float = 1e-8
 
 
 class RateSection(Record):
@@ -592,8 +585,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     run_sec = None
     if "run" in doc:
-        r = _object(doc["run"], "config.run", RunSection._fields)
-        init = r.get("init", {"kind": "region"})
+        r = {**RunSection._field_defaults, **_object(doc["run"], "config.run", RunSection._fields)}
+        init = r["init"]
         kind = _kind(init, "config.run.init", RUN_INIT_FIELDS)
         if kind == "point":
             _as_finite_vector(_require(init, "x", "config.run.init"), "config.run.init.x")
@@ -602,21 +595,21 @@ def parse_config(doc: dict) -> ExperimentConfig:
         run_sec = RunSection(
             num_chains=_as_count(_require(r, "num_chains", "config.run"), "config.run.num_chains", 1),
             iterations=_as_count(_require(r, "iterations", "config.run"), "config.run.iterations", 0),
-            snapshot_every=_as_int(r.get("snapshot_every", 0), "config.run.snapshot_every", 0),
-            dw_step_every=_as_int(r.get("dw_step_every", 0), "config.run.dw_step_every", 0),
+            snapshot_every=_as_int(r["snapshot_every"], "config.run.snapshot_every", 0),
+            dw_step_every=_as_int(r["dw_step_every"], "config.run.dw_step_every", 0),
             init=init,
-            strict_steps=_as_bool(r.get("strict_steps", False), "config.run.strict_steps"),
+            strict_steps=_as_bool(r["strict_steps"], "config.run.strict_steps"),
         )
 
     certify_sec = None
     if "certify" in doc:
-        c = _object(doc["certify"], "config.certify", CertifySection._fields)
+        c = {**CertifySection._field_defaults, **_object(doc["certify"], "config.certify", CertifySection._fields)}
         prop = _require(c, "property", "config.certify")
         if prop not in CERTIFY_PROPERTIES:
             raise ConfigError(
                 f"config.certify.property: expected one of {CERTIFY_PROPERTIES}, got {prop!r}"
             )
-        target = c.get("target", {"kind": "full"})
+        target = c["target"]
         if _kind(target, "config.certify.target", TARGET_FIELDS) == "subset":
             if prop != "pointwise_aafne":
                 raise ConfigError(f"config.certify.target: a subset target applies to "
@@ -625,10 +618,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
             if idx >= scheme.num_outcomes:
                 raise ConfigError(f"config.certify.target.index: {idx} out of range for "
                                   f"{scheme.num_outcomes} subsets")
-        alpha = _as_float(c.get("alpha", 0.5), "config.certify.alpha")
+        alpha = _as_float(c["alpha"], "config.certify.alpha")
         if not 0 < alpha < 1:
             raise ConfigError(f"config.certify.alpha: must lie in (0, 1), got {alpha}")
-        region = c.get("region")
+        region = c["region"]
         if region is not None:
             region = _parse_region(_object(region, "config.certify.region", Region._fields),
                                    "config.certify.region")
@@ -636,36 +629,35 @@ def parse_config(doc: dict) -> ExperimentConfig:
             property=prop,
             target=target,
             alpha=alpha,
-            violation=_as_finite(c.get("violation", 0.0), "config.certify.violation", True),
-            num_pairs=_as_count(c.get("num_pairs", 10_000), "config.certify.num_pairs", 1),
+            violation=_as_finite(c["violation"], "config.certify.violation", True),
+            num_pairs=_as_count(c["num_pairs"], "config.certify.num_pairs", 1),
             region=region,
-            tolerance=_as_finite(c.get("tolerance", 1e-10), "config.certify.tolerance"),
-            adversarial=_as_bool(c.get("adversarial", True), "config.certify.adversarial"),
-            residual_threshold=_as_finite(c.get("residual_threshold", 1e-8),
-                                          "config.certify.residual_threshold", True),
+            tolerance=_as_finite(c["tolerance"], "config.certify.tolerance"),
+            adversarial=_as_bool(c["adversarial"], "config.certify.adversarial"),
+            residual_threshold=_as_finite(c["residual_threshold"], "config.certify.residual_threshold", True),
         )
 
     rate_sec = None
     if "rate" in doc:
-        r = _object(doc["rate"], "config.rate", RateSection._fields)
-        gauge, factor = r.get("gauge"), None
+        r = {**RateSection()._asdict(), **_object(doc["rate"], "config.rate", RateSection._fields)}
+        gauge, factor = r["gauge"], None
         if gauge is not None:
             _kind(gauge, "config.rate.gauge", GAUGE_FIELDS)
             kappa, tau = (_as_float(_require(gauge, key, "config.rate.gauge"), f"config.rate.gauge.{key}")
                           for key in ("kappa", "tau"))
             epsilon = gauge.get("epsilon")
-            epsilon = 0.0 if epsilon is None else _as_float(epsilon, "config.rate.gauge.epsilon")
+            epsilon = GAUGE_EPSILON if epsilon is None else _as_float(epsilon, "config.rate.gauge.epsilon")
             factor = gauge_factor({"config.rate.gauge.kappa": kappa, "config.rate.gauge.tau": tau,
                                    "config.rate.gauge.epsilon": epsilon}, "config.rate.gauge")
-        column = r.get("column", "d_target")
+        column = r["column"]
         if not isinstance(column, str):
             raise ConfigError(f"config.rate.column: expected a trajectory column name, got {column!r}")
         rate_sec = RateSection(
             column=column,
             gauge=gauge,
             # a negative fejer_tol_rel asks every step to shrink by that fraction
-            fejer_tol_rel=_as_finite(r.get("fejer_tol_rel", 1e-3), "config.rate.fejer_tol_rel"),
-            tail_tol=_as_finite(r.get("tail_tol", 1e-3), "config.rate.tail_tol", True),
+            fejer_tol_rel=_as_finite(r["fejer_tol_rel"], "config.rate.fejer_tol_rel"),
+            tail_tol=_as_finite(r["tail_tol"], "config.rate.tail_tol", True),
         )
         rate_sec.gauge_factor = factor
 

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .blockspace import BlockLayout, sample_subsets
-from .config import DRAW_BLOCK
+from .config import DRAW_BLOCK, RunSection
 from .errors import CostOverflow, DimensionMismatch, Diverged
 from .rates import read_trajectory_csv, trajectory_header, write_trajectory_csv  # noqa: F401
 from .splitting import SplittingMap, apply_full, squared_residuals
@@ -128,8 +128,8 @@ def run(
     ensemble: Ensemble,
     m: SplittingMap,
     iterations: int,
-    snapshot_every: int = 0,
-    dw_step_every: int = 0,
+    snapshot_every: int = RunSection._field_defaults["snapshot_every"],
+    dw_step_every: int = RunSection._field_defaults["dw_step_every"],
     target: np.ndarray | None = None,
 ) -> RunResult:
     """Advance the ensemble K iterations, recording diagnostics each step.

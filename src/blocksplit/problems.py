@@ -190,7 +190,7 @@ def _intersection_witness(a: ConvexSet, b: ConvexSet) -> np.ndarray | None:
         A = np.stack([u1, -u2], axis=1)
         s, *_ = np.linalg.lstsq(A, p2 - p1, rcond=None)
         q1, q2 = p1 + s[0] * u1, p2 + s[1] * u2
-        return 0.5 * (q1 + q2) if np.linalg.norm(q1 - q2) <= 1e-9 else None
+        return 0.5 * (q1 + q2) if np.linalg.norm(q1 - q2) <= CONTAINS_TOL else None
     if kinds == {"ball", "box"}:
         ball, box = (a, b) if a.kind == "ball" else (b, a)
         c = np.asarray(ball.params["center"], float)

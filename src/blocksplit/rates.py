@@ -20,10 +20,13 @@ import csv
 import math
 from typing import NamedTuple
 
+from .config import GAUGE_EPSILON, RateSection
 from .errors import ConfigError, DegenerateSequence, DimensionMismatch, InadmissibleGauge
 
+_RATE = RateSection()  # the defaults that check_fejer and check_asymptotic_regularity take
 
-def theta_linear(kappa: float, tau: float, epsilon: float = 0.0) -> float:
+
+def theta_linear(kappa: float, tau: float, epsilon: float = GAUGE_EPSILON) -> float:
     """The factor of the linear gauge induced by a linear error bound with modulus kappa.
 
     Solving the defining relation with rho(t) = kappa t gives
@@ -86,7 +89,7 @@ def _per_step(d: list[float], bounds) -> CheckResult:
     return CheckResult(not bad, bad[0] if bad else None, max(excess))
 
 
-def check_fejer(distances, tol_rel: float = 1e-3) -> CheckResult:
+def check_fejer(distances, tol_rel: float = _RATE.fejer_tol_rel) -> CheckResult:
     """Monotone nonincrease up to tolerance: d_{k+1} <= d_k (1 + tol_rel)."""
     d = _sequence(distances)
     if any(v < 0 for v in d):
@@ -132,7 +135,7 @@ class AsymptoticRegularityResult(NamedTuple):
     fitted_exponent: float | None
 
 
-def check_asymptotic_regularity(step_distances, tail_tol: float = 1e-3) -> AsymptoticRegularityResult:
+def check_asymptotic_regularity(step_distances, tail_tol: float = _RATE.tail_tol) -> AsymptoticRegularityResult:
     """Vanishing step sizes with summable-trending squares.
 
     The tail average over the last quarter must drop below ``tail_tol``,

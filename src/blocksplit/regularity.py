@@ -17,7 +17,10 @@ Every pair certifier is a margin function swept by ``_certify_pairs``.
 Samples are drawn whole and evaluated in row chunks (``_by_chunks``), so a
 sweep holds its sample arrays and one chunk's intermediates, whatever the
 number of pairs.  The per-pair values, and so the worst margin and its
-witness, are those of one whole-batch evaluation.
+witness, are those of one whole-batch evaluation.  A sweep silences
+numpy's overflow warnings and raises BlocksplitError, naming the sample,
+at the first margin (or paracontraction residual) that is not finite:
+where the map or a distance overflows on the region, there is no verdict.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .blockspace import weighted_norm, weighted_sq
-from .config import Region
+from .config import CertifySection, Region
+from .errors import BlocksplitError
 from .splitting import (
     SplittingMap,
     apply_T,
@@ -40,6 +44,7 @@ from .splitting import (
 
 # Rounds of the adversarial coordinate search (see _coordinate_refine).
 REFINE_STEPS = 50
+_CERTIFY = CertifySection._field_defaults  # the defaults the certifiers take
 
 
 class CertificationReport(NamedTuple):
@@ -123,6 +128,14 @@ def _by_chunks(fn, *arrays):
     return np.concatenate(parts)
 
 
+def _require_finite(name: str, what: str, values: np.ndarray) -> None:
+    """Raise BlocksplitError at the first sample whose ``what`` in ``values`` is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise BlocksplitError(f"certify {name}: the {what} of sample {i} is {values[i]}")
+
+
 def _certify_pairs(name, margin_batch, spawn_key, region, alpha, violation, num_pairs, seed,
                    tolerance, adversarial, **details) -> CertificationReport:
     """Worst margin over sampled pairs, sharpened by coordinate search on request.
@@ -133,15 +146,20 @@ def _certify_pairs(name, margin_batch, spawn_key, region, alpha, violation, num_
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(spawn_key,)))
     xs = region.sample(rng, num_pairs)
     ys = region.sample(rng, num_pairs)
-    margins = _by_chunks(margin_batch, xs, ys)
-    worst = int(np.argmax(margins))
-    wx, wy, wm = xs[worst], ys[worst], float(margins[worst])
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = _by_chunks(margin_batch, xs, ys)
+        _require_finite(name, "margin", margins)
+        worst = int(np.argmax(margins))
+        wx, wy, wm = xs[worst], ys[worst], float(margins[worst])
 
-    if adversarial:
-        def margin_one(x, y):
-            return float(margin_batch(x[None, :], y[None, :])[0])
+        if adversarial:
+            def margin_one(x, y):
+                return float(margin_batch(x[None, :], y[None, :])[0])
 
-        wx, wy, wm = _coordinate_refine(margin_one, wx, wy, region)
+            wx, wy, wm = _coordinate_refine(margin_one, wx, wy, region)
+            if not np.isfinite(wm):  # the search can find an infinite margin, never a NaN one
+                raise BlocksplitError(f"certify {name}: the margin of the pair refined from "
+                                      f"sample {worst} is {wm}")
 
     return CertificationReport(
         property=name,
@@ -164,8 +182,8 @@ def certify_pointwise_aafne(
     violation: float,
     num_pairs: int,
     seed: int,
-    tolerance: float = 1e-10,
-    adversarial: bool = True,
+    tolerance: float = _CERTIFY["tolerance"],
+    adversarial: bool = _CERTIFY["adversarial"],
 ) -> CertificationReport:
     """Test ||Tx-Ty||^2 <= (1+eps)||x-y||^2 - ((1-a)/a) psi on sampled pairs.
 
@@ -193,8 +211,8 @@ def certify_aafne_in_expectation(
     violation: float,
     num_pairs: int,
     seed: int,
-    tolerance: float = 1e-10,
-    adversarial: bool = True,
+    tolerance: float = _CERTIFY["tolerance"],
+    adversarial: bool = _CERTIFY["adversarial"],
 ) -> CertificationReport:
     """Test the selection-weighted expectation inequality over the scheme.
 
@@ -221,7 +239,7 @@ def certify_paracontraction_in_expectation(
     region: Region,
     num_samples: int,
     seed: int,
-    residual_threshold: float = 1e-8,
+    residual_threshold: float = _CERTIFY["residual_threshold"],
 ) -> CertificationReport:
     """Test strict decrease E||T_xi x - z||_p < ||x - z||_p off the fixed set.
 
@@ -246,7 +264,11 @@ def certify_paracontraction_in_expectation(
             expected = expected + q * weighted_norm(np.where(mask, T1x, x) - z, p)
         return np.sqrt(squared_residuals(x, T1x)), expected - weighted_norm(x - z, p)
 
-    residual, margins = _by_chunks(residual_and_margin, xs)
+    name = "paracontraction_in_expectation"
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual, margins = _by_chunks(residual_and_margin, xs)
+    _require_finite(name, "residual", residual)
+    _require_finite(name, "margin", margins)
     eligible = np.flatnonzero(residual > residual_threshold)
     num_eligible = int(eligible.size)
 
@@ -256,7 +278,7 @@ def certify_paracontraction_in_expectation(
         margin, wx = float(margins[worst]), xs[worst]
 
     return CertificationReport(
-        property="paracontraction_in_expectation",
+        property=name,
         alpha=None,
         violation=None,
         num_samples=num_samples,
@@ -278,7 +300,7 @@ def verify_expectation_identities(
     region: Region,
     num_pairs: int,
     seed: int,
-    tolerance: float = 1e-10,
+    tolerance: float = _CERTIFY["tolerance"],
 ) -> CertificationReport:
     """Check the two exact identities tying scheme expectations to T1.
 

@@ -82,6 +82,12 @@ from .errors import BlocksplitError, CostOverflow, DimensionMismatch, SolverFail
 # Equal sizes replicate nothing and take the assignment at any size.
 ASSIGN_MAX_ATOMS = 2000
 
+# How far a plan's row or column sum may be off its atom's weight.  It is
+# also the LP's primal feasibility tolerance, HiGHS's tightest setting
+# (its default 1e-7 lets a marginal row end up to 1e-7 off its weight), so
+# a plan the LP returns passes the check.
+PLAN_MARGINAL_TOL = 1e-10
+
 
 class DiscreteMeasure:
     """Finitely supported probability measure on the product space."""
@@ -146,11 +152,11 @@ class CouplingPlan:
                               and 0 <= cols.min() and cols.max() < mth):
             raise DimensionMismatch(f"plan entry outside the ({n}, {mth}) pairs")
         row_sums = np.bincount(rows, weights=mass, minlength=n)
-        if np.max(np.abs(row_sums - source.weights)) > 1e-10:
-            raise SolverFailure("plan row sums do not match source weights within 1e-10")
+        if np.max(np.abs(row_sums - source.weights)) > PLAN_MARGINAL_TOL:
+            raise SolverFailure(f"plan row sums do not match source weights within {PLAN_MARGINAL_TOL:g}")
         col_sums = np.bincount(cols, weights=mass, minlength=mth)
-        if np.max(np.abs(col_sums - target.weights)) > 1e-10:
-            raise SolverFailure("plan column sums do not match target weights within 1e-10")
+        if np.max(np.abs(col_sums - target.weights)) > PLAN_MARGINAL_TOL:
+            raise SolverFailure(f"plan column sums do not match target weights within {PLAN_MARGINAL_TOL:g}")
         self.rows, self.cols, self.mass = rows, cols, mass
         self.source, self.target = source, target
 
@@ -311,9 +317,7 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray,
     cost = C.ravel()
     h = highs._Highs()
     _set_option(h, highs, "output_flag", False)
-    # HiGHS's default 1e-7 lets a marginal row end up to 1e-7 off its weight;
-    # 1e-10 is its tightest setting and the plan check's bound
-    _set_option(h, highs, "primal_feasibility_tolerance", 1e-10)
+    _set_option(h, highs, "primal_feasibility_tolerance", PLAN_MARGINAL_TOL)
     # marginal constraints: source rows, then target rows; the final
     # (redundant) row is dropped for numerical hygiene and has dual 0
     rhs = np.concatenate([a, b])[:-1]

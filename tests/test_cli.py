@@ -340,7 +340,7 @@ def test_cli_rate_fits_c_hat_per_step_of_k_on_a_strided_column(tmp_path, capsys)
 
 
 def test_cli_run_empty_rate_section_writes_the_default_verdicts(tmp_path, capsys):
-    # "rate": {} takes parse_config's defaults, no rate section RateSection()'s
+    # "rate": {} and no rate section both take RateSection()'s defaults
     summaries = []
     for name, rate in (("empty", {}), ("none", None)):
         doc = run_config(tmp_path, out_name=name)
@@ -926,6 +926,16 @@ BAD_INPUTS += [
         ("line_point_negative",
          ({"kind": "line", "point": [0.0, -1e308], "direction": [1.0, 0.0]}, POINT)),
     )
+]
+
+# the same far point under certify (feas_draws' config): the map overflows
+# on the region, so no sampled pair has a margin to judge
+BAD_INPUTS += [
+    (f"certify_{prop}_map_overflows", f"certify {prop}: the margin of sample 0 is nan",
+     _config_case("certify", problem={"id": "feasibility", "params": {
+         "sets": [{"kind": "point", "point": [1e308, 0.0]}, {"kind": "point", "point": [2.0, 0.0]}]}},
+         flavor="dr", steps=[1.0, 1.0], certify={"property": prop, "num_pairs": 100}), "error: ")
+    for prop in ("expectation_identities", "aafne_in_expectation")
 ]
 
 # a problem id that is a list or an object is unknown under every command

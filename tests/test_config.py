@@ -1,5 +1,6 @@
 """The JSON format: reports and configs written from their fields, and configs read strictly."""
 
+import copy
 import importlib.util
 import json
 import re
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocksplit import cli, config
 from blocksplit.cli import _write_report
@@ -108,6 +111,30 @@ def test_sections_with_only_required_fields_parse_to_the_section_defaults():
     assert cfg.run == RunSection(num_chains=4, iterations=2)
     assert cfg.certify == CertifySection(property="aafne_in_expectation")
     assert cfg.rate == RateSection()
+
+
+README_CONFIG = json.loads(re.search(r"^```json\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                                     re.S | re.M).group(1))
+# each section's optional fields, at the defaults its class gives them
+SECTION_DEFAULTS = {
+    "run": RunSection._field_defaults,
+    "certify": CertifySection._field_defaults,
+    "rate": RateSection()._asdict(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({section: st.sets(st.sampled_from(sorted(defaults)))
+                              for section, defaults in SECTION_DEFAULTS.items()}))
+def test_an_optional_field_left_out_parses_as_if_written_at_its_default(dropped):
+    left_out, written = copy.deepcopy(README_CONFIG), copy.deepcopy(README_CONFIG)
+    for section, names in dropped.items():
+        for name in names:
+            left_out[section].pop(name, None)
+            written[section][name] = SECTION_DEFAULTS[section][name]
+    cfg, expected = parse_config(left_out), parse_config(written)
+    assert cfg == expected and cfg.rate.gauge_factor == expected.rate.gauge_factor
+    assert json_ready(cfg.document()) == json_ready(expected.document())
 
 
 def test_benchmark_and_readme_configs_parse_and_build(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from blocksplit.blockspace import weighted_norm, weighted_sq
 from blocksplit import markov
 from blocksplit.config import BlockSubsetScheme, CertifySection, RateSection, RunSection
-from blocksplit.errors import DimensionMismatch, InvalidFixedPoints
+from blocksplit.errors import BlocksplitError, DimensionMismatch, InvalidFixedPoints
 from blocksplit.problems import counterexample2d, feasibility, make_set, quadratic_l1
 from blocksplit.rates import check_asymptotic_regularity, check_fejer
 from blocksplit.regularity import (
@@ -154,6 +154,28 @@ def test_paracontraction_counterexample():
     assert report.passed
     assert report.margin < 0.0
     assert report.details["num_eligible"] > 0
+
+
+def test_a_sweep_without_a_finite_margin_names_the_sample():
+    # squared distances of +-1e200 coordinates overflow: no sample has a verdict
+    m = counterexample2d(0.25).build_map("fb", SINGLETONS)
+    far = Region(np.array([-1e200, -1e200]), np.array([1e200, 1e200]))
+    for certify, what in (
+        (lambda: certify_pointwise_aafne(lambda x: 2.0 * x, far, 0.5, 0.0, 50, seed=3,
+                                         adversarial=False), "pointwise_aafne: the margin"),
+        (lambda: certify_aafne_in_expectation(m, far, 0.5, 0.0, 50, seed=3),
+         "aafne_in_expectation: the margin"),
+        (lambda: verify_expectation_identities(m, far, 50, seed=3), "expectation_identities: the margin"),
+        (lambda: certify_paracontraction_in_expectation(m, np.zeros(2), far, 50, seed=3),
+         "paracontraction_in_expectation: the residual"),
+    ):
+        with pytest.raises(BlocksplitError, match=f"^certify {what} of sample 0 is (nan|inf)$"):
+            certify()
+    # every sampled margin is finite, but the search walks T = 2x into an overflow
+    wide = Region(np.array([-3e153, -3e153]), np.array([3e153, 3e153]))
+    with pytest.raises(BlocksplitError, match=r"^certify pointwise_aafne: the margin of the pair "
+                                              r"refined from sample \d+ is inf$"):
+        certify_pointwise_aafne(lambda x: 2.0 * x, wide, 0.5, 0.0, 5, seed=0)
 
 
 def test_paracontraction_rejects_moving_points():
