@@ -177,8 +177,8 @@ def gd_step_bound(coupling: SmoothCoupling) -> StepBounds:
     """Step ranges making the blockwise gradient map a-alpha-fne with constant ALPHA_BAR.
 
     Per block the upper end is ALPHA_BAR (sqrt(tau_j^2 + L_j^2) - tau_j) / L_j^2.
-    For convex couplings the classical global range t < 2 ALPHA_BAR / L_max is
-    also reported (no violation inside it).
+    For convex couplings the classical global range t <= 2 ALPHA_BAR / L_max
+    is also reported (no violation up to it).
     """
     uppers = []
     for tau, L in zip(coupling.hypomono, coupling.lipschitz):
@@ -197,7 +197,8 @@ def gd_violation_bound(coupling: SmoothCoupling, steps: np.ndarray) -> float:
     """Worst-case a-alpha-fne violation of the blockwise gradient map at constant ALPHA_BAR.
 
     max_j (2 t_j tau_j + t_j^2 L_j^2 / ALPHA_BAR); zero for a convex
-    coupling run at a common step inside the global bound.
+    coupling run at a common step t <= 2 ALPHA_BAR / L, where the gradient
+    step is firmly nonexpansive (Baillon-Haddad: t <= 1 / L).
     """
     m = coupling.layout.num_blocks
     steps = np.broadcast_to(np.asarray(steps, dtype=float), (m,))
@@ -205,7 +206,7 @@ def gd_violation_bound(coupling: SmoothCoupling, steps: np.ndarray) -> float:
         raise ValueError(f"steps must be positive, got {steps}")
     if coupling.convex and np.all(steps == steps[0]):
         Lbar = coupling.lipschitz_max
-        if Lbar == 0 or steps[0] < 2 * ALPHA_BAR / Lbar:
+        if Lbar == 0 or steps[0] <= 2 * ALPHA_BAR / Lbar:
             return 0.0
     per_block = 2 * steps * coupling.hypomono + steps**2 * coupling.lipschitz**2 / ALPHA_BAR
     return float(np.max(per_block))

@@ -24,6 +24,8 @@ from .config import GAUGE_EPSILON, RateSection
 from .errors import ConfigError, DegenerateSequence, DimensionMismatch, InadmissibleGauge
 
 _RATE = RateSection()  # the defaults that check_fejer and check_asymptotic_regularity take
+# The gauge check's relative slack, fixed for the library and the commands alike.
+GAUGE_TOL_REL = 1e-3
 
 
 def theta_linear(kappa: float, tau: float, epsilon: float = GAUGE_EPSILON) -> float:
@@ -97,7 +99,7 @@ def check_fejer(distances, tol_rel: float = _RATE.fejer_tol_rel) -> CheckResult:
     return _per_step(d, [t * (1.0 + tol_rel) for t in d[:-1]])
 
 
-def check_gauge_monotone(k, distances, factor: float, tol_rel: float = 1e-9) -> CheckResult:
+def check_gauge_monotone(k, distances, factor: float, tol_rel: float = GAUGE_TOL_REL) -> CheckResult:
     """Gauge contraction over each step of k: d_next <= factor^(k_next - k) d + tol_rel d.
 
     ``k`` are the distances' iteration numbers: a column filled every s
@@ -225,13 +227,14 @@ def check_trajectory(
     in the report.  The distances are the non-empty cells of ``column``,
     which ``where`` named.  They get Fejer monotonicity with
     ``fejer_tol_rel``, a linear-rate fit when at least five are positive
-    and, given a ``gauge_factor``, the gauge check, the last two over their
-    rows' ``k``.  ``dw_step``, when it has four entries or more, gets
-    asymptotic regularity with ``tail_tol``.  A missing column, fewer than
-    two distances, or a non-finite or negative one raise ConfigError under
-    ``where``; a missing ``k`` column, a non-finite ``k`` beside a distance,
-    a ``k`` that does not increase strictly over those rows and a
-    non-finite or negative ``dw_step`` raise it under ``source``.
+    and, given a ``gauge_factor``, the gauge check with ``GAUGE_TOL_REL``,
+    the last two over their rows' ``k``.  ``dw_step``, when it has four
+    entries or more, gets asymptotic regularity with ``tail_tol``.  A
+    missing column, fewer than two distances, or a non-finite or negative
+    one raise ConfigError under ``where``; a missing ``k`` column, a
+    non-finite ``k`` beside a distance, a ``k`` that does not increase
+    strictly over those rows and a non-finite or negative ``dw_step`` raise
+    it under ``source``.
     """
     check_column(cols, column, where)
     check_column(cols, "k", source)
@@ -262,7 +265,7 @@ def check_trajectory(
     details = {"column": column, "trajectory": source, "num_entries": len(d)}
     gauge = None
     if gauge_factor is not None:
-        gauge = check_gauge_monotone(k, d, gauge_factor, tol_rel=1e-3)
+        gauge = check_gauge_monotone(k, d, gauge_factor)
         details["gauge_factor"] = gauge_factor
     return RateReport(fejer, gauge, asymptotic, fit, details)
 

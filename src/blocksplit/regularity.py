@@ -63,37 +63,56 @@ class CertificationReport(NamedTuple):
 
 
 def _coordinate_refine(
-    margin_fn: Callable[[np.ndarray, np.ndarray], float],
+    margin_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x: np.ndarray,
     y: np.ndarray,
     region: Region,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Deterministic coordinate search maximizing the margin inside the region."""
-    x = np.array(x, copy=True)
-    y = np.array(y, copy=True)
-    best = margin_fn(x, y)
+    """Deterministic coordinate search maximizing the margin inside the region.
+
+    A round tries +h, then -h, on each coordinate of x, then of y, each move
+    from the pair the moves before it left, and keeps every move that raises
+    the margin; h starts at a quarter of the region's widest span and halves
+    after a round without gain.  The moves a round has left are one
+    ``margin_batch`` call from the current pair: the first that raises the
+    margin is kept and the moves after it are evaluated again from the new
+    pair.  The margin returned is the witness pair's own one-pair margin.
+    """
+    pair = np.array([x, y], dtype=float)
+    lo, hi = np.array(region.lo), np.array(region.hi)
+    d = region.dim
+    # move i shifts coordinate col[i] of row[i] (0: x, 1: y) by sign[i] * h
+    moves = np.arange(4 * d)
+    row, col = moves // (2 * d), moves // 2 % d
+    sign = np.where(moves % 2 == 0, 1.0, -1.0)
+
+    def margin_one(pair):
+        return float(margin_batch(pair[:1], pair[1:])[0])
+
+    best = margin_one(pair)
+    moved = False
     span = max((b - a for a, b in zip(region.lo, region.hi)), default=0.0) or 1.0
     h = 0.25 * max(span, 1e-8)
-    d = region.dim
     for _ in range(REFINE_STEPS):
         improved = False
-        for which in (0, 1):
-            z = x if which == 0 else y
-            for c in range(d):
-                base = z[c]
-                for s in (h, -h):
-                    z[c] = np.clip(base + s, region.lo[c], region.hi[c])
-                    m = margin_fn(x, y)
-                    if m > best:
-                        best = m
-                        base = z[c]
-                        improved = True
-                z[c] = base
+        first = 0
+        while first < moves.size:
+            r, c = row[first:], col[first:]
+            tries = np.repeat(pair[:, None], r.size, axis=1)  # tries[0][k], tries[1][k]: move k's pair
+            tries[r, moves[:r.size], c] = np.clip(pair[r, c] + sign[first:] * h, lo[c], hi[c])
+            margins = margin_batch(tries[0], tries[1])
+            gains = np.flatnonzero(margins > best)
+            if not gains.size:
+                break
+            i = int(gains[0])
+            pair, best = tries[:, i].copy(), float(margins[i])
+            improved = moved = True
+            first += i + 1
         if not improved:
             h *= 0.5
             if h < 1e-14 * max(span, 1.0):
                 break
-    return x, y, best
+    return pair[0], pair[1], margin_one(pair) if moved else best
 
 
 def _sq(a):
@@ -141,7 +160,7 @@ def _certify_pairs(name, margin_batch, spawn_key, region, alpha, violation, num_
     """Worst margin over sampled pairs, sharpened by coordinate search on request.
 
     ``margin_batch`` maps (n, dim) batches of x and y to n margins; the
-    search evaluates it on one-pair batches.
+    search evaluates it on the moves each of its rounds has left.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(spawn_key,)))
     xs = region.sample(rng, num_pairs)
@@ -153,10 +172,7 @@ def _certify_pairs(name, margin_batch, spawn_key, region, alpha, violation, num_
         wx, wy, wm = xs[worst], ys[worst], float(margins[worst])
 
         if adversarial:
-            def margin_one(x, y):
-                return float(margin_batch(x[None, :], y[None, :])[0])
-
-            wx, wy, wm = _coordinate_refine(margin_one, wx, wy, region)
+            wx, wy, wm = _coordinate_refine(margin_batch, wx, wy, region)
             if not np.isfinite(wm):  # the search can find an infinite margin, never a NaN one
                 raise BlocksplitError(f"certify {name}: the margin of the pair refined from "
                                       f"sample {worst} is {wm}")

@@ -325,9 +325,9 @@ def test_08_gauge_round_trips_and_monotonicity_gates():
     d = [5.0]
     for _ in range(39):
         d.append(gauge * d[-1])
-    assert check_gauge_monotone(range(40), d, gauge).passed
+    assert check_gauge_monotone(range(40), d, gauge, tol_rel=0.0).passed
     tighter = gauge - 1e-6
-    assert not check_gauge_monotone(range(40), d, tighter).passed
+    assert not check_gauge_monotone(range(40), d, tighter, tol_rel=0.0).passed
     _accept(8, "defining-relation round trip within 1e-10, monotonicity gate is factor-exact")
 
 

@@ -1065,6 +1065,63 @@ def test_cli_loads_scipy_only_for_a_transport_solve(tmp_path):
     assert (tmp_path / "solving_out" / "trajectory.csv").exists()
 
 
+# ``python -m blocksplit.cli`` with the arguments after -c, then a collection
+COLLECTOR_GUARD = """
+import gc
+import runpy
+
+try:
+    runpy.run_module("blocksplit.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+print(code, gc.isenabled(), gc.collect())
+"""
+
+
+def _measure_file(path, rng, n):
+    weights = rng.uniform(0.5, 1.5, n)
+    rows = "".join(f"{w!r},{x!r},{y!r}\n" for w, (x, y) in
+                   zip((weights / weights.sum()).tolist(), rng.normal(size=(n, 2)).tolist()))
+    path.write_text(f'{{"block_dims": [1, 1], "dim": 2, "n": {n}, "version": 1}}\n' + rows)
+    return str(path)
+
+
+def test_cli_process_leaves_the_same_cyclic_garbage_at_any_size(tmp_path):
+    # both process entry points run without the cyclic collector; that
+    # holds only while no step, pair or atom of a command makes a reference
+    # cycle, so a small and a large instance of each command leave the same garbage
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'blocksplit = "blocksplit.cli:entry"' in pyproject
+    rng = np.random.default_rng(5)
+    instances = {}
+    for size, (iterations, pairs, atoms) in (("small", (100, 100, 3)), ("large", (1000, 1000, 60))):
+        doc = run_config(tmp_path, size, num_chains=8, iterations=iterations)
+        doc["certify"] = {"property": "aafne_in_expectation", "alpha": 2.0 / 3.0,
+                          "num_pairs": pairs, "adversarial": True}
+        doc["rate"] = {"gauge": {"kind": "linear", "kappa": 5.0, "tau": 1.0}}
+        config = write_config(tmp_path, doc, f"{size}.json")
+        instances[size] = [
+            ["run", "--config", config],
+            ["certify", "--config", config],
+            ["rate", "--config", config, "--trajectory", str(tmp_path / size / "trajectory.csv")],
+            ["transport", _measure_file(tmp_path / f"{size}_mu.csv", rng, atoms),
+             _measure_file(tmp_path / f"{size}_nu.csv", rng, 2 * atoms // 3)],
+        ]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    garbage = {}
+    for size, commands in instances.items():
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-c", COLLECTOR_GUARD, *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            code, enabled, found = proc.stdout.splitlines()[-1].split()
+            # a rate check can fail (exit 1) on the long run's distances at the float floor
+            assert code in ("0", "1") and enabled == "False", proc.stderr
+            garbage.setdefault(argv[0], []).append(int(found))
+    assert all(small == large for small, large in garbage.values()), garbage
+
+
 def test_cli_certify_report_is_strict_json(tmp_path, capsys):
     # no sample clears the threshold, so the margin is undefined (NaN)
     doc = base_config(

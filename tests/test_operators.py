@@ -190,6 +190,14 @@ def test_gd_violation_zero_for_convex_common_step():
     assert gd_violation_bound(c, np.array([0.2, 0.2])) == 0.0
 
 
+def test_gd_violation_zero_at_the_convex_boundary():
+    # L = 4: the gradient step of a convex L-smooth f is firmly nonexpansive
+    # up to and at t = 1/L = 2 ALPHA_BAR / L (Baillon-Haddad)
+    c = _pair_coupling()
+    assert gd_violation_bound(c, np.array([0.25, 0.25])) == 0.0
+    assert gd_violation_bound(c, np.full(2, np.nextafter(0.25, 1.0))) > 0.0
+
+
 def test_gd_violation_formula_uneven_steps():
     # uneven steps leave the exemption: max_j 2 t tau + t^2 L^2 / ALPHA_BAR
     c = _pair_coupling()

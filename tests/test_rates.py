@@ -5,6 +5,7 @@ import pytest
 
 from blocksplit.errors import DegenerateSequence, InadmissibleGauge
 from blocksplit.rates import (
+    GAUGE_TOL_REL,
     check_asymptotic_regularity,
     check_fejer,
     check_gauge_monotone,
@@ -78,7 +79,7 @@ def test_check_gauge_monotone_exact_geometric():
 
 def test_check_gauge_monotone_detects_slower_decay():
     g = theta_linear(2.0, 2.0, 0.0)
-    slower = (g + 1e-5) ** np.arange(30)
+    slower = (g + 2e-3) ** np.arange(30)  # above the slack of 1e-3 per step
     res = check_gauge_monotone(range(30), slower, g)
     assert not res.passed
     assert res.first_violation == 0
@@ -167,6 +168,15 @@ def _strided(values, stride):
 
 def _gauge(cols):
     return check_trajectory(cols, "d_target", "--column", "t.csv", 1e-3, 1e-3, FACTOR).gauge
+
+
+def test_the_library_and_the_command_judge_a_gauge_by_one_slack():
+    # 5e-4 per step lies inside the gauge's relative slack of 1e-3
+    d = [(FACTOR + 5e-4) ** k for k in range(30)]
+    assert GAUGE_TOL_REL == 1e-3
+    assert check_gauge_monotone(range(30), d, FACTOR).passed
+    assert _gauge(_strided(d, 1)).passed
+    assert not check_gauge_monotone(range(30), d, FACTOR, tol_rel=4e-4).passed
 
 
 def test_gauge_on_a_strided_column_uses_factor_to_the_step_of_k():

@@ -1,18 +1,22 @@
 """Certification sweeps: pointwise, in expectation, paracontraction, identities."""
 
 import inspect
+import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blocksplit.blockspace import weighted_norm, weighted_sq
 from blocksplit import markov
-from blocksplit.config import BlockSubsetScheme, CertifySection, RateSection, RunSection
+from blocksplit.config import BlockSubsetScheme, CertifySection, RateSection, RunSection, parse_config
 from blocksplit.errors import BlocksplitError, DimensionMismatch, InvalidFixedPoints
 from blocksplit.problems import counterexample2d, feasibility, make_set, quadratic_l1
 from blocksplit.rates import check_asymptotic_regularity, check_fejer
 from blocksplit.regularity import (
+    REFINE_STEPS,
     Region,
     certify_aafne_in_expectation,
     certify_paracontraction_in_expectation,
@@ -31,8 +35,8 @@ SINGLETONS = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
 
 # Each library function whose defaults a config section repeats, with that
 # section and its field of each defaulted parameter (None: every defaulted
-# parameter, under its own name).  check_gauge_monotone's tol_rel of 1e-9
-# has no field: the rate command fixes its own 1e-3.
+# parameter, under its own name).  check_gauge_monotone's tol_rel has no
+# field: it is rates.GAUGE_TOL_REL, which the rate command reads too.
 DEFAULT_PAIRS = [
     *((certifier, CertifySection, None) for certifier in (
         certify_pointwise_aafne, certify_aafne_in_expectation,
@@ -143,6 +147,20 @@ def test_expectation_certificate_detects_wrong_alpha():
         m, region, 0.05, 0.0, 1000, seed=5, adversarial=True
     )
     assert not report.passed
+
+
+def test_composite_constants_hold_at_the_forward_backward_boundary():
+    # t = 1/L = 0.25 on counterexample2d: the constants the package states
+    # for the scheme, (2/3, 0), pass the certifier
+    from blocksplit.splitting import composite_constants, expectation_constants
+
+    prob = counterexample2d(0.25)
+    m = prob.build_map("fb", SINGLETONS)
+    constants = expectation_constants(composite_constants(m), m.probabilities)
+    assert constants.violation == 0.0
+    report = certify_aafne_in_expectation(m, prob.region, constants.alpha, constants.violation,
+                                          10_000, seed=1)
+    assert report.passed, report.margin
 
 
 def test_paracontraction_counterexample():
@@ -391,3 +409,105 @@ def test_certify_working_set_is_its_samples_and_one_chunk():
     assert report.num_samples == 20_000
     samples = 2 * 20_000 * 50 * 8
     assert peak <= 1.25 * samples + 2 * 2**20
+
+
+def _one_pair_refine(margin_fn, x, y, region):
+    """The adversarial search as it was before it batched its rounds: one pair per call.
+
+    The reference for ``regularity._coordinate_refine``: per round, +h then
+    -h on each coordinate of x, then of y, each evaluated alone and kept when
+    it raises the margin.
+    """
+    x, y = np.array(x, copy=True), np.array(y, copy=True)
+    best = margin_fn(x, y)
+    span = max((b - a for a, b in zip(region.lo, region.hi)), default=0.0) or 1.0
+    h = 0.25 * max(span, 1e-8)
+    for _ in range(REFINE_STEPS):
+        improved = False
+        for z in (x, y):
+            for c in range(region.dim):
+                base = z[c]
+                for s in (h, -h):
+                    z[c] = np.clip(base + s, region.lo[c], region.hi[c])
+                    m = margin_fn(x, y)
+                    if m > best:
+                        best, base, improved = m, z[c], True
+                z[c] = base
+        if not improved:
+            h *= 0.5
+            if h < 1e-14 * max(span, 1.0):
+                break
+    return x, y, best
+
+
+def _record_searches(monkeypatch):
+    """Each adversarial search of the certifiers, as (margin_batch, start, batched result)."""
+    from blocksplit import regularity
+
+    searches = []
+    batched = regularity._coordinate_refine
+
+    def recorded(margin_batch, x, y, region):
+        result = batched(margin_batch, x, y, region)
+        searches.append((margin_batch, (x.copy(), y.copy(), region), result))
+        return result
+
+    monkeypatch.setattr(regularity, "_coordinate_refine", recorded)
+    return searches
+
+
+def _readme_map():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = parse_config(json.loads(re.search(r"^```json\n(.*?)^```$", text, re.S | re.M).group(1)))
+    problem, m = cfg.build()
+    return problem, m, cfg.certify_region(problem)
+
+
+def _search_case(name):
+    if name == "readme":
+        return _readme_map()
+    if name == "feas_draws":
+        problem = feasibility([make_set("point", point=[0.0, 0.0]),
+                               make_set("point", point=[2.0, 0.0])], coupling_kind="sqdist")
+        return problem, problem.build_map("dr", SINGLETONS, [1.0, 1.0]), problem.region
+    problem = counterexample2d(0.25)
+    return problem, problem.build_map(name.split("_")[1], SINGLETONS), problem.region
+
+
+@pytest.mark.parametrize("case", ["counterexample2d_fb", "counterexample2d_dr", "feas_draws",
+                                  "readme"])
+def test_batched_search_matches_the_one_pair_search_bitwise(monkeypatch, case):
+    # one margin batch per round of moves takes the one-pair search's every
+    # decision on these maps, whose batch rows round as one-pair rows do
+    problem, m, region = _search_case(case)
+    searches = _record_searches(monkeypatch)
+    for seed in (0, 1, 2):
+        for alpha in (0.43, 2.0 / 3.0):
+            certify_pointwise_aafne(lambda x: apply_full(m, x), region, alpha, 0.0, 200, seed)
+            certify_aafne_in_expectation(m, region, alpha, 0.0, 200, seed)
+    assert len(searches) == 12
+    moved = 0
+    for margin_batch, start, (x, y, margin) in searches:
+        rx, ry, rmargin = _one_pair_refine(
+            lambda a, b: float(margin_batch(a[None], b[None])[0]), *start)
+        assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
+        assert np.float64(margin).tobytes() == np.float64(rmargin).tobytes()
+        moved += not (np.array_equal(x, start[0]) and np.array_equal(y, start[1]))
+    assert moved  # the searches do move the witness
+
+
+@pytest.mark.parametrize("certifier", ["pointwise_full", "aafne_in_expectation"])
+def test_refined_margin_is_the_witness_pairs_own(monkeypatch, certifier):
+    # at dimension 50 a BLAS batch row can round unlike a one-pair row; the
+    # margin reported is that of the witness pair evaluated alone
+    problem, m, _ = _quadratic50()
+    searches = _record_searches(monkeypatch)
+    for seed in (0, 1):
+        if certifier == "pointwise_full":
+            report = certify_pointwise_aafne(lambda x: apply_full(m, x), problem.region, 2.0 / 3.0,
+                                             0.0, 300, seed)
+        else:
+            report = certify_aafne_in_expectation(m, problem.region, 2.0 / 3.0, 0.0, 300, seed)
+        margin_batch = searches[-1][0]
+        alone = margin_batch(report.witness_x[None], report.witness_y[None])[0]
+        assert np.float64(report.margin).tobytes() == np.float64(alone).tobytes()
