@@ -8,9 +8,9 @@ errors, including a size too large to allocate.  Reports embed the
 resolved config and seed; CSV output never contains timestamps, so
 identical (config, seed) runs write identical bytes.
 
-Only command rules live here: a required section, ``strict_steps`` and
-paracontraction's fixed point.  Every rule about a config field lives in
-``config``.
+Only command rules live here: a required section, ``strict_steps``,
+paracontraction's fixed point, and ``rate``'s check that a trajectory
+came from its config.  Every rule about a config field lives in ``config``.
 """
 
 from __future__ import annotations
@@ -56,14 +56,16 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.run is None:
         raise ConfigError("config.run: required by the run command")
     problem, m = cfg.build()
-    rate_cfg = cfg.rate or RateSection()
-    check_column(trajectory_header(problem.layout.num_blocks), rate_cfg.column, "config.rate.column")
+    column = (cfg.rate or RateSection()).column
+    check_column(trajectory_header(problem.layout.num_blocks), column, "config.rate.column")
     if cfg.run.strict_steps and cfg.flavor == "fb":
         bounds = gd_step_bound(m.coupling)
         if not bounds.admits(m.steps):
+            common = ("" if bounds.global_convex is None
+                      else f", or one common step up to {bounds.global_convex} on this convex coupling")
             raise ConfigError(
-                f"config.steps: {m.steps.tolist()} outside the admissible ranges {bounds.per_block} "
-                "(strict_steps is on)"
+                f"config.steps: {m.steps.tolist()} outside the admissible ranges {bounds.per_block}"
+                f"{common} (strict_steps is on)"
             )
     m.probabilities  # refuses a block never selected: the W2 metric weighs block j by 1/p_j
     t0 = time.perf_counter()
@@ -84,8 +86,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     # rate's checks under the config's rate section; none where rate would
     # refuse the column, as d_target is empty where the map does not fix the target
     try:
-        verdicts = check_trajectory(traj, rate_cfg.column, "config.rate.column", str(traj_path),
-                                    rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, rate_cfg.gauge_factor)
+        verdicts = check_trajectory(traj, column, "config.rate.column", str(traj_path), cfg.gauge_factor)
     except ConfigError:
         verdicts = None
 
@@ -171,13 +172,37 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0 if report.passed else 1
 
 
+def _check_made_by(cfg: ExperimentConfig, config_path, trajectory_path) -> None:
+    """Refuse a config whose chain is not the one that made the trajectory.
+
+    The run that wrote a trajectory records its config in ``summary.json``
+    beside it; without that file there is nothing to compare.  The chain is
+    the problem, flavor, scheme and steps, compared as the configs write
+    them; a seed, an output directory or a section may differ.
+    """
+    from .config import json_ready
+
+    summary_path = Path(trajectory_path).parent / "summary.json"
+    if not summary_path.is_file():
+        return
+    doc = _read_input(lambda path: json.loads(path.read_bytes()), summary_path)
+    made = doc.get("config") if isinstance(doc, dict) else None
+    if not isinstance(made, dict):
+        raise ConfigError(f"{summary_path}: holds no config")
+    given = cfg.document()
+    for field in ("problem", "flavor", "scheme", "steps"):
+        if json_ready(given[field]) != made.get(field):
+            raise ConfigError(f"config.{field}: {config_path} differs from {summary_path}, "
+                              f"the config of the run that wrote {trajectory_path}")
+
+
 def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
     """Check a distance trajectory; exit 1 when a requested check fails."""
     from .config import GAUGE_EPSILON, RateSection, gauge_factor
     from .rates import check_trajectory, read_trajectory_csv
 
     rate_cfg = (cfg.rate if cfg is not None else None) or RateSection()
-    factor = rate_cfg.gauge_factor
+    factor = cfg.gauge_factor if cfg is not None else None
     if args.kappa is not None:
         if args.tau is None:
             raise ConfigError("--tau: required alongside --kappa")
@@ -185,11 +210,12 @@ def cmd_rate(args, cfg: ExperimentConfig | None, out_dir: Path) -> int:
         factor = gauge_factor({"--kappa": args.kappa, "--tau": args.tau, "--epsilon": epsilon}, "--kappa")
     elif args.tau is not None or args.epsilon is not None:
         raise ConfigError(f"{'--tau' if args.tau is not None else '--epsilon'}: needs --kappa")
+    if cfg is not None:
+        _check_made_by(cfg, args.config, args.trajectory)
     cols = _read_input(read_trajectory_csv, args.trajectory)
     column, where = ((args.column, "--column") if args.column is not None
                      else (rate_cfg.column, "config.rate.column"))
-    report = check_trajectory(cols, column, where, str(args.trajectory),
-                              rate_cfg.fejer_tol_rel, rate_cfg.tail_tol, factor)
+    report = check_trajectory(cols, column, where, str(args.trajectory), factor)
     doc = {"config": None if cfg is None else cfg.document(), "report": report}
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "rate_report.json", doc)

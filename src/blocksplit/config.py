@@ -290,18 +290,9 @@ class CertifySection(NamedTuple):
     residual_threshold: float = 1e-8
 
 
-class RateSection(Record):
-    _fields = ("column", "gauge", "fejer_tol_rel", "tail_tol")
-    # gauge_factor: the factor parse_config computes from ``gauge``, which reports keep as given
-    __slots__ = _fields + ("gauge_factor",)
-
-    def __init__(self, column: str = "d_target", gauge: dict | None = None,
-                 fejer_tol_rel: float = 1e-3, tail_tol: float = 1e-3):
-        self.column = column
-        self.gauge = gauge
-        self.fejer_tol_rel = fejer_tol_rel
-        self.tail_tol = tail_tol
-        self.gauge_factor: float | None = None
+class RateSection(NamedTuple):
+    column: str = "d_target"
+    gauge: dict | None = None
 
 
 class ExperimentConfig(Record):
@@ -309,8 +300,9 @@ class ExperimentConfig(Record):
 
     _fields = ("problem_id", "problem_params", "flavor", "scheme", "steps", "seed", "output_dir",
                "run", "certify", "rate")
-    # builder: the params' (field, constructor) pair, checked once here; reports do not write it
-    __slots__ = _fields + ("builder",)
+    # builder: the params' (field, constructor) pair, checked once here; gauge_factor: the
+    # factor of ``rate.gauge``, computed once by parse_config; reports write neither
+    __slots__ = _fields + ("builder", "gauge_factor")
 
     def __init__(self, problem_id: str, problem_params: dict, flavor: str,
                  scheme: BlockSubsetScheme, steps: list[float] | None, seed: int,
@@ -327,6 +319,7 @@ class ExperimentConfig(Record):
         self.certify = certify
         self.rate = rate
         self.builder: tuple[str, Callable] = _problem_builder(problem_id)(problem_params)
+        self.gauge_factor: float | None = None
 
     def build_problem(self) -> ProblemSpec:
         return build_problem(self.problem_id, self.problem_params, self.builder)
@@ -637,10 +630,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
             residual_threshold=_as_finite(c["residual_threshold"], "config.certify.residual_threshold", True),
         )
 
-    rate_sec = None
+    rate_sec, factor = None, None
     if "rate" in doc:
-        r = {**RateSection()._asdict(), **_object(doc["rate"], "config.rate", RateSection._fields)}
-        gauge, factor = r["gauge"], None
+        r = {**RateSection._field_defaults, **_object(doc["rate"], "config.rate", RateSection._fields)}
+        gauge = r["gauge"]
         if gauge is not None:
             _kind(gauge, "config.rate.gauge", GAUGE_FIELDS)
             kappa, tau = (_as_float(_require(gauge, key, "config.rate.gauge"), f"config.rate.gauge.{key}")
@@ -652,17 +645,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         column = r["column"]
         if not isinstance(column, str):
             raise ConfigError(f"config.rate.column: expected a trajectory column name, got {column!r}")
-        rate_sec = RateSection(
-            column=column,
-            gauge=gauge,
-            # a negative fejer_tol_rel asks every step to shrink by that fraction
-            fejer_tol_rel=_as_finite(r["fejer_tol_rel"], "config.rate.fejer_tol_rel"),
-            tail_tol=_as_finite(r["tail_tol"], "config.rate.tail_tol", True),
-        )
-        rate_sec.gauge_factor = factor
+        rate_sec = RateSection(column=column, gauge=gauge)
 
     # checks the params after the sections, so that a section's error is reported first
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         problem_id=problem_id,
         problem_params=params,
         flavor=flavor,
@@ -674,6 +660,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         certify=certify_sec,
         rate=rate_sec,
     )
+    cfg.gauge_factor = factor
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -157,14 +157,19 @@ def resolvent_partial_smooth(coupling: SmoothCoupling, j: int, x: np.ndarray, la
 
 
 class StepBounds(NamedTuple):
-    """Admissible blockwise step intervals (0, upper_j) for a target constant."""
+    """Admissible blockwise step intervals (0, upper_j) for a target constant.
+
+    ``global_convex``, for a convex coupling, also admits one common step t
+    in (0, global_convex], where ``gd_violation_bound`` is zero.
+    """
 
     per_block: tuple[float, ...]
     global_convex: float | None
 
     def admits(self, steps: np.ndarray) -> bool:
         steps = np.asarray(steps, dtype=float)
-        return bool(np.all(steps > 0) and np.all(steps < np.asarray(self.per_block)))
+        common = self.global_convex is not None and np.all(steps == steps[0]) and steps[0] <= self.global_convex
+        return bool(np.all(steps > 0) and (common or np.all(steps < np.asarray(self.per_block))))
 
 
 # The target constant of the blockwise gradient map: a firmly nonexpansive

@@ -20,12 +20,13 @@ import csv
 import math
 from typing import NamedTuple
 
-from .config import GAUGE_EPSILON, RateSection
+from .config import GAUGE_EPSILON
 from .errors import ConfigError, DegenerateSequence, DimensionMismatch, InadmissibleGauge
 
-_RATE = RateSection()  # the defaults that check_fejer and check_asymptotic_regularity take
-# The gauge check's relative slack, fixed for the library and the commands alike.
-GAUGE_TOL_REL = 1e-3
+# The relative slack of every per-step bound (``_per_step``) and the bound on the
+# tail mean of the step distances, for the library and the commands alike.
+STEP_TOL_REL = 1e-3
+TAIL_TOL = 1e-3
 
 
 def theta_linear(kappa: float, tau: float, epsilon: float = GAUGE_EPSILON) -> float:
@@ -84,32 +85,32 @@ def _sequence(distances) -> list[float]:
     return d
 
 
-def _per_step(d: list[float], bounds) -> CheckResult:
-    """d_{i+1} <= bounds[i] at every step i; the first step that breaks it and the worst excess."""
-    excess = [after - bound for after, bound in zip(d[1:], bounds)]
+def _per_step(k, d: list[float], factor: float, tol_rel: float) -> CheckResult:
+    """d_k' <= d_k (factor^(k' - k) + tol_rel) over each step; the first step that breaks it, the worst excess."""
+    excess = [after - t * (factor ** (k1 - k0) + tol_rel)
+              for k0, k1, t, after in zip(k, k[1:], d, d[1:])]
     bad = [i for i, e in enumerate(excess) if e > 0]
     return CheckResult(not bad, bad[0] if bad else None, max(excess))
 
 
-def check_fejer(distances, tol_rel: float = _RATE.fejer_tol_rel) -> CheckResult:
-    """Monotone nonincrease up to tolerance: d_{k+1} <= d_k (1 + tol_rel)."""
+def check_fejer(distances, tol_rel: float = STEP_TOL_REL) -> CheckResult:
+    """Monotone nonincrease up to tolerance: d_{k+1} <= d_k (1 + tol_rel), the rule at factor 1."""
     d = _sequence(distances)
     if any(v < 0 for v in d):
         raise ValueError("distances must be nonnegative")
-    return _per_step(d, [t * (1.0 + tol_rel) for t in d[:-1]])
+    return _per_step(range(len(d)), d, 1.0, tol_rel)
 
 
-def check_gauge_monotone(k, distances, factor: float, tol_rel: float = GAUGE_TOL_REL) -> CheckResult:
-    """Gauge contraction over each step of k: d_next <= factor^(k_next - k) d + tol_rel d.
+def check_gauge_monotone(k, distances, factor: float, tol_rel: float = STEP_TOL_REL) -> CheckResult:
+    """Gauge contraction over each step of k: d_next <= d (factor^(k_next - k) + tol_rel).
 
     ``k`` are the distances' iteration numbers: a column filled every s
-    steps is held to factor^s per entry, and a unit step to factor d + tol_rel d.
+    steps is held to factor^s per entry.
     """
     d, k = _sequence(distances), [float(v) for v in k]
     if len(k) != len(d):
         raise DimensionMismatch(f"need k and distances of one length, got {len(k)} and {len(d)}")
-    return _per_step(d, [factor ** (k1 - k0) * t + tol_rel * t
-                         for k0, k1, t in zip(k, k[1:], d)])
+    return _per_step(k, d, factor, tol_rel)
 
 
 def _mean(values: list[float]) -> float:
@@ -137,7 +138,7 @@ class AsymptoticRegularityResult(NamedTuple):
     fitted_exponent: float | None
 
 
-def check_asymptotic_regularity(step_distances, tail_tol: float = _RATE.tail_tol) -> AsymptoticRegularityResult:
+def check_asymptotic_regularity(step_distances, tail_tol: float = TAIL_TOL) -> AsymptoticRegularityResult:
     """Vanishing step sizes with summable-trending squares.
 
     The tail average over the last quarter must drop below ``tail_tol``,
@@ -216,8 +217,6 @@ def check_trajectory(
     column: str,
     where: str,
     source: str,
-    fejer_tol_rel: float,
-    tail_tol: float,
     gauge_factor: float | None,
 ) -> RateReport:
     """Every check of a trajectory: the rate command's and the run summary's verdicts.
@@ -225,11 +224,11 @@ def check_trajectory(
     ``cols`` maps column names to lists, NaN where a cell is empty, as
     ``read_trajectory_csv`` returns them; ``source`` names the trajectory
     in the report.  The distances are the non-empty cells of ``column``,
-    which ``where`` named.  They get Fejer monotonicity with
-    ``fejer_tol_rel``, a linear-rate fit when at least five are positive
-    and, given a ``gauge_factor``, the gauge check with ``GAUGE_TOL_REL``,
-    the last two over their rows' ``k``.  ``dw_step``, when it has four
-    entries or more, gets asymptotic regularity with ``tail_tol``.  A
+    which ``where`` named.  They get Fejer monotonicity, a linear-rate fit
+    when at least five are positive and, given a ``gauge_factor``, the
+    gauge check, the last two over their rows' ``k``.  ``dw_step``, when it
+    has four entries or more, gets asymptotic regularity.  Each check takes
+    its module default (``STEP_TOL_REL``, ``TAIL_TOL``).  A
     missing column, fewer than two distances, or a non-finite or negative
     one raise ConfigError under ``where``; a missing ``k`` column, a
     non-finite ``k`` beside a distance, a ``k`` that does not increase
@@ -255,13 +254,12 @@ def check_trajectory(
         dw = [v for v in dw if not math.isnan(v)]
         _check_distances(dw, "dw_step", source)
 
-    fejer = check_fejer(d, tol_rel=fejer_tol_rel)
+    fejer = check_fejer(d)
     try:
         fit = fit_linear_rate(k, d)
     except DegenerateSequence:
         fit = None
-    asymptotic = (check_asymptotic_regularity(dw, tail_tol=tail_tol)
-                  if dw is not None and len(dw) >= 4 else None)
+    asymptotic = check_asymptotic_regularity(dw) if dw is not None and len(dw) >= 4 else None
     details = {"column": column, "trajectory": source, "num_entries": len(d)}
     gauge = None
     if gauge_factor is not None:

@@ -200,15 +200,44 @@ def test_cli_run_identical_bytes_same_seed(tmp_path):
 
 
 def test_cli_run_strict_steps_gate(tmp_path, capsys):
-    # t = 0.25 sits outside the per-block admissible range 1/8 for the
-    # counterexample; strict mode must refuse to run
+    # t = 0.3 sits outside the per-block admissible range 1/8 and past the
+    # common step 1/L = 1/4 of the convex counterexample; strict mode must refuse to run
     doc = run_config(tmp_path, strict_steps=True)
+    doc["steps"] = [0.3, 0.3]
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", path]) == 2
-    assert "config error: config.steps: [0.25, 0.25] outside" in capsys.readouterr().err
+    assert "config error: config.steps: [0.3, 0.3] outside" in capsys.readouterr().err
     doc["steps"] = [0.1, 0.1]
     path = write_config(tmp_path, doc, "ok.json")
     assert main(["run", "--config", path]) == 0
+
+
+@pytest.mark.parametrize("steps, code", [
+    # a common step up to 1/L = 0.25 on the convex coupling, where the
+    # gradient step is firmly nonexpansive and gd_violation_bound is 0
+    ([0.2, 0.2], 0),
+    ([0.25, 0.25], 0),
+    ([0.26, 0.26], 2),
+    # steps that differ keep the per-block range (0, 1/8)
+    ([0.1, 0.2], 2),
+    ([0.1, 0.12], 0),
+])
+def test_cli_run_strict_steps_admits_the_convex_common_step(tmp_path, capsys, steps, code):
+    from blocksplit.operators import gd_violation_bound
+
+    doc = run_config(tmp_path, strict_steps=True)
+    doc["steps"] = steps
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == code
+    err = capsys.readouterr().err
+    problem = build_problem("counterexample2d", {"t": 0.25})
+    if code == 0:
+        assert err == ""
+        if steps[0] == steps[1]:
+            assert gd_violation_bound(problem.coupling, np.array(steps)) == 0.0
+    else:
+        assert err == (f"config error: config.steps: {steps} outside the admissible ranges "
+                       "(0.125, 0.125), or one common step up to 0.25 on this convex coupling "
+                       "(strict_steps is on)\n")
 
 
 def test_cli_certify_pass_and_fail(tmp_path, capsys):
@@ -305,10 +334,10 @@ def test_cli_rate(tmp_path, capsys):
 
 def test_cli_run_verdicts_are_the_rate_checks(tmp_path, capsys):
     # summary.json holds rate's checks under the config's rate section: this
-    # run's d_target falls by at least 5.9% a step, so Fejer passes at the
-    # default tolerance 1e-3 and fails when each step must fall by 10%
+    # run's d_target falls by 5.9% to 21% a step, so Fejer passes and a gauge
+    # of factor 0.417 (kappa 1.1, tau 1) fails
     doc = run_config(tmp_path)
-    doc["rate"] = {"fejer_tol_rel": -0.1, "gauge": {"kind": "linear", "kappa": 5.0, "tau": 1.0}}
+    doc["rate"] = {"gauge": {"kind": "linear", "kappa": 1.1, "tau": 1.0}}
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", path]) == 0
     out = tmp_path / "out"
@@ -316,8 +345,85 @@ def test_cli_run_verdicts_are_the_rate_checks(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     report = json.loads((out / "rate_report.json").read_text())
     assert summary["verdicts"] == report["report"]
-    assert summary["verdicts"]["fejer"]["passed"] is False
-    assert summary["verdicts"]["gauge"] is not None
+    assert summary["verdicts"]["fejer"]["passed"] is True
+    assert summary["verdicts"]["gauge"]["passed"] is False
+
+
+BOXES = {"id": "feasibility", "params": {"coupling": "sqdist", "sets": [
+    {"kind": "box", "lo": [0.0, 0.0], "hi": [2.0, 2.0]}, {"kind": "box", "lo": [1.0, 1.0], "hi": [3.0, 3.0]}]}}
+
+
+def test_cli_rate_refuses_a_trajectory_that_another_config_made(tmp_path, capsys):
+    # a DR run on two boxes, then rate under README's counterexample2d config
+    boxes = base_config(problem=BOXES, flavor="dr", steps=None, seed=5,
+                        run={"num_chains": 50, "iterations": 60}, output_dir=str(tmp_path / "out"))
+    assert main(["run", "--config", write_config(tmp_path, boxes, "boxes.json")]) == 0
+    ce2d = base_config(problem={"id": "counterexample2d", "params": {"t": 0.2}}, steps=[0.2, 0.2],
+                       seed=42, rate={"gauge": {"kind": "linear", "kappa": 5.0, "tau": 1.0}},
+                       output_dir=str(tmp_path / "rate"))
+    config = write_config(tmp_path, ce2d, "ce2d.json")
+    traj = tmp_path / "out" / "trajectory.csv"
+    capsys.readouterr()
+    assert main(["rate", "--config", config, "--trajectory", str(traj)]) == 2
+    assert capsys.readouterr() == ("", f"config error: config.problem: {config} differs from "
+                                       f"{tmp_path / 'out' / 'summary.json'}, the config of the run "
+                                       f"that wrote {traj}\n")
+    assert not (tmp_path / "rate").exists()
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("problem", {"problem": {"id": "counterexample2d", "params": {"t": 0.2}}}),
+    ("flavor", {"flavor": "dr"}),
+    ("scheme", {"scheme": {"subsets": [[0], [1]], "probs": [0.4, 0.6]}}),
+    ("steps", {"steps": [0.2, 0.2]}),
+    # the first field that differs is the one named
+    ("flavor", {"flavor": "dr", "steps": [0.2, 0.2]}),
+])
+def test_cli_rate_names_the_chain_field_that_differs(tmp_path, capsys, field, edit):
+    doc = run_config(tmp_path)
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    capsys.readouterr()
+    traj = str(tmp_path / "out" / "trajectory.csv")
+    other = write_config(tmp_path, {**doc, **edit}, "other.json")
+    assert main(["rate", "--config", other, "--trajectory", traj]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.{field}: {other} differs from ") and err.count("\n") == 1
+
+
+def test_cli_rate_accepts_the_config_that_made_the_trajectory(tmp_path, capsys):
+    doc = run_config(tmp_path)
+    path = write_config(tmp_path, doc)
+    # a run under another seed makes the same chain
+    assert main(["run", "--config", path, "--seed", "11"]) == 0
+    traj = tmp_path / "out" / "trajectory.csv"
+    codes = [main(["rate", "--config", path, "--trajectory", str(traj)])]
+    # neither the seed, the output directory nor the run and rate sections define the chain
+    other = {**doc, "seed": 3, "output_dir": str(tmp_path / "elsewhere"), "run": SMALL_RUN,
+             "rate": {"gauge": {"kind": "linear", "kappa": 1.1, "tau": 1.0}}}
+    codes.append(main(["rate", "--config", write_config(tmp_path, other, "other.json"),
+                       "--trajectory", str(traj)]))
+    # without summary.json beside the trajectory there is nothing to compare
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "trajectory.csv").write_bytes(traj.read_bytes())
+    dr = write_config(tmp_path, {**doc, "flavor": "dr"}, "dr.json")
+    codes.append(main(["rate", "--config", dr, "--trajectory", str(bare / "trajectory.csv")]))
+    out, err = capsys.readouterr()
+    assert 2 not in codes and err == "" and out.count("PASS fejer") == 3
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("{", "summary.json: Expecting property name"),
+    ("[]", "summary.json: holds no config"),
+])
+def test_cli_rate_refuses_an_unreadable_summary_beside_the_trajectory(tmp_path, capsys, text, needle):
+    (tmp_path / "traj.csv").write_text(GOOD_TRAJECTORY)
+    (tmp_path / "summary.json").write_text(text)
+    argv = ["rate", "--config", write_config(tmp_path, base_config()),
+            "--trajectory", str(tmp_path / "traj.csv"), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle in err and err.count("\n") == 1
 
 
 def test_cli_rate_fits_c_hat_per_step_of_k_on_a_strided_column(tmp_path, capsys):
@@ -575,15 +681,12 @@ BAD_INPUTS = [
      _sets_case({"kind": "ball", "center": [0.0, 0.0], "radius": "a"}, POINT)),
     ("set_line_zero_direction", "problem.params.sets[1]: line direction must be finite and nonzero",
      _sets_case(POINT, {"kind": "line", "point": [0.0, 0.0], "direction": [0.0, 0.0]})),
+    # the rate tolerances are rates.STEP_TOL_REL and rates.TAIL_TOL, no longer fields
+    ("rate_fejer_tol_rel_removed", "config.rate.fejer_tol_rel: unknown field; expected one of column, gauge",
+     _config_case("run", rate={"fejer_tol_rel": 1e-3}, run=SMALL_RUN)),
+    ("rate_tail_tol_removed", "config.rate.tail_tol: unknown field; expected one of column, gauge",
+     _rate_config_case({"tail_tol": 1e-3})),
     # non-finite numbers: no check may pass or fail on NaN, and no bound may overflow
-    ("fejer_tol_rel_nan", "config.rate.fejer_tol_rel: must be finite, got nan",
-     _config_case("run", rate={"fejer_tol_rel": NAN}, run=SMALL_RUN)),
-    ("fejer_tol_rel_inf", "config.rate.fejer_tol_rel: must be finite, got inf",
-     _config_case("run", rate={"fejer_tol_rel": INF}, run=SMALL_RUN)),
-    ("tail_tol_nan", "config.rate.tail_tol: must be finite and nonnegative",
-     _config_case("run", rate={"tail_tol": NAN}, run=SMALL_RUN)),
-    ("tail_tol_negative", "config.rate.tail_tol: must be finite and nonnegative",
-     _config_case("run", rate={"tail_tol": -1e-3}, run=SMALL_RUN)),
     ("residual_threshold_nan", "config.certify.residual_threshold: must be finite and nonnegative",
      _config_case("certify", certify={"property": "paracontraction_in_expectation",
                                       "residual_threshold": NAN})),

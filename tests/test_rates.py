@@ -5,7 +5,8 @@ import pytest
 
 from blocksplit.errors import DegenerateSequence, InadmissibleGauge
 from blocksplit.rates import (
-    GAUGE_TOL_REL,
+    STEP_TOL_REL,
+    TAIL_TOL,
     check_asymptotic_regularity,
     check_fejer,
     check_gauge_monotone,
@@ -86,9 +87,9 @@ def test_check_gauge_monotone_detects_slower_decay():
 
 
 # At the scale of feas_draws' distances, where its recorded Fejer failure is
-# an excess of about 2e-34, the bound must be rounded as written: at this d0
-# d0 + tol_rel * d0 and (factor + tol_rel) * d0 round to other floats than
-# the bounds below.
+# an excess of about 2e-34, the bound must be rounded as written: at this d0,
+# d0 + tol_rel * d0 rounds to another float than d0 * (1 + tol_rel), and
+# factor * d0 + tol_rel * d0 to another than d0 * (factor + tol_rel).
 D0 = 1.004e-24
 
 
@@ -101,14 +102,27 @@ def test_check_fejer_bound_rounds_as_d_times_one_plus_tol_rel():
     assert not res.passed and res.first_violation == 0
 
 
-def test_check_gauge_bound_rounds_as_theta_plus_tol_rel_d():
+def test_check_gauge_bound_rounds_as_d_times_factor_plus_tol_rel():
     g = theta_linear(2.0, 2.0, 0.0)
     tol_rel = 1e-9
-    bound = g * D0 + tol_rel * D0
-    assert bound != (g + tol_rel) * D0
+    bound = D0 * (g + tol_rel)
+    assert bound != g * D0 + tol_rel * D0
     assert check_gauge_monotone([0, 1], np.array([D0, bound]), g, tol_rel=tol_rel).passed
     res = check_gauge_monotone([0, 1], np.array([D0, np.nextafter(bound, np.inf)]), g, tol_rel=tol_rel)
     assert not res.passed and res.first_violation == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_fejer_worst_excess_is_d_times_one_plus_step_tol_rel(seed):
+    # Fejer is the slack rule at factor 1, and its bound keeps its bits
+    d = list(np.random.default_rng(seed).uniform(0.5, 1.5, 200))
+    excess = max(after - t * (1.0 + STEP_TOL_REL) for t, after in zip(d, d[1:]))
+    assert check_fejer(d).worst_excess == excess
+
+
+def test_a_gauge_at_factor_one_is_the_fejer_check():
+    d = list(np.random.default_rng(3).uniform(0.5, 1.5, 100))
+    assert check_gauge_monotone(range(100), d, 1.0) == check_fejer(d)
 
 
 def test_check_fejer_reports_a_degenerate_sequence_before_a_negative_distance():
@@ -166,17 +180,46 @@ def _strided(values, stride):
     return {"k": [float(stride * i) for i in range(len(values))], "d_target": list(values)}
 
 
+def _checked(cols):
+    return check_trajectory(cols, "d_target", "--column", "t.csv", FACTOR)
+
+
 def _gauge(cols):
-    return check_trajectory(cols, "d_target", "--column", "t.csv", 1e-3, 1e-3, FACTOR).gauge
+    return _checked(cols).gauge
 
 
-def test_the_library_and_the_command_judge_a_gauge_by_one_slack():
-    # 5e-4 per step lies inside the gauge's relative slack of 1e-3
-    d = [(FACTOR + 5e-4) ** k for k in range(30)]
-    assert GAUGE_TOL_REL == 1e-3
-    assert check_gauge_monotone(range(30), d, FACTOR).passed
-    assert _gauge(_strided(d, 1)).passed
-    assert not check_gauge_monotone(range(30), d, FACTOR, tol_rel=4e-4).passed
+# Each per-step rule with its library call, its verdict in the command's
+# report, and distances that change by a given amount over the rule's factor.
+ONE_SLACK = {
+    "fejer": (lambda d, **tol: check_fejer(d, **tol), lambda report: report.fejer,
+              lambda over: [(1.0 + over) ** k for k in range(30)]),
+    "gauge": (lambda d, **tol: check_gauge_monotone(range(len(d)), d, FACTOR, **tol),
+              lambda report: report.gauge, lambda over: [(FACTOR + over) ** k for k in range(30)]),
+}
+
+
+@pytest.mark.parametrize("rule", ONE_SLACK)
+def test_the_library_and_the_command_judge_a_step_by_one_slack(rule):
+    library, command, distances = ONE_SLACK[rule]
+    assert STEP_TOL_REL == 1e-3
+    for over, passed in ((0.9 * STEP_TOL_REL, True), (1.1 * STEP_TOL_REL, False)):
+        d = distances(over)
+        assert library(d).passed is passed
+        assert command(_checked(_strided(d, 1))).passed is passed
+    # the library's tol_rel is that slack
+    assert not library(distances(0.9 * STEP_TOL_REL), tol_rel=0.8 * STEP_TOL_REL).passed
+
+
+def test_the_library_and_the_command_judge_a_tail_by_one_bound():
+    assert TAIL_TOL == 1e-3
+    shape = [k ** -2.0 for k in range(1, 21)]  # squared steps trend summable
+    tail = sum(shape[-5:]) / 5  # the mean of the last quarter
+    for fraction, passed in ((0.99, True), (1.01, False)):
+        dw = [v * fraction * TAIL_TOL / tail for v in shape]
+        assert check_asymptotic_regularity(dw).passed is passed
+        cols = {"k": [float(k) for k in range(20)], "d_target": [0.9 ** k for k in range(20)],
+                "dw_step": dw}
+        assert _checked(cols).asymptotic.passed is passed
 
 
 def test_gauge_on_a_strided_column_uses_factor_to_the_step_of_k():

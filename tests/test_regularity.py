@@ -11,10 +11,9 @@ import pytest
 
 from blocksplit.blockspace import weighted_norm, weighted_sq
 from blocksplit import markov
-from blocksplit.config import BlockSubsetScheme, CertifySection, RateSection, RunSection, parse_config
+from blocksplit.config import BlockSubsetScheme, CertifySection, RunSection, parse_config
 from blocksplit.errors import BlocksplitError, DimensionMismatch, InvalidFixedPoints
 from blocksplit.problems import counterexample2d, feasibility, make_set, quadratic_l1
-from blocksplit.rates import check_asymptotic_regularity, check_fejer
 from blocksplit.regularity import (
     REFINE_STEPS,
     Region,
@@ -35,14 +34,13 @@ SINGLETONS = BlockSubsetScheme(((0,), (1,)), (0.5, 0.5))
 
 # Each library function whose defaults a config section repeats, with that
 # section and its field of each defaulted parameter (None: every defaulted
-# parameter, under its own name).  check_gauge_monotone's tol_rel has no
-# field: it is rates.GAUGE_TOL_REL, which the rate command reads too.
+# parameter, under its own name).  The rate checks' tolerances have no
+# field: they are rates.STEP_TOL_REL and rates.TAIL_TOL, which the rate
+# command reads too (tests/test_rates.py).
 DEFAULT_PAIRS = [
     *((certifier, CertifySection, None) for certifier in (
         certify_pointwise_aafne, certify_aafne_in_expectation,
         certify_paracontraction_in_expectation, verify_expectation_identities)),
-    (check_fejer, RateSection, {"tol_rel": "fejer_tol_rel"}),
-    (check_asymptotic_regularity, RateSection, {"tail_tol": "tail_tol"}),
     (markov.run, RunSection, {"snapshot_every": "snapshot_every", "dw_step_every": "dw_step_every"}),
 ]
 
